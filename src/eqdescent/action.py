@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .groups import (
     AbelianGroup,
@@ -49,6 +50,15 @@ class RationalPoint:
     @cached_property
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
+
+    @cached_property
+    def integer_coords(self) -> tuple:
+        """The primitive integer representative: the coordinates times the
+        lcm of their denominators, divided by the gcd of the results."""
+        scale = lcm(*(c.denominator for c in self.coords))
+        ints = [c.numerator * (scale // c.denominator) for c in self.coords]
+        common = gcd(*ints)
+        return tuple(v // common for v in ints)
 
     @property
     def dim_ambient(self) -> int:

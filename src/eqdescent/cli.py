@@ -9,7 +9,7 @@ and can be compared by digest.
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
 schema violation, invalid complex, a generator failing its own descent
-precondition).
+precondition, a ``selftest-oracle`` option out of range).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 
 from .descent import DescentReport, check_descent
-from .groups import InputError
+from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
 from .words import GeneratorRejectedError, necessary_check, omega_check
@@ -268,7 +268,21 @@ def _cmd_necessary(args, out) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _check_selftest_args(args) -> None:
+    """Reject option values that leave no random instance to draw."""
+    for flag, value, low, high in (
+        ("--trials", args.trials, 1, None),
+        ("--max-dim", args.max_dim, 1, None),
+        ("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER),
+    ):
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise InputError(f"{flag} must be at most {high}, got {value}")
+
+
 def _cmd_selftest(args, out) -> int:
+    _check_selftest_args(args)
     started = time.perf_counter()
     report = run_oracle_selftest(
         trials=args.trials,
@@ -342,10 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest-oracle",
         help="compare the block route against the averaging route on random instances",
     )
-    p.add_argument("--trials", type=int, default=100, metavar="N")
+    p.add_argument("--trials", type=int, default=100, metavar="N", help="at least 1")
     p.add_argument("--seed", type=int, default=None, metavar="N")
-    p.add_argument("--max-group-order", type=int, default=12, metavar="N")
-    p.add_argument("--max-dim", type=int, default=3, metavar="N")
+    p.add_argument(
+        "--max-group-order", type=int, default=12, metavar="N",
+        help=f"from 2 to {MAX_GROUP_ORDER}",
+    )
+    p.add_argument("--max-dim", type=int, default=3, metavar="N", help="at least 1")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

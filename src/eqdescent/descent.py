@@ -8,45 +8,61 @@ stabilizer acts by the block's character on everything the block contributes
 to cohomology, so the decision reduces to: nontrivial blocks must be exact.
 
 Stabilizers and fiber characters are constant along coordinate-support
-strata, but cohomology ranks can still jump on proper closed subsets of a
-stratum, so multi-coordinate strata are checked at deterministic sample
-points and every report says which strata were sampled rather than decided
-exactly.  Single-coordinate strata contain one point and are exact; strata
-with trivial stabilizer are exact vacuously.
+strata, so all of the fiber that does not depend on the point is computed
+once per stratum, as a ``FiberLayout``: the block each summand lands in, its
+position there, and which differential entries fall inside a block (the
+entries between blocks are kept apart, to be checked to vanish).  At a point
+only the entries are evaluated, in integers:
+
+  * the point is scaled to primitive integer coordinates x;
+  * an entry p from (d_s, psi_s) to (d_t, psi_t) contributes its raw value
+    p(x), not the trivialized p(x) / x_{i0}^{d_t - d_s} that is invariant
+    under rescaling x.  With D_j = diag(x_{i0}^{d_s}) over the summands of
+    degree j, the trivialized d_j is D_{j+1}^{-1} d_j(x) D_j; D_j is
+    invertible and diagonal, so it respects the blocks and changes no block
+    rank (the same argument covers the rescaling of x);
+  * coefficient denominators are cleared once per complex, row by row: each
+    target summand of d_j has its row multiplied by the lcm of the
+    denominators in that row, one more invertible diagonal factor.
+
+Each block differential is then an integer matrix, ranked once by
+fraction-free Bareiss elimination, and dim H^j = n_j - r_j - r_{j-1}.
+
+Cohomology ranks can still jump on proper closed subsets of a stratum, so
+multi-coordinate strata are checked at deterministic sample points and every
+report says which strata were sampled rather than decided exactly.
+Single-coordinate strata contain one point and are exact; strata with
+trivial stabilizer are exact vacuously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .action import ProjectiveAction, RationalPoint
+from .action import ProjectiveAction, RationalPoint, Stratum
 from .complexes import (
     EquivariantComplex,
     InternalConsistencyError,
     TwistedSummand,
-    bundle_complex,
 )
-from .groups import CharacterRestriction, InputError
-from .linalg import QMatrix, kernel_dim, rank
+from .groups import InputError
+from .linalg import QMatrix, ZMatrix, kernel_dim, rank
 
 
 @dataclass(frozen=True)
 class BlockComplex:
-    """One character block of a fiber complex: dimensions and rational maps."""
+    """One character block of a fiber complex: dimensions and integer maps."""
 
     dims: dict  # degree -> positive summand count
-    mats: dict  # degree j -> QMatrix of shape (dims[j+1], dims[j])
+    mats: dict  # degree j -> ZMatrix of shape (dims[j+1], dims[j])
 
     def cohomology(self) -> dict:
-        """degree -> dim H, from exact kernel/rank computations."""
+        """degree -> dim H = n_j - rank d_j - rank d_{j-1}, ranking each map once."""
+        ranks = {j: rank(m) for j, m in self.mats.items()}
         out = {}
         for j, n in self.dims.items():
-            d_here = self.mats.get(j)
-            d_prev = self.mats.get(j - 1)
-            ker = kernel_dim(d_here) if d_here is not None else n
-            im_prev = rank(d_prev) if d_prev is not None else 0
-            out[j] = ker - im_prev
+            out[j] = n - ranks.get(j, 0) - ranks.get(j - 1, 0)
             if out[j] < 0:
                 raise InternalConsistencyError("negative block cohomology dimension")
         return out
@@ -73,82 +89,149 @@ class FiberComplex:
         return tuple(sorted(self.blocks, key=lambda c: c.values))
 
 
+def integer_entries(complex_: EquivariantComplex) -> dict:
+    """The differentials with coefficient denominators cleared row by row.
+
+    Returns {j: {(s, t): Poly}}, every entry in row t of d_j multiplied by the
+    lcm of the coefficient denominators in that row, so all coefficients are
+    integers.  Scaling rows by nonzero constants changes no rank.
+    """
+    out = {}
+    for j, entries in complex_.differentials.items():
+        scale = {}
+        for (_, t), p in entries.items():
+            scale[t] = lcm(scale.get(t, 1), *(c.denominator for _, c in p.monomials()))
+        out[j] = {
+            (s, t): p if scale[t] == 1 else p * scale[t] for (s, t), p in entries.items()
+        }
+    return out
+
+
+@dataclass(frozen=True)
+class FiberLayout:
+    """The shape of a complex's fibers on one stratum, without entry values.
+
+    ``provenance`` maps (degree, summand index) to the summand's fiber
+    character, which keys its block.  ``blocks`` maps a block key to
+    (dims, maps): dims is {degree: summand count}, and maps holds one
+    (j, rows, cols, cells) per block differential, cells being the
+    (row-major index, integer-coefficient Poly) pairs of the entries inside
+    the block.  ``crossing`` lists the entries between blocks as
+    (j, source, target, Poly); they must vanish on the stratum.
+    """
+
+    stratum: Stratum
+    provenance: dict
+    blocks: dict
+    crossing: tuple
+
+
+def fiber_layout(
+    complex_: EquivariantComplex, stratum: Stratum, entries: dict
+) -> FiberLayout:
+    """Lay out the fibers of a validated complex on a stratum, given the
+    complex's ``integer_entries`` (computed once, shared between strata)."""
+    chars = {}  # summand -> fiber character; equal summands share one
+    provenance = {}
+    positions = {}  # (j, summand index) -> position inside its block at degree j
+    dims = {}  # block key -> {degree -> summand count}
+    for j in complex_.degrees():
+        for idx, s in enumerate(complex_.summands(j)):
+            phi = chars.get(s)
+            if phi is None:
+                phi = chars[s] = s.fiber_character(stratum)
+            provenance[(j, idx)] = phi
+            per_degree = dims.setdefault(phi, {})
+            positions[(j, idx)] = per_degree.get(j, 0)
+            per_degree[j] = positions[(j, idx)] + 1
+
+    cells = {}  # (block key, j) -> [(row-major index, Poly)]
+    crossing = []
+    for j, row in entries.items():
+        for (s, t), p in row.items():
+            phi = provenance[(j, s)]
+            if provenance[(j + 1, t)] != phi:
+                crossing.append((j, s, t, p))
+                continue
+            index = positions[(j + 1, t)] * dims[phi][j] + positions[(j, s)]
+            cells.setdefault((phi, j), []).append((index, p))
+
+    blocks = {}
+    for phi, per_degree in dims.items():
+        maps = tuple(
+            (j, per_degree[j + 1], n, tuple(cells.get((phi, j), ())))
+            for j, n in per_degree.items()
+            if j + 1 in per_degree
+        )
+        blocks[phi] = (per_degree, maps)
+    return FiberLayout(stratum, provenance, blocks, tuple(crossing))
+
+
 def fiber_restrict(
     complex_: EquivariantComplex,
     point: RationalPoint,
     trivialization_index: int | None = None,
+    layout: FiberLayout | None = None,
 ) -> FiberComplex:
     """Restrict a *validated* complex to the fiber at a point.
 
     Each summand O(d) tensor psi contributes one basis line, placed in the
     block of its fiber character psi - d*c (c the stratum scalar character).
-    Entries are trivialized by the i0-th coordinate: a polynomial p from
-    (d_s, psi_s) to (d_t, psi_t) contributes p(x) / x_{i0}^{d_t - d_s},
-    which is invariant under rescaling the representative vector.  Entries
-    between different blocks must evaluate to exactly zero; a nonzero value
-    means the decomposition or the equivariance validation is buggy, so it
-    raises InternalConsistencyError rather than returning quietly.
+    The block matrices hold the raw entries p(x) at the primitive integer
+    coordinates x of the point, with each row of d_j scaled by the lcm of its
+    coefficient denominators.  They differ from the trivialized entries
+    p(x) / x_{i0}^{d_t - d_s} by invertible diagonal factors on both sides,
+    so every block rank, and hence every cohomology dimension, is the same
+    for any choice of trivializing coordinate i0 in the support;
+    ``trivialization_index`` is only checked to lie in the support.
+    Entries between different blocks must evaluate to exactly zero; a
+    nonzero value means the decomposition or the equivariance validation is
+    buggy, so it raises InternalConsistencyError rather than returning
+    quietly.
+
+    ``layout`` is the ``fiber_layout`` of the point's stratum; it is built
+    here when not given.
     """
     action = complex_.action
     action.check_point(point)
-    stratum = action.stratum_of_point(point)
-    support = stratum.support
-    i0 = support[0] if trivialization_index is None else trivialization_index
-    if i0 not in support:
-        raise InputError(f"trivialization index {i0} is not in the support {support}")
+    support = point.support
+    if trivialization_index is not None and trivialization_index not in support:
+        raise InputError(
+            f"trivialization index {trivialization_index} is not in the support {support}"
+        )
+    if layout is None:
+        stratum = action.stratum_of_point(point)
+        layout = fiber_layout(complex_, stratum, integer_entries(complex_))
+    elif layout.stratum.support != support:
+        raise InputError(
+            f"the layout is for the stratum {layout.stratum.support}, not {support}"
+        )
 
-    fiber_chars = {}
-    positions = {}  # (j, summand index) -> position inside its block at degree j
-    layout = {}  # block key -> {degree -> [summand indices]}
-    for j in complex_.degrees():
-        for idx, s in enumerate(complex_.summands(j)):
-            phi = s.fiber_character(stratum)
-            fiber_chars[(j, idx)] = phi
-            per_degree = layout.setdefault(phi, {})
-            members = per_degree.setdefault(j, [])
-            positions[(j, idx)] = len(members)
-            members.append(idx)
-
-    x = point.coords
-    lead = x[i0]
-    entry_values = {}  # block key -> {degree -> {(tpos, spos): Fraction}}
-    for j, entries in complex_.differentials.items():
-        for (s, t), p in entries.items():
-            src = complex_.terms[j][s]
-            tgt = complex_.terms[j + 1][t]
-            value = p.evaluate(x) / lead ** (tgt.degree - src.degree)
-            phi_s = fiber_chars[(j, s)]
-            phi_t = fiber_chars[(j + 1, t)]
-            if phi_s != phi_t:
-                if value != 0:
-                    raise InternalConsistencyError(
-                        f"entry {s}->{t} at degree {j} crosses blocks "
-                        f"{phi_s.values} -> {phi_t.values} with value {value}"
-                    )
-                continue
-            block = entry_values.setdefault(phi_s, {})
-            block.setdefault(j, {})[(positions[(j + 1, t)], positions[(j, s)])] = value
+    x = point.integer_coords
+    for j, s, t, p in layout.crossing:
+        value = p.evaluate(x)
+        if value:
+            raise InternalConsistencyError(
+                f"entry {s}->{t} at degree {j} crosses blocks "
+                f"{layout.provenance[(j, s)].values} -> "
+                f"{layout.provenance[(j + 1, t)].values} with value {value}"
+            )
 
     blocks = {}
-    for phi, per_degree in layout.items():
-        dims = {j: len(members) for j, members in per_degree.items()}
+    for phi, (dims, maps) in layout.blocks.items():
         mats = {}
-        for j in dims:
-            if dims.get(j + 1, 0) == 0:
-                continue
-            vals = entry_values.get(phi, {}).get(j, {})
-            rows = [
-                [vals.get((tpos, spos), Fraction(0)) for spos in range(dims[j])]
-                for tpos in range(dims[j + 1])
-            ]
-            mats[j] = QMatrix.from_rows(rows)
+        for j, rows, cols, cells in maps:
+            flat = [0] * (rows * cols)
+            for index, p in cells:
+                flat[index] = p.evaluate(x)
+            mats[j] = ZMatrix(rows, cols, tuple(flat))
         blocks[phi] = BlockComplex(dims=dims, mats=mats)
 
     return FiberComplex(
         point=point,
-        stabilizer=stratum.stabilizer,
+        stabilizer=layout.stratum.stabilizer,
         blocks=blocks,
-        provenance=fiber_chars,
+        provenance=layout.provenance,
     )
 
 
@@ -283,8 +366,8 @@ class DescentReport:
         return out
 
 
-def _examine_point(complex_, point, witnesses, tables):
-    fiber = fiber_restrict(complex_, point)
+def _examine_point(complex_, point, layout, witnesses, tables):
+    fiber = fiber_restrict(complex_, point, layout=layout)
     dims = block_cohomology(fiber)
     rows = []
     display = point.display()
@@ -318,12 +401,17 @@ def check_descent(
     ``samples_per_stratum`` deterministic sample points each (plus any
     user-supplied ``points``, which are always checked exactly as given).
     The report lists sampled strata as an explicit completeness caveat.
+
+    Each stratum's fiber layout is built once, shared by its points, and
+    dropped when the stratum is done.
     """
     complex_.require_valid()
     action = complex_.action
+    entries = integer_entries(complex_)
     witnesses, tables, coverage, sampled = [], [], [], []
 
-    for stratum in action.strata():
+    strata = action.strata()
+    for stratum in strata:
         order = stratum.stabilizer.order
         if points_only:
             coverage.append(StratumCoverage(stratum.support, order, "skipped", 0))
@@ -341,12 +429,15 @@ def check_descent(
             mode = "sampled"
             sampled.append(stratum.support)
         coverage.append(StratumCoverage(stratum.support, order, mode, len(pts)))
+        layout = fiber_layout(complex_, stratum, entries)
         for p in pts:
-            _examine_point(complex_, p, witnesses, tables)
+            _examine_point(complex_, p, layout, witnesses, tables)
 
+    by_support = {stratum.support: stratum for stratum in strata}
     for p in points:
         action.check_point(p)
-        _examine_point(complex_, p, witnesses, tables)
+        layout = fiber_layout(complex_, by_support[p.support], entries)
+        _examine_point(complex_, p, layout, witnesses, tables)
 
     return DescentReport(
         passed=not witnesses,
@@ -400,10 +491,6 @@ def check_bundle_descent(
         samples_per_stratum=0,
         seed=0,
     )
-
-
-def bundle_as_complex(action: ProjectiveAction, summand: TwistedSummand) -> EquivariantComplex:
-    return bundle_complex(action, summand)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers and the rationals.
 
-Everything here is exact: rational matrices use ``fractions.Fraction``
-entries, rank is computed by fraction-free (Bareiss) elimination on
-denominator-cleared integer rows, and Smith normal form is computed over the
-integers with the unimodular transforms returned.  No floating point is used
-anywhere in this package.
+Everything here is exact.  Rank is computed by fraction-free (Bareiss)
+elimination on integer rows: an integer matrix (``ZMatrix``, what the fiber
+blocks of the descent decision are) is eliminated as it is, and a rational
+matrix (``QMatrix``) first has each row scaled by the lcm of its
+denominators, which does not change the rank.  Smith normal form is computed
+over the integers with the unimodular transforms returned.  No floating point
+is used anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def _as_fraction(x) -> Fraction:
@@ -122,51 +124,6 @@ class QMatrix:
         return QMatrix.from_rows(inv)
 
 
-def _integerized_rows(m: QMatrix) -> list:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
-
-
-def rank(m: QMatrix) -> int:
-    """Rank of a rational matrix by fraction-free (Bareiss) elimination.
-
-    Rows are cleared of denominators first; the one-step Bareiss recurrence
-    then keeps every intermediate entry an integer (each is a minor of the
-    scaled matrix divided by the previous pivot, exact by Sylvester's
-    identity), so there is no rational blow-up and no rounding ever.
-    """
-    a = _integerized_rows(m)
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][col]
-        for i in range(r + 1, nrows):
-            head = a[i][col]
-            for j in range(col + 1, ncols):
-                a[i][j] = (a[i][j] * pivot - head * a[r][j]) // prev
-            a[i][col] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def kernel_dim(m: QMatrix) -> int:
-    """Dimension of the right kernel: cols - rank."""
-    return m.cols - rank(m)
-
-
 @dataclass(frozen=True)
 class ZMatrix:
     """Immutable integer matrix, entries stored row-major."""
@@ -228,6 +185,57 @@ class ZMatrix:
 
     def to_qmatrix(self) -> QMatrix:
         return QMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
+
+
+def rank(m) -> int:
+    """Rank of a ZMatrix or a QMatrix by fraction-free (Bareiss) elimination.
+
+    A QMatrix has each row scaled by the lcm of its denominators first.  The
+    one-step Bareiss recurrence then keeps every intermediate entry an
+    integer: each is a minor of the matrix divided by the previous pivot,
+    exact by Sylvester's identity (Bareiss 1968), so there is no rational
+    blow-up and no rounding ever.
+    """
+    if isinstance(m, QMatrix):
+        a = []
+        for i in range(m.rows):
+            row = m.row(i)
+            scale = lcm(*(x.denominator for x in row))
+            a.append([x.numerator * (scale // x.denominator) for x in row])
+    else:
+        a = m.to_lists()
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        pivot = top[col]
+        tail = top[col + 1 :]
+        # Only the columns right of the pivot are read again; a row with a
+        # zero head is just scaled by pivot / prev.
+        for i in range(r + 1, nrows):
+            row = a[i]
+            head = row[col]
+            if head:
+                row[col + 1 :] = [
+                    (x * pivot - head * y) // prev for x, y in zip(row[col + 1 :], tail)
+                ]
+            elif pivot != prev:
+                row[col + 1 :] = [x * pivot // prev for x in row[col + 1 :]]
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def kernel_dim(m) -> int:
+    """Dimension of the right kernel: cols - rank."""
+    return m.cols - rank(m)
 
 
 def smith_normal_form(m: ZMatrix):

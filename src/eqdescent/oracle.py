@@ -1,7 +1,7 @@
 """Independent cohomology oracle over the cyclotomic field Q(zeta_m).
 
 The fast path elsewhere in the package computes fiber cohomology by first
-splitting the fiber complex into character blocks and doing rational linear
+splitting the fiber complex into character blocks and doing integer linear
 algebra per block.  This module cross-checks it by the textbook route with
 no block bookkeeping at all:
 
@@ -15,9 +15,10 @@ no block bookkeeping at all:
     and read isotypic cohomology dimensions off ranks over Q(zeta_m):
         dim H^j_phi = rank(P_j) - rank(d_j P_j) - rank(d_{j-1} P_{j-1}).
 
-Raw entries differ from the trivialized ones used by the fast path only by
+Raw entries differ from the trivialized (rescaling-invariant) ones only by
 conjugation with a diagonal matrix commuting with the group action, so the
-isotypic dimensions must agree exactly.
+isotypic dimensions must agree exactly; the fast path relies on the same
+argument to use raw entries at integer coordinates.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ def _as_fraction(x) -> Fraction:
 class Poly:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_key")
+    __slots__ = ("nvars", "terms", "_key", "_int_terms")
 
     def __init__(self, nvars: int, terms):
         normalized = {}
@@ -49,6 +49,7 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", normalized)
         object.__setattr__(self, "_key", tuple(sorted(normalized.items())))
+        object.__setattr__(self, "_int_terms", None)  # built by _integer_terms
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -129,10 +130,20 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, coords) -> Fraction:
+    def evaluate(self, coords) -> Fraction | int:
+        """Value at ``coords``: an int when the coefficients and the
+        coordinates are all integers, a Fraction otherwise."""
         coords = tuple(coords)
         if len(coords) != self.nvars:
             raise InputError("evaluation point has the wrong number of coordinates")
+        int_terms = all(type(x) is int for x in coords) and self._integer_terms()
+        if int_terms is not False:
+            total = 0
+            for coeff, factors in int_terms:
+                for i, e in factors:
+                    coeff *= coords[i] ** e
+                total += coeff
+            return total
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             value = coeff
@@ -141,6 +152,17 @@ class Poly:
                     value *= Fraction(x) ** e
             total += value
         return total
+
+    def _integer_terms(self):
+        """(integer coefficient, ((variable, exponent), ...)) per monomial,
+        or False when some coefficient is not an integer; built once."""
+        if self._int_terms is None:
+            integral = all(c.denominator == 1 for c in self.terms.values())
+            object.__setattr__(self, "_int_terms", integral and tuple(
+                (c.numerator, tuple((i, e) for i, e in enumerate(exps) if e))
+                for exps, c in self.terms.items()
+            ))
+        return self._int_terms
 
     def substitute_scaled_permutation(self, images) -> "Poly":
         """Substitute x_j -> scale_j * x_{index_j} for images[j] = (index_j, scale_j).

@@ -3,9 +3,9 @@
 Isotypic fiber cohomology is computed twice, by deliberately disjoint
 methods:
 
-  * the block route (descent module): split the trivialized rational fiber
-    complex into stabilizer-character blocks and take exact kernel/rank
-    computations over Q, and
+  * the block route (descent module): split the fiber complex, evaluated at
+    primitive integer coordinates, into stabilizer-character blocks and rank
+    each integer block map by fraction-free Bareiss elimination, and
   * the averaging route (oracle module): keep the fiber complex whole over
     the cyclotomic field Q(zeta_m), build the isotypic projectors
     (1/|S|) sum_g phi(g)^{-1} rho(g), and read dimensions off projected

@@ -2,9 +2,13 @@
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
+
+from eqdescent.complexes import EquivariantComplex, TwistedSummand
+from eqdescent.polynomials import Poly
 
 from eqdescent.cli import main
 
@@ -44,3 +48,35 @@ def cli():
         return code, text, _extract_payload(text)
 
     return runner
+
+
+def koszul_complex(action, coeffs):
+    """Koszul complex of (c_i x_i): e_S in degree -|S| as O(-|S|) twisted by
+    minus the sum of the characters in S, with entry (-1)^pos c_i x_i from
+    e_S to e_{S - i}, which makes every entry equivariant."""
+    n = action.dim + 1
+    group = action.group
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+
+    def summand(s):
+        twist = group.trivial_character()
+        for i in s:
+            twist = twist - action.coord_chars[i]
+        return TwistedSummand(-len(s), twist)
+
+    terms = {-k: tuple(summand(s) for s in subsets[k]) for k in range(n + 1)}
+    diffs = {}
+    for k in range(1, n + 1):
+        index = {s: a for a, s in enumerate(subsets[k - 1])}
+        diffs[-k] = {
+            (a, index[s[:pos] + s[pos + 1:]]): Poly.variable(n, i) * ((-1) ** pos * coeffs[i])
+            for a, s in enumerate(subsets[k])
+            for pos, i in enumerate(s)
+        }
+    return EquivariantComplex(action, terms, diffs)
+
+
+@pytest.fixture
+def koszul():
+    """koszul(action, coeffs) -> the Koszul complex of (c_i x_i)."""
+    return koszul_complex

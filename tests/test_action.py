@@ -56,6 +56,13 @@ def test_point_support_and_canonical():
     assert p.display() == "(0:1:-2)"
 
 
+def test_point_integer_coords_are_primitive_and_proportional():
+    pt = RationalPoint((Fraction(2, 3), Fraction(0), Fraction(-4, 9), Fraction(8)))
+    assert pt.integer_coords == (3, 0, -2, 36)
+    rescaled = RationalPoint(tuple(Fraction(-7, 3) * c for c in pt.coords))
+    assert rescaled.integer_coords == (-3, 0, 2, -36)
+
+
 def test_point_all_zero_rejected():
     with pytest.raises(InputError):
         RationalPoint((0, 0, 0))

@@ -4,10 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
+from eqdescent.groups import AbelianGroup
+from eqdescent.problem import problem_to_dict
 
 FIXTURE = "tests/fixtures/z2_p2.json"
 
@@ -153,6 +157,23 @@ def test_selftest_runs_clean():
     assert payload["report"]["trials"] == 10
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--trials", "0"),
+        ("--max-dim", "0"),
+        ("--max-group-order", "1"),
+        ("--max-group-order", "10001"),
+    ],
+)
+def test_selftest_rejects_out_of_range_options(flag, value, capsys):
+    code = main(["selftest-oracle", "--trials", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag} must be")
+    assert captured.out == ""  # no verdict is printed for bad options
+
+
 # ---------------------------------------------------------------------------
 # determinism and the digest
 # ---------------------------------------------------------------------------
@@ -233,3 +254,50 @@ def test_installed_entry_point_works():
     )
     assert result.returncode == 0
     assert '"command": "strata"' in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned digests: the "same behaviour" gate
+# ---------------------------------------------------------------------------
+
+
+PINNED_DIGESTS = (
+    (("strata", FIXTURE), "sha256:68901a1e82739d06c8ecbd00422e602a1bf77b2c5f684a33f81be01f83716bce"),
+    (("check-descent", FIXTURE, "--complex", "koszul"), "sha256:5da497c78ef36f8b90d70c9c69fa318458003f61b811bdc07181a39f8e1d2c99"),
+    (("check-descent", FIXTURE, "--complex", "euler", "--seed", "5"), "sha256:36ccb591618162a5f7376c712f770a05d165f2fea66524172d4d7a00ab5d6b70"),
+    (("check-descent", FIXTURE, "--complex", "O1"), "sha256:a96a3af7966081482a7779dbcc87af0417b8c15a1894a73edb6338e718028c5b"),
+    (("omega", FIXTURE, "--word", "twist1", "--gen-a", "O", "--gen-b", "O"), "sha256:c76fdcaa6176758e64527c87027268ec9d85d0c2203972340303afed3a5ab151"),
+    (("omega", FIXTURE, "--word", "twist2"), "sha256:239633c0b0bc82184a3440295c38032be07c3c73ea0ec87ba9250c0a8f04f197"),
+    (("omega", FIXTURE, "--word", "swap01"), "sha256:9312796dcca5e8651907037a54b9df3705f8d1950d478bcfbf5077d0d3968365"),
+    (("necessary", FIXTURE, "--word", "mixed"), "sha256:f986ba3b163f936bbe2fac73afeae75822ecd2736e712add692765ededbb470a"),
+    (("necessary", FIXTURE, "--word", "twist1"), "sha256:77d9c0e9f3717dd1721d2dc5180540d06beabf14ddb33eb2247a4a18f8af37f8"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv[:1] + argv[2:]) for argv, _ in PINNED_DIGESTS]
+)
+def test_fixture_report_digests_are_pinned(argv, digest):
+    """Digests recorded before the integer fiber pipeline; any change to a
+    report's content shows up here."""
+    _, _, payload = run_cli(*argv)
+    assert payload["report_digest"] == digest
+
+
+def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul):
+    """Non-integer coefficients, rational sample and user points, and
+    several character blocks on the sampled strata."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 3, tuple(G.character((c,)) for c in (0, 1, 0, 1)))
+    complex_ = koszul(action, (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(1, 9)))
+    points = [RationalPoint(("1/2", "-3/7", "0", "5/3")), RationalPoint(("0", "4/9", "0", "-2"))]
+    problem = problem_to_dict(
+        action, {"koszul": complex_}, points=points, samples_per_stratum=4, seed=13
+    )
+    path = tmp_path / "koszul_p3.json"
+    path.write_text(json.dumps(problem))
+    code, _, payload = run_cli("check-descent", str(path))
+    assert code == 0  # the Koszul complex of a full regular sequence is exact off 0
+    assert payload["report_digest"] == (
+        "sha256:fc3af488b1399c4dca869bbd16650598a4a5d43821434ba8c5ae0ebd3e5a52b6"
+    )

@@ -1,11 +1,11 @@
 """Fiber restriction, block cohomology and the descent decision.
 
 The load-bearing test here is the dual-route agreement property: the block
-decomposition path (trivialized rational fibers split by stabilizer
-characters, Bareiss ranks) must produce exactly the same isotypic cohomology
-dimensions as the independent cyclotomic averaging route, on a large corpus
-of random instances.  The two routes share no linear algebra: one works over
-Q with character bookkeeping, the other over Q(zeta_m) with projectors.
+decomposition path (integer fibers split by stabilizer characters, Bareiss
+ranks) must produce exactly the same isotypic cohomology dimensions as the
+independent cyclotomic averaging route, on a large corpus of random
+instances.  The two routes share no linear algebra: one works over Z with
+character bookkeeping, the other over Q(zeta_m) with projectors.
 """
 
 import json
@@ -14,6 +14,9 @@ from random import Random
 
 import pytest
 
+import eqdescent.action as action_module
+import eqdescent.descent as descent_module
+import eqdescent.linalg as linalg_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.complexes import EquivariantComplex, TwistedSummand, bundle_complex
 from eqdescent.descent import (
@@ -90,8 +93,8 @@ def test_fiber_exact_at_scaled_coordinate(two_term):
     pt = RationalPoint((Fraction(0), Fraction(0), Fraction(1)))
     fiber = fiber_restrict(two_term, pt)
     assert fiber.stabilizer.order == 2
-    # Both summands land in the same block (values (0,1)) and the trivialized
-    # entry is x2/x2 = 1, so the block is exact: no cohomology anywhere.
+    # Both summands land in the same block (values (0,1)) and the entry x2 is
+    # nonzero there, so the block is exact: no cohomology anywhere.
     assert fiber.block_keys()[0].values == (0, 1)
     assert block_dims_by_values(fiber) == {}
 
@@ -202,6 +205,128 @@ def test_blocks_partition_the_summands():
         for j in c.degrees():
             per_degree = sum(b.dims.get(j, 0) for b in fiber.blocks.values())
             assert per_degree == len(c.summands(j))
+
+
+# ---------------------------------------------------------------------------
+# the integer pipeline: one layout per stratum, one rank per block map
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def z2_trivial_p3():
+    G = AbelianGroup((2,))
+    return ProjectiveAction(G, 3, (G.trivial_character(),) * 4)
+
+
+RATIONAL_COEFFS = (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(1, 9))
+
+
+def test_check_descent_computes_each_stratum_once(koszul, z2_trivial_p3, monkeypatch):
+    calls = {"equalizer": 0, "points": 0}
+    equalizer = action_module.equalizer_subgroup
+    restrict = descent_module.fiber_restrict
+
+    def counting_equalizer(chars):
+        calls["equalizer"] += 1
+        return equalizer(chars)
+
+    def counting_restrict(*args, **kwargs):
+        calls["points"] += 1
+        return restrict(*args, **kwargs)
+
+    monkeypatch.setattr(action_module, "equalizer_subgroup", counting_equalizer)
+    monkeypatch.setattr(descent_module, "fiber_restrict", counting_restrict)
+    user = RationalPoint((Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(5, 4)))
+    report = check_descent(
+        koszul(z2_trivial_p3, RATIONAL_COEFFS), points=[user], samples_per_stratum=3
+    )
+    assert report.passed
+    # 4 single-coordinate strata, 11 sampled ones at 3 points each, 1 user point
+    assert calls["points"] == 4 + 11 * 3 + 1
+    assert calls["equalizer"] == len(report.coverage) == 15
+
+
+def test_each_block_map_is_ranked_once(koszul, z2_trivial_p3, monkeypatch):
+    counts = {"ranks": 0, "maps": 0}
+    rank = linalg_module.rank
+    cohomology = descent_module.block_cohomology
+
+    def counting_rank(m):
+        counts["ranks"] += 1
+        return rank(m)
+
+    def counting_cohomology(fiber):
+        counts["maps"] += sum(len(block.mats) for block in fiber.blocks.values())
+        return cohomology(fiber)
+
+    # under both names, so that ranks reached through kernel_dim count too
+    monkeypatch.setattr(linalg_module, "rank", counting_rank)
+    monkeypatch.setattr(descent_module, "rank", counting_rank)
+    monkeypatch.setattr(descent_module, "block_cohomology", counting_cohomology)
+    assert check_descent(koszul(z2_trivial_p3, (1, 1, 1, 1))).passed
+    assert counts["ranks"] == counts["maps"] > 0
+
+
+def _block_shapes(fiber):
+    return {
+        phi.values: (block.dims, block.cohomology()) for phi, block in fiber.blocks.items()
+    }
+
+
+def test_block_dimensions_unchanged_by_rescaling_the_point(koszul, z2_trivial_p3):
+    rng = Random(73)
+    complexes = [koszul(z2_trivial_p3, RATIONAL_COEFFS)]
+    for _ in range(30):
+        complexes.append(random_valid_complex(rng, random_action(rng, random_group(rng))))
+    for c in complexes:
+        pt = random_point(rng, c.action.dim + 1)
+        rescaled = RationalPoint(tuple(Fraction(7, 3) * x for x in pt.coords))
+        assert _block_shapes(fiber_restrict(c, pt)) == _block_shapes(fiber_restrict(c, rescaled))
+
+
+def test_block_path_matches_oracle_with_rational_coefficients(koszul, z2_trivial_p3):
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    sign = G.character((1,))
+    # (1/2) x0 - (2/3) x1 + x2 vanishes at (4:3:0), where Z/2 acts by the sign
+    entry = Poly(3, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-2, 3), (0, 0, 1): 1})
+    c = EquivariantComplex(
+        action, {0: (TwistedSummand(0, sign),), 1: (TwistedSummand(1, sign),)}, {0: {(0, 0): entry}}
+    )
+    on_zero = block_dims_by_values(fiber_restrict(c, RationalPoint((4, 3, 0))))
+    assert on_zero == {(0, (0, 1)): 1, (1, (0, 1)): 1}
+    points = [(4, 3, 0), (Fraction(8, 3), 2, 0), (1, 1, 1), (Fraction(1, 2), Fraction(-3, 7), 5), (0, 0, 1)]
+    for coords in points:
+        pt = RationalPoint(coords)
+        assert block_dims_by_values(fiber_restrict(c, pt)) == nonzero_dims(
+            isotypic_cohomology(c, pt)
+        ), coords
+
+    k = koszul(z2_trivial_p3, RATIONAL_COEFFS)
+    rng = Random(11)
+    for _ in range(10):
+        pt = random_point(rng, 4)
+        assert block_dims_by_values(fiber_restrict(k, pt)) == nonzero_dims(
+            isotypic_cohomology(k, pt)
+        )
+
+
+def test_fiber_blocks_are_integer_matrices(koszul, z2_trivial_p3):
+    fiber = fiber_restrict(
+        koszul(z2_trivial_p3, RATIONAL_COEFFS),
+        RationalPoint((Fraction(1, 2), Fraction(-3, 7), Fraction(5), Fraction(2, 9))),
+    )
+    mats = [m for block in fiber.blocks.values() for m in block.mats.values()]
+    assert mats and all(type(e) is int for m in mats for e in m.entries)
+
+
+def test_layout_of_another_stratum_is_rejected(two_term):
+    stratum = two_term.action.stratum_of_support((0,))
+    layout = descent_module.fiber_layout(
+        two_term, stratum, descent_module.integer_entries(two_term)
+    )
+    with pytest.raises(InputError):
+        fiber_restrict(two_term, RationalPoint((1, 1, 0)), layout=layout)
 
 
 # ---------------------------------------------------------------------------

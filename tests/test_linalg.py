@@ -141,6 +141,23 @@ def test_rank_low_rank_products():
         assert rank(m) == expected
 
 
+def test_integer_rank_equals_rational_rank():
+    # Products of r x k and k x c integer factors have rank at most k, so the
+    # corpus is rich in rank-deficient matrices; up to 20 x 15, the largest
+    # fiber block size the descent decision sees on P^6.
+    rng = random.Random(1968)
+    for _ in range(150):
+        r, c, k = rng.randint(0, 20), rng.randint(0, 15), rng.randint(0, 6)
+        left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)]
+        m = ZMatrix(r, c, tuple(
+            sum(left[i][t] * right[t][j] for t in range(k)) for i in range(r) for j in range(c)
+        ))
+        assert rank(m) == rank(m.to_qmatrix()) <= min(r, c, k)
+        if r <= 4 and c <= 4:
+            assert rank(m) == minor_rank_oracle(m.to_lists(), c)
+
+
 def test_inverse_round_trip():
     rng = random.Random(3)
     count = 0

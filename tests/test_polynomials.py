@@ -73,6 +73,21 @@ def test_evaluation_matches_term_expansion():
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
 
 
+def test_integer_evaluation_matches_rational_evaluation():
+    rng = random.Random(4)
+    for _ in range(100):
+        p = Poly(3, {
+            tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-9, 9) for _ in range(4)
+        })
+        point = tuple(rng.randint(-5, 5) for _ in range(3))
+        value = p.evaluate(point)
+        assert type(value) is int
+        assert value == p.evaluate(tuple(Fraction(x) for x in point))
+    assert type(Poly.zero(2).evaluate((3, 1))) is int
+    half = Poly(2, {(1, 0): Fraction(1, 2)})
+    assert half.evaluate((3, 1)) == Fraction(3, 2)  # non-integer coefficients stay exact
+
+
 def test_evaluate_simple():
     p = Poly(3, {(0, 0, 1): 1})  # x2
     assert p.evaluate((1, 0, 0)) == 0
