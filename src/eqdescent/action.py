@@ -80,15 +80,21 @@ class RationalPoint:
 class Stratum:
     """Coordinate-support stratum: all points with exactly this support.
 
-    ``scalar_char`` is the common restriction to the stabilizer of every
-    coordinate character in the support; it is the character by which a
-    stabilizing element scales any representative vector of a point here.
+    ``lead_char`` is the coordinate character of the first supported
+    coordinate.  All the supported coordinate characters agree on the
+    stabilizer, so its restriction there, ``scalar_char``, is the character
+    by which a stabilizing element scales any representative vector of a
+    point here.  ``scalar_char`` is computed on first use.
     """
 
     support: tuple
     stabilizer: Subgroup
-    scalar_char: CharacterRestriction
+    lead_char: Character
     ambient_dim: int
+
+    @cached_property
+    def scalar_char(self) -> CharacterRestriction:
+        return self.lead_char.restrict(self.stabilizer)
 
     def representative(self) -> RationalPoint:
         """Canonical member: 1 on every supported coordinate."""
@@ -152,8 +158,7 @@ class ProjectiveAction:
         if any(i < 0 or i > self.dim for i in support):
             raise InputError(f"support {support} out of range for P^{self.dim}")
         stab = equalizer_subgroup([self.coord_chars[i] for i in support])
-        scalar = self.coord_chars[support[0]].restrict(stab)
-        return Stratum(support, stab, scalar, self.dim)
+        return Stratum(support, stab, self.coord_chars[support[0]], self.dim)
 
     def stratum_of_point(self, x: RationalPoint) -> Stratum:
         self.check_point(x)
@@ -200,12 +205,20 @@ class ProjectiveAction:
     # -- strata ------------------------------------------------------------
 
     def strata(self) -> tuple:
-        """All 2^(n+1) - 1 coordinate-support strata, smallest supports first."""
+        """All 2^(n+1) - 1 coordinate-support strata, smallest supports first.
+
+        They are computed on the first call and kept for the life of the
+        action; the dimension bound is checked on every call.
+        """
         if self.dim > MAX_PROJECTIVE_DIM:
             raise InputError(
                 f"dim {self.dim} exceeds the supported bound {MAX_PROJECTIVE_DIM} "
                 "(strata enumeration is exponential in dim)"
             )
+        return self._strata
+
+    @cached_property
+    def _strata(self) -> tuple:
         out = []
         n = self.dim + 1
         for mask in range(1, 1 << n):

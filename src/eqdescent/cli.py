@@ -9,7 +9,10 @@ and can be compared by digest.
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
 schema violation, invalid complex, a generator failing its own descent
-precondition, a ``selftest-oracle`` option out of range).
+precondition, a ``selftest-oracle`` option out of range), 3 an internal
+error: any other exception, which is a bug in the package, not a verdict.
+On an internal error no verdict is printed; stderr gets an
+``internal error:`` line followed by the traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .words import GeneratorRejectedError, necessary_check, omega_check
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def _cmd_strata(args, out) -> int:
             {
                 "support": list(s.support),
                 "stabilizer_order": s.stabilizer.order,
-                "stabilizer_elements": [list(g.coords) for g in s.stabilizer.elements],
+                "stabilizer_elements": [list(c) for c in s.stabilizer.coords],
                 "scalar_character": list(s.scalar_char.values),
                 "representative": s.representative().display(),
             }
@@ -379,6 +383,12 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as err:
+        import traceback  # here, not at the top: loading it adds ~0.4 MB to every run
+
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

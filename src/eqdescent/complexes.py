@@ -41,9 +41,12 @@ class TwistedSummand:
         itself, so g acts on the fiber of O(d) tensor psi by
 
             phi(g) = psi(g) - d * c(g)   (exponents mod m).
+
+        c is the restriction of the stratum's ``lead_char``, and restriction
+        is a homomorphism, so phi is the one restriction of psi - d * lead_char.
         """
-        return self.twist.restrict(stratum.stabilizer) - stratum.scalar_char.scaled(
-            self.degree
+        return (self.twist - stratum.lead_char.scaled(self.degree)).restrict(
+            stratum.stabilizer
         )
 
     def tensor_power(self, k: int) -> "TwistedSummand":
@@ -108,15 +111,19 @@ class InvalidComplexError(InputError):
 
 
 def _matrix_compose(entries_ab: dict, entries_bc: dict, nvars: int) -> dict:
-    """Compose sparse polynomial matrices: (s -> u) then (u -> t)."""
+    """Compose sparse polynomial matrices: (s -> u) then (u -> t).
+
+    The second matrix is indexed by source first, so the work is linear in
+    the number of entry pairs that actually meet.
+    """
+    by_source = {}
+    for (u, t), q in entries_bc.items():
+        by_source.setdefault(u, []).append((t, q))
     out = {}
     for (s, u), p in entries_ab.items():
-        for (u2, t), q in entries_bc.items():
-            if u2 != u:
-                continue
+        for t, q in by_source.get(u, ()):
             key = (s, t)
-            prod = q * p
-            out[key] = out.get(key, Poly.zero(nvars)) + prod
+            out[key] = out.get(key, Poly.zero(nvars)) + q * p
     return {k: v for k, v in out.items() if not v.is_zero}
 
 

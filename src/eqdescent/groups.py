@@ -9,6 +9,26 @@ c_i in Z/n_i; its value on a group element g is the exponent
 of the primitive m-th root of unity zeta_m.  Character values are always
 handled as exponents in Z/m, never as complex numbers, so every comparison
 in the package is exact.
+
+A ``Subgroup`` is held as ``coords``, the sorted tuple of its elements'
+coordinate tuples; that is all the decision path reads.  ``elements``, the
+same list as ``GroupElement`` objects, is built only when asked for.  The
+closure adjoins one generator g at a time by cyclic extension: if H is the
+subgroup so far and k is the order of g modulo H, the new subgroup is the
+disjoint union of the cosets H + i*g for 0 <= i < k, so no element is built
+twice.
+
+Caches, each tied to the object that owns it and living as long as it:
+
+  * ``Subgroup.whole(G)`` is built once per ``AbelianGroup`` object (as
+    ``G.whole_subgroup``) and returned again by every later call, including
+    ``equalizer_subgroup`` when all the characters agree;
+  * a subgroup keeps the restriction of every character it has been asked
+    for, keyed by the character's coordinates, so ``Character.restrict``
+    computes each value table once per subgroup.
+
+The strata of an action, and with them its stabilizers, are cached on the
+``ProjectiveAction`` (see ``action``).
 """
 
 from __future__ import annotations
@@ -69,6 +89,14 @@ class AbelianGroup:
         for n in self.orders:
             out = [c + (i,) for c in out for i in range(n)]
         return tuple(GroupElement(self, c) for c in out)
+
+    @cached_property
+    def whole_subgroup(self) -> "Subgroup":
+        """The group as a subgroup of itself; ``Subgroup.whole`` returns it."""
+        units = [
+            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
+        ]
+        return Subgroup(self, units)
 
     def character(self, coords) -> "Character":
         return Character(self, tuple(coords))
@@ -169,10 +197,24 @@ class Character:
         return all(c == 0 for c in self.coords)
 
     def restrict(self, sub: "Subgroup") -> "CharacterRestriction":
-        """Value table on a subgroup, with a triviality flag."""
+        """Value table on a subgroup, with a triviality flag; computed once
+        per subgroup and character, and kept on the subgroup.
+
+        The value on h is sum_i w_i * h_i mod m with w_i = c_i * (m / n_i),
+        summed one coordinate column at a time.
+        """
         if sub.parent != self.group:
             raise InputError("subgroup belongs to a different group")
-        return CharacterRestriction(sub, tuple(self(g) for g in sub.elements))
+        found = sub._restrictions.get(self.coords)
+        if found is None:
+            m = self.group.exponent
+            values = [0] * sub.order
+            for i, (c, n) in enumerate(zip(self.coords, self.group.orders)):
+                w = c * (m // n)
+                if w:
+                    values = [v + w * h[i] for v, h in zip(values, sub.coords)]
+            found = sub._restrictions[self.coords] = CharacterRestriction(sub, tuple(values))
+        return found
 
     def __repr__(self):
         return f"chi{self.coords}"
@@ -184,11 +226,11 @@ def char_combine(a: Character, b: Character, k: int = 1) -> Character:
 
 
 class Subgroup:
-    """Subgroup of an AbelianGroup with a cached, canonically sorted enumeration.
+    """Subgroup of an AbelianGroup, held as its sorted coordinate tuples.
 
-    Equality and hashing are by (parent, element set), not by the particular
-    generating set, so stabilizers computed through different routes compare
-    equal exactly when they agree element-by-element.
+    Equality and hashing are by (parent, sorted coordinates), not by the
+    particular generating set, so stabilizers computed through different
+    routes compare equal exactly when they agree element-by-element.
     """
 
     def __init__(self, parent: AbelianGroup, generators):
@@ -201,59 +243,71 @@ class Subgroup:
                 raise InputError("generator belongs to a different group")
             gens.append(g)
         self.generators = tuple(gens)
-        # Breadth-first closure under addition; groups are desk-scale.
-        seen = {parent.identity().coords}
-        frontier = [parent.identity()]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.generators:
-                    s = h + g
-                    if s.coords not in seen:
-                        seen.add(s.coords)
-                        nxt.append(s)
-            frontier = nxt
-        self.elements = tuple(
-            GroupElement(parent, c) for c in sorted(seen)
-        )
+        orders = parent.orders
+
+        def add(a, b):
+            return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+        # Closure by cyclic extension: adjoining g to H adds the cosets
+        # H + k*g for 0 < k < (order of g modulo H), which are disjoint.
+        zero = (0,) * parent.rank
+        coords = [zero]
+        members = {zero}
+        for g in self.generators:
+            multiples = []
+            step = g.coords
+            while step not in members:
+                multiples.append(step)
+                step = add(step, g.coords)
+            grown = [add(h, m) for m in multiples for h in coords]
+            coords += grown
+            members.update(grown)
+        coords.sort()
+        self.coords = tuple(coords)
+        self._restrictions = {}  # character coords -> CharacterRestriction
 
     @classmethod
     def whole(cls, parent: AbelianGroup) -> "Subgroup":
-        gens = []
-        for i in range(parent.rank):
-            coords = [0] * parent.rank
-            coords[i] = 1
-            gens.append(parent.element(coords))
-        return cls(parent, gens)
+        """The whole group, built once per group and shared."""
+        return parent.whole_subgroup
 
     @classmethod
     def trivial(cls, parent: AbelianGroup) -> "Subgroup":
         return cls(parent, [])
 
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements as GroupElements, in ``coords`` order."""
+        return tuple(GroupElement(self.parent, c) for c in self.coords)
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.coords)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return len(self.coords) == 1
 
     def contains(self, g: GroupElement) -> bool:
         return g.group == self.parent and g.coords in self._element_set
 
     @cached_property
     def _element_set(self):
-        return frozenset(g.coords for g in self.elements)
+        return frozenset(self.coords)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Subgroup)
             and self.parent == other.parent
-            and self._element_set == other._element_set
+            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.parent, self._element_set))
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.parent, self.coords))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -286,9 +340,8 @@ class CharacterRestriction:
         return all(v == 0 for v in self.values)
 
     def value(self, g: GroupElement) -> int:
-        for h, v in zip(self.subgroup.elements, self.values):
-            if h == g:
-                return v
+        if self.subgroup.contains(g):
+            return self.values[self.subgroup.coords.index(g.coords)]
         raise InputError(f"{g!r} is not in the subgroup")
 
     def __add__(self, other: "CharacterRestriction") -> "CharacterRestriction":
@@ -337,7 +390,7 @@ def equalizer_subgroup(chars) -> Subgroup:
     if any(c.group != group for c in chars):
         raise InputError("characters belong to different groups")
     base = chars[0]
-    diffs = [c - base for c in chars[1:] if not (c - base).is_trivial]
+    diffs = [d for d in (c - base for c in chars[1:]) if not d.is_trivial]
     if not diffs:
         return Subgroup.whole(group)
     m = group.exponent

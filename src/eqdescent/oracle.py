@@ -5,6 +5,9 @@ splitting the fiber complex into character blocks and doing integer linear
 algebra per block.  This module cross-checks it by the textbook route with
 no block bookkeeping at all:
 
+  * find the stabilizer by filtering all of G for the elements on which
+    the supported coordinate characters agree, not by Smith normal form
+    and subgroup closure;
   * model Q(zeta_m) exactly as Q[z] / Phi_m(z) (Phi_m the m-th cyclotomic
     polynomial, computed by dividing x^m - 1 by all lower Phi_d);
   * build the *un-decomposed* fiber complex at a point, one basis line per
@@ -220,8 +223,12 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     group = action.group
     m = group.exponent
     field = CyclotomicField(m)
-    stab = action.stabilizer(point)
-    elements = stab.elements
+    # The stabilizer by enumeration, apart from the Smith-form route: every
+    # g on which the supported coordinate characters agree.  ``elements`` is
+    # in lexicographic order, so the value tables are keyed as on the block
+    # path.
+    chars = [action.coord_chars[i] for i in point.support]
+    elements = [g for g in group.elements if len({chi(g) for chi in chars}) == 1]
     size = len(elements)
 
     # Diagonal fiber exponents, straight from character evaluation: the

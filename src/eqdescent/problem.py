@@ -260,9 +260,11 @@ def _parse_point(nvars, data, path) -> RationalPoint:
     lst = _expect_list(data, path, "a point as a coordinate list")
     if len(lst) != nvars:
         _fail(path, f"point needs {nvars} coordinates, got {len(lst)}")
-    return RationalPoint(
-        tuple(parse_rational(c, path + [i]) for i, c in enumerate(lst))
-    )
+    coords = tuple(parse_rational(c, path + [i]) for i, c in enumerate(lst))
+    try:
+        return RationalPoint(coords)
+    except InputError as err:
+        _fail(path, str(err))
 
 
 def parse_problem(data) -> Problem:

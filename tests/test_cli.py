@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import eqdescent.cli as cli_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
+from eqdescent.complexes import InternalConsistencyError, TwistedSummand, bundle_complex
 from eqdescent.groups import AbelianGroup
 from eqdescent.problem import problem_to_dict
 
@@ -246,6 +248,27 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     assert "equivariance" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# internal errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error", [InternalConsistencyError("block bookkeeping broke"), KeyError("lost")]
+)
+def test_internal_error_exits_3_without_a_verdict(error, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_module, "check_descent", broken)
+    assert main(["check-descent", FIXTURE, "--complex", "O1"]) == cli_module.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type(error).__name__}: ")
+    assert "Traceback (most recent call last)" in captured.err
+    assert "FAIL" not in captured.err
+
+
 def test_installed_entry_point_works():
     result = subprocess.run(
         [sys.executable, "-m", "eqdescent.cli", "strata", FIXTURE],
@@ -281,6 +304,27 @@ def test_fixture_report_digests_are_pinned(argv, digest):
     """Digests recorded before the integer fiber pipeline; any change to a
     report's content shows up here."""
     _, _, payload = run_cli(*argv)
+    assert payload["report_digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    (
+        ("strata", "sha256:5e582a2f11b7ea27ff2835507fb943dee8e52e6cf5375a2d15aaaba9ef71aa90"),
+        ("check-descent", "sha256:035da9b6789f905f1c639fce98e2ca7bca6ad924418c1b95bb6b019b444d0bab"),
+    ),
+)
+def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest):
+    """Trivial Z/100 x Z/100 on P^2: every stabilizer is the whole group of
+    order 10,000; the bundle O(3) twisted by (7, 20) fails on every stratum.
+    Recorded before the tuple-native group layer."""
+    G = AbelianGroup((100, 100))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    bundle = bundle_complex(action, TwistedSummand(3, G.character((7, 20))))
+    path = tmp_path / "big_stabilizer.json"
+    path.write_text(json.dumps(problem_to_dict(action, {"bundle": bundle})))
+    code, _, payload = run_cli(command, str(path))
+    assert code == (0 if command == "strata" else 1)
     assert payload["report_digest"] == digest
 
 

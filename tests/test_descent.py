@@ -40,6 +40,7 @@ from eqdescent.randgen import (
     random_point,
     random_valid_complex,
 )
+from eqdescent.words import FunctorWord, Twist, omega_check
 
 
 @pytest.fixture
@@ -327,6 +328,54 @@ def test_layout_of_another_stratum_is_rejected(two_term):
     )
     with pytest.raises(InputError):
         fiber_restrict(two_term, RationalPoint((1, 1, 0)), layout=layout)
+
+
+# ---------------------------------------------------------------------------
+# the cached group layer: strata once per action, stabilizers as coordinates
+# ---------------------------------------------------------------------------
+
+
+def test_omega_check_computes_each_stratum_once(z2_p2, monkeypatch):
+    calls = []
+    equalizer = action_module.equalizer_subgroup
+
+    def counting_equalizer(chars):
+        calls.append(chars)
+        return equalizer(chars)
+
+    monkeypatch.setattr(action_module, "equalizer_subgroup", counting_equalizer)
+    # four descent checks (two generators, two images), all on one action
+    report = omega_check(FunctorWord((Twist(O(z2_p2, 2)),)), z2_p2)
+    assert report.certified
+    assert len(calls) == len(z2_p2.strata()) == 7
+
+
+def test_trivial_action_builds_one_subgroup(koszul, z2_trivial_p3, monkeypatch):
+    built = []
+    init = Subgroup.__init__
+
+    def counting_init(self, parent, generators):
+        built.append(parent)
+        init(self, parent, generators)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    report = check_descent(koszul(z2_trivial_p3, (1, 1, 1, 1)))
+    assert report.passed and len(report.coverage) == 15
+    assert len(built) == 1
+    assert all(s.stabilizer is Subgroup.whole(z2_trivial_p3.group) for s in z2_trivial_p3.strata())
+
+
+def test_check_descent_never_builds_subgroup_elements(koszul, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Subgroup.elements built on the decision path")
+
+    monkeypatch.setattr(Subgroup, "elements", property(refuse))
+    G = AbelianGroup((2, 6))
+    action = ProjectiveAction(G, 3, tuple(G.character(c) for c in ((0, 0), (1, 2), (0, 3), (1, 0))))
+    user = RationalPoint((Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(5, 4)))
+    report = check_descent(koszul(action, (1, 2, 3, 4)), points=[user], samples_per_stratum=2)
+    assert any(c.stabilizer_order > 1 for c in report.coverage)
+    check_bundle_descent(O(action, 1, (1, 1)), action)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,47 @@ def test_whole_and_trivial():
     assert Subgroup.trivial(g).is_trivial
 
 
+def brute_force_closure(group, gens):
+    """Oracle: add generators to everything found until nothing new appears."""
+    members = {(0,) * group.rank}
+    while True:
+        grown = members | {(h + g).coords for h in map(group.element, members) for g in gens}
+        if grown == members:
+            return sorted(members)
+        members = grown
+
+
+def test_subgroup_coords_are_the_sorted_closure():
+    rng = random.Random(4242)
+    for _ in range(200):
+        group = random_group(rng, max_order=64)
+        gens = [
+            group.element(tuple(rng.randrange(n) for n in group.orders))
+            for _ in range(rng.randint(0, 3))
+        ]
+        if gens and rng.random() < 0.5:
+            gens.append(rng.choice(gens))  # repeated
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), group.identity())  # zero
+        if len(gens) >= 2 and rng.random() < 0.5:
+            gens.append(gens[0] + gens[1].scaled(rng.randint(2, 5)))  # dependent
+        rng.shuffle(gens)
+        s = Subgroup(group, gens)
+        assert list(s.coords) == brute_force_closure(group, gens), (group, gens)
+        assert [g.coords for g in s.elements] == list(s.coords)
+        assert group.order % s.order == 0
+
+
+def test_whole_group_is_built_once_and_shared():
+    g = AbelianGroup((4, 6))
+    whole = Subgroup.whole(g)
+    assert Subgroup.whole(g) is whole
+    assert equalizer_subgroup([g.character((1, 2))] * 3) is whole
+    assert whole.coords == tuple(h.coords for h in g.elements)
+    # another group object with the same orders has its own copy
+    assert Subgroup.whole(AbelianGroup((4, 6))) is not whole
+
+
 # ---------------------------------------------------------------------------
 # equalizer_subgroup
 # ---------------------------------------------------------------------------
@@ -289,6 +330,17 @@ def test_group_order_times_character_restricts_trivially():
         )
         assert scaled.restrict(s).is_trivial
         assert all(scaled(g) == 0 for g in group.elements)
+
+
+def test_restriction_is_computed_once_per_subgroup_and_character():
+    rng = random.Random(99)
+    for _ in range(50):
+        group = random_group(rng)
+        s = Subgroup(group, [group.element(tuple(rng.randrange(n) for n in group.orders))])
+        chi = group.character(tuple(rng.randrange(n) for n in group.orders))
+        r = chi.restrict(s)
+        assert group.character(chi.coords).restrict(s) is r
+        assert r.values == tuple(chi(g) for g in s.elements)
 
 
 def test_restriction_value_lookup():

@@ -168,6 +168,11 @@ def test_point_length_checked():
         parse_problem(with_extras(points=[["1", "2"]]))
 
 
+def test_zero_point_error_names_its_path():
+    with pytest.raises(InputError, match=r"^\$\.points\[1\]: .*nonzero coordinate"):
+        parse_problem(with_extras(points=[["1", "0", "0"], ["0", 0, "0/5"]]))
+
+
 def test_sampling_bounds_checked():
     with pytest.raises(InputError, match="at least 1"):
         parse_problem(with_extras(sampling={"samples_per_stratum": 0}))
