@@ -27,7 +27,6 @@ from .descent import (
     check_bundle_descent,
     check_descent,
     fiber_restrict,
-    invariant_part,
     sandwich_check,
 )
 from .groups import (
@@ -100,7 +99,6 @@ __all__ = [
     "default_generator",
     "equalizer_subgroup",
     "fiber_restrict",
-    "invariant_part",
     "isotypic_cohomology",
     "load_problem",
     "necessary_check",

@@ -26,6 +26,9 @@ from .groups import (
 )
 
 MAX_PROJECTIVE_DIM = 10
+# A two-coordinate stratum has fewer than a thousand distinct sampler points,
+# and drawing them costs seconds per stratum, so larger counts are refused.
+MAX_SAMPLES_PER_STRATUM = 100
 _SAMPLER_MIX = 0x9E3779B1  # 32-bit golden-ratio constant, for per-stratum seeds
 
 
@@ -59,10 +62,6 @@ class RationalPoint:
         ints = [c.numerator * (scale // c.denominator) for c in self.coords]
         common = gcd(*ints)
         return tuple(v // common for v in ints)
-
-    @property
-    def dim_ambient(self) -> int:
-        return len(self.coords) - 1
 
     def canonical(self) -> "RationalPoint":
         """Rescale so the first nonzero coordinate is 1."""
@@ -108,16 +107,6 @@ class Stratum:
 
 
 @dataclass(frozen=True)
-class OrbitResult:
-    """Orbit of a point: a full point list when the action stays rational,
-    otherwise just the size (exact=False)."""
-
-    size: int
-    exact: bool
-    points: tuple | None  # canonicalized, sorted; None when exact is False
-
-
-@dataclass(frozen=True)
 class ProjectiveAction:
     """Diagonal action of a finite abelian group on P^dim."""
 
@@ -146,11 +135,6 @@ class ProjectiveAction:
                 f"point has {len(x.coords)} coordinates, expected {self.dim + 1}"
             )
 
-    def stabilizer(self, x: RationalPoint) -> Subgroup:
-        """Stabilizer of [x]: where all supported coordinate characters agree."""
-        self.check_point(x)
-        return equalizer_subgroup([self.coord_chars[i] for i in x.support])
-
     def stratum_of_support(self, support) -> Stratum:
         support = tuple(sorted(set(support)))
         if not support:
@@ -164,43 +148,14 @@ class ProjectiveAction:
         self.check_point(x)
         return self.stratum_of_support(x.support)
 
-    def scalar_value(self, g, i: int) -> Fraction | None:
-        """chi_i(g) as a rational scalar, or None when it is not +-1."""
-        m = self.group.exponent
-        e = self.coord_chars[i](g)
-        if e == 0:
-            return Fraction(1)
-        if 2 * e == m:
-            return Fraction(-1)
-        return None
-
-    def orbit(self, x: RationalPoint) -> OrbitResult:
-        """Orbit through x; falls back to size-only when coordinates would
-        leave the rationals (some chi_i(g) is a non-real root of unity)."""
-        self.check_point(x)
-        stab = self.stabilizer(x)
-        size = self.group.order // stab.order
-        support = x.support
-        scalars = {}
-        for g in self.group.elements:
-            for i in support:
-                v = self.scalar_value(g, i)
-                if v is None:
-                    return OrbitResult(size=size, exact=False, points=None)
-                scalars[(g.coords, i)] = v
-        seen = set()
-        points = []
-        for g in self.group.elements:
-            coords = tuple(
-                scalars[(g.coords, i)] * x.coords[i] if i in support else Fraction(0)
-                for i in range(self.dim + 1)
+    def monomial_character(self, exps) -> Character:
+        """The character sum_i a_i * chi_i by which the monomial x^a transforms."""
+        return self.group.character(
+            tuple(
+                sum(a * chi.coords[k] for a, chi in zip(exps, self.coord_chars) if a)
+                for k in range(self.group.rank)
             )
-            p = RationalPoint(coords).canonical()
-            if p.coords not in seen:
-                seen.add(p.coords)
-                points.append(p)
-        points.sort(key=lambda p: p.coords)
-        return OrbitResult(size=len(points), exact=True, points=tuple(points))
+        )
 
     # -- strata ------------------------------------------------------------
 
@@ -236,6 +191,8 @@ class ProjectiveAction:
         """
         if count < 1:
             raise InputError("sample count must be >= 1")
+        if count > MAX_SAMPLES_PER_STRATUM:
+            raise InputError(f"sample count must be <= {MAX_SAMPLES_PER_STRATUM}, got {count}")
         support = stratum.support
         if len(support) == 1:
             return (stratum.representative(),)
@@ -257,11 +214,6 @@ class ProjectiveAction:
                 seen.add(key)
                 points.append(p)
         return tuple(points)
-
-    @property
-    def is_free_in_codimension_zero(self) -> bool:
-        """True when the full-support stratum has trivial stabilizer."""
-        return self.stratum_of_support(tuple(range(self.dim + 1))).stabilizer.is_trivial
 
     def __repr__(self):
         return f"{self.group!r} acting on P^{self.dim} by {list(self.coord_chars)!r}"

@@ -9,8 +9,9 @@ and can be compared by digest.
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
 schema violation, invalid complex, a generator failing its own descent
-precondition, a ``selftest-oracle`` option out of range), 3 an internal
-error: any other exception, which is a bug in the package, not a verdict.
+precondition, ``--samples`` or a ``selftest-oracle`` option out of range),
+3 an internal error: any other exception, which is a bug in the package, not
+a verdict.
 On an internal error no verdict is printed; stderr gets an
 ``internal error:`` line followed by the traceback.
 """
@@ -23,6 +24,7 @@ import json
 import sys
 import time
 
+from .action import MAX_SAMPLES_PER_STRATUM
 from .descent import DescentReport, check_descent
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
@@ -107,9 +109,18 @@ def _descent_human(title: str, report: DescentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_range(flag, value, low, high=None) -> None:
+    if value < low:
+        raise InputError(f"{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{flag} must be at most {high}, got {value}")
+
+
 def _sampling(args, problem: Problem) -> dict:
     samples = args.samples
-    if samples is None:
+    if samples is not None:
+        _check_range("--samples", samples, 1, MAX_SAMPLES_PER_STRATUM)
+    else:
         samples = problem.samples_per_stratum if problem.samples_per_stratum else 5
     seed = args.seed
     if seed is None:
@@ -128,7 +139,10 @@ def _add_sampling_flags(parser):
         type=int,
         default=None,
         metavar="N",
-        help="sample points per multi-coordinate stratum (default: problem file, then 5)",
+        help=(
+            f"sample points per multi-coordinate stratum, 1 to {MAX_SAMPLES_PER_STRATUM} "
+            "(default: problem file, then 5)"
+        ),
     )
     parser.add_argument(
         "--seed",
@@ -274,15 +288,9 @@ def _cmd_necessary(args, out) -> int:
 
 def _check_selftest_args(args) -> None:
     """Reject option values that leave no random instance to draw."""
-    for flag, value, low, high in (
-        ("--trials", args.trials, 1, None),
-        ("--max-dim", args.max_dim, 1, None),
-        ("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER),
-    ):
-        if value < low:
-            raise InputError(f"{flag} must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise InputError(f"{flag} must be at most {high}, got {value}")
+    _check_range("--trials", args.trials, 1)
+    _check_range("--max-dim", args.max_dim, 1)
+    _check_range("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
 
 
 def _cmd_selftest(args, out) -> int:

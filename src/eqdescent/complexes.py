@@ -199,16 +199,7 @@ class EquivariantComplex:
 
     def validate(self) -> ValidationReport:
         violations = []
-        chars = self.action.coord_chars
-        group = self.action.group
-
-        def monomial_character(exps):
-            total = group.trivial_character()
-            for a, chi in zip(exps, chars):
-                if a:
-                    total = total + chi.scaled(a)
-            return total
-
+        monomial_character = self.action.monomial_character
         for j, entries in sorted(self.differentials.items()):
             for (s, t), p in sorted(entries.items()):
                 src = self.terms[j][s]

@@ -170,7 +170,6 @@ def fiber_layout(
 def fiber_restrict(
     complex_: EquivariantComplex,
     point: RationalPoint,
-    trivialization_index: int | None = None,
     layout: FiberLayout | None = None,
 ) -> FiberComplex:
     """Restrict a *validated* complex to the fiber at a point.
@@ -182,8 +181,7 @@ def fiber_restrict(
     coefficient denominators.  They differ from the trivialized entries
     p(x) / x_{i0}^{d_t - d_s} by invertible diagonal factors on both sides,
     so every block rank, and hence every cohomology dimension, is the same
-    for any choice of trivializing coordinate i0 in the support;
-    ``trivialization_index`` is only checked to lie in the support.
+    for any choice of trivializing coordinate i0 in the support.
     Entries between different blocks must evaluate to exactly zero; a
     nonzero value means the decomposition or the equivariance validation is
     buggy, so it raises InternalConsistencyError rather than returning
@@ -195,10 +193,6 @@ def fiber_restrict(
     action = complex_.action
     action.check_point(point)
     support = point.support
-    if trivialization_index is not None and trivialization_index not in support:
-        raise InputError(
-            f"trivialization index {trivialization_index} is not in the support {support}"
-        )
     if layout is None:
         stratum = action.stratum_of_point(point)
         layout = fiber_layout(complex_, stratum, integer_entries(complex_))
@@ -242,15 +236,6 @@ def block_cohomology(fiber: FiberComplex) -> dict:
         for j, dim in fiber.blocks[phi].cohomology().items():
             out[(j, phi)] = dim
     return out
-
-
-def invariant_part(fiber: FiberComplex) -> BlockComplex:
-    """The trivial-character block (the part that survives on the quotient),
-    or an empty block when no summand lands there."""
-    for phi, block in fiber.blocks.items():
-        if phi.is_trivial:
-            return block
-    return BlockComplex(dims={}, mats={})
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ The strata of an action, and with them its stabilizers, are cached on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
 
@@ -220,11 +220,6 @@ class Character:
         return f"chi{self.coords}"
 
 
-def char_combine(a: Character, b: Character, k: int = 1) -> Character:
-    """a + k * b, reduced coordinatewise."""
-    return a + b.scaled(k)
-
-
 class Subgroup:
     """Subgroup of an AbelianGroup, held as its sorted coordinate tuples.
 
@@ -288,13 +283,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.coords) == 1
 
-    def contains(self, g: GroupElement) -> bool:
-        return g.group == self.parent and g.coords in self._element_set
-
-    @cached_property
-    def _element_set(self):
-        return frozenset(self.coords)
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Subgroup)
@@ -317,9 +305,9 @@ class Subgroup:
 class CharacterRestriction:
     """A character's value table on a subgroup (exponents of zeta_m in Z/m).
 
-    Values are aligned with ``subgroup.elements``; the modulus is the parent
-    group's exponent.  Restrictions support the pointwise arithmetic needed
-    to form fiber characters and are hashable, so they double as block keys.
+    Values are aligned with ``subgroup.coords``; the modulus is the parent
+    group's exponent.  Restrictions are hashable, so they double as block
+    keys.
     """
 
     subgroup: Subgroup
@@ -338,27 +326,6 @@ class CharacterRestriction:
     @property
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
-
-    def value(self, g: GroupElement) -> int:
-        if self.subgroup.contains(g):
-            return self.values[self.subgroup.coords.index(g.coords)]
-        raise InputError(f"{g!r} is not in the subgroup")
-
-    def __add__(self, other: "CharacterRestriction") -> "CharacterRestriction":
-        if other.subgroup != self.subgroup:
-            raise InputError("restrictions live on different subgroups")
-        return CharacterRestriction(
-            self.subgroup, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __neg__(self) -> "CharacterRestriction":
-        return CharacterRestriction(self.subgroup, tuple(-v for v in self.values))
-
-    def __sub__(self, other: "CharacterRestriction") -> "CharacterRestriction":
-        return self + (-other)
-
-    def scaled(self, k: int) -> "CharacterRestriction":
-        return CharacterRestriction(self.subgroup, tuple(k * v for v in self.values))
 
     def is_homomorphism(self) -> bool:
         """Sanity predicate: the table respects the group law."""

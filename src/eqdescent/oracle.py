@@ -17,6 +17,9 @@ no block bookkeeping at all:
         e_phi = (1/|S|) * sum_g phi(g)^{-1} rho(g)
     and read isotypic cohomology dimensions off ranks over Q(zeta_m):
         dim H^j_phi = rank(P_j) - rank(d_j P_j) - rank(d_{j-1} P_{j-1}).
+    The action is diagonal, so P_j is diagonal: it is kept as its diagonal,
+    rank(P_j) is the number of nonzero entries there, and d_j P_j is d_j
+    with each column scaled by the matching entry.
 
 Raw entries differ from the trivialized (rescaling-invariant) ones only by
 conjugation with a diagonal matrix commuting with the group action, so the
@@ -191,20 +194,6 @@ class CyclotomicField:
                 break
         return r
 
-    def matrix_mul(self, a, b):
-        if not a or not b:
-            return []
-        n, k, c = len(a), len(b), len(b[0])
-        out = [[self.zero() for _ in range(c)] for _ in range(n)]
-        for i in range(n):
-            for j in range(c):
-                acc = self.zero()
-                for t in range(k):
-                    if not self.is_zero(a[i][t]) and not self.is_zero(b[t][j]):
-                        acc = self.add(acc, self.mul(a[i][t], b[t][j]))
-                out[i][j] = acc
-        return out
-
 
 # ---------------------------------------------------------------------------
 # the oracle itself
@@ -268,28 +257,30 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     out = {}
     for table in tables:
         phi_of = dict(zip((g.coords for g in elements), table))
-        projectors = {}
+        projectors = {}  # j -> the diagonal of P_j
         for j in degrees:
-            n = len(complex_.summands(j))
-            proj = [[field.zero() for _ in range(n)] for _ in range(n)]
-            for idx in range(n):
+            diagonal = []
+            for idx in range(len(complex_.summands(j))):
                 acc = field.zero()
                 for g in elements:
                     e = (fiber_exp[(j, idx, g.coords)] - phi_of[g.coords]) % m
                     acc = field.add(acc, field.zeta_pow(e))
-                proj[idx][idx] = field.scale(acc, inv_size)
-            projectors[j] = proj
+                diagonal.append(field.scale(acc, inv_size))
+            projectors[j] = diagonal
 
-        rank_p = {j: field.matrix_rank(projectors[j]) for j in degrees}
-        rank_dp = {}
-        for j in degrees:
-            if j in mats:
-                rank_dp[j] = field.matrix_rank(field.matrix_mul(mats[j], projectors[j]))
-            else:
-                rank_dp[j] = 0
+        rank_p = {
+            j: sum(not field.is_zero(x) for x in diagonal)
+            for j, diagonal in projectors.items()
+        }
+        rank_dp = {
+            j: field.matrix_rank(
+                [[field.mul(x, p) for x, p in zip(row, projectors[j])] for row in rows]
+            )
+            for j, rows in mats.items()
+        }
 
         for j in degrees:
-            dim = rank_p[j] - rank_dp[j] - rank_dp.get(j - 1, 0)
+            dim = rank_p[j] - rank_dp.get(j, 0) - rank_dp.get(j - 1, 0)
             if dim < 0:
                 raise InternalConsistencyError("negative isotypic dimension")
             if dim:

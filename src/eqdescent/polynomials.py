@@ -84,19 +84,6 @@ class Poly:
         """(exponent_vector, coefficient) pairs in sorted order."""
         return self._key
 
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def homogeneous_degree(self):
-        """Common total degree of all monomials; None if zero or mixed."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     # -- arithmetic -------------------------------------------------------------
 
     def _check_same_vars(self, other: "Poly"):

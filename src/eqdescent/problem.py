@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .action import ProjectiveAction, RationalPoint
+from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
 from .groups import AbelianGroup, InputError
 from .polynomials import Poly
@@ -90,11 +90,23 @@ def parse_rational(value, path) -> Fraction:
     _fail(path, f"expected a rational number, got {type(value).__name__}")
 
 
-def _parse_int_key(key, path):
-    try:
-        return int(key)
-    except ValueError:
-        _fail(path, f"expected an integer key, got {key!r}")
+def _degree_items(obj, path):
+    """(degree, value, path) for each key of an object keyed by degree.
+
+    "1", "01" and " 1" all name degree 1, so a key naming a degree that an
+    earlier key gave is rejected instead of silently replacing it.
+    """
+    seen = {}
+    for key, value in obj.items():
+        kpath = path + [key]
+        try:
+            j = int(key)
+        except ValueError:
+            _fail(kpath, f"expected an integer key, got {key!r}")
+        if j in seen:
+            _fail(kpath, f"degree {j} is already given by the key {seen[j]!r}")
+        seen[j] = key
+        yield j, value, kpath
 
 
 @dataclass(frozen=True)
@@ -199,9 +211,7 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
 
     terms_obj = _expect_dict(obj.get("terms"), path + ["terms"], "an object of terms")
     terms = {}
-    for key, summands in terms_obj.items():
-        tpath = path + ["terms", key]
-        j = _parse_int_key(key, tpath)
+    for j, summands, tpath in _degree_items(terms_obj, path + ["terms"]):
         lst = _expect_list(summands, tpath, "a list of summands")
         terms[j] = tuple(
             _parse_summand(group, s, tpath + [i]) for i, s in enumerate(lst)
@@ -210,9 +220,7 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
     diffs = {}
     diffs_obj = obj.get("differentials", {})
     _expect_dict(diffs_obj, path + ["differentials"], "an object of differentials")
-    for key, entries in diffs_obj.items():
-        dpath = path + ["differentials", key]
-        j = _parse_int_key(key, dpath)
+    for j, entries, dpath in _degree_items(diffs_obj, path + ["differentials"]):
         lst = _expect_list(entries, dpath, "a list of entries")
         table = {}
         for i, e in enumerate(lst):
@@ -296,6 +304,11 @@ def parse_problem(data) -> Problem:
         samples = _expect_int(samples, ["sampling", "samples_per_stratum"])
         if samples < 1:
             _fail(["sampling", "samples_per_stratum"], "must be at least 1")
+        if samples > MAX_SAMPLES_PER_STRATUM:
+            _fail(
+                ["sampling", "samples_per_stratum"],
+                f"must be at most {MAX_SAMPLES_PER_STRATUM}, got {samples}",
+            )
     seed = sampling.get("seed")
     if seed is not None:
         seed = _expect_int(seed, ["sampling", "seed"])
@@ -364,30 +377,6 @@ def complex_to_dict(c: EquivariantComplex) -> dict:
     }
 
 
-def word_to_list(word: FunctorWord) -> list:
-    out = []
-    for g in word.generators:
-        if isinstance(g, Shift):
-            out.append({"kind": "shift", "k": g.k})
-        elif isinstance(g, Twist):
-            out.append(
-                {
-                    "kind": "twist",
-                    "degree": g.summand.degree,
-                    "twist": list(g.summand.twist.coords),
-                }
-            )
-        else:
-            out.append(
-                {
-                    "kind": "push",
-                    "perm": list(g.auto.perm),
-                    "scalars": [_rational_out(s) for s in g.auto.scalars],
-                }
-            )
-    return out
-
-
 def point_to_list(p: RationalPoint) -> list:
     return [_rational_out(c) for c in p.coords]
 
@@ -410,7 +399,7 @@ def problem_to_dict(
     if complexes:
         out["complexes"] = {name: complex_to_dict(c) for name, c in complexes.items()}
     if words:
-        out["words"] = {name: word_to_list(w) for name, w in words.items()}
+        out["words"] = {name: w.describe() for name, w in words.items()}
     if points:
         out["points"] = [point_to_list(p) for p in points]
     sampling = {}

@@ -97,11 +97,7 @@ def equivariant_monomials(action: ProjectiveAction, degree: int, char: Character
         exps = [0] * nvars
         for i in combo:
             exps[i] += 1
-        total = action.group.trivial_character()
-        for i, a in enumerate(exps):
-            if a:
-                total = total + action.coord_chars[i].scaled(a)
-        if total == char:
+        if action.monomial_character(exps) == char:
             out.append(tuple(exps))
     return out
 
@@ -225,11 +221,7 @@ def random_valid_complex(
         exps = [0] * nvars
         for _ in range(arrow_deg):
             exps[rng.randrange(nvars)] += 1
-        twist = src.twist
-        for i, a in enumerate(exps):
-            if a:
-                twist = twist + action.coord_chars[i].scaled(a)
-        tgt = TwistedSummand(src.degree + arrow_deg, twist)
+        tgt = TwistedSummand(src.degree + arrow_deg, src.twist + action.monomial_character(exps))
         entry = Poly.monomial(nvars, tuple(exps), _random_fraction(rng))
         extra = random_equivariant_poly(rng, action, src, tgt, max_terms=2)
         if rng.random() < 0.5 and not (entry + extra).is_zero:

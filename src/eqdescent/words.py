@@ -181,9 +181,6 @@ class FunctorWord:
                 inverted.append(Push(g.auto.inverse()))
         return FunctorWord(tuple(inverted))
 
-    def concat(self, other: "FunctorWord") -> "FunctorWord":
-        return FunctorWord(self.generators + other.generators)
-
     def target_action(self, source: ProjectiveAction) -> ProjectiveAction:
         current = source
         for g in self.generators:
@@ -210,6 +207,7 @@ class FunctorWord:
         return total
 
     def describe(self) -> list:
+        """The generators as problem-file word entries, scalars as strings."""
         out = []
         for g in self.generators:
             if isinstance(g, Shift):

@@ -1,11 +1,11 @@
-"""Diagonal projective actions: stabilizers, orbits, strata, sampling."""
+"""Diagonal projective actions: stabilizers, strata, sampling."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from eqdescent.action import ProjectiveAction, RationalPoint
+from eqdescent.action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from eqdescent.groups import AbelianGroup, InputError
 
 
@@ -85,7 +85,7 @@ def test_stabilizers_z2_p2():
         ((1, 1, 1), triv),
     ]
     for coords, order in cases:
-        assert act.stabilizer(RationalPoint(coords)).order == order, coords
+        assert act.stratum_of_point(RationalPoint(coords)).stabilizer.order == order, coords
 
 
 def test_stabilizer_depends_only_on_support():
@@ -97,70 +97,31 @@ def test_stabilizer_depends_only_on_support():
         for i in p.support:
             q_coords[i] = Fraction(rng.randint(1, 9))
         q = RationalPoint(tuple(q_coords))
-        assert act.stabilizer(p) == act.stabilizer(q)
+        assert act.stratum_of_point(p).stabilizer == act.stratum_of_point(q).stabilizer
 
 
 def test_point_dimension_mismatch():
     act = z2_p2_action()
     with pytest.raises(InputError):
-        act.stabilizer(RationalPoint((1, 2)))
-
-
-# ---------------------------------------------------------------------------
-# orbits
-# ---------------------------------------------------------------------------
-
-def test_orbit_z2_p2_generic_point():
-    act = z2_p2_action()
-    orb = act.orbit(RationalPoint((1, 1, 1)))
-    assert orb.exact
-    assert orb.size == 2
-    assert set(p.coords for p in orb.points) == {
-        (Fraction(1), Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(1), Fraction(-1)),
-    }
-
-
-def test_orbit_z2_p2_fixed_point():
-    act = z2_p2_action()
-    orb = act.orbit(RationalPoint((0, 0, 1)))
-    assert orb.exact and orb.size == 1
-    orb = act.orbit(RationalPoint((3, -1, 0)))
-    assert orb.exact and orb.size == 1
-
-
-def test_orbit_nonreal_scalars_size_only():
-    g = AbelianGroup((3,))
-    act = ProjectiveAction(g, 1, (g.character((0,)), g.character((1,))))
-    orb = act.orbit(RationalPoint((1, 1)))
-    assert not orb.exact
-    assert orb.points is None
-    assert orb.size == 3  # |G| / |G_x| with trivial stabilizer
+        act.stratum_of_point(RationalPoint((1, 2)))
 
 
 def test_orbit_stabilizer_product():
+    """|orbit| * |stabilizer| = |G|, with the orbit counted by brute force:
+    g.x = h.x exactly when the ratios chi_i(g) - chi_l(g) over the support
+    (l its first coordinate) agree."""
     rng = random.Random(7)
     for _ in range(80):
         act = random_action(rng)
         p = random_point(rng, act)
-        orb = act.orbit(p)
-        stab = act.stabilizer(p)
-        assert orb.size * stab.order == act.group.order
-
-
-def test_orbit_points_share_stabilizer():
-    rng = random.Random(11)
-    checked = 0
-    while checked < 30:
-        act = random_action(rng, max_order=8)
-        p = random_point(rng, act)
-        orb = act.orbit(p)
-        if not orb.exact:
-            continue
-        checked += 1
-        stab = act.stabilizer(p)
-        for q in orb.points:
-            assert act.stabilizer(q) == stab
+        lead = act.coord_chars[p.support[0]]
+        m = act.group.exponent
+        orbit = {
+            tuple((act.coord_chars[i](g) - lead(g)) % m for i in p.support)
+            for g in act.group.elements
+        }
+        stab = act.stratum_of_point(p).stabilizer
+        assert len(orbit) * stab.order == act.group.order
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +175,11 @@ def test_strata_dim_bound():
 def test_free_action_detection():
     g = AbelianGroup((2,))
     # generic points of the sign-flip actions have trivial stabilizer ...
-    assert z2_p2_action().is_free_in_codimension_zero
+    assert z2_p2_action().stratum_of_support((0, 1, 2)).stabilizer.is_trivial
     # ... but a global scalar action fixes every point of P^1
     scalar = ProjectiveAction(g, 1, (g.character((1,)), g.character((1,))))
-    assert not scalar.is_free_in_codimension_zero
-    assert scalar.stabilizer(RationalPoint((1, 7))).order == 2
+    assert not scalar.stratum_of_support((0, 1)).stabilizer.is_trivial
+    assert scalar.stratum_of_point(RationalPoint((1, 7))).stabilizer.order == 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +223,9 @@ def test_sample_points_count_validation():
     st = act.stratum_of_support((0, 1))
     with pytest.raises(InputError):
         act.sample_points(st, 0, seed=0)
+    with pytest.raises(InputError, match="<= 100"):
+        act.sample_points(st, MAX_SAMPLES_PER_STRATUM + 1, seed=0)
+    assert len(act.sample_points(st, MAX_SAMPLES_PER_STRATUM, seed=0)) == MAX_SAMPLES_PER_STRATUM
 
 
 def test_stratum_representative():

@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 
 import eqdescent.cli as cli_module
+import eqdescent.selftest as selftest_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
 from eqdescent.complexes import InternalConsistencyError, TwistedSummand, bundle_complex
 from eqdescent.groups import AbelianGroup
-from eqdescent.problem import problem_to_dict
+from eqdescent.oracle import isotypic_cohomology
+from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
 
 FIXTURE = "tests/fixtures/z2_p2.json"
 
@@ -100,6 +102,27 @@ def test_sampling_flags_override_problem_defaults():
     assert payload["report"]["coverage"]["seed"] == 0
 
 
+@pytest.mark.parametrize("value", ["0", "101"])
+def test_samples_out_of_range_exits_2(value, capsys):
+    code = main(["check-descent", FIXTURE, "--complex", "O2", "--samples", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --samples must be")
+    assert captured.out == ""
+
+
+def test_problem_file_sample_count_out_of_range_exits_2(tmp_path, capsys):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data["sampling"] = {"samples_per_stratum": 101}
+    path = tmp_path / "many_samples.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["check-descent", str(path), "--complex", "O2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: $.sampling.samples_per_stratum: must be at most 100")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # omega and necessary
 # ---------------------------------------------------------------------------
@@ -157,6 +180,35 @@ def test_selftest_runs_clean():
     assert code == 0
     assert payload["report"]["mismatch_count"] == 0
     assert payload["report"]["trials"] == 10
+
+
+def test_selftest_fails_when_the_block_route_is_wrong(monkeypatch):
+    """A block route that reports one dimension too many is caught on every
+    trial, and each mismatch replays from its problem serialization."""
+    real = selftest_module.block_cohomology
+
+    def one_too_many(fiber):
+        dims = real(fiber)
+        first = next(iter(dims))
+        dims[first] += 1
+        return dims
+
+    monkeypatch.setattr(selftest_module, "block_cohomology", one_too_many)
+    code, _, payload = run_cli("selftest-oracle", "--trials", "6", "--seed", "3")
+    assert code == 1
+    report = payload["report"]
+    assert report["verdict"] == "fail"
+    assert report["mismatch_count"] == 6
+    for mismatch in report["mismatches"]:
+        problem = parse_problem(mismatch["problem"])
+        assert [point_to_list(p) for p in problem.points] == [mismatch["point"]]
+        replayed = isotypic_cohomology(problem.complexes["instance"], problem.points[0])
+        assert sorted(
+            [j, list(values), dim] for (j, values), dim in replayed.items() if dim
+        ) == [
+            [row["degree"], row["fiber_character"], row["dimension"]]
+            for row in mismatch["via_averaging"]
+        ]
 
 
 @pytest.mark.parametrize(

@@ -26,13 +26,13 @@ from eqdescent.descent import (
     check_bundle_descent,
     check_descent,
     fiber_restrict,
-    invariant_part,
     sandwich_check,
 )
 from eqdescent.groups import AbelianGroup, CharacterRestriction, InputError, Subgroup
 from eqdescent.linalg import QMatrix
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.polynomials import Poly
+from eqdescent.problem import parse_problem
 from eqdescent.randgen import (
     mixed_variant,
     random_action,
@@ -87,7 +87,8 @@ def test_fiber_splits_at_fixed_point(two_term):
     # The summands land in different blocks; x2 vanishes there, so both
     # cohomologies survive: H^0 in the (0,1) block, H^1 in the trivial block.
     assert block_dims_by_values(fiber) == {(0, (0, 1)): 1, (1, (0, 0)): 1}
-    assert invariant_part(fiber).cohomology() == {1: 1}
+    trivial = [block for phi, block in fiber.blocks.items() if phi.is_trivial]
+    assert [block.cohomology() for block in trivial] == [{1: 1}]
 
 
 def test_fiber_exact_at_scaled_coordinate(two_term):
@@ -113,17 +114,6 @@ def test_fiber_provenance_records_block_of_each_summand(two_term):
     fiber = fiber_restrict(two_term, pt)
     assert fiber.provenance[(0, 0)].values == (0, 1)
     assert fiber.provenance[(1, 0)].values == (0, 0)
-
-
-def test_trivialization_index_does_not_change_dimensions(two_term):
-    pt = RationalPoint((Fraction(1), Fraction(2), Fraction(3)))
-    dims = [
-        block_dims_by_values(fiber_restrict(two_term, pt, trivialization_index=i))
-        for i in range(3)
-    ]
-    assert dims[0] == dims[1] == dims[2]
-    with pytest.raises(InputError):
-        fiber_restrict(two_term, RationalPoint((1, 0, 0)), trivialization_index=2)
 
 
 def test_zero_differential_complex_counts_summands(z2_p2):
@@ -578,3 +568,41 @@ def test_empty_block_complex_has_no_cohomology():
     block = BlockComplex(dims={}, mats={})
     assert block.cohomology() == {}
     assert block.total_dim == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_sampling_misses_a_rank_drop_off_the_sample_points():
+    """Z/2 acting trivially on P^2, 0 -> O(x)sign --(x0 - x1 + x2)--> O(1)(x)sign -> 0.
+
+    The entry vanishes at (1:1:0) and along a curve in the open stratum;
+    there the sign survives in H^0 and H^1, so the complex does not descend.
+    Today every sample point misses those zeros.
+    """
+    problem = parse_problem(
+        {
+            "group": {"orders": [2]},
+            "action": {"dim": 2, "coordinate_characters": [[0], [0], [0]]},
+            "complexes": {
+                "c": {
+                    "terms": {
+                        "0": [{"degree": 0, "twist": [1]}],
+                        "1": [{"degree": 1, "twist": [1]}],
+                    },
+                    "differentials": {
+                        "0": [
+                            {
+                                "source": 0,
+                                "target": 0,
+                                "entry": [
+                                    {"coeff": 1, "exponents": [1, 0, 0]},
+                                    {"coeff": -1, "exponents": [0, 1, 0]},
+                                    {"coeff": 1, "exponents": [0, 0, 1]},
+                                ],
+                            }
+                        ]
+                    },
+                }
+            },
+        }
+    )
+    assert check_descent(problem.complexes["c"]).passed is False

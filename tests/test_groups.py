@@ -6,14 +6,7 @@ import random
 
 import pytest
 
-from eqdescent.groups import (
-    AbelianGroup,
-    Character,
-    InputError,
-    Subgroup,
-    char_combine,
-    equalizer_subgroup,
-)
+from eqdescent.groups import AbelianGroup, InputError, Subgroup, equalizer_subgroup
 
 
 def brute_force_equalizer(chars):
@@ -123,7 +116,7 @@ def test_char_combine():
     g = AbelianGroup((4,))
     a = g.character((1,))
     b = g.character((2,))
-    assert char_combine(a, b, 3).coords == (3,)  # (1 + 6) mod 4
+    assert (a + b.scaled(3)).coords == (3,)  # (1 + 6) mod 4
     assert (a + b).coords == (3,)
     assert (a - b).coords == (3,)  # (1 - 2) mod 4
     assert (-a).coords == (3,)
@@ -137,7 +130,7 @@ def test_char_combine_evaluates_pointwise():
         a = group.character(tuple(rng.randrange(n) for n in group.orders))
         b = group.character(tuple(rng.randrange(n) for n in group.orders))
         k = rng.randint(-5, 5)
-        combined = char_combine(a, b, k)
+        combined = a + b.scaled(k)
         g = group.element(tuple(rng.randrange(n) for n in group.orders))
         assert combined(g) == (a(g) + k * b(g)) % m
 
@@ -162,11 +155,11 @@ def test_subgroup_closure_identity_inverses():
     g = AbelianGroup((4, 2))
     s = Subgroup(g, [g.element((2, 1))])
     assert s.order == 2
-    assert s.contains(g.identity())
+    assert g.identity().coords in s.coords
     for h in s.elements:
-        assert s.contains(-h)
+        assert (-h).coords in s.coords
         for k in s.elements:
-            assert s.contains(h + k)
+            assert (h + k).coords in s.coords
 
 
 def test_subgroup_equality_by_elements():
@@ -311,10 +304,13 @@ def test_restriction_arithmetic_and_homomorphism():
         s = Subgroup(group, gens)
         rc, rp = chi.restrict(s), psi.restrict(s)
         assert rc.is_homomorphism()
-        assert (rc + rp).values == (chi + psi).restrict(s).values
-        assert (rc - rp).values == (chi - psi).restrict(s).values
+        # Restriction commutes with character arithmetic, value by value.
+        m = group.exponent
+        pairs = list(zip(rc.values, rp.values))
+        assert (chi + psi).restrict(s).values == tuple((a + b) % m for a, b in pairs)
+        assert (chi - psi).restrict(s).values == tuple((a - b) % m for a, b in pairs)
         k = rng.randint(-4, 4)
-        assert rc.scaled(k).values == tuple((k * v) % group.exponent for v in rc.values)
+        assert chi.scaled(k).restrict(s).values == tuple((k * v) % m for v in rc.values)
 
 
 def test_group_order_times_character_restricts_trivially():
@@ -342,10 +338,3 @@ def test_restriction_is_computed_once_per_subgroup_and_character():
         assert group.character(chi.coords).restrict(s) is r
         assert r.values == tuple(chi(g) for g in s.elements)
 
-
-def test_restriction_value_lookup():
-    g = AbelianGroup((2,))
-    s = Subgroup.whole(g)
-    r = g.character((1,)).restrict(s)
-    assert r.value(g.element((1,))) == 1
-    assert r.value(g.identity()) == 0

@@ -41,16 +41,6 @@ def test_cancellation_to_zero():
     assert (p + (-p)).is_zero
 
 
-def test_degrees():
-    assert Poly.zero(2).total_degree() is None
-    assert Poly.constant(2, 5).homogeneous_degree() == 0
-    mixed = Poly(2, {(1, 0): 1, (0, 2): 1})
-    assert mixed.total_degree() == 2
-    assert mixed.homogeneous_degree() is None
-    homog = Poly(2, {(1, 1): 1, (0, 2): -3})
-    assert homog.homogeneous_degree() == 2
-
-
 def test_arithmetic_ring_axioms_randomized():
     rng = random.Random(2718)
     for _ in range(60):

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from eqdescent.action import MAX_SAMPLES_PER_STRATUM
 from eqdescent.groups import InputError
 from eqdescent.problem import (
     load_problem,
@@ -178,6 +179,43 @@ def test_sampling_bounds_checked():
         parse_problem(with_extras(sampling={"samples_per_stratum": 0}))
 
 
+def test_sample_count_is_bounded_above():
+    top = with_extras(sampling={"samples_per_stratum": MAX_SAMPLES_PER_STRATUM})
+    assert parse_problem(top).samples_per_stratum == MAX_SAMPLES_PER_STRATUM
+    over = with_extras(sampling={"samples_per_stratum": MAX_SAMPLES_PER_STRATUM + 1})
+    with pytest.raises(InputError, match=r"^\$\.sampling\.samples_per_stratum: must be at most"):
+        parse_problem(over)
+
+
+@pytest.mark.parametrize(
+    "body, path",
+    [
+        (
+            {"terms": {"1": [{"degree": 0}], "01": [{"degree": 5, "twist": [1]}]}},
+            r"\$\.complexes\.c\.terms\.01",
+        ),
+        (
+            {
+                "terms": {"0": [{"degree": 0}], "1": [{"degree": 1}]},
+                "differentials": {
+                    "0": [{"source": 0, "target": 0, "entry": [{"exponents": [1, 0, 0]}]}],
+                    "+0": [{"source": 0, "target": 0, "entry": [{"exponents": [0, 1, 0]}]}],
+                },
+            },
+            r"\$\.complexes\.c\.differentials\.\+0",
+        ),
+    ],
+    ids=["terms", "differentials"],
+)
+def test_duplicate_degree_keys_are_rejected(body, path):
+    """Keys that name the same degree would otherwise silently replace one
+    another; the later one is reported, naming the earlier."""
+    data = with_extras(complexes={"c": body})
+    message = "degree [01] is already given by the key '[01]'"
+    with pytest.raises(InputError, match=rf"^{path}: {message}"):
+        parse_problem(data)
+
+
 def test_twist_defaults_to_trivial_character():
     data = with_extras(complexes={"c": {"terms": {"0": [{"degree": 4}]}}})
     problem = parse_problem(data)
@@ -230,3 +268,82 @@ def test_point_serialization_uses_exact_strings():
     pt = random_point(rng, 3)
     out = point_to_list(pt)
     assert all(isinstance(c, (int, str)) for c in out)
+
+
+# ---------------------------------------------------------------------------
+# arbitrary input
+# ---------------------------------------------------------------------------
+
+
+def _nodes(tree, path=()):
+    """Paths to every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, list):
+        children = enumerate(tree)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutated(tree, path, value, copy_to_key):
+    """A copy of the tree with the node at ``path`` replaced by ``value``, or,
+    with ``copy_to_key``, also put under the key ``value`` of its object."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    if copy_to_key and not rest:
+        copy[value] = copy[head]
+    else:
+        copy[head] = _mutated(tree[head], rest, value, copy_to_key)
+    return copy
+
+
+def test_arbitrary_json_raises_only_input_errors():
+    """Whatever JSON comes in, parse_problem returns or raises InputError.
+
+    The inputs are valid problems serialized from random instances with one
+    node, at any depth, replaced by arbitrary JSON or copied to another key
+    of its object (such as "01" next to "1").
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    anything = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=10,
+    )
+    keys = st.sampled_from(["0", "01", "+1", "-1", " 1", "1.0", "x", ""]) | st.text(max_size=3)
+
+    @hypothesis.settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=list(hypothesis.HealthCheck),
+    )
+    @hypothesis.given(st.integers(0, 2**32), st.booleans(), st.data())
+    def check(seed, copy_to_key, data):
+        rng = Random(seed)
+        action = random_action(rng, random_group(rng))
+        valid = problem_to_dict(
+            action,
+            complexes={"c": random_valid_complex(rng, action)},
+            words={"w": random_word(rng, action)},
+            points=[random_point(rng, action.dim + 1)],
+            samples_per_stratum=rng.randint(1, 5),
+            seed=rng.randint(0, 9),
+        )
+        path = data.draw(st.sampled_from(list(_nodes(valid))))
+        copy_to_key = copy_to_key and bool(path) and isinstance(path[-1], str)
+        bad = _mutated(valid, path, data.draw(keys if copy_to_key else anything), copy_to_key)
+        try:
+            parse_problem(bad)
+        except InputError:
+            pass
+
+    check()

@@ -170,7 +170,7 @@ def test_concatenation_is_functorial():
         c = random_valid_complex(rng, action)
         w1 = random_word(rng, action, max_len=3)
         w2 = random_word(rng, action, max_len=3)
-        assert w1.concat(w2).apply(c) == w2.apply(w1.apply(c))
+        assert FunctorWord(w1.generators + w2.generators).apply(c) == w2.apply(w1.apply(c))
 
 
 def test_double_inverse_is_identity_on_shift_twist_words(z2_p2):
