@@ -30,9 +30,13 @@ fraction-free Bareiss elimination, and dim H^j = n_j - r_j - r_{j-1}.
 
 Cohomology ranks can still jump on proper closed subsets of a stratum, so
 multi-coordinate strata are checked at deterministic sample points and every
-report says which strata were sampled rather than decided exactly.
-Single-coordinate strata contain one point and are exact; strata with
-trivial stabilizer are exact vacuously.
+report says which strata were sampled rather than decided exactly.  The
+exceptions are exact: single-coordinate strata contain one point; strata
+with trivial stabilizer hold vacuously; and a stratum on which no block of
+a nontrivial character has an entry is checked once, at its
+representative, because those blocks have zero maps at every point of the
+stratum, so their cohomology is their dimension throughout it.  A single
+line bundle is a complex of the last kind on every stratum.
 """
 
 from __future__ import annotations
@@ -268,7 +272,8 @@ class StratumCoverage:
     support: tuple
     stabilizer_order: int
     mode: str  # "exact-single-point" | "exact-trivial-stabilizer" |
-    #            "exact-stratum" | "sampled" | "skipped"
+    #            "exact-stratum" (no nontrivial block has a map entry) |
+    #            "sampled" | "skipped"
     points_checked: int
 
     def to_dict(self) -> dict:
@@ -382,13 +387,15 @@ def check_descent(
     all fiber cohomology.
 
     Strata with trivial stabilizer hold vacuously; single-coordinate strata
-    are checked at their unique point; other strata are checked at
-    ``samples_per_stratum`` deterministic sample points each (plus any
-    user-supplied ``points``, which are always checked exactly as given).
-    The report lists sampled strata as an explicit completeness caveat.
+    are checked at their unique point; so are strata where no block of a
+    nontrivial character has an entry, at their representative; other strata
+    are checked at ``samples_per_stratum`` deterministic sample points each
+    (plus any user-supplied ``points``, which are always checked exactly as
+    given).  The report lists sampled strata as an explicit completeness
+    caveat.
 
-    Each stratum's fiber layout is built once, shared by its points, and
-    dropped when the stratum is done.
+    Each stratum's fiber layout is built once, before its mode is chosen,
+    shared by its points, and dropped when the stratum is done.
     """
     complex_.require_valid()
     action = complex_.action
@@ -406,15 +413,23 @@ def check_descent(
                 StratumCoverage(stratum.support, order, "exact-trivial-stabilizer", 0)
             )
             continue
+        layout = fiber_layout(complex_, stratum, entries)
         if len(stratum.support) == 1:
             pts = (stratum.representative(),)
             mode = "exact-single-point"
+        elif not any(  # every nontrivial block has zero maps on the stratum
+            cells
+            for phi, (_, maps) in layout.blocks.items()
+            if not phi.is_trivial
+            for _, _, _, cells in maps
+        ):
+            pts = (stratum.representative(),)
+            mode = "exact-stratum"
         else:
             pts = action.sample_points(stratum, samples_per_stratum, seed)
             mode = "sampled"
             sampled.append(stratum.support)
         coverage.append(StratumCoverage(stratum.support, order, mode, len(pts)))
-        layout = fiber_layout(complex_, stratum, entries)
         for p in pts:
             _examine_point(complex_, p, layout, witnesses, tables)
 
@@ -439,43 +454,11 @@ def check_descent(
 def check_bundle_descent(
     summand: TwistedSummand, action: ProjectiveAction, degree: int = 0
 ) -> DescentReport:
-    """Exact descent decision for a single twisted line bundle.
-
-    With no differentials the fiber cohomology is the fiber itself and the
-    fiber character is constant on each stratum, so every stratum is decided
-    exactly from its character data; no sampling, no caveat.  ``degree`` is
-    the cohomological degree the bundle sits in (it only relabels report
-    rows; the verdict is degree-independent).
-    """
-    if summand.twist.group != action.group:
-        raise InputError("summand twist belongs to a different group")
-    witnesses, tables, coverage = [], [], []
-    for stratum in action.strata():
-        phi = summand.fiber_character(stratum)
-        rep = stratum.representative()
-        coverage.append(
-            StratumCoverage(stratum.support, stratum.stabilizer.order, "exact-stratum", 1)
-        )
-        tables.append(
-            PointTable(
-                point=rep.display(),
-                support=stratum.support,
-                stabilizer_order=stratum.stabilizer.order,
-                rows=((degree, phi.values, 1, phi.is_trivial),),
-            )
-        )
-        if not phi.is_trivial:
-            witnesses.append(Witness(rep.display(), stratum.support, degree, phi.values, 1))
-    return DescentReport(
-        passed=not witnesses,
-        witnesses=tuple(witnesses),
-        coverage=tuple(coverage),
-        tables=tuple(tables),
-        sampled_supports=(),
-        user_points=0,
-        samples_per_stratum=0,
-        seed=0,
-    )
+    """Exact descent decision for a single twisted line bundle placed in
+    cohomological degree ``degree`` (it only relabels report rows; the
+    verdict is degree-independent).  With no differentials every stratum is
+    decided exactly by ``check_descent``."""
+    return check_descent(EquivariantComplex(action, {degree: (summand,)}, {}))
 
 
 # ---------------------------------------------------------------------------

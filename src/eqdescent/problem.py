@@ -23,16 +23,18 @@ words, and optional extra points and sampling defaults:
       "sampling": {"samples_per_stratum": 5, "seed": 0}
     }
 
-Rational numbers are JSON integers or strings such as "-7/3"; JSON floats are
-rejected so every computation stays exact.  Malformed JSON is reported with
-line and column; schema problems are reported with the JSON path of the
-offending value.  Pushforward generators act on the problem's own action
-(coordinate permutation plus scalings), which keeps the file format closed.
+Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
+floats and exponent notation are rejected so every computation stays exact
+and small.  Malformed JSON is reported with line and column; schema problems
+are reported with the JSON path of the offending value.  Pushforward
+generators act on the problem's own action (coordinate permutation plus
+scalings), which keeps the file format closed.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,8 +76,13 @@ def _expect_dict(data, path, what="an object"):
     return _expect(data, dict, path, what)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(value, path) -> Fraction:
-    """A JSON integer or a string Fraction() accepts ("p/q", "p")."""
+    """A JSON integer or a string "p", "p/q" or "p.q" of ASCII digits with an
+    optional sign.  Anything else, exponents included ("1e4000000" would
+    build a four-million-digit integer), is rejected."""
     if isinstance(value, bool):
         _fail(path, "expected a rational number, got a boolean")
     if isinstance(value, int):
@@ -83,6 +90,8 @@ def parse_rational(value, path) -> Fraction:
     if isinstance(value, float):
         _fail(path, 'floats are not exact; write rationals as strings like "3/7"')
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            _fail(path, f'not a rational number: expected "p", "p/q" or "p.q", got {value!r}')
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as err:

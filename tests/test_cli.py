@@ -154,6 +154,26 @@ def test_omega_rejects_failing_generator(capsys):
     assert "fails its own descent check" in capsys.readouterr().err
 
 
+def test_omega_default_generator_is_decided_exactly():
+    """The default generator is a sum of line bundles with no maps, and every
+    word of the fixture keeps it so: no stratum needs sampling."""
+    with open(FIXTURE) as f:
+        words = json.load(f)["words"]
+    for word in words:
+        _, text, payload = run_cli("omega", FIXTURE, "--word", word)
+        report = payload["report"]
+        assert report["condition_i"]["exact"] and report["condition_ii"]["exact"], word
+        assert "sample points only" not in text, word
+
+
+def test_necessary_skips_trivial_stabilizers():
+    _, _, payload = run_cli("necessary", FIXTURE, "--word", "twist1")
+    for condition in ("condition_i", "condition_ii"):
+        strata = payload["report"][condition]["coverage"]["strata"]
+        trivial = [c["support"] for c in strata if c["mode"] == "exact-trivial-stabilizer"]
+        assert trivial == [[0, 2], [1, 2], [0, 1, 2]]
+
+
 def test_necessary_pass_fail_and_unsupported(capsys):
     code, _, payload = run_cli("necessary", FIXTURE, "--word", "mixed")
     assert code == 0
@@ -338,14 +358,14 @@ def test_installed_entry_point_works():
 
 PINNED_DIGESTS = (
     (("strata", FIXTURE), "sha256:68901a1e82739d06c8ecbd00422e602a1bf77b2c5f684a33f81be01f83716bce"),
-    (("check-descent", FIXTURE, "--complex", "koszul"), "sha256:5da497c78ef36f8b90d70c9c69fa318458003f61b811bdc07181a39f8e1d2c99"),
-    (("check-descent", FIXTURE, "--complex", "euler", "--seed", "5"), "sha256:36ccb591618162a5f7376c712f770a05d165f2fea66524172d4d7a00ab5d6b70"),
-    (("check-descent", FIXTURE, "--complex", "O1"), "sha256:a96a3af7966081482a7779dbcc87af0417b8c15a1894a73edb6338e718028c5b"),
-    (("omega", FIXTURE, "--word", "twist1", "--gen-a", "O", "--gen-b", "O"), "sha256:c76fdcaa6176758e64527c87027268ec9d85d0c2203972340303afed3a5ab151"),
-    (("omega", FIXTURE, "--word", "twist2"), "sha256:239633c0b0bc82184a3440295c38032be07c3c73ea0ec87ba9250c0a8f04f197"),
-    (("omega", FIXTURE, "--word", "swap01"), "sha256:9312796dcca5e8651907037a54b9df3705f8d1950d478bcfbf5077d0d3968365"),
-    (("necessary", FIXTURE, "--word", "mixed"), "sha256:f986ba3b163f936bbe2fac73afeae75822ecd2736e712add692765ededbb470a"),
-    (("necessary", FIXTURE, "--word", "twist1"), "sha256:77d9c0e9f3717dd1721d2dc5180540d06beabf14ddb33eb2247a4a18f8af37f8"),
+    (("check-descent", FIXTURE, "--complex", "koszul"), "sha256:11dfe3dbc0a568c9dd83720bf0fb70380e108818ee0eacab07db1115c94e3167"),
+    (("check-descent", FIXTURE, "--complex", "euler", "--seed", "5"), "sha256:c6024b19254e6d76c4f97143b46a25a5bad8b115e19b28d0c1d01400b97dc933"),
+    (("check-descent", FIXTURE, "--complex", "O1"), "sha256:8f164fc3912fbbb00212a68b09fb7ef0a5088f0f807767ae39951590a431f7e4"),
+    (("omega", FIXTURE, "--word", "twist1", "--gen-a", "O", "--gen-b", "O"), "sha256:8540607c4f45f2592c523a454e68b603fdc0d1eda719cecb46da24c29068ae9e"),
+    (("omega", FIXTURE, "--word", "twist2"), "sha256:e963d56243a8c06dadf8780a34ededbfe4d4a6431247e089b1f09c34895b99a7"),
+    (("omega", FIXTURE, "--word", "swap01"), "sha256:74204af69b3d799dd9b4228b1d6e415c4dd080b15186cc2030a64018f1262eb5"),
+    (("necessary", FIXTURE, "--word", "mixed"), "sha256:9e3303577ce64778cd269791bcc1682127a831bafd8ecd990db057ae9a24fc7a"),
+    (("necessary", FIXTURE, "--word", "twist1"), "sha256:e38ccdd438e2c96dacf28a3fddd482b07f791241d09649f541575a98799f7276"),
 )
 
 
@@ -353,8 +373,8 @@ PINNED_DIGESTS = (
     "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv[:1] + argv[2:]) for argv, _ in PINNED_DIGESTS]
 )
 def test_fixture_report_digests_are_pinned(argv, digest):
-    """Digests recorded before the integer fiber pipeline; any change to a
-    report's content shows up here."""
+    """Any change to a report's content shows up here; CHANGES.md names
+    every digest that was re-recorded on purpose, and why."""
     _, _, payload = run_cli(*argv)
     assert payload["report_digest"] == digest
 
@@ -363,13 +383,13 @@ def test_fixture_report_digests_are_pinned(argv, digest):
     "command, digest",
     (
         ("strata", "sha256:5e582a2f11b7ea27ff2835507fb943dee8e52e6cf5375a2d15aaaba9ef71aa90"),
-        ("check-descent", "sha256:035da9b6789f905f1c639fce98e2ca7bca6ad924418c1b95bb6b019b444d0bab"),
+        ("check-descent", "sha256:674ba7f1689ec3fa44c525728e6e4f3aa1c867b0dbab91d002352f158f898ba9"),
     ),
 )
 def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest):
     """Trivial Z/100 x Z/100 on P^2: every stabilizer is the whole group of
-    order 10,000; the bundle O(3) twisted by (7, 20) fails on every stratum.
-    Recorded before the tuple-native group layer."""
+    order 10,000; the bundle O(3) twisted by (7, 20) fails on every stratum,
+    each decided exactly at one point."""
     G = AbelianGroup((100, 100))
     action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
     bundle = bundle_complex(action, TwistedSummand(3, G.character((7, 20))))

@@ -232,8 +232,11 @@ def test_check_descent_computes_each_stratum_once(koszul, z2_trivial_p3, monkeyp
         koszul(z2_trivial_p3, RATIONAL_COEFFS), points=[user], samples_per_stratum=3
     )
     assert report.passed
-    # 4 single-coordinate strata, 11 sampled ones at 3 points each, 1 user point
-    assert calls["points"] == 4 + 11 * 3 + 1
+    # 4 single-coordinate strata, 11 exact ones at their representative (a
+    # trivial action leaves no nontrivial block), 1 user point
+    assert calls["points"] == 4 + 11 + 1
+    multi = [c for c in report.coverage if len(c.support) > 1]
+    assert len(multi) == 11 and all(c.mode == "exact-stratum" for c in multi)
     assert calls["equalizer"] == len(report.coverage) == 15
 
 
@@ -374,16 +377,25 @@ def test_check_descent_never_builds_subgroup_elements(koszul, monkeypatch):
 
 
 def test_descent_report_structure(z2_p2):
-    report = check_descent(bundle_complex(z2_p2, O(z2_p2, 1)), seed=9)
+    # 0 -> O(0)@sign --x0--> O(1)@sign -> 0: on {0,1} both summands sit in
+    # the sign block and the entry lies inside it, so that stratum is sampled;
+    # x0 vanishes on {1} and at (0:0:1), where the sign survives
+    sign = EquivariantComplex(
+        z2_p2,
+        {0: (O(z2_p2, 0, (1,)),), 1: (O(z2_p2, 1, (1,)),)},
+        {0: {(0, 0): Poly.variable(3, 0)}},
+    )
+    report = check_descent(sign, seed=9)
     assert not report.passed
     assert report.witnesses
     supports = {w.support for w in report.witnesses}
-    assert supports <= {(0,), (1,), (2,), (0, 1)}
-    assert (2,) in supports or (0, 1) in supports or (0,) in supports
+    assert supports == {(1,), (2,)}
 
     modes = {c.support: c.mode for c in report.coverage}
     assert modes[(0,)] == modes[(1,)] == modes[(2,)] == "exact-single-point"
     assert modes[(0, 1)] == "sampled"
+    points = {c.support: c.points_checked for c in report.coverage}
+    assert points[(0, 1)] == 5
     assert modes[(0, 2)] == modes[(1, 2)] == modes[(0, 1, 2)] == "exact-trivial-stabilizer"
     assert report.sampled_supports == ((0, 1),)
     assert not report.exact
@@ -395,11 +407,56 @@ def test_descent_report_structure(z2_p2):
     json.dumps(payload)  # report payloads must be JSON-serializable
 
 
+def nontrivial_block_dims(c, point):
+    """(degree, character values) -> dim H over the nontrivial blocks, checked
+    to equal the blocks' own dimensions: with no entries inside them their
+    cohomology is their fiber."""
+    fiber = fiber_restrict(c, point)
+    dims = {
+        (j, phi.values): d
+        for (j, phi), d in block_cohomology(fiber).items()
+        if not phi.is_trivial
+    }
+    assert dims == {
+        (j, phi.values): n
+        for phi, block in fiber.blocks.items()
+        if not phi.is_trivial
+        for j, n in block.dims.items()
+    }
+    return dims
+
+
+def test_exact_stratum_rule_is_sound():
+    """Where no nontrivial block has an entry, the nontrivial-block
+    cohomology is the same at every point of the stratum, and the averaging
+    route agrees with it at the representative."""
+    rng = Random(7)
+    strata = points = 0
+    for trial in range(100):
+        group = random_group(rng)
+        action = random_action(rng, group)
+        c = random_valid_complex(rng, action)
+        for cov in check_descent(c).coverage:
+            if cov.mode != "exact-stratum":
+                continue
+            stratum = action.stratum_of_support(cov.support)
+            rep = stratum.representative()
+            expected = nontrivial_block_dims(c, rep)
+            for p in action.sample_points(stratum, 5, seed=trial):
+                assert nontrivial_block_dims(c, p) == expected, (trial, cov.support, p.display())
+                points += 1
+            via_averaging = nonzero_dims(isotypic_cohomology(c, rep))
+            assert {k: d for k, d in via_averaging.items() if any(k[1])} == expected
+            strata += 1
+    assert strata >= 100 and points == 5 * strata
+
+
 @pytest.mark.parametrize("d", range(-4, 5))
 def test_line_bundle_descends_iff_degree_even(z2_p2, d):
     via_complex = check_descent(bundle_complex(z2_p2, O(z2_p2, d)))
     via_strata = check_bundle_descent(O(z2_p2, d), z2_p2)
     assert via_complex.passed == via_strata.passed == (d % 2 == 0)
+    assert via_complex.exact
     assert via_strata.exact and not via_strata.sampled_supports
 
 

@@ -45,12 +45,21 @@ def test_rationals_accept_ints_and_strings():
     assert parse_rational(3, []) == 3
     assert parse_rational("-7/3", []) == Fraction(-7, 3)
     assert parse_rational("5", []) == 5
+    assert parse_rational("+2", []) == 2
+    assert parse_rational("0.25", []) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, None, [1], "3/0", "7/2/1", "x"])
 def test_rationals_reject_inexact_or_malformed(bad):
     with pytest.raises(InputError):
         parse_rational(bad, ["points", 0, 1])
+
+
+@pytest.mark.parametrize("bad", ["1e4000000", "1_000", " 3/4 ", "\u0663"])
+def test_rationals_outside_the_grammar_name_their_path(bad):
+    data = with_extras(points=[[bad, "1", "1"]])
+    with pytest.raises(InputError, match=r"^\$\.points\[0\]\[0\]: not a rational number"):
+        parse_problem(data)
 
 
 def test_float_rejection_points_at_the_value():
