@@ -395,7 +395,8 @@ def check_descent(
     caveat.
 
     Each stratum's fiber layout is built once, before its mode is chosen,
-    shared by its points, and dropped when the stratum is done.
+    shared by its points, and dropped when the stratum is done; user
+    points share one layout per support.
     """
     complex_.require_valid()
     action = complex_.action
@@ -434,10 +435,12 @@ def check_descent(
             _examine_point(complex_, p, layout, witnesses, tables)
 
     by_support = {stratum.support: stratum for stratum in strata}
+    layouts = {}  # support -> FiberLayout, built once for all user points on it
     for p in points:
         action.check_point(p)
-        layout = fiber_layout(complex_, by_support[p.support], entries)
-        _examine_point(complex_, p, layout, witnesses, tables)
+        if p.support not in layouts:
+            layouts[p.support] = fiber_layout(complex_, by_support[p.support], entries)
+        _examine_point(complex_, p, layouts[p.support], witnesses, tables)
 
     return DescentReport(
         passed=not witnesses,

@@ -9,7 +9,11 @@ no block bookkeeping at all:
     the supported coordinate characters agree, not by Smith normal form
     and subgroup closure;
   * model Q(zeta_m) exactly as Q[z] / Phi_m(z) (Phi_m the m-th cyclotomic
-    polynomial, computed by dividing x^m - 1 by all lower Phi_d);
+    polynomial, from the Moebius product of the x^d - 1, d | m).  Phi_m is
+    monic with integer coefficients, so each z^e mod Phi_m is an integer
+    vector; each field keeps a power table of them, built once by repeated
+    multiplication by z, and reduces products by folding their high-degree
+    terms back through it.  One field is kept per exponent m;
   * build the *un-decomposed* fiber complex at a point, one basis line per
     summand, with raw evaluated entries p(x) and the stabilizer acting
     diagonally by powers of zeta;
@@ -19,7 +23,13 @@ no block bookkeeping at all:
         dim H^j_phi = rank(P_j) - rank(d_j P_j) - rank(d_{j-1} P_{j-1}).
     The action is diagonal, so P_j is diagonal: it is kept as its diagonal,
     rank(P_j) is the number of nonzero entries there, and d_j P_j is d_j
-    with each column scaled by the matching entry.
+    with each column scaled by the matching entry.  A diagonal entry
+    (1/|S|) sum_g zeta^{e(g)} is summed as sum_e count(e) zeta^e, one
+    count per exponent e times the power table's vector for e, and the
+    integer sum is divided by |S| once, at the end;
+  * check that every such entry is exactly 0 or 1 (the integer sum is 0
+    or |S|), as the entries of a diagonal projector must be, and raise
+    InternalConsistencyError if not.
 
 Raw entries differ from the trivialized (rescaling-invariant) ones only by
 conjugation with a diagonal matrix commuting with the group action, so the
@@ -29,8 +39,10 @@ argument to use raw entries at integer coordinates.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .action import RationalPoint
 from .complexes import EquivariantComplex, InternalConsistencyError
@@ -99,51 +111,99 @@ def _pgcdext(a, b):
     return r0, s0, t0
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Coefficients of Phi_m, little-endian, as exact integers."""
+    """Coefficients of Phi_m, little-endian, as exact integers.
+
+    Phi_m = prod_{d | m} (x^d - 1)^{mu(m/d)}: multiply by the factors with
+    mu = 1, then divide exactly by those with mu = -1, each step linear in
+    the degree.
+    """
     if m < 1:
         raise InputError("cyclotomic index must be >= 1")
-    # x^m - 1 divided by Phi_d for every proper divisor d of m
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = _pdivmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            if r:
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:  # poly * (x^d - 1)
+            poly = [
+                (poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
+                for k in range(len(poly) + d)
+            ]
+    for d in divisors:
+        if _mobius(m // d) == -1:  # poly / (x^d - 1): p[k] = q[k - d] - q[k]
+            q = []
+            for k in range(len(poly) - d):
+                q.append((q[k - d] if k >= d else 0) - poly[k])
+            if any(poly[k] != (q[k - d] if k >= d else 0) for k in range(len(q), len(poly))):
                 raise InternalConsistencyError("cyclotomic division must be exact")
             poly = q
-    assert all(c.denominator == 1 for c in poly)
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
 
 
 class CyclotomicField:
     """Exact arithmetic in Q(zeta_m) = Q[z] / Phi_m(z).
 
-    Elements are little-endian Fraction tuples of length < deg(Phi_m).
+    Elements are little-endian coefficient tuples of length deg(Phi_m), with
+    int or Fraction entries.  Phi_m is monic with integer coefficients, so
+    every power z^e reduces to an integer vector; those vectors are built
+    once per field, one multiplication by z at a time, as far as the largest
+    exponent asked for, and every reduction folds high-degree terms back
+    through them.
     """
 
     def __init__(self, m: int):
         self.m = m
-        self.modulus = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
-
-    def _reduce(self, coeffs) -> tuple:
-        _, rem = _pdivmod(list(coeffs), self.modulus)
-        rem = rem + [Fraction(0)] * (self.degree - len(rem))
-        return tuple(rem[: self.degree])
-
-    def zero(self) -> tuple:
-        return (Fraction(0),) * self.degree
-
-    def one(self) -> tuple:
-        return self.embed(1)
-
-    def embed(self, q) -> tuple:
-        return self._reduce([Fraction(q)])
+        self._powers = [(1,) + (0,) * (self.degree - 1)]  # z^e mod Phi_m, e = 0, 1, ...
 
     def zeta_pow(self, e: int) -> tuple:
         e %= self.m
-        return self._reduce([Fraction(0)] * e + [Fraction(1)])
+        powers = self._powers
+        power = powers[-1]
+        while len(powers) <= e:
+            # z * (c_0 + ... + c_{n-1} z^{n-1}) with z^n = -(a_0 + ... + a_{n-1} z^{n-1});
+            # zip stops before the leading coefficient of Phi_m
+            top = power[-1]
+            power = (0,) + power[:-1]
+            if top:
+                power = tuple(c - top * a for c, a in zip(power, self.modulus))
+            powers.append(power)
+        return powers[e]
+
+    def _fold(self, coeffs) -> tuple:
+        """Reduce a coefficient list of any length modulo Phi_m."""
+        n = self.degree
+        out = list(coeffs[:n]) + [0] * (n - len(coeffs))
+        for k in range(n, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                for i, v in enumerate(self.zeta_pow(k)):
+                    if v:
+                        out[i] += c * v
+        return tuple(out)
+
+    def zero(self) -> tuple:
+        return (0,) * self.degree
+
+    def one(self) -> tuple:
+        return self.zeta_pow(0)
+
+    def embed(self, q) -> tuple:
+        return (Fraction(q),) + (0,) * (self.degree - 1)
 
     def add(self, a, b) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
@@ -152,14 +212,20 @@ class CyclotomicField:
         return tuple(x - y for x, y in zip(a, b))
 
     def mul(self, a, b) -> tuple:
-        return self._reduce(_pmul(list(a), list(b)))
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return self._fold(out)
 
     def scale(self, a, q) -> tuple:
         q = Fraction(q)
         return tuple(x * q for x in a)
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def inv(self, a) -> tuple:
         if self.is_zero(a):
@@ -167,7 +233,7 @@ class CyclotomicField:
         g, s, _ = _pgcdext(_ptrim(list(a)), self.modulus)
         if len(g) != 1:
             raise InternalConsistencyError("element shares a factor with the cyclotomic modulus")
-        return self._reduce(_pscale(s, 1 / g[0]))
+        return self._fold(_pscale(s, 1 / g[0]))
 
     # -- linear algebra over the field ------------------------------------
 
@@ -199,6 +265,28 @@ class CyclotomicField:
 # the oracle itself
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _field(m: int) -> CyclotomicField:
+    """One field, and so one power table, per exponent m."""
+    return CyclotomicField(m)
+
+
+def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, elements, m: int) -> dict:
+    """{(degree j, summand index): (exponent of rho(g) on its fiber line, g in elements)}.
+
+    Straight from character evaluation: the stabilizing g scales a
+    representative vector by the common value chi_i(g) (i in the support),
+    and the fiber of O(d) tensor psi by psi(g) - d * chi_i(g).
+    """
+    lead = complex_.action.coord_chars[point.support[0]]
+    scalar = [lead(g) for g in elements]
+    return {
+        (j, idx): tuple((s.twist(g) - s.degree * c) % m for g, c in zip(elements, scalar))
+        for j in complex_.degrees()
+        for idx, s in enumerate(complex_.summands(j))
+    }
+
+
 def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> dict:
     """Isotypic fiber cohomology dimensions at a point, by averaging.
 
@@ -211,7 +299,7 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     action.check_point(point)
     group = action.group
     m = group.exponent
-    field = CyclotomicField(m)
+    field = _field(m)
     # The stabilizer by enumeration, apart from the Smith-form route: every
     # g on which the supported coordinate characters agree.  ``elements`` is
     # in lexicographic order, so the value tables are keyed as on the block
@@ -219,22 +307,8 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     chars = [action.coord_chars[i] for i in point.support]
     elements = [g for g in group.elements if len({chi(g) for chi in chars}) == 1]
     size = len(elements)
-
-    # Diagonal fiber exponents, straight from character evaluation: the
-    # stabilizing g scales a representative vector by the common value
-    # chi_i(g) (i in the support), and the fiber of O(d) tensor psi by
-    # psi(g) - d * chi_i(g).
-    lead = point.support[0]
-    scalar_exp = {g.coords: action.coord_chars[lead](g) for g in elements}
-
+    fiber_exp = _fiber_exponents(complex_, point, elements, m)
     degrees = complex_.degrees()
-    fiber_exp = {}  # (j, summand index, g.coords) -> exponent
-    for j in degrees:
-        for idx, s in enumerate(complex_.summands(j)):
-            for g in elements:
-                fiber_exp[(j, idx, g.coords)] = (
-                    s.twist(g) - s.degree * scalar_exp[g.coords]
-                ) % m
 
     # Raw evaluated differentials embedded into the field.
     coords = point.coords
@@ -253,19 +327,28 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     # of the ambient group's characters.
     tables = sorted({tuple(chi(g) for g in elements) for chi in group.characters})
 
-    inv_size = Fraction(1, size)
+    zero, one = field.zero(), field.one()
     out = {}
     for table in tables:
-        phi_of = dict(zip((g.coords for g in elements), table))
         projectors = {}  # j -> the diagonal of P_j
         for j in degrees:
             diagonal = []
             for idx in range(len(complex_.summands(j))):
-                acc = field.zero()
-                for g in elements:
-                    e = (fiber_exp[(j, idx, g.coords)] - phi_of[g.coords]) % m
-                    acc = field.add(acc, field.zeta_pow(e))
-                diagonal.append(field.scale(acc, inv_size))
+                # sum_g zeta^{e(g)} grouped as sum_e count(e) zeta^e, one
+                # integer power vector per distinct exponent e
+                counts = Counter((e - v) % m for e, v in zip(fiber_exp[(j, idx)], table))
+                powers = [field.zeta_pow(e) for e in counts]
+                weights = list(counts.values())
+                total = [sum(map(mul, weights, column)) for column in zip(*powers)]
+                # P_j is a projector: (1/|S|) * total is exactly 0 or 1
+                if not any(total):
+                    diagonal.append(zero)
+                elif total[0] == size and not any(total[1:]):
+                    diagonal.append(one)
+                else:
+                    raise InternalConsistencyError(
+                        f"averaged projector entry (1/{size}) * {total} is neither 0 nor 1"
+                    )
             projectors[j] = diagonal
 
         rank_p = {

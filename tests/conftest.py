@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import eqdescent.oracle as oracle_module
 from eqdescent.complexes import EquivariantComplex, TwistedSummand
 from eqdescent.polynomials import Poly
 
@@ -80,3 +81,18 @@ def koszul_complex(action, coeffs):
 def koszul():
     """koszul(action, coeffs) -> the Koszul complex of (c_i x_i)."""
     return koszul_complex
+
+
+@pytest.fixture
+def one_fiber_exponent_off(monkeypatch):
+    """Make the averaging oracle read its first fiber exponent (at the
+    identity of the stabilizer) one too high."""
+    real = oracle_module._fiber_exponents
+
+    def patched(*args):
+        exps = real(*args)
+        first = next(iter(exps))
+        exps[first] = (exps[first][0] + 1,) + exps[first][1:]
+        return exps
+
+    monkeypatch.setattr(oracle_module, "_fiber_exponents", patched)

@@ -297,3 +297,18 @@ def test_07_word_round_trips_restore_complexes_and_reports():
             before = json.dumps(check_descent(c).to_dict(), sort_keys=True)
             after = json.dumps(check_descent(back).to_dict(), sort_keys=True)
             assert before == after, f"trial {trial}: reports differ"
+
+
+def test_08_the_averaging_oracle_scales_with_the_group_order(cli):
+    with criterion(
+        8,
+        "selftest-oracle --trials 30 --seed 3 --max-group-order 60: the "
+        "two routes agree on groups of order up to 60",
+        3.0,
+    ):
+        code, _, payload = cli(
+            "selftest-oracle", "--trials", "30", "--seed", "3", "--max-group-order", "60"
+        )
+        assert code == 0
+        assert payload["report"]["trials"] == 30
+        assert payload["report"]["mismatch_count"] == 0

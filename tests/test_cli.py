@@ -13,6 +13,7 @@ import eqdescent.selftest as selftest_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
 from eqdescent.complexes import InternalConsistencyError, TwistedSummand, bundle_complex
+from eqdescent.descent import block_cohomology
 from eqdescent.groups import AbelianGroup
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
@@ -202,18 +203,18 @@ def test_selftest_runs_clean():
     assert payload["report"]["trials"] == 10
 
 
+def _one_too_many(fiber):
+    """The block route, with one dimension too many in its first row."""
+    dims = block_cohomology(fiber)
+    first = next(iter(dims))
+    dims[first] += 1
+    return dims
+
+
 def test_selftest_fails_when_the_block_route_is_wrong(monkeypatch):
     """A block route that reports one dimension too many is caught on every
     trial, and each mismatch replays from its problem serialization."""
-    real = selftest_module.block_cohomology
-
-    def one_too_many(fiber):
-        dims = real(fiber)
-        first = next(iter(dims))
-        dims[first] += 1
-        return dims
-
-    monkeypatch.setattr(selftest_module, "block_cohomology", one_too_many)
+    monkeypatch.setattr(selftest_module, "block_cohomology", _one_too_many)
     code, _, payload = run_cli("selftest-oracle", "--trials", "6", "--seed", "3")
     assert code == 1
     report = payload["report"]
@@ -229,6 +230,17 @@ def test_selftest_fails_when_the_block_route_is_wrong(monkeypatch):
             [row["degree"], row["fiber_character"], row["dimension"]]
             for row in mismatch["via_averaging"]
         ]
+
+
+def test_selftest_exits_3_when_a_projector_is_not_idempotent(one_fiber_exponent_off, capsys):
+    """One wrong fiber exponent in the averaging route is an internal error:
+    exit 3 and no verdict, not a FAIL."""
+    assert main(["selftest-oracle", "--trials", "6", "--seed", "3"]) == cli_module.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: InternalConsistencyError: ")
+    assert "neither 0 nor 1" in captured.err
+    assert "FAIL" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -397,6 +409,34 @@ def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest):
     path.write_text(json.dumps(problem_to_dict(action, {"bundle": bundle})))
     code, _, payload = run_cli(command, str(path))
     assert code == (0 if command == "strata" else 1)
+    assert payload["report_digest"] == digest
+
+
+PINNED_SELFTEST_DIGESTS = (
+    (("--trials", "100", "--seed", "0"), False,
+     "sha256:823c89d0f7c04275331b33d7d49fc1437b6fa1dc6c487fa79c2a2bfaee61cf70"),
+    (("--trials", "30", "--seed", "3", "--max-group-order", "60"), False,
+     "sha256:30973374cdcda33b2bdb339833b87fa3a9d6f79bd72808ac3476b36fbce86eb8"),
+    (("--trials", "6", "--seed", "3"), True,
+     "sha256:ed9b2a62217f835f252712039bccc869229855843b26212df2b142780af44006"),
+    (("--trials", "30", "--seed", "3", "--max-group-order", "60"), True,
+     "sha256:b6fc6d4118287cb15f7dd1b2a7282255ca11a0fdaa43a277e3c98beb41822e01"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, wrong_blocks, digest",
+    PINNED_SELFTEST_DIGESTS,
+    ids=[" ".join(argv) + (" mismatch" if wrong else "") for argv, wrong, _ in PINNED_SELFTEST_DIGESTS],
+)
+def test_selftest_report_digests_are_pinned(argv, wrong_blocks, digest, monkeypatch):
+    """With the block route off by one, every trial is a mismatch whose
+    report embeds ``via_averaging``, so those digests pin the oracle's
+    isotypic tables byte for byte."""
+    if wrong_blocks:
+        monkeypatch.setattr(selftest_module, "block_cohomology", _one_too_many)
+    code, _, payload = run_cli("selftest-oracle", *argv)
+    assert code == (1 if wrong_blocks else 0)
     assert payload["report_digest"] == digest
 
 

@@ -240,6 +240,28 @@ def test_check_descent_computes_each_stratum_once(koszul, z2_trivial_p3, monkeyp
     assert calls["equalizer"] == len(report.coverage) == 15
 
 
+def test_user_points_share_one_layout_per_support(koszul, monkeypatch):
+    """200 user points on one stratum add one fiber layout, not 200, and are
+    still examined in the order given."""
+    G = AbelianGroup((3,))
+    action = ProjectiveAction(G, 3, tuple(G.character((c,)) for c in (0, 1, 2, 0)))
+    complex_ = koszul(action, (1, 1, 1, 1))
+    calls = {"layouts": 0}
+    layout = descent_module.fiber_layout
+
+    def counting_layout(*args, **kwargs):
+        calls["layouts"] += 1
+        return layout(*args, **kwargs)
+
+    monkeypatch.setattr(descent_module, "fiber_layout", counting_layout)
+    check_descent(complex_)
+    without, calls["layouts"] = calls["layouts"], 0
+    points = [RationalPoint((1, 0, 0, k)) for k in range(1, 201)]  # all on {0, 3}
+    report = check_descent(complex_, points=points)
+    assert calls["layouts"] <= without + 1
+    assert [t.point for t in report.tables[-200:]] == [p.display() for p in points]
+
+
 def test_each_block_map_is_ranked_once(koszul, z2_trivial_p3, monkeypatch):
     counts = {"ranks": 0, "maps": 0}
     rank = linalg_module.rank

@@ -11,9 +11,19 @@ from fractions import Fraction
 import pytest
 
 from eqdescent.action import ProjectiveAction, RationalPoint
-from eqdescent.complexes import EquivariantComplex, TwistedSummand, bundle_complex
+from eqdescent.complexes import (
+    EquivariantComplex,
+    InternalConsistencyError,
+    TwistedSummand,
+    bundle_complex,
+)
 from eqdescent.groups import AbelianGroup
-from eqdescent.oracle import CyclotomicField, cyclotomic_polynomial, isotypic_cohomology
+from eqdescent.oracle import (
+    CyclotomicField,
+    _pdivmod,
+    cyclotomic_polynomial,
+    isotypic_cohomology,
+)
 from eqdescent.polynomials import Poly
 
 
@@ -69,6 +79,23 @@ def test_field_zeta_has_exact_order():
             if k < m:
                 assert not f.is_zero(f.sub(acc, f.one())) or m == 1
         assert acc == f.one()
+
+
+def test_power_table_matches_long_division():
+    """Each table entry is the remainder of z^e on division by Phi_m."""
+    for m in range(1, 41):
+        f = CyclotomicField(m)
+        modulus = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        for e in range(-m, 2 * m + 1):
+            _, rem = _pdivmod([Fraction(0)] * (e % m) + [Fraction(1)], modulus)
+            assert f.zeta_pow(e) == tuple(rem) + (0,) * (f.degree - len(rem)), (m, e)
+
+
+def test_power_table_is_built_without_recursion():
+    """m = 2 * 3 * 5 * 7 * 11: the table runs to z^2309, 480 entries each."""
+    f = CyclotomicField(2310)
+    assert f.degree == 480
+    assert f.mul(f.zeta_pow(2309), f.zeta_pow(1)) == f.one()
 
 
 def test_field_root_of_unity_sum_vanishes():
@@ -199,3 +226,11 @@ def test_oracle_z4_needs_honest_cyclotomic_arithmetic():
     dims = isotypic_cohomology(cpx, RationalPoint((0, 1)))
     # fiber exponent at g = (k,) is -k mod 4 on elements (0),(1),(2),(3)
     assert dims == {(0, (0, 3, 2, 1)): 1}
+
+
+def test_a_projector_entry_other_than_0_or_1_is_an_internal_error(one_fiber_exponent_off):
+    """One wrong fiber exponent makes an averaged diagonal entry a sum of
+    roots of unity that is neither 0 nor |S|; the oracle refuses it."""
+    act, cpx = two_term_example()
+    with pytest.raises(InternalConsistencyError, match="neither 0 nor 1"):
+        isotypic_cohomology(cpx, RationalPoint((1, 0, 0)))
