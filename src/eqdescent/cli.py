@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every command prints one JSON document to stdout followed by a short
-human-readable summary.  The document carries a ``report_digest`` (sha256 of
-the canonical JSON, excluding the digest itself and ``timing_seconds``), so
-two runs with the same inputs are byte-identical except for the timing line
-and can be compared by digest.
+Every command prints one JSON document to stdout, on its first line, then a
+blank line and a short human-readable summary.  The document has sorted keys
+and no indentation (``python -m json.tool`` shows it indented).  Character
+tables longer than 16 values are cut to their first 8 in the summary and
+kept whole in the document.  The document carries a ``report_digest``
+(sha256 of the canonical JSON, excluding the digest itself and
+``timing_seconds``), so two runs with the same inputs are byte-identical
+except for the timing value and can be compared by digest.
 
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
@@ -56,7 +59,9 @@ def _emit(payload: dict, human: str, started: float, out) -> None:
     payload = dict(payload)
     payload["report_digest"] = report_digest(payload)
     payload["timing_seconds"] = round(time.perf_counter() - started, 6)
-    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+    # No indent: json uses its C encoder only then.  The ": " separator keeps
+    # '"report_digest": "' a literal that readers can search the text for.
+    print(json.dumps(payload, sort_keys=True, separators=(",", ": ")), file=out)
     print(file=out)
     print(human, file=out)
 
@@ -78,6 +83,12 @@ def _support_str(support) -> str:
 
 
 def _char_str(values) -> str:
+    """A character's values; past 16, the first 8 and the count, so that a
+    summary row stays short however large the stabilizer (the JSON document
+    keeps every value)."""
+    if len(values) > 16:
+        head = ",".join(str(v) for v in values[:8])
+        return f"({head},... {len(values)} values)"
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
@@ -177,7 +188,7 @@ def _cmd_strata(args, out) -> int:
             {
                 "support": list(s.support),
                 "stabilizer_order": s.stabilizer.order,
-                "stabilizer_elements": [list(c) for c in s.stabilizer.coords],
+                "stabilizer_elements": s.stabilizer.coords,
                 "scalar_character": list(s.scalar_char.values),
                 "representative": s.representative().display(),
             }

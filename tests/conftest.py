@@ -23,18 +23,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.line(line)
 
 
-def _extract_payload(text):
+def split_report(text):
+    """Split CLI output into (payload, rest): the JSON document that starts
+    it, parsed, and the text after the document.  (None, text) when the
+    output does not start with a document."""
     if not text.startswith("{"):
-        return None
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return json.loads(text[: i + 1])
-    return None
+        return None, text
+    payload, end = json.JSONDecoder().raw_decode(text)
+    return payload, text[end:]
 
 
 @pytest.fixture
@@ -46,7 +42,7 @@ def cli():
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
         text = out.getvalue()
-        return code, text, _extract_payload(text)
+        return code, text, split_report(text)[0]
 
     return runner
 

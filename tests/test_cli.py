@@ -1,6 +1,5 @@
 """Command-line contract: exit codes, payload shape, byte-determinism."""
 
-import io
 import json
 import subprocess
 import sys
@@ -18,33 +17,9 @@ from eqdescent.groups import AbelianGroup
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
 
+from conftest import split_report
+
 FIXTURE = "tests/fixtures/z2_p2.json"
-
-
-def run_cli(*argv):
-    """Run the CLI in-process; returns (exit_code, stdout, parsed JSON)."""
-    out = io.StringIO()
-    import contextlib
-
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    text = out.getvalue()
-    payload = extract_payload(text)
-    return code, text, payload
-
-
-def extract_payload(text):
-    if not text.startswith("{"):
-        return None
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return json.loads(text[: i + 1])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +27,8 @@ def extract_payload(text):
 # ---------------------------------------------------------------------------
 
 
-def test_strata_lists_all_supports():
-    code, text, payload = run_cli("strata", FIXTURE)
+def test_strata_lists_all_supports(cli):
+    code, text, payload = cli("strata", FIXTURE)
     assert code == 0
     assert payload["count"] == 7
     big = [s["support"] for s in payload["strata"] if s["stabilizer_order"] == 2]
@@ -66,10 +41,10 @@ def test_strata_lists_all_supports():
 # ---------------------------------------------------------------------------
 
 
-def test_check_descent_pass_and_fail_exit_codes():
-    code, _, payload = run_cli("check-descent", FIXTURE, "--complex", "O2")
+def test_check_descent_pass_and_fail_exit_codes(cli):
+    code, _, payload = cli("check-descent", FIXTURE, "--complex", "O2")
     assert code == 0 and payload["report"]["verdict"] == "pass"
-    code, _, payload = run_cli("check-descent", FIXTURE, "--complex", "O1")
+    code, _, payload = cli("check-descent", FIXTURE, "--complex", "O1")
     assert code == 1 and payload["report"]["verdict"] == "fail"
     wit = payload["report"]["witnesses"][0]
     assert wit["point"] == "(0:0:1)" and wit["fiber_character"] == [0, 1]
@@ -81,8 +56,8 @@ def test_check_descent_needs_a_named_complex_when_ambiguous(capsys):
     assert "more than one complex" in capsys.readouterr().err
 
 
-def test_points_only_flag():
-    code, _, payload = run_cli(
+def test_points_only_flag(cli):
+    code, _, payload = cli(
         "check-descent", FIXTURE, "--complex", "O1", "--points-only"
     )
     # the fixture's point (1:1:1) has trivial stabilizer, so nothing fails
@@ -92,13 +67,13 @@ def test_points_only_flag():
     assert payload["report"]["coverage"]["user_points"] == 1
 
 
-def test_sampling_flags_override_problem_defaults():
-    _, _, payload = run_cli(
+def test_sampling_flags_override_problem_defaults(cli):
+    _, _, payload = cli(
         "check-descent", FIXTURE, "--complex", "O2", "--samples", "2", "--seed", "77"
     )
     assert payload["report"]["coverage"]["samples_per_stratum"] == 2
     assert payload["report"]["coverage"]["seed"] == 77
-    _, _, payload = run_cli("check-descent", FIXTURE, "--complex", "O2")
+    _, _, payload = cli("check-descent", FIXTURE, "--complex", "O2")
     assert payload["report"]["coverage"]["samples_per_stratum"] == 5
     assert payload["report"]["coverage"]["seed"] == 0
 
@@ -129,8 +104,8 @@ def test_problem_file_sample_count_out_of_range_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_omega_disproves_odd_twist_with_named_generators():
-    code, _, payload = run_cli(
+def test_omega_disproves_odd_twist_with_named_generators(cli):
+    code, _, payload = cli(
         "omega", FIXTURE, "--word", "twist1", "--gen-a", "O", "--gen-b", "O"
     )
     assert code == 1
@@ -141,9 +116,9 @@ def test_omega_disproves_odd_twist_with_named_generators():
     assert report["condition_i"]["witnesses"][0]["point"] == "(0:0:1)"
 
 
-def test_omega_certifies_even_twist_and_shift():
+def test_omega_certifies_even_twist_and_shift(cli):
     for word in ("twist2", "shift3"):
-        code, _, payload = run_cli("omega", FIXTURE, "--word", word)
+        code, _, payload = cli("omega", FIXTURE, "--word", word)
         assert code == 0
         assert payload["report"]["verdict"] == "equivalence-certified"
         assert payload["report"]["default_generator"] == {"a": True, "b": True}
@@ -155,37 +130,37 @@ def test_omega_rejects_failing_generator(capsys):
     assert "fails its own descent check" in capsys.readouterr().err
 
 
-def test_omega_default_generator_is_decided_exactly():
+def test_omega_default_generator_is_decided_exactly(cli):
     """The default generator is a sum of line bundles with no maps, and every
     word of the fixture keeps it so: no stratum needs sampling."""
     with open(FIXTURE) as f:
         words = json.load(f)["words"]
     for word in words:
-        _, text, payload = run_cli("omega", FIXTURE, "--word", word)
+        _, text, payload = cli("omega", FIXTURE, "--word", word)
         report = payload["report"]
         assert report["condition_i"]["exact"] and report["condition_ii"]["exact"], word
         assert "sample points only" not in text, word
 
 
-def test_necessary_skips_trivial_stabilizers():
-    _, _, payload = run_cli("necessary", FIXTURE, "--word", "twist1")
+def test_necessary_skips_trivial_stabilizers(cli):
+    _, _, payload = cli("necessary", FIXTURE, "--word", "twist1")
     for condition in ("condition_i", "condition_ii"):
         strata = payload["report"][condition]["coverage"]["strata"]
         trivial = [c["support"] for c in strata if c["mode"] == "exact-trivial-stabilizer"]
         assert trivial == [[0, 2], [1, 2], [0, 1, 2]]
 
 
-def test_necessary_pass_fail_and_unsupported(capsys):
-    code, _, payload = run_cli("necessary", FIXTURE, "--word", "mixed")
+def test_necessary_pass_fail_and_unsupported(capsys, cli):
+    code, _, payload = cli("necessary", FIXTURE, "--word", "mixed")
     assert code == 0
     assert payload["report"]["kernel"] == {
         "net_twist_degree": 2,
         "net_twist_character": [0],
         "net_shift": 2,
     }
-    code, _, payload = run_cli("necessary", FIXTURE, "--word", "twist1")
+    code, _, payload = cli("necessary", FIXTURE, "--word", "twist1")
     assert code == 1 and payload["report"]["verdict"] == "fail"
-    code, _, payload = run_cli("necessary", FIXTURE, "--word", "swap01")
+    code, _, payload = cli("necessary", FIXTURE, "--word", "swap01")
     assert code == 2
     assert payload["report"]["supported"] is False
     assert "pushforward" in payload["report"]["reason"]
@@ -196,8 +171,8 @@ def test_necessary_pass_fail_and_unsupported(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_selftest_runs_clean():
-    code, _, payload = run_cli("selftest-oracle", "--trials", "10", "--seed", "3")
+def test_selftest_runs_clean(cli):
+    code, _, payload = cli("selftest-oracle", "--trials", "10", "--seed", "3")
     assert code == 0
     assert payload["report"]["mismatch_count"] == 0
     assert payload["report"]["trials"] == 10
@@ -211,11 +186,11 @@ def _one_too_many(fiber):
     return dims
 
 
-def test_selftest_fails_when_the_block_route_is_wrong(monkeypatch):
+def test_selftest_fails_when_the_block_route_is_wrong(monkeypatch, cli):
     """A block route that reports one dimension too many is caught on every
     trial, and each mismatch replays from its problem serialization."""
     monkeypatch.setattr(selftest_module, "block_cohomology", _one_too_many)
-    code, _, payload = run_cli("selftest-oracle", "--trials", "6", "--seed", "3")
+    code, _, payload = cli("selftest-oracle", "--trials", "6", "--seed", "3")
     assert code == 1
     report = payload["report"]
     assert report["verdict"] == "fail"
@@ -265,25 +240,94 @@ def test_selftest_rejects_out_of_range_options(flag, value, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_output_is_byte_identical_except_timing():
-    def normalized(text):
-        return [
-            line
-            for line in text.splitlines()
-            if '"timing_seconds"' not in line
-        ]
+def test_output_is_byte_identical_except_timing(cli):
+    def without_timing(text):
+        payload, rest = split_report(text)
+        del payload["timing_seconds"]
+        return payload, rest
 
-    _, first, _ = run_cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "4")
-    _, second, _ = run_cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "4")
-    assert normalized(first) == normalized(second)
+    _, first, _ = cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "4")
+    _, second, _ = cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "4")
+    assert without_timing(first) == without_timing(second)
 
 
-def test_digest_covers_everything_but_timing():
-    _, _, a = run_cli("check-descent", FIXTURE, "--complex", "O1")
-    _, _, b = run_cli("check-descent", FIXTURE, "--complex", "O1")
+FIXTURE_COMMANDS = (
+    [("strata", FIXTURE)]
+    + [("check-descent", FIXTURE, "--complex", name) for name in ("O", "O1", "O2", "euler", "koszul")]
+    + [("omega", FIXTURE, "--word", word) for word in ("twist1", "twist2", "shift3", "mixed", "swap01")]
+    + [("necessary", FIXTURE, "--word", word) for word in ("twist1", "mixed", "swap01")]
+    + [("selftest-oracle", "--trials", "5", "--seed", "2")]
+)
+FIXTURE_IDS = [" ".join(a for a in argv if a != FIXTURE) for argv in FIXTURE_COMMANDS]
+
+
+@pytest.mark.parametrize("argv", FIXTURE_COMMANDS, ids=FIXTURE_IDS)
+def test_report_is_a_one_line_document_then_the_summary(argv, cli, monkeypatch):
+    """The first line is the whole JSON document, with the digest that
+    readers search for, and it parses to what the indented rendering of the
+    same payload did; the summary follows after one blank line."""
+    emitted = []
+    real_emit = cli_module._emit
+
+    def recording_emit(payload, human, started, out):
+        emitted.append((payload, human))
+        real_emit(payload, human, started, out)
+
+    monkeypatch.setattr(cli_module, "_emit", recording_emit)
+    _, text, payload = cli(*argv)
+    first, rest = text.split("\n", 1)
+    assert json.loads(first) == payload
+    assert '"report_digest": "sha256:' in first
+    assert payload["report_digest"] == report_digest(payload)
+    [(sent, human)] = emitted
+    volatile = {k: payload[k] for k in ("report_digest", "timing_seconds")}
+    indented = json.dumps({**sent, **volatile}, sort_keys=True, indent=2)
+    assert json.loads(indented) == payload
+    assert rest == "\n" + human + "\n"
+
+
+def _whole_char_str(values):
+    return "(" + ",".join(str(v) for v in values) + ")"
+
+
+@pytest.mark.parametrize("argv", FIXTURE_COMMANDS, ids=FIXTURE_IDS)
+def test_fixture_summaries_print_whole_characters(argv, cli, monkeypatch):
+    """Every character in the fixture's summaries is short enough to print in
+    full, so cutting long ones leaves these summaries as they were."""
+    _, text, _ = cli(*argv)
+    monkeypatch.setattr(cli_module, "_char_str", _whole_char_str)
+    _, whole, _ = cli(*argv)
+    assert split_report(text)[1] == split_report(whole)[1]
+
+
+def test_long_characters_print_their_first_values():
+    assert cli_module._char_str(tuple(range(16))) == _whole_char_str(range(16))
+    assert cli_module._char_str(tuple(range(17))) == "(0,1,2,3,4,5,6,7,... 17 values)"
+
+
+def test_summary_rows_stay_short_on_a_stabilizer_of_order_10000(tmp_path, cli):
+    """Trivial Z/10000 on P^1: O(1) twisted by 1 fails on every stratum with
+    a 10,000-value character; the JSON keeps it, the summary row does not."""
+    G = AbelianGroup((10000,))
+    action = ProjectiveAction(G, 1, (G.trivial_character(),) * 2)
+    bundle = bundle_complex(action, TwistedSummand(1, G.character((1,))))
+    path = tmp_path / "z10000.json"
+    path.write_text(json.dumps(problem_to_dict(action, {"bundle": bundle})))
+    code, text, payload = cli("check-descent", str(path))
+    assert code == 1
+    witnesses = payload["report"]["witnesses"]
+    assert witnesses and all(len(w["fiber_character"]) == 10000 for w in witnesses)
+    rows = [line for line in split_report(text)[1].splitlines() if "... 10000 values)" in line]
+    assert len(rows) == len(witnesses)
+    assert all(len(row) < 200 for row in rows)
+
+
+def test_digest_covers_everything_but_timing(cli):
+    _, _, a = cli("check-descent", FIXTURE, "--complex", "O1")
+    _, _, b = cli("check-descent", FIXTURE, "--complex", "O1")
     assert a["report_digest"] == b["report_digest"]
     assert a["report_digest"] == report_digest(a)  # recomputable from the payload
-    _, _, c = run_cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "8")
+    _, _, c = cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "8")
     assert c["report_digest"] != a["report_digest"]
 
 
@@ -384,10 +428,10 @@ PINNED_DIGESTS = (
 @pytest.mark.parametrize(
     "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv[:1] + argv[2:]) for argv, _ in PINNED_DIGESTS]
 )
-def test_fixture_report_digests_are_pinned(argv, digest):
+def test_fixture_report_digests_are_pinned(argv, digest, cli):
     """Any change to a report's content shows up here; CHANGES.md names
     every digest that was re-recorded on purpose, and why."""
-    _, _, payload = run_cli(*argv)
+    _, _, payload = cli(*argv)
     assert payload["report_digest"] == digest
 
 
@@ -398,7 +442,7 @@ def test_fixture_report_digests_are_pinned(argv, digest):
         ("check-descent", "sha256:674ba7f1689ec3fa44c525728e6e4f3aa1c867b0dbab91d002352f158f898ba9"),
     ),
 )
-def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest):
+def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest, cli):
     """Trivial Z/100 x Z/100 on P^2: every stabilizer is the whole group of
     order 10,000; the bundle O(3) twisted by (7, 20) fails on every stratum,
     each decided exactly at one point."""
@@ -407,7 +451,7 @@ def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest):
     bundle = bundle_complex(action, TwistedSummand(3, G.character((7, 20))))
     path = tmp_path / "big_stabilizer.json"
     path.write_text(json.dumps(problem_to_dict(action, {"bundle": bundle})))
-    code, _, payload = run_cli(command, str(path))
+    code, _, payload = cli(command, str(path))
     assert code == (0 if command == "strata" else 1)
     assert payload["report_digest"] == digest
 
@@ -429,18 +473,18 @@ PINNED_SELFTEST_DIGESTS = (
     PINNED_SELFTEST_DIGESTS,
     ids=[" ".join(argv) + (" mismatch" if wrong else "") for argv, wrong, _ in PINNED_SELFTEST_DIGESTS],
 )
-def test_selftest_report_digests_are_pinned(argv, wrong_blocks, digest, monkeypatch):
+def test_selftest_report_digests_are_pinned(argv, wrong_blocks, digest, monkeypatch, cli):
     """With the block route off by one, every trial is a mismatch whose
     report embeds ``via_averaging``, so those digests pin the oracle's
     isotypic tables byte for byte."""
     if wrong_blocks:
         monkeypatch.setattr(selftest_module, "block_cohomology", _one_too_many)
-    code, _, payload = run_cli("selftest-oracle", *argv)
+    code, _, payload = cli("selftest-oracle", *argv)
     assert code == (1 if wrong_blocks else 0)
     assert payload["report_digest"] == digest
 
 
-def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul):
+def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul, cli):
     """Non-integer coefficients, rational sample and user points, and
     several character blocks on the sampled strata."""
     G = AbelianGroup((2,))
@@ -452,7 +496,7 @@ def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul):
     )
     path = tmp_path / "koszul_p3.json"
     path.write_text(json.dumps(problem))
-    code, _, payload = run_cli("check-descent", str(path))
+    code, _, payload = cli("check-descent", str(path))
     assert code == 0  # the Koszul complex of a full regular sequence is exact off 0
     assert payload["report_digest"] == (
         "sha256:fc3af488b1399c4dca869bbd16650598a4a5d43821434ba8c5ae0ebd3e5a52b6"
