@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from .errors import as_rational
 from .groups import (
     AbelianGroup,
     Character,
@@ -32,12 +33,6 @@ MAX_SAMPLES_PER_STRATUM = 100
 _SAMPLER_MIX = 0x9E3779B1  # 32-bit golden-ratio constant, for per-stratum seeds
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, str, Fraction)):
-        return Fraction(x)
-    raise InputError(f"not an exact rational coordinate: {x!r}")
-
-
 @dataclass(frozen=True)
 class RationalPoint:
     """Point of P^n with exact rational homogeneous coordinates."""
@@ -45,7 +40,7 @@ class RationalPoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(_as_fraction(c) for c in self.coords)
+        coords = tuple(as_rational(c, "coordinate") for c in self.coords)
         if not any(coords):
             raise InputError("projective points need at least one nonzero coordinate")
         object.__setattr__(self, "coords", coords)

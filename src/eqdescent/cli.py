@@ -14,9 +14,11 @@ failed or was disproved, 2 the input was invalid (unparsable problem file,
 schema violation, invalid complex, a generator failing its own descent
 precondition, ``--samples`` or a ``selftest-oracle`` option out of range),
 3 an internal error: any other exception, which is a bug in the package, not
-a verdict.
+a verdict, 141 (128 + SIGPIPE) the reader closed stdout before the report
+was written out (``| head -c 100``).
 On an internal error no verdict is printed; stderr gets an
-``internal error:`` line followed by the traceback.
+``internal error:`` line followed by the traceback.  A closed pipe prints
+nothing more, to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -38,6 +41,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +399,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # Flush here, so a reader that has gone away shows up below and not
+        # as an error while the interpreter shuts down.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Later flushes of stdout go to the null device and cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except GeneratorRejectedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -110,7 +110,7 @@ class InvalidComplexError(InputError):
         super().__init__(f"complex fails validation: {lines}{more}")
 
 
-def _matrix_compose(entries_ab: dict, entries_bc: dict, nvars: int) -> dict:
+def _matrix_compose(entries_ab: dict, entries_bc: dict) -> dict:
     """Compose sparse polynomial matrices: (s -> u) then (u -> t).
 
     The second matrix is indexed by source first, so the work is linear in
@@ -123,7 +123,8 @@ def _matrix_compose(entries_ab: dict, entries_bc: dict, nvars: int) -> dict:
     for (s, u), p in entries_ab.items():
         for t, q in by_source.get(u, ()):
             key = (s, t)
-            out[key] = out.get(key, Poly.zero(nvars)) + q * p
+            product = q * p
+            out[key] = product if key not in out else out[key] + product
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -206,7 +207,7 @@ class EquivariantComplex:
                 tgt = self.terms[j + 1][t]
                 want_deg = tgt.degree - src.degree
                 want_char = tgt.twist - src.twist
-                for exps, _ in p.monomials():
+                for exps in sorted(p.numerators):
                     if sum(exps) != want_deg:
                         violations.append(
                             Violation(
@@ -231,13 +232,10 @@ class EquivariantComplex:
                             )
                         )
 
-        nvars = self.action.dim + 1
         for j in sorted(self.differentials):
             if j + 1 not in self.differentials:
                 continue
-            square = _matrix_compose(
-                self.differentials[j], self.differentials[j + 1], nvars
-            )
+            square = _matrix_compose(self.differentials[j], self.differentials[j + 1])
             for (s, t), p in sorted(square.items()):
                 violations.append(
                     Violation(

@@ -21,9 +21,11 @@ only the entries are evaluated, in integers:
     degree j, the trivialized d_j is D_{j+1}^{-1} d_j(x) D_j; D_j is
     invertible and diagonal, so it respects the blocks and changes no block
     rank (the same argument covers the rescaling of x);
-  * coefficient denominators are cleared once per complex, row by row: each
-    target summand of d_j has its row multiplied by the lcm of the
-    denominators in that row, one more invertible diagonal factor.
+  * coefficient denominators are cleared once per complex, row by row: a
+    polynomial stores its coefficients as integers over one denominator, so
+    each target summand of d_j has its row multiplied by the lcm of the
+    denominators of the entries in that row, one more invertible diagonal
+    factor.
 
 Each block differential is then an integer matrix, ranked once by
 fraction-free Bareiss elimination, and dim H^j = n_j - r_j - r_{j-1}.
@@ -97,14 +99,14 @@ def integer_entries(complex_: EquivariantComplex) -> dict:
     """The differentials with coefficient denominators cleared row by row.
 
     Returns {j: {(s, t): Poly}}, every entry in row t of d_j multiplied by the
-    lcm of the coefficient denominators in that row, so all coefficients are
-    integers.  Scaling rows by nonzero constants changes no rank.
+    lcm of the denominators of the entries in that row, so all coefficients
+    are integers.  Scaling rows by nonzero constants changes no rank.
     """
     out = {}
     for j, entries in complex_.differentials.items():
         scale = {}
         for (_, t), p in entries.items():
-            scale[t] = lcm(scale.get(t, 1), *(c.denominator for _, c in p.monomials()))
+            scale[t] = lcm(scale.get(t, 1), p.denominator)
         out[j] = {
             (s, t): p if scale[t] == 1 else p * scale[t] for (s, t), p in entries.items()
         }

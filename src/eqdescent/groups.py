@@ -37,13 +37,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm, prod
 
+from .errors import InputError
 from .linalg import ZMatrix, kernel_basis
 
 MAX_GROUP_ORDER = 10_000
-
-
-class InputError(ValueError):
-    """Malformed or out-of-contract input data."""
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+from .errors import as_rational
 
 
 @dataclass(frozen=True)
@@ -51,7 +43,7 @@ class QMatrix:
         for r in rows_data:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            ents.extend(_as_fraction(x) for x in r)
+            ents.extend(as_rational(x, "matrix entry") for x in r)
         return cls(nrows, ncols, tuple(ents))
 
     @classmethod

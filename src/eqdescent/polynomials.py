@@ -1,37 +1,45 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Differential entries of the complexes in this package are polynomials in the
-homogeneous coordinates x_0, ..., x_n.  They are stored sparsely as a map
-from exponent vectors to nonzero Fraction coefficients, with a total-degree
-cap to keep accidental blow-ups (e.g. from repeated substitution) loud
-instead of silent.
+homogeneous coordinates x_0, ..., x_n.  A polynomial is stored as integer
+numerators over one common denominator: ``numerators`` maps exponent vectors
+to nonzero ints and ``denominator`` is a positive int, in normal form (the
+gcd of all numerators and the denominator is 1), so equal polynomials are
+stored alike.  Sums, products, scalings and substitutions work on ints, and
+a polynomial with integer coefficients (every entry of a Koszul complex)
+never builds a Fraction.  ``terms`` and ``monomials()`` give the
+coefficients as Fractions.  A total-degree cap keeps accidental blow-ups
+(e.g. from repeated substitution) loud instead of silent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
-from .groups import InputError
+from .errors import InputError, as_rational
 
 MAX_TOTAL_DEGREE = 64
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, (int, str, Fraction)):
-        return Fraction(x)
-    raise InputError(f"not an exact rational coefficient: {x!r}")
+def _degree_error(degree: int) -> InputError:
+    return InputError(f"monomial degree {degree} exceeds the cap {MAX_TOTAL_DEGREE}")
 
 
 class Poly:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_key", "_int_terms")
+    # _key (the sorted numerator items) and _factors (the evaluation plan)
+    # are built on first use.
+    __slots__ = ("nvars", "numerators", "denominator", "_key", "_factors")
 
     def __init__(self, nvars: int, terms):
-        normalized = {}
+        summed = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(int(e) for e in exps)
-            coeff = _as_fraction(coeff)
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                coeff = as_rational(coeff, "coefficient")
             if len(exps) != nvars:
                 raise InputError(
                     f"exponent vector {exps} has {len(exps)} slots, expected {nvars}"
@@ -39,17 +47,39 @@ class Poly:
             if any(e < 0 for e in exps):
                 raise InputError(f"negative exponent in {exps}")
             if sum(exps) > MAX_TOTAL_DEGREE:
-                raise InputError(
-                    f"monomial degree {sum(exps)} exceeds the cap {MAX_TOTAL_DEGREE}"
-                )
-            if coeff != 0:
-                normalized[exps] = normalized.get(exps, Fraction(0)) + coeff
-                if normalized[exps] == 0:
-                    del normalized[exps]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", normalized)
-        object.__setattr__(self, "_key", tuple(sorted(normalized.items())))
-        object.__setattr__(self, "_int_terms", None)  # built by _integer_terms
+                raise _degree_error(sum(exps))
+            summed[exps] = summed[exps] + coeff if exps in summed else coeff
+        # The lcm of reduced denominators leaves numerators and denominator
+        # coprime, so this is already the normal form.
+        den = lcm(*(c.denominator for c in summed.values()))
+        self._set(nvars, {
+            e: c.numerator * (den // c.denominator) for e, c in summed.items() if c
+        }, den)
+
+    def _set(self, nvars: int, numerators: dict, denominator: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "nvars", nvars)
+        setattr_(self, "numerators", numerators)
+        setattr_(self, "denominator", denominator)
+
+    @classmethod
+    def _normal(cls, nvars: int, numerators: dict, denominator: int) -> "Poly":
+        """sum(numerators[e] * x^e) / denominator in normal form; the dict may
+        hold zeros and is taken over, the denominator must be positive."""
+        numerators = {e: c for e, c in numerators.items() if c}
+        if denominator != 1:
+            g = gcd(denominator, *numerators.values())
+            if g != 1:
+                denominator //= g
+                numerators = {e: c // g for e, c in numerators.items()}
+        return cls._raw(nvars, numerators, denominator)
+
+    @classmethod
+    def _raw(cls, nvars: int, numerators: dict, denominator: int) -> "Poly":
+        """A polynomial from parts already in normal form, unchecked."""
+        p = object.__new__(cls)
+        p._set(nvars, numerators, denominator)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -58,7 +88,7 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return cls._raw(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
@@ -78,11 +108,26 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
-    def monomials(self):
-        """(exponent_vector, coefficient) pairs in sorted order."""
-        return self._key
+    def _sorted(self) -> tuple:
+        try:
+            return self._key
+        except AttributeError:
+            key = tuple(sorted(self.numerators.items()))
+            object.__setattr__(self, "_key", key)
+            return key
+
+    @property
+    def terms(self) -> dict:
+        """{exponent vector: Fraction coefficient}."""
+        den = self.denominator
+        return {e: Fraction(c, den) for e, c in self.numerators.items()}
+
+    def monomials(self) -> tuple:
+        """(exponent_vector, Fraction coefficient) pairs in sorted order."""
+        den = self.denominator
+        return tuple((e, Fraction(c, den)) for e, c in self._sorted())
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -92,64 +137,81 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_vars(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.nvars, terms)
+        a, b = self.denominator, other.denominator
+        den = a if a == b else lcm(a, b)
+        fa, fb = den // a, den // b
+        nums = dict(self.numerators) if fa == 1 else {
+            e: c * fa for e, c in self.numerators.items()
+        }
+        get = nums.get
+        for e, c in other.numerators.items():
+            nums[e] = get(e, 0) + c * fb
+        return Poly._normal(self.nvars, nums, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(
+            self.nvars, {e: -c for e, c in self.numerators.items()}, self.denominator
+        )
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, str, Fraction)):
-            f = _as_fraction(other)
-            return Poly(self.nvars, {e: c * f for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            f = other if type(other) is int else as_rational(other, "scalar")
+            if not f:
+                return Poly.zero(self.nvars)
+            num, den = f.numerator, f.denominator
+            if den == 1:
+                # Our numerators are coprime to our denominator, so cancelling
+                # gcd(num, denominator) is all the normal form needs.
+                g = gcd(num, self.denominator)
+                return Poly._raw(self.nvars, {
+                    e: c * (num // g) for e, c in self.numerators.items()
+                }, self.denominator // g)
+            return Poly._normal(self.nvars, {
+                e: c * num for e, c in self.numerators.items()
+            }, self.denominator * den)
         self._check_same_vars(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, terms)
+        if not self.numerators or not other.numerators:
+            return Poly.zero(self.nvars)
+        degree = max(map(sum, self.numerators)) + max(map(sum, other.numerators))
+        if degree > MAX_TOTAL_DEGREE:
+            raise _degree_error(degree)
+        nums = {}
+        get = nums.get
+        right = tuple(other.numerators.items())
+        for e1, c1 in self.numerators.items():
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                nums[e] = get(e, 0) + c1 * c2
+        return Poly._normal(self.nvars, nums, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def evaluate(self, coords) -> Fraction | int:
-        """Value at ``coords``: an int when the coefficients and the
-        coordinates are all integers, a Fraction otherwise."""
-        coords = tuple(coords)
+        """Value at the sequence ``coords``: the integer sum of the numerator
+        terms, divided once by the denominator.  An int when the coordinates
+        are ints and the denominator is 1, a Fraction otherwise."""
         if len(coords) != self.nvars:
             raise InputError("evaluation point has the wrong number of coordinates")
-        int_terms = all(type(x) is int for x in coords) and self._integer_terms()
-        if int_terms is not False:
-            total = 0
-            for coeff, factors in int_terms:
-                for i, e in factors:
-                    coeff *= coords[i] ** e
-                total += coeff
-            return total
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(coords, exps):
-                if e:
-                    value *= Fraction(x) ** e
-            total += value
-        return total
-
-    def _integer_terms(self):
-        """(integer coefficient, ((variable, exponent), ...)) per monomial,
-        or False when some coefficient is not an integer; built once."""
-        if self._int_terms is None:
-            integral = all(c.denominator == 1 for c in self.terms.values())
-            object.__setattr__(self, "_int_terms", integral and tuple(
-                (c.numerator, tuple((i, e) for i, e in enumerate(exps) if e))
-                for exps, c in self.terms.items()
-            ))
-        return self._int_terms
+        try:
+            plan = self._factors
+        except AttributeError:
+            # (numerator, variable indices) per term, each index repeated
+            # by its exponent: multiplying is cheaper than ** at these sizes.
+            plan = tuple(
+                (c, tuple(i for i, e in enumerate(exps) for _ in range(e)))
+                for exps, c in self.numerators.items()
+            )
+            object.__setattr__(self, "_factors", plan)
+        total = 0
+        for coeff, factors in plan:
+            for i in factors:
+                coeff *= coords[i]
+            total += coeff
+        den = self.denominator
+        return total if den == 1 else Fraction(total, den)
 
     def substitute_scaled_permutation(self, images) -> "Poly":
         """Substitute x_j -> scale_j * x_{index_j} for images[j] = (index_j, scale_j).
@@ -159,19 +221,27 @@ class Poly:
         """
         if len(images) != self.nvars:
             raise InputError("substitution needs an image for every variable")
-        terms = {}
-        for exps, coeff in self.terms.items():
+        scaled = []
+        for idx, scale in images:
+            if type(scale) is not int:
+                scale = as_rational(scale, "scale")
+            scaled.append((idx, scale.numerator, scale.denominator))
+        moved = []  # (image exponents, numerator, denominator) per term
+        for exps, num in self.numerators.items():
             new_exps = [0] * self.nvars
-            new_coeff = coeff
+            den = 1
             for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                idx, scale = images[j]
-                new_exps[idx] += e
-                new_coeff *= _as_fraction(scale) ** e
-            key = tuple(new_exps)
-            terms[key] = terms.get(key, Fraction(0)) + new_coeff
-        return Poly(self.nvars, terms)
+                if e:
+                    idx, a, b = scaled[j]
+                    new_exps[idx] += e
+                    num *= a**e
+                    den *= b**e
+            moved.append((tuple(new_exps), num, den))
+        common = lcm(*(den for _, _, den in moved))
+        nums = {}
+        for exps, num, den in moved:
+            nums[exps] = nums.get(exps, 0) + num * (common // den)
+        return Poly._normal(self.nvars, nums, self.denominator * common)
 
     # -- comparisons ------------------------------------------------------------
 
@@ -179,17 +249,18 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self._key == other._key
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash((self.nvars, self._key))
+        return hash((self.nvars, self.denominator, self._sorted()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
         bits = []
-        for exps, coeff in self._key:
+        for exps, coeff in self.monomials():
             vars_part = "*".join(
                 f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e
             )

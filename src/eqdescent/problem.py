@@ -34,13 +34,13 @@ scalings), which keeps the file format closed.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
-from .groups import AbelianGroup, InputError
+from .errors import RATIONAL_TEXT, InputError
+from .groups import AbelianGroup
 from .polynomials import Poly
 from .words import EquivariantAutomorphism, FunctorWord, Push, Shift, Twist
 
@@ -76,9 +76,6 @@ def _expect_dict(data, path, what="an object"):
     return _expect(data, dict, path, what)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
-
-
 def parse_rational(value, path) -> Fraction:
     """A JSON integer or a string "p", "p/q" or "p.q" of ASCII digits with an
     optional sign.  Anything else, exponents included ("1e4000000" would
@@ -90,7 +87,7 @@ def parse_rational(value, path) -> Fraction:
     if isinstance(value, float):
         _fail(path, 'floats are not exact; write rationals as strings like "3/7"')
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        if not RATIONAL_TEXT.fullmatch(value):
             _fail(path, f'not a rational number: expected "p", "p/q" or "p.q", got {value!r}')
         try:
             return Fraction(value)
@@ -198,7 +195,7 @@ def _parse_summand(group, data, path) -> TwistedSummand:
 
 def _parse_poly(nvars, data, path) -> Poly:
     entries = _expect_list(data, path, "a list of monomial terms")
-    poly = Poly.zero(nvars)
+    terms = {}  # repeated monomials are summed
     for i, term in enumerate(entries):
         tpath = path + [i]
         obj = _expect_dict(term, tpath, "a monomial term")
@@ -209,8 +206,8 @@ def _parse_poly(nvars, data, path) -> Poly:
         exps = tuple(_expect_int(e, tpath + ["exponents", k]) for k, e in enumerate(exps))
         if any(e < 0 for e in exps):
             _fail(tpath + ["exponents"], "exponents must be nonnegative")
-        poly = poly + Poly.monomial(nvars, exps, coeff)
-    return poly
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
+    return Poly(nvars, terms)
 
 
 def _parse_complex(action, data, path) -> EquivariantComplex:

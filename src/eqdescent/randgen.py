@@ -115,10 +115,7 @@ def random_equivariant_poly(
     if not monos:
         return Poly.zero(nvars)
     chosen = rng.sample(monos, rng.randint(1, min(max_terms, len(monos))))
-    poly = Poly.zero(nvars)
-    for exps in chosen:
-        poly = poly + Poly.monomial(nvars, exps, _random_fraction(rng))
-    return poly
+    return Poly(nvars, {exps: _random_fraction(rng) for exps in chosen})
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +127,10 @@ def _matrix_identity(n: int, nvars: int) -> dict:
     return {(i, i): Poly.constant(nvars, Fraction(1)) for i in range(n)}
 
 
-def _matrix_add(a: dict, b: dict, nvars: int) -> dict:
+def _matrix_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, p in b.items():
-        out[key] = out.get(key, Poly.zero(nvars)) + p
+        out[key] = out[key] + p if key in out else p
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -149,8 +146,8 @@ def _unipotent_inverse(nilpotent: dict, n: int, nvars: int) -> dict:
     for _ in range(n):
         if not power:
             break
-        inv = _matrix_add(inv, _matrix_negate(power) if sign < 0 else power, nvars)
-        power = _matrix_compose(power, nilpotent, nvars)
+        inv = _matrix_add(inv, _matrix_negate(power) if sign < 0 else power)
+        power = _matrix_compose(power, nilpotent)
         sign = -sign
     return inv
 
@@ -174,16 +171,16 @@ def _random_mixing(rng: Random, action: ProjectiveAction, terms: dict, diffs: di
                 if not p.is_zero:
                     nil[(s, t)] = p
         if nil:
-            mixers[j] = _matrix_add(_matrix_identity(n, nvars), nil, nvars)
+            mixers[j] = _matrix_add(_matrix_identity(n, nvars), nil)
             inverses[j] = _unipotent_inverse(nil, n, nvars)
 
     mixed: dict = {}
     for j, entries in diffs.items():
         out = dict(entries)
         if j in inverses:
-            out = _matrix_compose(inverses[j], out, nvars)
+            out = _matrix_compose(inverses[j], out)
         if j + 1 in mixers:
-            out = _matrix_compose(out, mixers[j + 1], nvars)
+            out = _matrix_compose(out, mixers[j + 1])
         if out:
             mixed[j] = out
     return mixed

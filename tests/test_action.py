@@ -63,6 +63,14 @@ def test_point_integer_coords_are_primitive_and_proportional():
     assert rescaled.integer_coords == (-3, 0, 2, -36)
 
 
+def test_inexact_point_coordinates_are_refused():
+    with pytest.raises(InputError, match="coordinate: 1.0"):
+        RationalPoint((1.0, 0, 0))
+    with pytest.raises(InputError, match="coordinate: '1/0'"):
+        RationalPoint(("1/0", 1))
+    assert RationalPoint(("1/2", 0, 2)).coords == (Fraction(1, 2), 0, 2)
+
+
 def test_point_all_zero_rejected():
     with pytest.raises(InputError):
         RationalPoint((0, 0, 0))

@@ -407,6 +407,25 @@ def test_installed_entry_point_works():
     assert '"command": "strata"' in result.stdout
 
 
+def test_reader_closing_stdout_early_exits_141_silently(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "group": {"orders": [100, 100]},
+        "action": {"dim": 2, "coordinate_characters": [[0, 0], [0, 0], [0, 0]]},
+    }))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eqdescent.cli", "strata", str(big)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)  # the report is megabytes, far more than a pipe holds
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli_module.EXIT_PIPE == 141
+    assert head.startswith(b"{")
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # pinned digests: the "same behaviour" gate
 # ---------------------------------------------------------------------------

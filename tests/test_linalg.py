@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from eqdescent.errors import InputError
 from eqdescent.linalg import (
     QMatrix,
     ZMatrix,
@@ -174,6 +175,12 @@ def test_inverse_round_trip():
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
         QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def test_inexact_matrix_entries_are_refused():
+    with pytest.raises(InputError, match="matrix entry: 0.5"):
+        QMatrix.from_rows([[1, 0.5]])
+    assert QMatrix.from_rows([["1/2", 3]]).entries == (Fraction(1, 2), Fraction(3))
 
 
 # ---------------------------------------------------------------------------

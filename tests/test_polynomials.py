@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -127,3 +128,137 @@ def test_scalar_multiplication():
 def test_repr_readable():
     p = Poly(3, {(0, 0, 1): 1, (2, 1, 0): Fraction(-1, 2)})
     assert repr(p) == "x2 - 1/2*x0^2*x1"
+
+
+def test_inexact_coefficients_and_scalars_are_refused():
+    with pytest.raises(InputError, match="coefficient: 0.5"):
+        Poly(2, {(1, 0): 0.5})
+    with pytest.raises(InputError, match="coefficient: '1e4000000'"):
+        Poly(1, {(1,): "1e4000000"})  # Fraction would build a four-million-digit int
+    p = Poly.variable(2, 0)
+    with pytest.raises(InputError, match="scalar: 0.5"):
+        p * 0.5
+    with pytest.raises(InputError, match="scale: 2.0"):
+        p.substitute_scaled_permutation([(1, 2.0), (0, 1)])
+    assert Poly(1, {(1,): "-3/6"}) == Poly(1, {(1,): Fraction(-1, 2)})
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation against a dict-of-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _ref(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref(out)
+
+
+def _ref_scale(a, f):
+    return _ref({e: c * f for e, c in a.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref(out)
+
+
+def _ref_substitute(a, images):
+    out = {}
+    for exps, c in a.items():
+        new = [0] * len(exps)
+        for j, e in enumerate(exps):
+            idx, scale = images[j]
+            new[idx] += e
+            c *= Fraction(scale) ** e
+        out[tuple(new)] = out.get(tuple(new), 0) + c
+    return _ref(out)
+
+
+def _ref_evaluate(a, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        for x, e in zip(point, exps):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+def test_integer_form_matches_a_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+    coeff = st.integers(-3, 3) | rational
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 3))
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeff, max_size=4)
+        ta, tb = data.draw(terms), data.draw(terms)
+        a, b = _ref(ta), _ref(tb)
+        p, q = Poly(n, ta), Poly(n, tb)
+        f = data.draw(coeff)
+        perm = data.draw(st.permutations(range(n)))
+        scales = data.draw(st.lists(st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(3, 4)]),
+                                    min_size=n, max_size=n))
+        images = list(zip(perm, scales))
+
+        results = {
+            "p": (p, a),
+            "add": (p + q, _ref_add(a, b)),
+            "sub": (p - q, _ref_add(a, _ref_scale(b, -1))),
+            "mul": (p * q, _ref_mul(a, b)),
+            "scalar": (f * p, _ref_scale(a, f)),
+            "substitute": (p.substitute_scaled_permutation(images), _ref_substitute(a, images)),
+        }
+        ints = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        fracs = tuple(Fraction(x, 3) for x in ints)
+        for name, (got, want) in results.items():
+            assert got.terms == want, name
+            assert got.monomials() == tuple(sorted(want.items())), name
+            # normal form: a positive denominator coprime to the numerators
+            assert got.denominator > 0 and 0 not in got.numerators.values(), name
+            assert gcd(got.denominator, *got.numerators.values()) == 1, name
+            # equal polynomials built another way are equal and hash alike
+            again = Poly(n, dict(reversed(list(want.items()))))
+            assert got == again and hash(got) == hash(again), name
+            value = got.evaluate(ints)
+            assert value == _ref_evaluate(want, ints), name
+            assert type(value) is (int if got.denominator == 1 else Fraction), name
+            assert got.evaluate(fracs) == _ref_evaluate(want, fracs), name
+        assert (p + q == q + p) and hash(p + q) == hash(q + p)
+
+    check()
+
+
+def test_products_over_the_degree_cap_are_refused():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    degree = st.integers(0, MAX_TOTAL_DEGREE)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(degree, degree)
+    @hypothesis.example(MAX_TOTAL_DEGREE, 0)
+    @hypothesis.example(MAX_TOTAL_DEGREE, 1)
+    @hypothesis.example(0, MAX_TOTAL_DEGREE - 1)
+    @hypothesis.example(0, MAX_TOTAL_DEGREE)
+    def check(a, b):
+        p = Poly(2, {(a, 0): 1, (0, 1): Fraction(1, 2)})  # top degree a, not its last term
+        q = Poly(2, {(0, 0): 3, (0, b): -1})
+        if max(a, 1) + b > MAX_TOTAL_DEGREE:
+            with pytest.raises(InputError, match="exceeds the cap"):
+                p * q
+        else:
+            assert (p * q).terms == _ref_mul(_ref(p.terms), _ref(q.terms))
+
+    check()
