@@ -37,7 +37,9 @@ class Poly:
     def __init__(self, nvars: int, terms):
         summed = {}
         for exps, coeff in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            if any(type(e) is not int for e in exps):
+                raise InputError(f"exponent vector {exps} has an entry that is not an int")
             if type(coeff) is not int and type(coeff) is not Fraction:
                 coeff = as_rational(coeff, "coefficient")
             if len(exps) != nvars:

@@ -88,16 +88,19 @@ def random_point(rng: Random, nvars: int) -> RationalPoint:
 
 
 def equivariant_monomials(action: ProjectiveAction, degree: int, char: Character) -> list:
-    """Exponent tuples a with |a| = degree and sum_i a_i * chi_i == char."""
+    """Exponent tuples a with |a| = degree and sum_i a_i * chi_i == char,
+    compared coordinate by coordinate modulo the group's cyclic orders."""
     if degree < 0:
         return []
     nvars = action.dim + 1
+    chars = [chi.coords for chi in action.coord_chars]
+    wanted = list(enumerate(zip(action.group.orders, char.coords)))
     out = []
     for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        if action.monomial_character(exps) == char:
+        if all(sum(chars[i][k] for i in combo) % n == c for k, (n, c) in wanted):
+            exps = [0] * nvars
+            for i in combo:
+                exps[i] += 1
             out.append(tuple(exps))
     return out
 

@@ -6,12 +6,15 @@ methods:
   * the block route (descent module): split the fiber complex, evaluated at
     primitive integer coordinates, into stabilizer-character blocks and rank
     each integer block map by fraction-free Bareiss elimination, and
-  * the averaging route (oracle module): keep the fiber complex whole over
-    the cyclotomic field Q(zeta_m), build the isotypic projectors
-    (1/|S|) sum_g phi(g)^{-1} rho(g), and read dimensions off projected
-    ranks.
+  * the averaging route (oracle module): keep the fiber complex whole,
+    build the isotypic projectors (1/|S|) sum_g phi(g)^{-1} rho(g) with
+    their entries summed in the cyclotomic field Q(zeta_m) and checked to
+    be exactly 0 or 1, and read dimensions off the ranks of the projected
+    differentials, rational matrices that the oracle ranks over Q by its
+    own Fraction elimination.
 
-They share no linear algebra and disagree only if one of them is wrong, so
+They share no linear algebra (the oracle module imports neither the descent
+module nor linalg) and disagree only if one of them is wrong, so
 agreement over a random corpus is the toolkit's strongest internal evidence.
 Each mismatch is reported with a full problem-file serialization of the
 instance, ready to replay.

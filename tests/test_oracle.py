@@ -2,14 +2,19 @@
 
 Expected values in this file are frozen from hand computation; the oracle is
 the trust anchor that the block-decomposition path is later checked against,
-so nothing here may depend on that path.
+so nothing here may depend on that path.  The one exception is the
+cross-check of the oracle's private rank against ``linalg.rank``: two
+independent eliminations that must agree.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqdescent.oracle as oracle_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.complexes import (
     EquivariantComplex,
@@ -18,9 +23,10 @@ from eqdescent.complexes import (
     bundle_complex,
 )
 from eqdescent.groups import AbelianGroup
+from eqdescent.linalg import QMatrix, rank
 from eqdescent.oracle import (
     CyclotomicField,
-    _pdivmod,
+    _rank,
     cyclotomic_polynomial,
     isotypic_cohomology,
 )
@@ -69,16 +75,54 @@ def _gcd(a, b):
     return a
 
 
+def _ptrim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder in Q[x] of little-endian lists; b must be nonzero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(x) for x in a]
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = Fraction(b[-1])
+    while len(rem) >= len(b) and rem:
+        c = rem[-1] / lead
+        k = len(rem) - len(b)
+        quot[k] = c
+        for i in range(len(b)):
+            rem[k + i] -= c * b[i]
+        _ptrim(rem)
+    return _ptrim(quot), rem
+
+
+def _field_mul(f, a, b):
+    """a * b in Q(zeta_m): the product in Q[z], reduced by long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    _, rem = _pdivmod(prod, list(f.modulus))
+    return tuple(rem) + (0,) * (f.degree - len(rem))
+
+
+def _vector_sum(f, vectors):
+    """Coefficient-wise sum of field elements (integer vectors)."""
+    total = [0] * f.degree
+    for v in vectors:
+        total = [x + y for x, y in zip(total, v)]
+    return tuple(total)
+
+
 def test_field_zeta_has_exact_order():
     for m in (1, 2, 3, 4, 6, 8, 12):
         f = CyclotomicField(m)
-        z = f.zeta_pow(1)
-        acc = f.one()
-        for k in range(1, m + 1):
-            acc = f.mul(acc, z)
-            if k < m:
-                assert not f.is_zero(f.sub(acc, f.one())) or m == 1
-        assert acc == f.one()
+        one = f.zeta_pow(0)
+        for k in range(1, m):
+            assert f.zeta_pow(k) != one
+        assert _field_mul(f, f.zeta_pow(1), f.zeta_pow(m - 1)) == one
 
 
 def test_power_table_matches_long_division():
@@ -95,39 +139,14 @@ def test_power_table_is_built_without_recursion():
     """m = 2 * 3 * 5 * 7 * 11: the table runs to z^2309, 480 entries each."""
     f = CyclotomicField(2310)
     assert f.degree == 480
-    assert f.mul(f.zeta_pow(2309), f.zeta_pow(1)) == f.one()
+    assert _field_mul(f, f.zeta_pow(2309), f.zeta_pow(1)) == f.zeta_pow(0)
 
 
 def test_field_root_of_unity_sum_vanishes():
     for m in (2, 3, 4, 5, 6, 12):
         f = CyclotomicField(m)
-        total = f.zero()
-        for e in range(m):
-            total = f.add(total, f.zeta_pow(e))
-        assert f.is_zero(total)
-
-
-def test_field_inverses():
-    rng = random.Random(404)
-    for m in (2, 3, 4, 6, 12):
-        f = CyclotomicField(m)
-        for _ in range(20):
-            a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(f.degree))
-            if f.is_zero(a):
-                continue
-            assert f.mul(a, f.inv(a)) == f.one()
-
-
-def test_field_matrix_rank():
-    f = CyclotomicField(4)
-    i = f.zeta_pow(1)  # a square root of -1
-    one = f.one()
-    # rows (1, i) and (i, -1) are proportional over Q(i): rank 1
-    rows = [[one, i], [i, f.scale(one, -1)]]
-    assert f.matrix_rank(rows) == 1
-    rows = [[one, i], [i, one]]
-    assert f.matrix_rank(rows) == 2
-    assert f.matrix_rank([[f.zero(), f.zero()]]) == 0
+        total = _vector_sum(f, (f.zeta_pow(e) for e in range(m)))
+        assert not any(total)
 
 
 def test_character_orthogonality_through_the_field():
@@ -140,13 +159,71 @@ def test_character_orthogonality_through_the_field():
         f = CyclotomicField(group.exponent)
         a = group.character(tuple(rng.randrange(n) for n in orders))
         b = group.character(tuple(rng.randrange(n) for n in orders))
-        total = f.zero()
-        for g in group.elements:
-            total = f.add(total, f.zeta_pow(a(g) - b(g)))
+        total = _vector_sum(f, (f.zeta_pow(a(g) - b(g)) for g in group.elements))
         if a == b:
-            assert total == f.embed(group.order)
+            assert total == (group.order,) + (0,) * (f.degree - 1)
         else:
-            assert f.is_zero(total)
+            assert not any(total)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's own rank, and its independence from the block route
+# ---------------------------------------------------------------------------
+
+def test_rank_over_q_matches_linalg_rank():
+    """The oracle's Fraction elimination against linalg.rank's Bareiss, on
+    random rational matrices, low-rank products, zero rows and empty shapes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.integers(-4, 4) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+    def matrix(r, c):
+        return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        nrows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        kind = data.draw(st.sampled_from(["random", "product", "zero-rows"]))
+        if kind == "product":
+            # (nrows x k) @ (k x cols) has rank at most k
+            k = data.draw(st.integers(0, 3))
+            left, right = data.draw(matrix(nrows, k)), data.draw(matrix(k, cols))
+            rows = [
+                [sum((a * b[j] for a, b in zip(row, right)), Fraction(0)) for j in range(cols)]
+                for row in left
+            ]
+        else:
+            rows = data.draw(matrix(nrows, cols))
+            if kind == "zero-rows":
+                for _ in range(data.draw(st.integers(1, 3))):
+                    rows.insert(data.draw(st.integers(0, len(rows))), [0] * cols)
+        want = rank(QMatrix(len(rows), cols, tuple(Fraction(x) for row in rows for x in row)))
+        assert _rank(rows) == want, (rows, cols)
+
+    check()
+    assert _rank([]) == 0
+    assert _rank([[], []]) == 0
+    assert _rank([[0, 0, 0]]) == 0
+    assert _rank([[0, 0, 1], [0, 0, 2]]) == 1
+    assert _rank([[1, 0, 0], [0, 0, Fraction(1, 3)]]) == 2
+
+
+def test_oracle_imports_nothing_from_the_block_route():
+    """The two cohomology routes share no linear algebra: oracle.py imports
+    neither the descent module nor linalg."""
+    tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(tuple(alias.name.split(".")) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported.add(tuple(module))
+            imported.update(tuple(module + [alias.name]) for alias in node.names)
+    assert imported, "no imports parsed"
+    for parts in imported:
+        assert "descent" not in parts and "linalg" not in parts, parts
 
 
 # ---------------------------------------------------------------------------

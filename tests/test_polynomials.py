@@ -36,6 +36,17 @@ def test_construction_rejects_bad_terms():
         Poly(1, {(MAX_TOTAL_DEGREE + 1,): 1})
 
 
+@pytest.mark.parametrize(
+    "exps", [(1.5, 0), (1.0, 0), ("2", 0), (True, 0), (0, False), (Fraction(1), 0)]
+)
+def test_exponents_that_are_not_ints_are_refused(exps):
+    """An exponent is refused, not truncated or parsed: (1.5, 0) is not x0."""
+    with pytest.raises(InputError, match="not an int"):
+        Poly(2, {exps: 1})
+    with pytest.raises(InputError, match="not an int"):
+        Poly.monomial(2, exps)
+
+
 def test_cancellation_to_zero():
     p = Poly.variable(2, 0)
     assert (p - p).is_zero

@@ -1,6 +1,7 @@
 """Contracts of the seeded random instance generators: determinism, bounds,
 and validity-by-construction."""
 
+import itertools
 from random import Random
 
 import pytest
@@ -119,3 +120,23 @@ def test_equivariant_monomials_frozen_case():
     monos = equivariant_monomials(action, 2, G.character((1,)))
     assert sorted(monos) == [(0, 1, 1), (1, 0, 1)]
     assert equivariant_monomials(action, -1, G.trivial_character()) == []
+
+
+def test_equivariant_monomials_match_monomial_characters_in_order():
+    """The list, order included, is every degree-d monomial whose
+    monomial_character is the target, in combinations order: the seeded
+    generators draw from it, so its order fixes their output."""
+    rng = Random(11)
+    for _ in range(60):
+        action = random_action(rng, random_group(rng, 36), max_dim=3)
+        nvars = action.dim + 1
+        for degree in range(4):
+            every = []
+            for combo in itertools.combinations_with_replacement(range(nvars), degree):
+                exps = [0] * nvars
+                for i in combo:
+                    exps[i] += 1
+                every.append(tuple(exps))
+            for char in action.group.characters[:12]:
+                want = [e for e in every if action.monomial_character(e) == char]
+                assert equivariant_monomials(action, degree, char) == want
