@@ -27,8 +27,9 @@ only the entries are evaluated, in integers:
     denominators of the entries in that row, one more invertible diagonal
     factor.
 
-Each block differential is then an integer matrix, ranked once by
-fraction-free Bareiss elimination, and dim H^j = n_j - r_j - r_{j-1}.
+Each block differential is then a sparse integer matrix, one
+{column: nonzero int} dict per row filled straight from the layout's cells,
+ranked once by sparse integer elimination, and dim H^j = n_j - r_j - r_{j-1}.
 
 Cohomology ranks can still jump on proper closed subsets of a stratum, so
 multi-coordinate strata are checked at deterministic sample points and every
@@ -61,7 +62,7 @@ class BlockComplex:
     """One character block of a fiber complex: dimensions and integer maps."""
 
     dims: dict  # degree -> positive summand count
-    mats: dict  # degree j -> ZMatrix of shape (dims[j+1], dims[j])
+    mats: dict  # degree j -> sparse ZMatrix of shape (dims[j+1], dims[j])
 
     def cohomology(self) -> dict:
         """degree -> dim H = n_j - rank d_j - rank d_{j-1}, ranking each map once."""
@@ -121,7 +122,7 @@ class FiberLayout:
     character, which keys its block.  ``blocks`` maps a block key to
     (dims, maps): dims is {degree: summand count}, and maps holds one
     (j, rows, cols, cells) per block differential, cells being the
-    (row-major index, integer-coefficient Poly) pairs of the entries inside
+    (row, column, integer-coefficient Poly) triples of the entries inside
     the block.  ``crossing`` lists the entries between blocks as
     (j, source, target, Poly); they must vanish on the stratum.
     """
@@ -136,40 +137,55 @@ def fiber_layout(
     complex_: EquivariantComplex, stratum: Stratum, entries: dict
 ) -> FiberLayout:
     """Lay out the fibers of a validated complex on a stratum, given the
-    complex's ``integer_entries`` (computed once, shared between strata)."""
-    chars = {}  # summand -> fiber character; equal summands share one
-    provenance = {}
-    positions = {}  # (j, summand index) -> position inside its block at degree j
-    dims = {}  # block key -> {degree -> summand count}
-    for j in complex_.degrees():
-        for idx, s in enumerate(complex_.summands(j)):
-            phi = chars.get(s)
-            if phi is None:
-                phi = chars[s] = s.fiber_character(stratum)
-            provenance[(j, idx)] = phi
-            per_degree = dims.setdefault(phi, {})
-            positions[(j, idx)] = per_degree.get(j, 0)
-            per_degree[j] = positions[(j, idx)] + 1
+    complex's ``integer_entries`` (computed once, shared between strata).
 
-    cells = {}  # (block key, j) -> [(row-major index, Poly)]
+    Each block key is numbered once, when the first summand with that fiber
+    character is met, so the loop over the entries compares and hashes
+    small ints rather than characters."""
+    numbers = {}  # block key -> block number
+    keys = []  # block number -> block key
+    dims = []  # block number -> {degree -> summand count}
+    by_summand = {}  # summand -> block number; equal summands share one
+    provenance = {}
+    places = {}  # degree -> [(block number, position in the block) per summand]
+    for j in complex_.degrees():
+        placed = places[j] = []
+        for idx, s in enumerate(complex_.summands(j)):
+            k = by_summand.get(s)
+            if k is None:
+                phi = s.fiber_character(stratum)
+                k = numbers.get(phi)
+                if k is None:
+                    k = numbers[phi] = len(keys)
+                    keys.append(phi)
+                    dims.append({})
+                by_summand[s] = k
+            provenance[(j, idx)] = keys[k]
+            per_degree = dims[k]
+            position = per_degree.get(j, 0)
+            per_degree[j] = position + 1
+            placed.append((k, position))
+
+    cells = {}  # (block number, j) -> [(row, column, Poly)]
     crossing = []
     for j, row in entries.items():
+        sources, targets = places[j], places[j + 1]
         for (s, t), p in row.items():
-            phi = provenance[(j, s)]
-            if provenance[(j + 1, t)] != phi:
+            k, col = sources[s]
+            target, r = targets[t]
+            if target != k:
                 crossing.append((j, s, t, p))
                 continue
-            index = positions[(j + 1, t)] * dims[phi][j] + positions[(j, s)]
-            cells.setdefault((phi, j), []).append((index, p))
+            cells.setdefault((k, j), []).append((r, col, p))
 
     blocks = {}
-    for phi, per_degree in dims.items():
+    for k, per_degree in enumerate(dims):
         maps = tuple(
-            (j, per_degree[j + 1], n, tuple(cells.get((phi, j), ())))
+            (j, per_degree[j + 1], n, tuple(cells.get((k, j), ())))
             for j, n in per_degree.items()
             if j + 1 in per_degree
         )
-        blocks[phi] = (per_degree, maps)
+        blocks[keys[k]] = (per_degree, maps)
     return FiberLayout(stratum, provenance, blocks, tuple(crossing))
 
 
@@ -221,10 +237,12 @@ def fiber_restrict(
     for phi, (dims, maps) in layout.blocks.items():
         mats = {}
         for j, rows, cols, cells in maps:
-            flat = [0] * (rows * cols)
-            for index, p in cells:
-                flat[index] = p.evaluate(x)
-            mats[j] = ZMatrix(rows, cols, tuple(flat))
+            sparse = [{} for _ in range(rows)]
+            for r, c, p in cells:
+                value = p.evaluate(x)
+                if value:
+                    sparse[r][c] = value
+            mats[j] = ZMatrix(rows, cols, tuple(sparse))
         blocks[phi] = BlockComplex(dims=dims, mats=mats)
 
     return FiberComplex(

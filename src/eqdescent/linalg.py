@@ -1,21 +1,25 @@
 """Exact linear algebra over the integers and the rationals.
 
-Everything here is exact.  Rank is computed by fraction-free (Bareiss)
-elimination on integer rows: an integer matrix (``ZMatrix``, what the fiber
-blocks of the descent decision are) is eliminated as it is, and a rational
-matrix (``QMatrix``) first has each row scaled by the lcm of its
-denominators, which does not change the rank.  Smith normal form is computed
-over the integers with the unimodular transforms returned.  No floating point
-is used anywhere in this package.
+Everything here is exact; no floating point is used anywhere in this
+package.  An integer matrix (``ZMatrix``, what the fiber blocks of the
+descent decision are) is stored sparsely, as one ``{column: nonzero int}``
+dict per row, because those blocks are mostly zeros: a Koszul block has one
+entry +-x_i per pair of summands it joins.  Rank is exact sparse integer
+elimination on those rows, with the pivot taken from the sparsest remaining
+row and each updated row divided by its content.  A rational matrix
+(``QMatrix``, dense) first has each row scaled by the lcm of its
+denominators, which does not change the rank, and is ranked by the same
+routine.  Smith normal form is computed over the integers with the
+unimodular transforms returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import as_rational
+from .errors import InputError, as_rational
 
 
 @dataclass(frozen=True)
@@ -46,17 +50,6 @@ class QMatrix:
             ents.extend(as_rational(x, "matrix entry") for x in r)
         return cls(nrows, ncols, tuple(ents))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        ents = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = Fraction(1)
-        return cls(n, n, tuple(ents))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -65,14 +58,6 @@ class QMatrix:
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        ents = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return QMatrix(self.cols, self.rows, ents)
 
     def multiply(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -92,136 +77,130 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def inverse(self) -> "QMatrix":
-        """Exact inverse by Gauss-Jordan; raises ValueError if singular."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a = self.to_lists()
-        inv = QMatrix.identity(n).to_lists()
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-        return QMatrix.from_rows(inv)
-
 
 @dataclass(frozen=True)
 class ZMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, one {column: nonzero int} dict per row.
+
+    Zeros are not stored.  Every stored entry must be exactly an ``int``
+    (not a ``bool``) in a column inside the shape; the matrix owns its row
+    dicts and nothing here mutates them.
+    """
 
     rows: int
     cols: int
-    entries: tuple  # tuple[int, ...]
+    sparse_rows: tuple  # tuple[dict[int, int], ...], length rows
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("ZMatrix entries must be ints")
+        if type(self.rows) is not int or type(self.cols) is not int or min(self.rows, self.cols) < 0:
+            raise InputError("matrix dimensions must be nonnegative ints")
+        if len(self.sparse_rows) != self.rows:
+            raise InputError(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
+        cols = self.cols
+        for i, row in enumerate(self.sparse_rows):
+            if type(row) is not dict:
+                raise InputError(f"row {i} is not a {{column: int}} dict: {row!r}")
+            for j, x in row.items():
+                if type(x) is not int or not x or type(j) is not int or not 0 <= j < cols:
+                    raise InputError(
+                        f"row {i} stores {j!r}: {x!r}, not a column and a nonzero int"
+                    )
 
     @classmethod
     def from_rows(cls, rows_data) -> "ZMatrix":
         rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
         ncols = len(rows_data[0]) if rows_data else 0
-        ents = []
+        sparse = []
         for r in rows_data:
             if len(r) != ncols:
-                raise ValueError("ragged rows")
-            ents.extend(int(x) for x in r)
-        return cls(nrows, ncols, tuple(ents))
+                raise InputError("ragged rows")
+            for x in r:
+                if type(x) is not int:
+                    raise InputError(f"matrix entry is not an int: {x!r}")
+            sparse.append({j: x for j, x in enumerate(r) if x})
+        return cls(len(rows_data), ncols, tuple(sparse))
 
-    @classmethod
-    def identity(cls, n: int) -> "ZMatrix":
-        ents = [0] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = 1
-        return cls(n, n, tuple(ents))
+    @property
+    def entries(self) -> tuple:
+        """Every entry, zeros included, row-major (a dense copy)."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        self._check_column(j)
+        return self.sparse_rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        row = self.sparse_rows[i]
+        return tuple(row.get(j, 0) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        self._check_column(j)
+        return tuple(row.get(j, 0) for row in self.sparse_rows)
+
+    def _check_column(self, j: int):
+        # a missing key reads as 0, so a column outside the shape must be refused here
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def multiply(self, other: "ZMatrix") -> "ZMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols))
-                )
-        return ZMatrix(self.rows, other.cols, tuple(out))
-
-    def to_qmatrix(self) -> QMatrix:
-        return QMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
-
 
 def rank(m) -> int:
-    """Rank of a ZMatrix or a QMatrix by fraction-free (Bareiss) elimination.
+    """Rank of a ZMatrix or a QMatrix by exact sparse integer elimination.
 
-    A QMatrix has each row scaled by the lcm of its denominators first.  The
-    one-step Bareiss recurrence then keeps every intermediate entry an
-    integer: each is a minor of the matrix divided by the previous pivot,
-    exact by Sylvester's identity (Bareiss 1968), so there is no rational
-    blow-up and no rounding ever.
+    A QMatrix has each row scaled by the lcm of its denominators first.  Each
+    step takes the sparsest remaining row as the pivot row and its first
+    stored entry as the pivot.  Every other row with an entry in the pivot
+    column becomes a*row - b*pivot_row, where (a, b) are the pivot and that
+    entry divided by their gcd, which clears the entry; the row is then
+    divided by its content (the gcd of its entries) to keep the integers
+    small.  These are invertible row operations over Q, and afterwards the
+    pivot column is nonzero in the pivot row alone, so the rank is one plus
+    the rank of the other rows.  Rows without an entry in the pivot column
+    are left as they are, and zero entries are never stored or visited.
     """
     if isinstance(m, QMatrix):
-        a = []
+        live = []
         for i in range(m.rows):
             row = m.row(i)
             scale = lcm(*(x.denominator for x in row))
-            a.append([x.numerator * (scale // x.denominator) for x in row])
+            live.append(
+                {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
+            )
     else:
-        a = m.to_lists()
-    nrows, ncols = m.rows, m.cols
+        live = m.sparse_rows
+    live = [row for row in live if row]
     r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r]
+    while live:
+        top = min(live, key=len)
+        col = next(iter(top))
         pivot = top[col]
-        tail = top[col + 1 :]
-        # Only the columns right of the pivot are read again; a row with a
-        # zero head is just scaled by pivot / prev.
-        for i in range(r + 1, nrows):
-            row = a[i]
-            head = row[col]
-            if head:
-                row[col + 1 :] = [
-                    (x * pivot - head * y) // prev for x, y in zip(row[col + 1 :], tail)
-                ]
-            elif pivot != prev:
-                row[col + 1 :] = [x * pivot // prev for x in row[col + 1 :]]
-        prev = pivot
         r += 1
-        if r == nrows:
-            break
+        rest = []
+        for row in live:
+            if row is top:
+                continue
+            head = row.get(col)
+            if head is None:
+                rest.append(row)
+                continue
+            g = gcd(pivot, head)
+            a, b = pivot // g, head // g
+            new = {j: a * x for j, x in row.items() if j != col}
+            for j, y in top.items():
+                if j != col:
+                    x = new.get(j, 0) - b * y
+                    if x:
+                        new[j] = x
+                    else:
+                        del new[j]
+            if new:
+                content = gcd(*new.values())
+                if content != 1:
+                    new = {j: x // content for j, x in new.items()}
+                rest.append(new)
+        live = rest
     return r
 
 
@@ -247,8 +226,8 @@ def smith_normal_form(m: ZMatrix):
     """
     a = m.to_lists()
     nrows, ncols = m.rows, m.cols
-    u = ZMatrix.identity(nrows).to_lists()
-    v = ZMatrix.identity(ncols).to_lists()
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]

@@ -5,7 +5,7 @@ methods:
 
   * the block route (descent module): split the fiber complex, evaluated at
     primitive integer coordinates, into stabilizer-character blocks and rank
-    each integer block map by fraction-free Bareiss elimination, and
+    each sparse integer block map by exact sparse elimination, and
   * the averaging route (oracle module): keep the fiber complex whole,
     build the isotypic projectors (1/|S|) sum_g phi(g)^{-1} rho(g) with
     their entries summed in the cyclotomic field Q(zeta_m) and checked to

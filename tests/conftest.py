@@ -4,11 +4,13 @@ import contextlib
 import io
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 import eqdescent.oracle as oracle_module
 from eqdescent.complexes import EquivariantComplex, TwistedSummand
+from eqdescent.linalg import QMatrix
 from eqdescent.polynomials import Poly
 
 from eqdescent.cli import main
@@ -45,6 +47,44 @@ def cli():
         return code, text, split_report(text)[0]
 
     return runner
+
+
+# ---------------------------------------------------------------------------
+# matrix operations that only the tests need
+# ---------------------------------------------------------------------------
+
+def qzeros(rows, cols):
+    """The rows x cols zero QMatrix."""
+    return QMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+
+
+def qidentity(n):
+    """The n x n identity QMatrix."""
+    return QMatrix.from_rows([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def inverse(m):
+    """Exact inverse of a QMatrix by Gauss-Jordan; ValueError if singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    a = m.to_lists()
+    inv = qidentity(n).to_lists()
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
+    return QMatrix.from_rows(inv)
 
 
 def koszul_complex(action, coeffs):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, inverse, qzeros
 
 from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import TwistedSummand, bundle_complex
@@ -181,7 +181,7 @@ def test_05_dual_route_selftest_is_clean(cli):
 
 def _random_invertible(rng, n):
     if n == 0:
-        return QMatrix.zeros(0, 0)
+        return qzeros(0, 0)
     lower = [
         [Fraction(1) if i == j else Fraction(rng.randint(-2, 2)) if j < i else Fraction(0) for j in range(n)]
         for i in range(n)
@@ -218,13 +218,13 @@ def _exact_triple(rng, triv, sign):
 
     a0 = QMatrix.from_rows(
         [[Fraction(1) if (i == j and i < r) else Fraction(0) for j in range(n1)] for i in range(n2)]
-    ) if n1 and n2 else QMatrix.zeros(n2, n1)
+    ) if n1 and n2 else qzeros(n2, n1)
     b0 = QMatrix.from_rows(
         [[Fraction(1) if j == r + i else Fraction(0) for j in range(n2)] for i in range(n3)]
-    ) if n2 and n3 else QMatrix.zeros(n3, n2)
+    ) if n2 and n3 else qzeros(n3, n2)
     P = _random_invertible(rng, n2)
     a = P.multiply(a0).multiply(_random_invertible(rng, n1))
-    b = _random_invertible(rng, n3).multiply(b0).multiply(P.inverse())
+    b = _random_invertible(rng, n3).multiply(b0).multiply(inverse(P))
     return space(n1), space(n2), space(n3), a, b
 
 
@@ -250,8 +250,8 @@ def _inexact_nontrivial_triple(rng, triv, sign):
         elif r + i < n2:
             row[r + i] = Fraction(1)
         b_rows.append(row)
-    a = QMatrix.from_rows(a_rows) if a_rows and a_rows[0] else QMatrix.zeros(n2 + k, n1)
-    b = QMatrix.from_rows(b_rows) if b_rows and b_rows[0] else QMatrix.zeros(n3, n2 + k)
+    a = QMatrix.from_rows(a_rows) if a_rows and a_rows[0] else qzeros(n2 + k, n1)
+    b = QMatrix.from_rows(b_rows) if b_rows and b_rows[0] else qzeros(n3, n2 + k)
     return v1, v2, v3, a, b
 
 

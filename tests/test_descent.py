@@ -1,10 +1,10 @@
 """Fiber restriction, block cohomology and the descent decision.
 
 The load-bearing test here is the dual-route agreement property: the block
-decomposition path (integer fibers split by stabilizer characters, Bareiss
-ranks) must produce exactly the same isotypic cohomology dimensions as the
-independent cyclotomic averaging route, on a large corpus of random
-instances.  The two routes share no linear algebra: one works over Z with
+decomposition path (integer fibers split by stabilizer characters, ranks
+by sparse integer elimination) must produce exactly the same isotypic
+cohomology dimensions as the independent cyclotomic averaging route, on a
+large corpus of random instances.  The two routes share no linear algebra: one works over Z with
 character bookkeeping, the other over Q(zeta_m) with projectors.
 """
 
@@ -13,6 +13,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from conftest import qzeros
 
 import eqdescent.action as action_module
 import eqdescent.descent as descent_module
@@ -578,7 +579,7 @@ def test_sandwich_outer_nontrivial_is_not_applicable():
     v2 = GradedSpace(((sign, 1),))
     v3 = GradedSpace(((triv, 0),))
     a = QMatrix.from_rows([[1]])
-    b = QMatrix.zeros(0, 1)
+    b = qzeros(0, 1)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.passed and not result.applicable
     assert "outer terms" in result.reason
@@ -591,7 +592,7 @@ def test_sandwich_detects_block_mixing():
     v2 = GradedSpace(((triv, 1), (sign, 1)))
     v3 = GradedSpace(((triv, 0),))
     a = QMatrix.from_rows([[1], [1]])  # hits the sign block from a trivial source
-    b = QMatrix.zeros(0, 2)
+    b = qzeros(0, 2)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.status == "hypothesis-failure"
     assert "mixes character blocks" in result.reason
@@ -613,8 +614,8 @@ def test_sandwich_detects_inexactness_with_nontrivial_middle():
     v1 = GradedSpace(((triv, 0),))
     v2 = GradedSpace(((sign, 2),))
     v3 = GradedSpace(((triv, 0),))
-    a = QMatrix.zeros(2, 0)
-    b = QMatrix.zeros(0, 2)
+    a = qzeros(2, 0)
+    b = qzeros(0, 2)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.status == "hypothesis-failure"
     assert "not exact" in result.reason
@@ -626,7 +627,7 @@ def test_sandwich_shape_mismatch_is_input_error():
     triv, _ = _restrictions(G)
     v = GradedSpace(((triv, 1),))
     with pytest.raises(InputError):
-        sandwich_check(v, v, v, QMatrix.zeros(2, 1), QMatrix.zeros(1, 1))
+        sandwich_check(v, v, v, qzeros(2, 1), qzeros(1, 1))
 
 
 def test_graded_space_accessors():

@@ -1,11 +1,17 @@
-"""Exact linear algebra: oracle-checked rank, kernel, Smith normal form."""
+"""Exact linear algebra: oracle-checked rank, kernel, Smith normal form.
 
+``rank`` is sparse integer elimination; the dense fraction-free (Bareiss)
+elimination it replaced is kept here as its reference.
+"""
+
+import copy
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from conftest import inverse, qidentity, qzeros
 
 from eqdescent.errors import InputError
 from eqdescent.linalg import (
@@ -74,6 +80,70 @@ def gcd_ladder_oracle(rows, ncols):
     return ladder
 
 
+def bareiss_rank(rows, ncols):
+    """Rank by dense one-step fraction-free (Bareiss) elimination, rows of
+    ints or Fractions each scaled by the lcm of its denominators first.
+    Every intermediate entry is a minor divided by the previous pivot, exact
+    by Sylvester's identity (Bareiss 1968)."""
+    a = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    nrows = len(a)
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        pivot = top[col]
+        tail = top[col + 1 :]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            head = row[col]
+            if head:
+                row[col + 1 :] = [
+                    (x * pivot - head * y) // prev for x, y in zip(row[col + 1 :], tail)
+                ]
+            elif pivot != prev:
+                row[col + 1 :] = [x * pivot // prev for x in row[col + 1 :]]
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def sparse(rows, ncols):
+    """The ZMatrix with the given dense integer rows and ``ncols`` columns."""
+    return ZMatrix(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
+
+
+def zmultiply(a, b):
+    """The product of two ZMatrix."""
+    assert a.cols == b.rows
+    return sparse(
+        [[sum(x * y for x, y in zip(a.row(i), b.column(j))) for j in range(b.cols)]
+         for i in range(a.rows)],
+        b.cols,
+    )
+
+
+def to_qmatrix(m):
+    """A ZMatrix as a QMatrix with the same entries."""
+    return QMatrix(m.rows, m.cols, tuple(Fraction(e) for e in m.entries))
+
+
+def transpose(m):
+    """The transpose of a QMatrix."""
+    return QMatrix(
+        m.cols, m.rows, tuple(m.entry(i, j) for j in range(m.cols) for i in range(m.rows))
+    )
+
+
 def random_zmatrix(rng, max_dim=4, lo=-9, hi=9):
     r = rng.randint(1, max_dim)
     c = rng.randint(1, max_dim)
@@ -85,9 +155,9 @@ def random_zmatrix(rng, max_dim=4, lo=-9, hi=9):
 # ---------------------------------------------------------------------------
 
 def test_rank_identity_and_zero():
-    assert rank(QMatrix.identity(2)) == 2
-    assert rank(QMatrix.zeros(3, 3)) == 0
-    assert kernel_dim(QMatrix.identity(3)) == 0
+    assert rank(qidentity(2)) == 2
+    assert rank(qzeros(3, 3)) == 0
+    assert kernel_dim(qidentity(3)) == 0
 
 
 def test_rank_dependent_rows():
@@ -97,7 +167,7 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_dim_single_zero_row():
-    assert kernel_dim(QMatrix.zeros(1, 3)) == 3
+    assert kernel_dim(qzeros(1, 3)) == 3
 
 
 def test_rank_with_fractions():
@@ -127,7 +197,7 @@ def test_rank_equals_transpose_rank():
         c = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(c)] for _ in range(r)]
         m = QMatrix.from_rows(rows)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_rank_low_rank_products():
@@ -151,10 +221,11 @@ def test_integer_rank_equals_rational_rank():
         r, c, k = rng.randint(0, 20), rng.randint(0, 15), rng.randint(0, 6)
         left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
         right = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)]
-        m = ZMatrix(r, c, tuple(
-            sum(left[i][t] * right[t][j] for t in range(k)) for i in range(r) for j in range(c)
-        ))
-        assert rank(m) == rank(m.to_qmatrix()) <= min(r, c, k)
+        m = sparse(
+            [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)] for i in range(r)],
+            c,
+        )
+        assert rank(m) == rank(to_qmatrix(m)) <= min(r, c, k)
         if r <= 4 and c <= 4:
             assert rank(m) == minor_rank_oracle(m.to_lists(), c)
 
@@ -169,18 +240,115 @@ def test_inverse_round_trip():
         if rank(m) < n:
             continue
         count += 1
-        assert m.multiply(m.inverse()) == QMatrix.identity(n)
+        assert m.multiply(inverse(m)) == qidentity(n)
 
 
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
-        QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+        inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
 
 
 def test_inexact_matrix_entries_are_refused():
     with pytest.raises(InputError, match="matrix entry: 0.5"):
         QMatrix.from_rows([[1, 0.5]])
     assert QMatrix.from_rows([["1/2", 3]]).entries == (Fraction(1, 2), Fraction(3))
+
+
+def test_integer_matrix_entries_that_are_not_ints_are_refused():
+    for bad in (1.5, 2.0, "7", True, False, Fraction(3), Fraction(1, 2)):
+        with pytest.raises(InputError, match="not an int"):
+            ZMatrix.from_rows([[1, bad]])
+    for row in (True, 1, [1]):
+        with pytest.raises(InputError):
+            ZMatrix(1, 1, (row,))
+    for entry in ({0: True}, {0: 1.0}, {0: Fraction(1)}, {0: 0}, {1: 1}, {-1: 1}, {True: 1}):
+        with pytest.raises(InputError):
+            ZMatrix(1, 1, (entry,))
+    with pytest.raises(InputError):
+        ZMatrix(2, 1, ({0: 1},))
+    with pytest.raises(InputError):
+        ZMatrix.from_rows([[1, 2], [3]])
+
+
+def test_integer_matrix_stores_nonzero_entries_only():
+    m = ZMatrix.from_rows([[0, 5, 0], [0, 0, 0], [-2, 0, 1]])
+    assert m.sparse_rows == ({1: 5}, {}, {0: -2, 2: 1})
+    assert m.entries == (0, 5, 0, 0, 0, 0, -2, 0, 1)
+    assert (m.entry(0, 1), m.entry(1, 1), m.entry(2, 2)) == (5, 0, 1)
+    assert m.row(2) == (-2, 0, 1)
+    assert m.column(0) == (0, 0, -2)
+    for j in (-1, 3):
+        with pytest.raises(IndexError):
+            m.entry(0, j)
+        with pytest.raises(IndexError):
+            m.column(j)
+    assert m.to_lists() == [[0, 5, 0], [0, 0, 0], [-2, 0, 1]]
+    assert m == sparse(m.to_lists(), 3)
+    assert ZMatrix(0, 4, ()).entries == () and rank(ZMatrix(0, 4, ())) == 0
+    assert ZMatrix(3, 0, ({}, {}, {})).to_lists() == [[], [], []]
+
+
+def test_rank_matches_dense_bareiss():
+    """Sparse elimination against the dense Bareiss reference: dense random
+    matrices and low-rank products with large entries, Koszul-shaped +-1
+    maps, sparse +-1 matrices and rational matrices with denominators, each
+    with zero rows and columns spliced in, empty shapes included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    large = st.integers(-(10**12), 10**12)
+    unit_or_zero = st.sampled_from([0, 0, 0, 1, -1])
+    rational = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+    def matrix(entry, r, c):
+        return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    def koszul_map(data):
+        # e_S -> sum_pos (-1)^pos c_i e_{S - i} from k-subsets to (k-1)-subsets
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, n))
+        coeffs = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, -3]), min_size=n, max_size=n))
+        sources = list(itertools.combinations(range(n), k))
+        targets = {t: i for i, t in enumerate(itertools.combinations(range(n), k - 1))}
+        rows = [[0] * len(sources) for _ in targets]
+        for a, s in enumerate(sources):
+            for pos, i in enumerate(s):
+                rows[targets[s[:pos] + s[pos + 1 :]]][a] = (-1) ** pos * coeffs[i]
+        return rows, len(sources)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["dense", "product", "koszul", "sparse", "rational"]))
+        nrows, ncols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+        if kind == "dense":
+            rows = data.draw(matrix(large, nrows, ncols))
+        elif kind == "product":
+            # (nrows x k) @ (k x ncols) has rank at most k; entries reach 10^25
+            k = data.draw(st.integers(0, 4))
+            left, right = data.draw(matrix(large, nrows, k)), data.draw(matrix(large, k, ncols))
+            rows = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(ncols)] for row in left]
+        elif kind == "koszul":
+            rows, ncols = koszul_map(data)
+        elif kind == "sparse":
+            rows = data.draw(matrix(unit_or_zero, nrows, ncols))
+        else:
+            rows = data.draw(matrix(rational, nrows, ncols))
+        for _ in range(data.draw(st.integers(0, 2))):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * ncols)
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, ncols))
+            rows = [row[:at] + [0] + row[at:] for row in rows]
+            ncols += 1
+        want = bareiss_rank(rows, ncols)
+        q = QMatrix(len(rows), ncols, tuple(Fraction(x) for row in rows for x in row))
+        assert rank(q) == want, (rows, ncols)
+        if kind != "rational":
+            m = sparse(rows, ncols)
+            before = copy.deepcopy(m.sparse_rows)
+            assert rank(m) == want <= min(len(rows), ncols), (rows, ncols)
+            assert m.sparse_rows == before  # rank reads the rows, never writes them
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +360,7 @@ def assert_snf_contract(m):
     # transforms are unimodular and realize the diagonal
     assert is_unimodular(u)
     assert is_unimodular(v)
-    prod = u.multiply(m).multiply(v)
+    prod = zmultiply(zmultiply(u, m), v)
     for i in range(prod.rows):
         for j in range(prod.cols):
             expected = diag[i] if i == j and i < len(diag) else 0
@@ -208,7 +376,7 @@ def assert_snf_contract(m):
 
 
 def test_smith_identity():
-    diag = assert_snf_contract(ZMatrix.identity(2))
+    diag = assert_snf_contract(ZMatrix.from_rows([[1, 0], [0, 1]]))
     assert diag == [1, 1]
 
 
@@ -299,8 +467,8 @@ def test_rank_invariant_under_unimodular_transforms():
     for _ in range(100):
         m = random_zmatrix(rng, max_dim=4, lo=-5, hi=5)
         _, (u, v) = smith_normal_form(m)
-        transformed = u.multiply(m).multiply(v)
-        assert rank(m.to_qmatrix()) == rank(transformed.to_qmatrix())
+        transformed = zmultiply(zmultiply(u, m), v)
+        assert rank(to_qmatrix(m)) == rank(to_qmatrix(transformed))
 
 
 def test_kernel_basis_solves_and_spans():
@@ -313,7 +481,7 @@ def test_kernel_basis_solves_and_spans():
             for i in range(m.rows):
                 assert sum(m.entry(i, j) * vec[j] for j in range(m.cols)) == 0
         # count matches the rank-nullity expectation over Q
-        assert len(basis) == m.cols - rank(m.to_qmatrix())
+        assert len(basis) == m.cols - rank(to_qmatrix(m))
 
 
 def test_fraction_contract():

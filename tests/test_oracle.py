@@ -171,8 +171,9 @@ def test_character_orthogonality_through_the_field():
 # ---------------------------------------------------------------------------
 
 def test_rank_over_q_matches_linalg_rank():
-    """The oracle's Fraction elimination against linalg.rank's Bareiss, on
-    random rational matrices, low-rank products, zero rows and empty shapes."""
+    """The oracle's Fraction elimination against linalg.rank's sparse
+    integer elimination, on random rational matrices, low-rank products,
+    zero rows and empty shapes."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     entry = st.integers(-4, 4) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
