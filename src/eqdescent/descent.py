@@ -10,9 +10,14 @@ to cohomology, so the decision reduces to: nontrivial blocks must be exact.
 Stabilizers and fiber characters are constant along coordinate-support
 strata, so all of the fiber that does not depend on the point is computed
 once per stratum, as a ``FiberLayout``: the block each summand lands in, its
-position there, and which differential entries fall inside a block (the
-entries between blocks are kept apart, to be checked to vanish).  At a point
-only the entries are evaluated, in integers:
+position there, and every differential entry restricted to the stratum, by
+dropping the terms that hold a variable off the support.  Entries that
+vanish on the stratum are dropped.  An entry between two blocks must vanish
+identically there (equivariance forces it), so one that does not raises
+InternalConsistencyError.  The restricted entries are shared up to sign: on
+a stratum, every entry of a Koszul complex is +-x_i for some i in the
+support.  At a point each distinct restricted entry is evaluated once, in
+integers:
 
   * the point is scaled to primitive integer coordinates x;
   * an entry p from (d_s, psi_s) to (d_t, psi_t) contributes its raw value
@@ -31,20 +36,39 @@ Each block differential is then a sparse integer matrix, one
 {column: nonzero int} dict per row filled straight from the layout's cells,
 ranked once by sparse integer elimination, and dim H^j = n_j - r_j - r_{j-1}.
 
-Cohomology ranks can still jump on proper closed subsets of a stratum, so
-multi-coordinate strata are checked at deterministic sample points and every
-report says which strata were sampled rather than decided exactly.  The
-exceptions are exact: single-coordinate strata contain one point; strata
-with trivial stabilizer hold vacuously; and a stratum on which no block of
-a nontrivial character has an entry is checked once, at its
-representative, because those blocks have zero maps at every point of the
-stratum, so their cohomology is their dimension throughout it.  A single
-line bundle is a complex of the last kind on every stratum.
+Cohomology ranks can jump on proper closed subsets of a stratum, so each
+stratum with a nontrivial stabilizer is decided in one of these modes:
+
+  * ``exact-single-point``: a single-coordinate stratum is one point;
+  * ``exact-stratum``: no block of a nontrivial character has an entry on
+    the stratum, so those blocks have zero maps at every point of it and
+    their cohomology is their dimension throughout (a single line bundle is
+    a complex of this kind on every stratum); checked at the representative;
+  * ``exact-witness``: a point of the stratum has cohomology in a nontrivial
+    block.  The point is the stratum's first sample point, or a rational
+    zero, on the stratum, of a 1x1 nontrivial block map whose entry is a
+    linear form;
+  * ``exact-certified``: every nontrivial block is exact at the first sample
+    point, with ranks r_j, and every nontrivial block map d_j reaches r_j
+    pivots in a fraction-free elimination over Z[x_T] (T the support) whose
+    pivots are all monomials.  A monomial is a unit on the stratum, where
+    every x_i with i in T is nonzero, so the pivot minor is nonzero at every
+    point of the stratum and rank d_j >= r_j there.  Exactness at the sample
+    gives r_j + r_{j-1} = n_j, so at every point of the stratum
+    dim H^j = n_j - rank d_j - rank d_{j-1} <= n_j - r_j - r_{j-1} = 0 (and
+    d o d = 0 keeps it from going below);
+  * ``sampled``: otherwise; the stratum is checked at ``samples_per_stratum``
+    deterministic sample points, and the report lists it as sampled rather
+    than decided exactly.
+
+Strata with trivial stabilizer hold vacuously (``exact-trivial-stabilizer``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .action import ProjectiveAction, RationalPoint, Stratum
@@ -54,7 +78,8 @@ from .complexes import (
     TwistedSummand,
 )
 from .groups import InputError
-from .linalg import QMatrix, ZMatrix, kernel_dim, rank
+from .linalg import QMatrix, ZMatrix, kernel_dim, monomial_pivots, rank
+from .polynomials import Poly
 
 
 @dataclass(frozen=True)
@@ -64,9 +89,14 @@ class BlockComplex:
     dims: dict  # degree -> positive summand count
     mats: dict  # degree j -> sparse ZMatrix of shape (dims[j+1], dims[j])
 
+    @cached_property
+    def ranks(self) -> dict:
+        """degree j -> rank d_j, each map ranked once."""
+        return {j: rank(m) for j, m in self.mats.items()}
+
     def cohomology(self) -> dict:
-        """degree -> dim H = n_j - rank d_j - rank d_{j-1}, ranking each map once."""
-        ranks = {j: rank(m) for j, m in self.mats.items()}
+        """degree -> dim H = n_j - rank d_j - rank d_{j-1}."""
+        ranks = self.ranks
         out = {}
         for j, n in self.dims.items():
             out[j] = n - ranks.get(j, 0) - ranks.get(j - 1, 0)
@@ -97,20 +127,40 @@ class FiberComplex:
 
 
 def integer_entries(complex_: EquivariantComplex) -> dict:
-    """The differentials with coefficient denominators cleared row by row.
+    """The differentials with coefficient denominators cleared row by row,
+    in the form ``fiber_layout`` restricts to a stratum.
 
-    Returns {j: {(s, t): Poly}}, every entry in row t of d_j multiplied by the
-    lcm of the denominators of the entries in that row, so all coefficients
-    are integers.  Scaling rows by nonzero constants changes no rank.
+    Every entry in row t of d_j is multiplied by the lcm of the denominators
+    of the entries in that row, so all coefficients are integers; scaling
+    rows by nonzero constants changes no rank.  An entry becomes
+    (s, t, sign, terms, masks): ``terms`` are its (exponents, int
+    coefficient) pairs in sorted order, times ``sign`` so that the first
+    coefficient is positive, and a term's mask has bit i set when x_i occurs
+    in it.  Returns {j: {(occurring, one_term): entries}}, grouped by the
+    union of the entries' masks and by whether they have a single term, so
+    that a stratum drops a group of single terms that hold a variable off
+    its support at once.
     """
     out = {}
     for j, entries in complex_.differentials.items():
         scale = {}
         for (_, t), p in entries.items():
             scale[t] = lcm(scale.get(t, 1), p.denominator)
-        out[j] = {
-            (s, t): p if scale[t] == 1 else p * scale[t] for (s, t), p in entries.items()
-        }
+        groups = out[j] = {}
+        for (s, t), p in entries.items():
+            if p.is_zero:
+                continue
+            factor = scale[t] // p.denominator
+            terms = sorted((e, c * factor) for e, c in p.numerators.items())
+            sign = 1 if terms[0][1] > 0 else -1
+            if sign < 0:
+                terms = [(e, -c) for e, c in terms]
+            masks = tuple(sum(1 << i for i, a in enumerate(e) if a) for e, _ in terms)
+            occurring = 0
+            for mask in masks:
+                occurring |= mask
+            key = (occurring, len(terms) == 1)
+            groups.setdefault(key, []).append((s, t, sign, tuple(terms), masks))
     return out
 
 
@@ -119,18 +169,19 @@ class FiberLayout:
     """The shape of a complex's fibers on one stratum, without entry values.
 
     ``provenance`` maps (degree, summand index) to the summand's fiber
-    character, which keys its block.  ``blocks`` maps a block key to
+    character, which keys its block.  ``polys`` holds the distinct nonzero
+    restrictions of the differential entries to the stratum, each up to
+    sign, as integer-coefficient Polys.  ``blocks`` maps a block key to
     (dims, maps): dims is {degree: summand count}, and maps holds one
     (j, rows, cols, cells) per block differential, cells being the
-    (row, column, integer-coefficient Poly) triples of the entries inside
-    the block.  ``crossing`` lists the entries between blocks as
-    (j, source, target, Poly); they must vanish on the stratum.
+    (row, column, poly index, sign) of each entry that does not vanish on
+    the stratum.
     """
 
     stratum: Stratum
     provenance: dict
+    polys: tuple
     blocks: dict
-    crossing: tuple
 
 
 def fiber_layout(
@@ -141,7 +192,10 @@ def fiber_layout(
 
     Each block key is numbered once, when the first summand with that fiber
     character is met, so the loop over the entries compares and hashes
-    small ints rather than characters."""
+    small ints rather than characters.  An entry between two blocks that
+    does not vanish identically on the stratum raises
+    InternalConsistencyError: equivariance forbids it, so the decomposition
+    or the validation is buggy."""
     numbers = {}  # block key -> block number
     keys = []  # block number -> block key
     dims = []  # block number -> {degree -> summand count}
@@ -166,17 +220,40 @@ def fiber_layout(
             per_degree[j] = position + 1
             placed.append((k, position))
 
-    cells = {}  # (block number, j) -> [(row, column, Poly)]
-    crossing = []
-    for j, row in entries.items():
+    nvars = complex_.action.dim + 1
+    off = (1 << nvars) - 1  # the variables off the support
+    for i in stratum.support:
+        off ^= 1 << i
+    polys = []  # distinct restricted entries, as sorted term tuples
+    index = {}  # restricted terms -> poly index
+    cells = {}  # (block number, j) -> [(row, column, poly index, sign)]
+    for j, groups in entries.items():
         sources, targets = places[j], places[j + 1]
-        for (s, t), p in row.items():
-            k, col = sources[s]
-            target, r = targets[t]
-            if target != k:
-                crossing.append((j, s, t, p))
+        for (occurring, one_term), group in groups.items():
+            restrict = occurring & off
+            if restrict and one_term:
                 continue
-            cells.setdefault((k, j), []).append((r, col, p))
+            for s, t, sign, terms, masks in group:
+                if restrict:
+                    terms = tuple(term for term, mask in zip(terms, masks) if not mask & off)
+                    if not terms:
+                        continue
+                    if terms[0][1] < 0:
+                        sign = -sign
+                        terms = tuple((e, -c) for e, c in terms)
+                k, col = sources[s]
+                target, r = targets[t]
+                if target != k:
+                    raise InternalConsistencyError(
+                        f"entry {s}->{t} at degree {j} crosses blocks "
+                        f"{keys[k].values} -> {keys[target].values} and does not "
+                        f"vanish on the stratum {stratum.support}"
+                    )
+                number = index.get(terms)
+                if number is None:
+                    number = index[terms] = len(polys)
+                    polys.append(terms)
+                cells.setdefault((k, j), []).append((r, col, number, sign))
 
     blocks = {}
     for k, per_degree in enumerate(dims):
@@ -186,7 +263,8 @@ def fiber_layout(
             if j + 1 in per_degree
         )
         blocks[keys[k]] = (per_degree, maps)
-    return FiberLayout(stratum, provenance, blocks, tuple(crossing))
+    polys = tuple(Poly(nvars, dict(terms)) for terms in polys)
+    return FiberLayout(stratum, provenance, polys, blocks)
 
 
 def fiber_restrict(
@@ -203,11 +281,8 @@ def fiber_restrict(
     coefficient denominators.  They differ from the trivialized entries
     p(x) / x_{i0}^{d_t - d_s} by invertible diagonal factors on both sides,
     so every block rank, and hence every cohomology dimension, is the same
-    for any choice of trivializing coordinate i0 in the support.
-    Entries between different blocks must evaluate to exactly zero; a
-    nonzero value means the decomposition or the equivariance validation is
-    buggy, so it raises InternalConsistencyError rather than returning
-    quietly.
+    for any choice of trivializing coordinate i0 in the support.  Each
+    distinct restricted entry of the layout is evaluated once.
 
     ``layout`` is the ``fiber_layout`` of the point's stratum; it is built
     here when not given.
@@ -224,24 +299,16 @@ def fiber_restrict(
         )
 
     x = point.integer_coords
-    for j, s, t, p in layout.crossing:
-        value = p.evaluate(x)
-        if value:
-            raise InternalConsistencyError(
-                f"entry {s}->{t} at degree {j} crosses blocks "
-                f"{layout.provenance[(j, s)].values} -> "
-                f"{layout.provenance[(j + 1, t)].values} with value {value}"
-            )
-
+    values = [p.evaluate(x) for p in layout.polys]
     blocks = {}
     for phi, (dims, maps) in layout.blocks.items():
         mats = {}
         for j, rows, cols, cells in maps:
             sparse = [{} for _ in range(rows)]
-            for r, c, p in cells:
-                value = p.evaluate(x)
+            for r, c, number, sign in cells:
+                value = values[number]
                 if value:
-                    sparse[r][c] = value
+                    sparse[r][c] = value if sign > 0 else -value
             mats[j] = ZMatrix(rows, cols, tuple(sparse))
         blocks[phi] = BlockComplex(dims=dims, mats=mats)
 
@@ -293,7 +360,9 @@ class StratumCoverage:
     stabilizer_order: int
     mode: str  # "exact-single-point" | "exact-trivial-stabilizer" |
     #            "exact-stratum" (no nontrivial block has a map entry) |
-    #            "sampled" | "skipped"
+    #            "exact-witness" (a point of it fails) |
+    #            "exact-certified" (monomial pivot minors, one point) |
+    #            "sampled" | "skipped"; the module docstring has the proofs
     points_checked: int
 
     def to_dict(self) -> dict:
@@ -376,7 +445,7 @@ class DescentReport:
         return out
 
 
-def _examine_point(complex_, point, layout, witnesses, tables):
+def _examine_point(complex_, point, layout, witnesses, tables) -> FiberComplex:
     fiber = fiber_restrict(complex_, point, layout=layout)
     dims = block_cohomology(fiber)
     rows = []
@@ -394,6 +463,91 @@ def _examine_point(complex_, point, layout, witnesses, tables):
             rows=tuple(rows),
         )
     )
+    return fiber
+
+
+# Term products one stratum's certificate may spend, a few hundredths of a
+# second.  A stratum of the P^9 Koszul complex under Z/2 takes at most a few
+# thousand; a stratum that needs more stays sampled.
+CERTIFICATE_WORK = 50_000
+
+
+def _certified(layout: FiberLayout, fiber: FiberComplex) -> bool:
+    """Whether every nontrivial block map of the layout reaches its rank at
+    ``fiber`` with monomial pivots alone, within ``CERTIFICATE_WORK`` term
+    products for the whole stratum (see the module docstring)."""
+    budget = CERTIFICATE_WORK
+    polys = layout.polys
+    for phi, (_, maps) in layout.blocks.items():
+        if phi.is_trivial:
+            continue
+        ranks = fiber.blocks[phi].ranks
+        for j, rows, _, cells in maps:
+            if not ranks[j]:
+                continue
+            matrix = [{} for _ in range(rows)]
+            for r, c, number, sign in cells:
+                nums = polys[number].numerators
+                matrix[r][c] = nums if sign > 0 else {e: -a for e, a in nums.items()}
+            budget = monomial_pivots(matrix, ranks[j], budget)
+            if budget is None or budget < 0:
+                return False
+    return True
+
+
+def _linear_zeros(layout: FiberLayout, nvars: int):
+    """Rational points of the stratum where the entry of a 1x1 nontrivial
+    block map vanishes, one per such entry that is a linear form with two
+    or more terms: every coordinate in the support is 1, except that the
+    form's last variable is solved for, after the first is set to 2 if the
+    other terms sum to zero."""
+    seen = set()
+    for phi, (_, maps) in layout.blocks.items():
+        if phi.is_trivial:
+            continue
+        for _, rows, cols, cells in maps:
+            if rows != 1 or cols != 1 or not cells:
+                continue
+            number = cells[0][2]
+            nums = layout.polys[number].numerators
+            if number in seen or len(nums) < 2 or any(sum(e) != 1 for e in nums):
+                continue
+            seen.add(number)
+            coords = [0] * nvars
+            for i in layout.stratum.support:
+                coords[i] = 1
+            terms = sorted((e.index(1), c) for e, c in nums.items())  # (variable, coefficient)
+            (first, a), (last, b) = terms[0], terms[-1]
+            partial = sum(c for _, c in terms[:-1])
+            if not partial:
+                coords[first] = 2
+                partial = a
+            coords[last] = Fraction(-partial, b)
+            yield RationalPoint(tuple(coords))
+
+
+def _decide_open_stratum(complex_, layout, samples, seed, witnesses, tables) -> tuple:
+    """(mode, points examined) for a multi-coordinate stratum on which a
+    nontrivial block has an entry, in the order ``check_descent`` gives."""
+    action = complex_.action
+    stratum = layout.stratum
+    found = len(witnesses)
+    (first,) = action.sample_points(stratum, 1, seed)
+    fiber = _examine_point(complex_, first, layout, witnesses, tables)
+    if len(witnesses) > found:
+        return "exact-witness", 1
+    if _certified(layout, fiber):
+        return "exact-certified", 1
+    checked = 1
+    for zero in _linear_zeros(layout, action.dim + 1):
+        checked += 1
+        _examine_point(complex_, zero, layout, witnesses, tables)
+        if len(witnesses) > found:
+            return "exact-witness", checked
+    rest = action.sample_points(stratum, samples, seed)[1:]
+    for p in rest:
+        _examine_point(complex_, p, layout, witnesses, tables)
+    return "sampled", checked + len(rest)
 
 
 def check_descent(
@@ -406,13 +560,15 @@ def check_descent(
     """Decide descent for a complex: every stabilizer must act trivially on
     all fiber cohomology.
 
-    Strata with trivial stabilizer hold vacuously; single-coordinate strata
-    are checked at their unique point; so are strata where no block of a
-    nontrivial character has an entry, at their representative; other strata
-    are checked at ``samples_per_stratum`` deterministic sample points each
-    (plus any user-supplied ``points``, which are always checked exactly as
-    given).  The report lists sampled strata as an explicit completeness
-    caveat.
+    Each stratum is decided in one of the modes of the module docstring.  A
+    multi-coordinate stratum on which some nontrivial block has an entry is
+    first examined at its first sample point alone: a witness there, or a
+    monomial-pivot certificate, decides it with that one point.  Otherwise a
+    rational zero of a linear 1x1 nontrivial block entry is examined, and
+    the first witness among those decides it; failing that, the stratum
+    takes the rest of its ``samples_per_stratum`` deterministic sample
+    points and is listed as sampled, an explicit completeness caveat.  Any
+    user-supplied ``points`` are checked as given, in addition.
 
     Each stratum's fiber layout is built once, before its mode is chosen,
     shared by its points, and dropped when the stratum is done; user
@@ -435,24 +591,22 @@ def check_descent(
             )
             continue
         layout = fiber_layout(complex_, stratum, entries)
-        if len(stratum.support) == 1:
-            pts = (stratum.representative(),)
-            mode = "exact-single-point"
-        elif not any(  # every nontrivial block has zero maps on the stratum
+        single = len(stratum.support) == 1
+        if single or not any(  # every nontrivial block has zero maps on the stratum
             cells
             for phi, (_, maps) in layout.blocks.items()
             if not phi.is_trivial
             for _, _, _, cells in maps
         ):
-            pts = (stratum.representative(),)
-            mode = "exact-stratum"
+            mode, checked = "exact-single-point" if single else "exact-stratum", 1
+            _examine_point(complex_, stratum.representative(), layout, witnesses, tables)
         else:
-            pts = action.sample_points(stratum, samples_per_stratum, seed)
-            mode = "sampled"
-            sampled.append(stratum.support)
-        coverage.append(StratumCoverage(stratum.support, order, mode, len(pts)))
-        for p in pts:
-            _examine_point(complex_, p, layout, witnesses, tables)
+            mode, checked = _decide_open_stratum(
+                complex_, layout, samples_per_stratum, seed, witnesses, tables
+            )
+            if mode == "sampled":
+                sampled.append(stratum.support)
+        coverage.append(StratumCoverage(stratum.support, order, mode, checked))
 
     by_support = {stratum.support: stratum for stratum in strata}
     layouts = {}  # support -> FiberLayout, built once for all user points on it

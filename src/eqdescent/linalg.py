@@ -9,8 +9,9 @@ elimination on those rows, with the pivot taken from the sparsest remaining
 row and each updated row divided by its content.  A rational matrix
 (``QMatrix``, dense) first has each row scaled by the lcm of its
 denominators, which does not change the rank, and is ranked by the same
-routine.  Smith normal form is computed over the integers with the
-unimodular transforms returned.
+routine.  ``monomial_pivots`` eliminates a matrix of integer polynomials
+the same way, but takes only monomials as pivots.  Smith normal form is
+computed over the integers with the unimodular transforms returned.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import InputError, as_rational
 
@@ -202,6 +204,89 @@ def rank(m) -> int:
                 rest.append(new)
         live = rest
     return r
+
+
+def monomial_pivots(rows: list, target: int, budget: int):
+    """Eliminate a polynomial matrix over Z[x] with monomial pivots only.
+
+    ``rows`` holds one {column: {exponents: nonzero int}} dict per row; no
+    dict in it is modified.  Each step takes the sparsest row with a
+    monomial entry as the pivot row and that entry u as the pivot.  Every
+    other row with an entry f in the pivot column becomes
+    u*row - f*pivot_row, which clears the column, and is divided by its
+    monomial content (the gcd of its coefficients times the largest monomial
+    dividing every term), a unit where the variables are nonzero.  The pivot
+    row then leaves the matrix.  So the pivots found index a square
+    submatrix whose determinant is, up to such units, the product of the
+    pivots: a monomial, nonzero wherever the variables are.  The budget
+    counts term products, each row update charged before it is made.
+
+    Returns the budget left once ``target`` pivots are found; None when no
+    row has a monomial entry before that; a negative number when a row
+    update would take the term products spent past ``budget``.
+    """
+    live = [row for row in rows if row]
+    found = 0
+    while found < target:
+        for top in sorted(live, key=len):
+            col = next((c for c, f in top.items() if len(f) == 1), None)
+            if col is not None:
+                break
+        else:
+            return None
+        found += 1
+        if found == target:
+            break
+        ((ue, uc),) = top[col].items()
+        pivot_terms = sum(map(len, top.values())) - 1
+        rest = []
+        for row in live:
+            if row is top:
+                continue
+            f = row.get(col)
+            if f is None:
+                rest.append(row)
+                continue
+            budget -= sum(map(len, row.values())) + len(f) * pivot_terms
+            if budget < 0:
+                return budget
+            new = {
+                c: {tuple(map(add, e, ue)): a * uc for e, a in g.items()}
+                for c, g in row.items()
+                if c != col
+            }
+            for c, h in top.items():
+                if c == col:
+                    continue
+                acc = new.setdefault(c, {})
+                for e1, a in f.items():
+                    for e2, b in h.items():
+                        e = tuple(map(add, e1, e2))
+                        x = acc.get(e, 0) - a * b
+                        if x:
+                            acc[e] = x
+                        else:
+                            del acc[e]
+                if not acc:
+                    del new[c]
+            if new:
+                rest.append(_divide_monomial_content(new))
+        live = rest
+    return budget
+
+
+def _divide_monomial_content(row: dict) -> dict:
+    """The row divided by the gcd of its coefficients and by the largest
+    monomial dividing all its terms."""
+    terms = [t for g in row.values() for t in g.items()]
+    content = gcd(*(a for _, a in terms))
+    low = tuple(map(min, *(e for e, _ in terms))) if len(terms) > 1 else terms[0][0]
+    if content == 1 and not any(low):
+        return row
+    return {
+        c: {tuple(x - y for x, y in zip(e, low)): a // content for e, a in g.items()}
+        for c, g in row.items()
+    }
 
 
 def kernel_dim(m) -> int:

@@ -518,5 +518,5 @@ def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul, cli):
     code, _, payload = cli("check-descent", str(path))
     assert code == 0  # the Koszul complex of a full regular sequence is exact off 0
     assert payload["report_digest"] == (
-        "sha256:fc3af488b1399c4dca869bbd16650598a4a5d43821434ba8c5ae0ebd3e5a52b6"
+        "sha256:690fcac7aa19008745e90749b7eecbf42dd8e39aabd83db71485313a3c8b04c0"
     )

@@ -8,12 +8,14 @@ large corpus of random instances.  The two routes share no linear algebra: one w
 character bookkeeping, the other over Q(zeta_m) with projectors.
 """
 
+import itertools
 import json
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
-from conftest import qzeros
+from conftest import koszul_complex, qzeros
 
 import eqdescent.action as action_module
 import eqdescent.descent as descent_module
@@ -346,6 +348,47 @@ def test_layout_of_another_stratum_is_rejected(two_term):
         fiber_restrict(two_term, RationalPoint((1, 1, 0)), layout=layout)
 
 
+def test_an_entry_between_blocks_must_vanish_on_the_stratum(z2_p2):
+    """x2 from O to O(1), both untwisted, is not equivariant (x2 transforms
+    by the sign).  On {2} it joins the trivial block to the sign block and
+    does not vanish, which the layout refuses as a bug; on {0} it vanishes
+    identically and is dropped."""
+    from eqdescent.complexes import InternalConsistencyError
+
+    broken = EquivariantComplex(
+        z2_p2, {0: (O(z2_p2, 0),), 1: (O(z2_p2, 1),)}, {0: {(0, 0): Poly.variable(3, 2)}}
+    )
+    entries = descent_module.integer_entries(broken)
+    with pytest.raises(InternalConsistencyError, match="does not vanish"):
+        descent_module.fiber_layout(broken, z2_p2.stratum_of_support((2,)), entries)
+    layout = descent_module.fiber_layout(broken, z2_p2.stratum_of_support((0,)), entries)
+    assert layout.polys == () and all(
+        not cells for _, maps in layout.blocks.values() for _, _, _, cells in maps
+    )
+
+
+def test_each_distinct_restricted_entry_is_evaluated_once(koszul, monkeypatch):
+    """On a stratum every Koszul entry restricts to +-c_i x_i with i in the
+    support, so a point evaluates one polynomial per supported coordinate."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 4, (G.trivial_character(),) * 5)
+    complex_ = koszul(action, (1, -2, 3, 1, 1))
+    layout = descent_module.fiber_layout(
+        complex_, action.stratum_of_support((0, 2, 3)), descent_module.integer_entries(complex_)
+    )
+    assert sorted(repr(p) for p in layout.polys) == ["3*x2", "x0", "x3"]
+    calls = []
+    evaluate = Poly.evaluate
+
+    def counting(self, coords):
+        calls.append(self)
+        return evaluate(self, coords)
+
+    monkeypatch.setattr(Poly, "evaluate", counting)
+    fiber_restrict(complex_, RationalPoint((1, 0, 2, -3, 0)), layout=layout)
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # the cached group layer: strata once per action, stabilizers as coordinates
 # ---------------------------------------------------------------------------
@@ -400,13 +443,24 @@ def test_check_descent_never_builds_subgroup_elements(koszul, monkeypatch):
 
 
 def test_descent_report_structure(z2_p2):
-    # 0 -> O(0)@sign --x0--> O(1)@sign -> 0: on {0,1} both summands sit in
-    # the sign block and the entry lies inside it, so that stratum is sampled;
-    # x0 vanishes on {1} and at (0:0:1), where the sign survives
+    # 0 -> O(0)@sign --(q1, q2)--> 2 O(2)@sign --(q2, -q1)--> O(4)@sign -> 0
+    # with q1 = x0(x0 + x1) and q2 = x0(x0 - x1): on {0,1} every summand sits
+    # in the sign block, no entry is a monomial, so the certificate leaves
+    # that stratum open and it is sampled.  The block is exact wherever q1
+    # or q2 is nonzero, which is all of {0,1}; q1 and q2 vanish on {1} and
+    # at (0:0:1), where the sign survives.  (The column (x0 - x1, x0 + x1)
+    # alone into two copies of O(1)@sign leaves H^1 in the sign block at
+    # every point of {0,1}, so its first sample point decides the stratum.)
+    q1 = Poly(3, {(2, 0, 0): 1, (1, 1, 0): 1})
+    q2 = Poly(3, {(2, 0, 0): 1, (1, 1, 0): -1})
     sign = EquivariantComplex(
         z2_p2,
-        {0: (O(z2_p2, 0, (1,)),), 1: (O(z2_p2, 1, (1,)),)},
-        {0: {(0, 0): Poly.variable(3, 0)}},
+        {
+            0: (O(z2_p2, 0, (1,)),),
+            1: (O(z2_p2, 2, (1,)), O(z2_p2, 2, (1,))),
+            2: (O(z2_p2, 4, (1,)),),
+        },
+        {0: {(0, 0): q1, (0, 1): q2}, 1: {(0, 0): q2, (1, 0): -q1}},
     )
     report = check_descent(sign, seed=9)
     assert not report.passed
@@ -650,13 +704,13 @@ def test_empty_block_complex_has_no_cohomology():
     assert block.total_dim == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_sampling_misses_a_rank_drop_off_the_sample_points():
     """Z/2 acting trivially on P^2, 0 -> O(x)sign --(x0 - x1 + x2)--> O(1)(x)sign -> 0.
 
     The entry vanishes at (1:1:0) and along a curve in the open stratum;
     there the sign survives in H^0 and H^1, so the complex does not descend.
-    Today every sample point misses those zeros.
+    Every sample point misses those zeros, so each 1x1 sign block whose
+    entry is a linear form is examined at a rational zero of it.
     """
     problem = parse_problem(
         {
@@ -685,4 +739,205 @@ def test_sampling_misses_a_rank_drop_off_the_sample_points():
             },
         }
     )
-    assert check_descent(problem.complexes["c"]).passed is False
+    report = check_descent(problem.complexes["c"])
+    assert report.passed is False
+    assert ("(1:1:0)", (0, 1)) in {(w.point, w.support) for w in report.witnesses}
+    modes = {c.support: (c.mode, c.points_checked) for c in report.coverage if len(c.support) > 1}
+    assert modes == {s: ("exact-witness", 2) for s in ((0, 1), (0, 2), (1, 2), (0, 1, 2))}
+    assert report.exact
+
+
+# ---------------------------------------------------------------------------
+# one point per stratum: witnesses and monomial-pivot certificates
+# ---------------------------------------------------------------------------
+
+
+def nontrivial_cohomology(c, point):
+    """(degree, character values) -> dim H > 0 over the nontrivial blocks."""
+    return {
+        (j, phi.values): d
+        for (j, phi), d in block_cohomology(fiber_restrict(c, point)).items()
+        if d and not phi.is_trivial
+    }
+
+
+def test_certified_strata_have_no_witness_at_any_sample_point():
+    """Soundness of ``exact-certified`` on random diagonal actions and random
+    valid complexes: every point that the sampling would have examined
+    (``--samples`` 5 under the report's seed, and under two more seeds) is
+    exact in every nontrivial block, and every ``exact-witness`` stratum
+    has a witness on it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    certified = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 10**9))
+    def check(seed):
+        rng = Random(seed)
+        action = random_action(rng, random_group(rng))
+        c = random_valid_complex(rng, action)
+        report = check_descent(c, seed=seed)
+        failing = {w.support for w in report.witnesses}
+        for cov in report.coverage:
+            if cov.mode == "exact-witness":
+                assert cov.support in failing
+            if cov.mode != "exact-certified":
+                continue
+            assert cov.points_checked == 1 and cov.support not in failing
+            stratum = action.stratum_of_support(cov.support)
+            for sample_seed in (seed, seed + 1, seed + 2):
+                for p in action.sample_points(stratum, 5, sample_seed):
+                    assert nontrivial_cohomology(c, p) == {}, (seed, cov.support, p.display())
+            certified.append(cov.support)
+
+    check()
+    assert len(certified) >= 20
+
+
+def _enumerated_failures(action, degree, twist) -> set:
+    """Supports on whose stabilizer O(degree) (x) twist acts nontrivially,
+    found by enumerating every group element and evaluating characters from
+    their coordinates, as exponents of zeta_m with m the lcm of the orders."""
+    orders = action.group.orders
+    m = lcm(*orders)
+
+    def value(coords, g):
+        return sum(c * x * (m // n) for c, x, n in zip(coords, g, orders)) % m
+
+    chars = [chi.coords for chi in action.coord_chars]
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    out = set()
+    for k in range(1, action.dim + 2):
+        for support in itertools.combinations(range(action.dim + 1), k):
+            for g in elements:
+                lead = value(chars[support[0]], g)
+                if all(value(chars[i], g) == lead for i in support):
+                    if (value(twist.coords, g) - degree * lead) % m:
+                        out.add(support)
+                        break
+    return out
+
+
+def twisted_koszul(action, coeffs, degree, twist, drop):
+    """The Koszul complex of (c_i x_i) tensored with O(degree) (x) twist,
+    with its leftmost term (degree -(n+1), one summand) dropped if ``drop``."""
+    k = koszul_complex(action, coeffs)
+    terms = {
+        j: tuple(TwistedSummand(s.degree + degree, s.twist + twist) for s in k.summands(j))
+        for j in k.degrees()
+    }
+    diffs = dict(k.differentials)
+    if drop:
+        low = min(terms)
+        del terms[low], diffs[low]
+    return EquivariantComplex(action, terms, diffs)
+
+
+def test_koszul_families_are_decided_at_one_point_per_stratum():
+    """Known answers by construction.  A Koszul complex of a full sequence
+    c_i x_i, twisted by any O(d) (x) psi, is exact off the origin: PASS,
+    with every multi-coordinate stratum that has a nontrivial block entry
+    certified at one point.  With its leftmost summand dropped, the fiber
+    cohomology is one line carrying that summand's character, so it FAILs on
+    exactly the supports where enumeration finds that character nontrivial
+    on the stabilizer; no stratum is sampled."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"exact-certified": 0, "exact-witness": 0}
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        orders = data.draw(st.sampled_from([(2,), (3,), (4,), (6,), (2, 2), (2, 3)]))
+        group = AbelianGroup(orders)
+        dim = data.draw(st.integers(1, 4))
+        coords = st.tuples(*(st.integers(0, n - 1) for n in orders))
+        chars = [group.character(data.draw(coords)) for _ in range(dim + 1)]
+        action = ProjectiveAction(group, dim, tuple(chars))
+        coeffs = data.draw(
+            st.lists(
+                st.sampled_from([1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 7)]),
+                min_size=dim + 1,
+                max_size=dim + 1,
+            )
+        )
+        degree, twist = data.draw(st.integers(-3, 3)), group.character(data.draw(coords))
+        drop = data.draw(st.booleans())
+        report = check_descent(twisted_koszul(action, coeffs, degree, twist, drop))
+
+        expected = set()
+        if drop:
+            dropped = TwistedSummand(-(dim + 1) + degree, twist - sum(chars, group.trivial_character()))
+            expected = _enumerated_failures(action, dropped.degree, dropped.twist)
+        assert {w.support for w in report.witnesses} == expected
+        assert report.passed == (not expected) and not report.sampled_supports
+        for cov in report.coverage:
+            if len(cov.support) > 1 and cov.stabilizer_order > 1:
+                want = {"exact-witness"} if cov.support in expected else {"exact-certified", "exact-stratum"}
+                assert cov.mode in want, (cov.support, cov.mode)
+                if cov.mode in seen:
+                    assert cov.points_checked == 1
+                    seen[cov.mode] += 1
+
+    check()
+    assert seen["exact-certified"] >= 50 and seen["exact-witness"] >= 10
+
+
+def test_a_block_that_exhausts_the_work_budget_stays_sampled(monkeypatch):
+    """A dense 8x8 block of degree-8 forms on P^2 under trivial Z/2, with
+    x0^8 on the diagonal: on the open stratum the first elimination step
+    multiplies 45-term forms and runs past the budget, so that stratum
+    stays sampled and nothing is raised.  (On the smaller strata the step
+    fits the budget and leaves no monomial pivot.)"""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    sign = G.character((1,))
+    rng = Random(3)
+    forms = [e for e in itertools.product(range(9), repeat=3) if sum(e) == 8]
+    size = 8
+    entries = {}
+    for s in range(size):
+        for t in range(size):
+            terms = {e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in forms}
+            if s == t:
+                terms = {(8, 0, 0): 1}
+            entries[(s, t)] = Poly(3, terms)
+    c = EquivariantComplex(
+        action,
+        {0: (TwistedSummand(0, sign),) * size, 1: (TwistedSummand(8, sign),) * size},
+        {0: entries},
+    )
+    outcomes = []
+    pivots = descent_module.monomial_pivots
+
+    def recording(*args):
+        outcomes.append(pivots(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(descent_module, "monomial_pivots", recording)
+    report = check_descent(c, samples_per_stratum=2)
+    assert outcomes[:-1] == [None] * 3 and outcomes[-1] < 0
+    multi = {cov.support: cov.mode for cov in report.coverage if len(cov.support) > 1}
+    assert set(multi.values()) == {"sampled"}
+    assert report.sampled_supports == tuple(multi)
+
+
+def test_a_degree_64_certificate_does_not_trip_the_degree_cap():
+    """Entries x0^60 and x1^60 meet in products of degree 120 during the
+    elimination, past the Poly degree cap of 64; the certificate works on
+    integer numerator dicts, so the stratum is certified."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 1, (G.trivial_character(),) * 2)
+    sign = G.character((1,))
+    a, b = Poly.monomial(2, (60, 0)), Poly.monomial(2, (0, 60))
+    c = EquivariantComplex(
+        action,
+        {0: (TwistedSummand(0, sign),) * 2, 1: (TwistedSummand(60, sign),) * 2},
+        {0: {(0, 0): a, (1, 0): b, (0, 1): a, (1, 1): b * 2}},
+    )
+    report = check_descent(c)
+    modes = {cov.support: cov.mode for cov in report.coverage}
+    assert modes[(0, 1)] == "exact-certified"
+    # at (1:0) and (0:1) one column vanishes, so the sign survives there
+    assert {w.support for w in report.witnesses} == {(0,), (1,)}

@@ -21,6 +21,7 @@ from eqdescent.linalg import (
     is_unimodular,
     kernel_basis,
     kernel_dim,
+    monomial_pivots,
     rank,
     smith_normal_form,
 )
@@ -490,3 +491,21 @@ def test_fraction_contract():
     assert (x.numerator, x.denominator) == (-2, 3)  # lowest terms, positive denom
     assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
     assert hash(Fraction(2, 1)) == hash(2)
+
+
+def test_monomial_pivots_take_only_monomials():
+    """Rows of {column: {exponents: int}}: [[x0, x1], [x1, x0]] has a
+    monomial first pivot, but the second row becomes x0^2 - x1^2, so only
+    one monomial pivot exists; [[x0, x1], [x0, 2 x1]] leaves x0 x1, divided
+    by its monomial content to 1, so both pivots are found.  The rows are
+    not modified, and a budget too small for one row update runs out."""
+    x0, x1 = {(1, 0): 1}, {(0, 1): 1}
+    square = [{0: x0, 1: x1}, {0: x1, 1: x0}]
+    before = repr(square)
+    assert monomial_pivots(square, 1, 100) == 100
+    assert monomial_pivots(square, 2, 100) is None
+    assert repr(square) == before
+    unit = [{0: x0, 1: x1}, {0: x0, 1: {(0, 1): 2}}]
+    assert monomial_pivots(unit, 2, 100) == 100 - 3  # one update: 2 + 1 * 1 terms
+    assert monomial_pivots(unit, 2, 1) < 0
+    assert monomial_pivots([{}, {1: {(0, 0): 3}}], 1, 0) == 0
