@@ -33,7 +33,6 @@ from .groups import (
     AbelianGroup,
     Character,
     CharacterRestriction,
-    GroupElement,
     InputError,
     Subgroup,
     equalizer_subgroup,
@@ -71,7 +70,6 @@ __all__ = [
     "FunctorWord",
     "GeneratorRejectedError",
     "GradedSpace",
-    "GroupElement",
     "InputError",
     "InternalConsistencyError",
     "InvalidComplexError",

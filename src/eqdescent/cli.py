@@ -35,7 +35,7 @@ from .descent import DescentReport, check_descent
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
-from .words import GeneratorRejectedError, necessary_check, omega_check
+from .words import necessary_check, omega_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -408,9 +408,6 @@ def main(argv=None) -> int:
         # Later flushes of stdout go to the null device and cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except GeneratorRejectedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

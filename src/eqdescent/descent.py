@@ -68,8 +68,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
+from operator import or_
 
 from .action import ProjectiveAction, RationalPoint, Stratum
 from .complexes import (
@@ -104,50 +105,44 @@ class BlockComplex:
                 raise InternalConsistencyError("negative block cohomology dimension")
         return out
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 @dataclass(frozen=True)
 class FiberComplex:
-    """Fiber of a complex at a point, split into stabilizer-character blocks.
-
-    ``provenance`` records which block each original summand landed in, as a
-    map (degree, summand index) -> block key.
-    """
+    """Fiber of a complex at a point, split into stabilizer-character blocks."""
 
     point: RationalPoint
     stabilizer: object
     blocks: dict  # CharacterRestriction -> BlockComplex
-    provenance: dict
-
-    def block_keys(self) -> tuple:
-        return tuple(sorted(self.blocks, key=lambda c: c.values))
 
 
-def integer_entries(complex_: EquivariantComplex) -> dict:
-    """The differentials with coefficient denominators cleared row by row,
-    in the form ``fiber_layout`` restricts to a stratum.
+def integer_entries(complex_: EquivariantComplex) -> tuple:
+    """The summands, numbered, and the differentials with coefficient
+    denominators cleared row by row, in the form ``fiber_layout`` lays out
+    on a stratum: (distinct, numbers, entries).
 
-    Every entry in row t of d_j is multiplied by the lcm of the denominators
-    of the entries in that row, so all coefficients are integers; scaling
-    rows by nonzero constants changes no rank.  An entry becomes
-    (s, t, sign, terms, masks): ``terms`` are its (exponents, int
-    coefficient) pairs in sorted order, times ``sign`` so that the first
-    coefficient is positive, and a term's mask has bit i set when x_i occurs
-    in it.  Returns {j: {(occurring, one_term): entries}}, grouped by the
-    union of the entries' masks and by whether they have a single term, so
-    that a stratum drops a group of single terms that hold a variable off
-    its support at once.
+    ``distinct`` lists the distinct summands in the order they first occur
+    and ``numbers`` maps each degree to the position in ``distinct`` of each
+    of its summands.  Every entry in row t of d_j is multiplied by the lcm
+    of the denominators of the entries in that row, so all coefficients are
+    integers; scaling rows by nonzero constants changes no rank.
+    ``entries`` maps j to a list of (s, t, sign, terms, masks, occurring):
+    ``terms`` are the entry's (exponents, int coefficient) pairs in sorted
+    order, times ``sign`` so that the first coefficient is positive, a
+    term's mask has bit i set when x_i occurs in it, and ``occurring`` is
+    the union of the masks.
     """
-    out = {}
-    for j, entries in complex_.differentials.items():
+    position = {}  # summand -> its index in distinct
+    numbers = {
+        j: [position.setdefault(s, len(position)) for s in complex_.summands(j)]
+        for j in complex_.degrees()
+    }
+    entries = {}
+    for j, diff in complex_.differentials.items():
         scale = {}
-        for (_, t), p in entries.items():
+        for (_, t), p in diff.items():
             scale[t] = lcm(scale.get(t, 1), p.denominator)
-        groups = out[j] = {}
-        for (s, t), p in entries.items():
+        out = entries[j] = []
+        for (s, t), p in diff.items():
             if p.is_zero:
                 continue
             factor = scale[t] // p.denominator
@@ -156,65 +151,55 @@ def integer_entries(complex_: EquivariantComplex) -> dict:
             if sign < 0:
                 terms = [(e, -c) for e, c in terms]
             masks = tuple(sum(1 << i for i, a in enumerate(e) if a) for e, _ in terms)
-            occurring = 0
-            for mask in masks:
-                occurring |= mask
-            key = (occurring, len(terms) == 1)
-            groups.setdefault(key, []).append((s, t, sign, tuple(terms), masks))
-    return out
+            out.append((s, t, sign, tuple(terms), masks, reduce(or_, masks)))
+    return tuple(position), numbers, entries
 
 
 @dataclass(frozen=True)
 class FiberLayout:
     """The shape of a complex's fibers on one stratum, without entry values.
 
-    ``provenance`` maps (degree, summand index) to the summand's fiber
-    character, which keys its block.  ``polys`` holds the distinct nonzero
-    restrictions of the differential entries to the stratum, each up to
-    sign, as integer-coefficient Polys.  ``blocks`` maps a block key to
-    (dims, maps): dims is {degree: summand count}, and maps holds one
-    (j, rows, cols, cells) per block differential, cells being the
-    (row, column, poly index, sign) of each entry that does not vanish on
-    the stratum.
+    ``polys`` holds the distinct nonzero restrictions of the differential
+    entries to the stratum, each up to sign, as integer-coefficient Polys.
+    ``blocks`` maps a block key (a fiber character) to (dims, maps): dims is
+    {degree: summand count}, and maps holds one (j, rows, cols, cells) per
+    block differential, cells being the (row, column, poly index, sign) of
+    each entry that does not vanish on the stratum.  ``open_maps`` lists, as
+    (key, j, rows, cols, cells), the maps of nontrivial blocks that have
+    cells.
     """
 
     stratum: Stratum
-    provenance: dict
     polys: tuple
     blocks: dict
+    open_maps: tuple
 
 
 def fiber_layout(
-    complex_: EquivariantComplex, stratum: Stratum, entries: dict
+    complex_: EquivariantComplex, stratum: Stratum, entries: tuple
 ) -> FiberLayout:
     """Lay out the fibers of a validated complex on a stratum, given the
     complex's ``integer_entries`` (computed once, shared between strata).
 
-    Each block key is numbered once, when the first summand with that fiber
-    character is met, so the loop over the entries compares and hashes
-    small ints rather than characters.  An entry between two blocks that
-    does not vanish identically on the stratum raises
+    Each distinct summand's fiber character is computed once, and each
+    block key is numbered when first met, so the loop over the entries
+    compares small ints rather than characters.  An entry between two blocks
+    that does not vanish identically on the stratum raises
     InternalConsistencyError: equivariance forbids it, so the decomposition
     or the validation is buggy."""
-    numbers = {}  # block key -> block number
-    keys = []  # block number -> block key
-    dims = []  # block number -> {degree -> summand count}
-    by_summand = {}  # summand -> block number; equal summands share one
-    provenance = {}
+    distinct, numbers, diffs = entries
+    block_numbers = {}  # block key -> block number
+    of_summand = [  # distinct summand -> block number
+        block_numbers.setdefault(s.fiber_character(stratum), len(block_numbers))
+        for s in distinct
+    ]
+    keys = list(block_numbers)  # block number -> block key
+    dims = [{} for _ in keys]  # block number -> {degree -> summand count}
     places = {}  # degree -> [(block number, position in the block) per summand]
-    for j in complex_.degrees():
+    for j, kinds in numbers.items():
         placed = places[j] = []
-        for idx, s in enumerate(complex_.summands(j)):
-            k = by_summand.get(s)
-            if k is None:
-                phi = s.fiber_character(stratum)
-                k = numbers.get(phi)
-                if k is None:
-                    k = numbers[phi] = len(keys)
-                    keys.append(phi)
-                    dims.append({})
-                by_summand[s] = k
-            provenance[(j, idx)] = keys[k]
+        for n in kinds:
+            k = of_summand[n]
             per_degree = dims[k]
             position = per_degree.get(j, 0)
             per_degree[j] = position + 1
@@ -227,44 +212,45 @@ def fiber_layout(
     polys = []  # distinct restricted entries, as sorted term tuples
     index = {}  # restricted terms -> poly index
     cells = {}  # (block number, j) -> [(row, column, poly index, sign)]
-    for j, groups in entries.items():
+    for j, diff in diffs.items():
         sources, targets = places[j], places[j + 1]
-        for (occurring, one_term), group in groups.items():
-            restrict = occurring & off
-            if restrict and one_term:
-                continue
-            for s, t, sign, terms, masks in group:
-                if restrict:
-                    terms = tuple(term for term, mask in zip(terms, masks) if not mask & off)
-                    if not terms:
-                        continue
-                    if terms[0][1] < 0:
-                        sign = -sign
-                        terms = tuple((e, -c) for e, c in terms)
-                k, col = sources[s]
-                target, r = targets[t]
-                if target != k:
-                    raise InternalConsistencyError(
-                        f"entry {s}->{t} at degree {j} crosses blocks "
-                        f"{keys[k].values} -> {keys[target].values} and does not "
-                        f"vanish on the stratum {stratum.support}"
-                    )
-                number = index.get(terms)
-                if number is None:
-                    number = index[terms] = len(polys)
-                    polys.append(terms)
-                cells.setdefault((k, j), []).append((r, col, number, sign))
+        for s, t, sign, terms, masks, occurring in diff:
+            if occurring & off:
+                if len(terms) == 1:  # a monomial off the support vanishes
+                    continue
+                terms = tuple(term for term, mask in zip(terms, masks) if not mask & off)
+                if not terms:
+                    continue
+                if terms[0][1] < 0:
+                    sign = -sign
+                    terms = tuple((e, -c) for e, c in terms)
+            k, col = sources[s]
+            target, r = targets[t]
+            if target != k:
+                raise InternalConsistencyError(
+                    f"entry {s}->{t} at degree {j} crosses blocks "
+                    f"{keys[k].values} -> {keys[target].values} and does not "
+                    f"vanish on the stratum {stratum.support}"
+                )
+            number = index.get(terms)
+            if number is None:
+                number = index[terms] = len(polys)
+                polys.append(terms)
+            cells.setdefault((k, j), []).append((r, col, number, sign))
 
     blocks = {}
-    for k, per_degree in enumerate(dims):
+    open_maps = []
+    for k, (phi, per_degree) in enumerate(zip(keys, dims)):
         maps = tuple(
             (j, per_degree[j + 1], n, tuple(cells.get((k, j), ())))
             for j, n in per_degree.items()
             if j + 1 in per_degree
         )
-        blocks[keys[k]] = (per_degree, maps)
+        blocks[phi] = (per_degree, maps)
+        if not phi.is_trivial:
+            open_maps += [(phi, *m) for m in maps if m[3]]
     polys = tuple(Poly(nvars, dict(terms)) for terms in polys)
-    return FiberLayout(stratum, provenance, polys, blocks)
+    return FiberLayout(stratum, polys, blocks, tuple(open_maps))
 
 
 def fiber_restrict(
@@ -312,18 +298,13 @@ def fiber_restrict(
             mats[j] = ZMatrix(rows, cols, tuple(sparse))
         blocks[phi] = BlockComplex(dims=dims, mats=mats)
 
-    return FiberComplex(
-        point=point,
-        stabilizer=layout.stratum.stabilizer,
-        blocks=blocks,
-        provenance=layout.provenance,
-    )
+    return FiberComplex(point=point, stabilizer=layout.stratum.stabilizer, blocks=blocks)
 
 
 def block_cohomology(fiber: FiberComplex) -> dict:
     """(degree, block key) -> dim H, across all blocks of the fiber."""
     out = {}
-    for phi in fiber.block_keys():
+    for phi in sorted(fiber.blocks, key=lambda c: c.values):
         for j, dim in fiber.blocks[phi].cohomology().items():
             out[(j, phi)] = dim
     return out
@@ -381,6 +362,15 @@ class PointTable:
     stabilizer_order: int
     rows: tuple  # (degree, char_values, dim, is_trivial)
 
+    @property
+    def witnesses(self) -> tuple:
+        """A Witness for each row of a nontrivial character with cohomology."""
+        return tuple(
+            Witness(self.point, self.support, j, values, dim)
+            for j, values, dim, trivial in self.rows
+            if dim and not trivial
+        )
+
     def to_dict(self) -> dict:
         return {
             "point": self.point,
@@ -400,16 +390,27 @@ class PointTable:
 
 @dataclass(frozen=True)
 class DescentReport:
-    """Outcome of a descent check, with everything needed to audit it."""
+    """Outcome of a descent check, with everything needed to audit it: the
+    verdict, witnesses and sampled strata follow from the tables and the
+    coverage."""
 
-    passed: bool
-    witnesses: tuple
     coverage: tuple
     tables: tuple
-    sampled_supports: tuple
     user_points: int
     samples_per_stratum: int
     seed: int
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        return tuple(w for t in self.tables for w in t.witnesses)
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def sampled_supports(self) -> tuple:
+        return tuple(c.support for c in self.coverage if c.mode == "sampled")
 
     @property
     def exact(self) -> bool:
@@ -445,24 +446,14 @@ class DescentReport:
         return out
 
 
-def _examine_point(complex_, point, layout, witnesses, tables) -> FiberComplex:
+def _examine_point(complex_, point, layout, tables) -> FiberComplex:
     fiber = fiber_restrict(complex_, point, layout=layout)
     dims = block_cohomology(fiber)
-    rows = []
-    display = point.display()
-    support = point.support
-    for (j, phi), dim in sorted(dims.items(), key=lambda kv: (kv[0][0], kv[0][1].values)):
-        rows.append((j, phi.values, dim, phi.is_trivial))
-        if dim > 0 and not phi.is_trivial:
-            witnesses.append(Witness(display, support, j, phi.values, dim))
-    tables.append(
-        PointTable(
-            point=display,
-            support=support,
-            stabilizer_order=fiber.stabilizer.order,
-            rows=tuple(rows),
-        )
+    rows = tuple(
+        (j, phi.values, dim, phi.is_trivial)
+        for (j, phi), dim in sorted(dims.items(), key=lambda kv: (kv[0][0], kv[0][1].values))
     )
+    tables.append(PointTable(point.display(), point.support, fiber.stabilizer.order, rows))
     return fiber
 
 
@@ -478,20 +469,17 @@ def _certified(layout: FiberLayout, fiber: FiberComplex) -> bool:
     products for the whole stratum (see the module docstring)."""
     budget = CERTIFICATE_WORK
     polys = layout.polys
-    for phi, (_, maps) in layout.blocks.items():
-        if phi.is_trivial:
+    for phi, j, rows, _, cells in layout.open_maps:
+        target = fiber.blocks[phi].ranks[j]
+        if not target:
             continue
-        ranks = fiber.blocks[phi].ranks
-        for j, rows, _, cells in maps:
-            if not ranks[j]:
-                continue
-            matrix = [{} for _ in range(rows)]
-            for r, c, number, sign in cells:
-                nums = polys[number].numerators
-                matrix[r][c] = nums if sign > 0 else {e: -a for e, a in nums.items()}
-            budget = monomial_pivots(matrix, ranks[j], budget)
-            if budget is None or budget < 0:
-                return False
+        matrix = [{} for _ in range(rows)]
+        for r, c, number, sign in cells:
+            nums = polys[number].numerators
+            matrix[r][c] = nums if sign > 0 else {e: -a for e, a in nums.items()}
+        budget = monomial_pivots(matrix, target, budget)
+        if budget is None or budget < 0:
+            return False
     return True
 
 
@@ -502,51 +490,47 @@ def _linear_zeros(layout: FiberLayout, nvars: int):
     form's last variable is solved for, after the first is set to 2 if the
     other terms sum to zero."""
     seen = set()
-    for phi, (_, maps) in layout.blocks.items():
-        if phi.is_trivial:
+    for _, _, rows, cols, cells in layout.open_maps:
+        if rows != 1 or cols != 1:
             continue
-        for _, rows, cols, cells in maps:
-            if rows != 1 or cols != 1 or not cells:
-                continue
-            number = cells[0][2]
-            nums = layout.polys[number].numerators
-            if number in seen or len(nums) < 2 or any(sum(e) != 1 for e in nums):
-                continue
-            seen.add(number)
-            coords = [0] * nvars
-            for i in layout.stratum.support:
-                coords[i] = 1
-            terms = sorted((e.index(1), c) for e, c in nums.items())  # (variable, coefficient)
-            (first, a), (last, b) = terms[0], terms[-1]
-            partial = sum(c for _, c in terms[:-1])
-            if not partial:
-                coords[first] = 2
-                partial = a
-            coords[last] = Fraction(-partial, b)
-            yield RationalPoint(tuple(coords))
+        number = cells[0][2]
+        nums = layout.polys[number].numerators
+        if number in seen or len(nums) < 2 or any(sum(e) != 1 for e in nums):
+            continue
+        seen.add(number)
+        coords = [0] * nvars
+        for i in layout.stratum.support:
+            coords[i] = 1
+        terms = sorted((e.index(1), c) for e, c in nums.items())  # (variable, coefficient)
+        (first, a), (last, b) = terms[0], terms[-1]
+        partial = sum(c for _, c in terms[:-1])
+        if not partial:
+            coords[first] = 2
+            partial = a
+        coords[last] = Fraction(-partial, b)
+        yield RationalPoint(tuple(coords))
 
 
-def _decide_open_stratum(complex_, layout, samples, seed, witnesses, tables) -> tuple:
+def _decide_open_stratum(complex_, layout, samples, seed, tables) -> tuple:
     """(mode, points examined) for a multi-coordinate stratum on which a
     nontrivial block has an entry, in the order ``check_descent`` gives."""
     action = complex_.action
     stratum = layout.stratum
-    found = len(witnesses)
     (first,) = action.sample_points(stratum, 1, seed)
-    fiber = _examine_point(complex_, first, layout, witnesses, tables)
-    if len(witnesses) > found:
+    fiber = _examine_point(complex_, first, layout, tables)
+    if tables[-1].witnesses:
         return "exact-witness", 1
     if _certified(layout, fiber):
         return "exact-certified", 1
     checked = 1
     for zero in _linear_zeros(layout, action.dim + 1):
         checked += 1
-        _examine_point(complex_, zero, layout, witnesses, tables)
-        if len(witnesses) > found:
+        _examine_point(complex_, zero, layout, tables)
+        if tables[-1].witnesses:
             return "exact-witness", checked
     rest = action.sample_points(stratum, samples, seed)[1:]
     for p in rest:
-        _examine_point(complex_, p, layout, witnesses, tables)
+        _examine_point(complex_, p, layout, tables)
     return "sampled", checked + len(rest)
 
 
@@ -577,7 +561,7 @@ def check_descent(
     complex_.require_valid()
     action = complex_.action
     entries = integer_entries(complex_)
-    witnesses, tables, coverage, sampled = [], [], [], []
+    tables, coverage = [], []
 
     strata = action.strata()
     for stratum in strata:
@@ -592,20 +576,13 @@ def check_descent(
             continue
         layout = fiber_layout(complex_, stratum, entries)
         single = len(stratum.support) == 1
-        if single or not any(  # every nontrivial block has zero maps on the stratum
-            cells
-            for phi, (_, maps) in layout.blocks.items()
-            if not phi.is_trivial
-            for _, _, _, cells in maps
-        ):
+        if single or not layout.open_maps:
             mode, checked = "exact-single-point" if single else "exact-stratum", 1
-            _examine_point(complex_, stratum.representative(), layout, witnesses, tables)
+            _examine_point(complex_, stratum.representative(), layout, tables)
         else:
             mode, checked = _decide_open_stratum(
-                complex_, layout, samples_per_stratum, seed, witnesses, tables
+                complex_, layout, samples_per_stratum, seed, tables
             )
-            if mode == "sampled":
-                sampled.append(stratum.support)
         coverage.append(StratumCoverage(stratum.support, order, mode, checked))
 
     by_support = {stratum.support: stratum for stratum in strata}
@@ -614,14 +591,11 @@ def check_descent(
         action.check_point(p)
         if p.support not in layouts:
             layouts[p.support] = fiber_layout(complex_, by_support[p.support], entries)
-        _examine_point(complex_, p, layouts[p.support], witnesses, tables)
+        _examine_point(complex_, p, layouts[p.support], tables)
 
     return DescentReport(
-        passed=not witnesses,
-        witnesses=tuple(witnesses),
         coverage=tuple(coverage),
         tables=tuple(tables),
-        sampled_supports=tuple(sampled),
         user_points=len(points),
         samples_per_stratum=samples_per_stratum,
         seed=seed,

@@ -22,11 +22,11 @@ class InputError(ValueError):
 
 def as_rational(x, what: str) -> Fraction:
     """``x`` (an int, a Fraction or a string matching ``RATIONAL_TEXT``) as
-    a Fraction.  Anything else, floats above all, raises InputError naming
-    ``what``."""
+    a Fraction.  Anything else, floats and bools above all, raises
+    InputError naming ``what``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str) and RATIONAL_TEXT.fullmatch(x):
         try:

@@ -10,13 +10,12 @@ of the primitive m-th root of unity zeta_m.  Character values are always
 handled as exponents in Z/m, never as complex numbers, so every comparison
 in the package is exact.
 
-A ``Subgroup`` is held as ``coords``, the sorted tuple of its elements'
-coordinate tuples; that is all the decision path reads.  ``elements``, the
-same list as ``GroupElement`` objects, is built only when asked for.  The
-closure adjoins one generator g at a time by cyclic extension: if H is the
-subgroup so far and k is the order of g modulo H, the new subgroup is the
-disjoint union of the cosets H + i*g for 0 <= i < k, so no element is built
-twice.
+A group element is its coordinate tuple (g_1, ..., g_r), and
+``AbelianGroup.elements`` lists them all.  A ``Subgroup`` is held as
+``coords``, the sorted tuple of its elements.  The closure adjoins one
+generator g at a time by cyclic extension: if H is the subgroup so far and k
+is the order of g modulo H, the new subgroup is the disjoint union of the
+cosets H + i*g for 0 <= i < k, so no element is built twice.
 
 Caches, each tied to the object that owns it and living as long as it:
 
@@ -73,19 +72,13 @@ class AbelianGroup:
     def exponent(self) -> int:
         return lcm(*self.orders)
 
-    def element(self, coords) -> "GroupElement":
-        return GroupElement(self, tuple(coords))
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     @cached_property
     def elements(self) -> tuple:
-        """All elements, in lexicographic coordinate order."""
+        """All elements as coordinate tuples, in lexicographic order."""
         out = [()]
         for n in self.orders:
             out = [c + (i,) for c in out for i in range(n)]
-        return tuple(GroupElement(self, c) for c in out)
+        return tuple(out)
 
     @cached_property
     def whole_subgroup(self) -> "Subgroup":
@@ -117,38 +110,11 @@ def _reduced(coords, orders):
     return tuple(c % n for c, n in zip(coords, orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: AbelianGroup
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise InputError("element coordinate count does not match the group rank")
-        object.__setattr__(self, "coords", _reduced(self.coords, self.group.orders))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
-            raise InputError("cannot add elements of different groups")
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def scaled(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * c for c in self.coords))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __repr__(self):
-        return f"g{self.coords}"
+def _checked(coords, group, what):
+    coords = tuple(coords)
+    if len(coords) != group.rank:
+        raise InputError(f"{what} coordinate count does not match the group rank")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -159,17 +125,16 @@ class Character:
     coords: tuple
 
     def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise InputError("character coordinate count does not match the group rank")
-        object.__setattr__(self, "coords", _reduced(self.coords, self.group.orders))
+        coords = _checked(self.coords, self.group, "character")
+        object.__setattr__(self, "coords", _reduced(coords, self.group.orders))
 
-    def __call__(self, g: GroupElement) -> int:
-        """Value on g, as an exponent of zeta_m in Z/m with m = exponent(G)."""
-        if g.group != self.group:
-            raise InputError("element belongs to a different group")
+    def __call__(self, g: tuple) -> int:
+        """Value on the element g, as an exponent of zeta_m in Z/m with
+        m = exponent(G)."""
+        g = _checked(g, self.group, "element")
         m = self.group.exponent
         total = 0
-        for c, gi, n in zip(self.coords, g.coords, self.group.orders):
+        for c, gi, n in zip(self.coords, g, self.group.orders):
             total += c * gi * (m // n)
         return total % m
 
@@ -226,15 +191,9 @@ class Subgroup:
     """
 
     def __init__(self, parent: AbelianGroup, generators):
+        """The subgroup generated by ``generators``, coordinate tuples of
+        elements of ``parent``."""
         self.parent = parent
-        gens = []
-        for g in generators:
-            if not isinstance(g, GroupElement):
-                g = parent.element(g)
-            if g.group != parent:
-                raise InputError("generator belongs to a different group")
-            gens.append(g)
-        self.generators = tuple(gens)
         orders = parent.orders
 
         def add(a, b):
@@ -245,12 +204,13 @@ class Subgroup:
         zero = (0,) * parent.rank
         coords = [zero]
         members = {zero}
-        for g in self.generators:
+        for g in generators:
+            g = _reduced(_checked(g, parent, "generator"), orders)
             multiples = []
-            step = g.coords
+            step = g
             while step not in members:
                 multiples.append(step)
-                step = add(step, g.coords)
+                step = add(step, g)
             grown = [add(h, m) for m in multiples for h in coords]
             coords += grown
             members.update(grown)
@@ -266,11 +226,6 @@ class Subgroup:
     @classmethod
     def trivial(cls, parent: AbelianGroup) -> "Subgroup":
         return cls(parent, [])
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The elements as GroupElements, in ``coords`` order."""
-        return tuple(GroupElement(self.parent, c) for c in self.coords)
 
     @property
     def order(self) -> int:
@@ -324,16 +279,6 @@ class CharacterRestriction:
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def is_homomorphism(self) -> bool:
-        """Sanity predicate: the table respects the group law."""
-        m = self.modulus
-        table = dict(zip((g.coords for g in self.subgroup.elements), self.values))
-        for g in self.subgroup.elements:
-            for h in self.subgroup.elements:
-                if (table[g.coords] + table[h.coords] - table[(g + h).coords]) % m != 0:
-                    return False
-        return True
-
     def __repr__(self):
         return f"restriction{self.values} mod {self.modulus}"
 
@@ -367,5 +312,4 @@ def equalizer_subgroup(chars) -> Subgroup:
         row += [m if t == j else 0 for t in range(k)]
         rows.append(row)
     lattice = kernel_basis(ZMatrix.from_rows(rows))
-    gens = [group.element(vec[:r]) for vec in lattice]
-    return Subgroup(group, gens)
+    return Subgroup(group, [vec[:r] for vec in lattice])

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
-from .errors import RATIONAL_TEXT, InputError
+from .errors import InputError, as_rational
 from .groups import AbelianGroup
 from .polynomials import Poly
 from .words import EquivariantAutomorphism, FunctorWord, Push, Shift, Twist
@@ -78,22 +78,13 @@ def _expect_dict(data, path, what="an object"):
 
 def parse_rational(value, path) -> Fraction:
     """A JSON integer or a string "p", "p/q" or "p.q" of ASCII digits with an
-    optional sign.  Anything else, exponents included ("1e4000000" would
-    build a four-million-digit integer), is rejected."""
-    if isinstance(value, bool):
-        _fail(path, "expected a rational number, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        _fail(path, 'floats are not exact; write rationals as strings like "3/7"')
-    if isinstance(value, str):
-        if not RATIONAL_TEXT.fullmatch(value):
-            _fail(path, f'not a rational number: expected "p", "p/q" or "p.q", got {value!r}')
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
-            _fail(path, f"not a rational number: {err}")
-    _fail(path, f"expected a rational number, got {type(value).__name__}")
+    optional sign, coerced by ``as_rational``.  Anything else, floats and
+    exponents included ("1e4000000" would build a four-million-digit
+    integer), is rejected with the path."""
+    try:
+        return as_rational(value, "number")
+    except InputError:
+        _fail(path, f'not a rational number: expected an int, "p", "p/q" or "p.q", got {value!r}')
 
 
 def _degree_items(obj, path):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .action import ProjectiveAction
 from .complexes import EquivariantComplex, InternalConsistencyError, TwistedSummand
 from .descent import DescentReport, check_bundle_descent, check_descent
-from .groups import InputError
+from .errors import InputError, as_rational
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,10 @@ class EquivariantAutomorphism:
 
     def __post_init__(self):
         n = self.source.dim + 1
-        perm = tuple(int(i) for i in self.perm)
-        scalars = tuple(Fraction(s) for s in self.scalars)
+        perm = tuple(self.perm)
+        if not all(type(i) is int for i in perm):
+            raise InputError(f"permutation entries must be ints: {perm}")
+        scalars = tuple(as_rational(s, "scalar") for s in self.scalars)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scalars", scalars)
         if self.target.dim != self.source.dim:

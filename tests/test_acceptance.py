@@ -197,7 +197,7 @@ def _block_keys(group):
     whole = Subgroup.whole(group)
     triv = CharacterRestriction(whole, (0,) * whole.order)
     sign = next(
-        CharacterRestriction(whole, tuple(c(g) for g in whole.elements))
+        CharacterRestriction(whole, tuple(c(g) for g in whole.coords))
         for c in group.characters
         if not c.is_trivial
     )

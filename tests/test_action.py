@@ -152,14 +152,20 @@ def test_strata_z2_p2_table():
 
 
 def test_strata_scalar_char_consistency():
-    """Every supported coordinate character restricts identically."""
+    """Every supported coordinate character restricts identically, to a
+    homomorphism."""
     rng = random.Random(13)
     for _ in range(40):
         act = random_action(rng)
         for st in act.strata():
             for i in st.support:
                 assert act.coord_chars[i].restrict(st.stabilizer).values == st.scalar_char.values
-            assert st.scalar_char.is_homomorphism()
+            # the table respects the group law
+            table = dict(zip(st.stabilizer.coords, st.scalar_char.values))
+            for h in table:
+                for k in table:
+                    hk = tuple((a + b) % n for a, b, n in zip(h, k, act.group.orders))
+                    assert (table[h] + table[k]) % act.group.exponent == table[hk]
 
 
 def test_strata_count_and_sorting():

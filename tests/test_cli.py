@@ -11,13 +11,19 @@ import eqdescent.cli as cli_module
 import eqdescent.selftest as selftest_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
-from eqdescent.complexes import InternalConsistencyError, TwistedSummand, bundle_complex
+from eqdescent.complexes import (
+    EquivariantComplex,
+    InternalConsistencyError,
+    TwistedSummand,
+    bundle_complex,
+)
 from eqdescent.descent import block_cohomology
 from eqdescent.groups import AbelianGroup
 from eqdescent.oracle import isotypic_cohomology
+from eqdescent.polynomials import Poly
 from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
 
-from conftest import split_report
+from conftest import koszul_complex, split_report
 
 FIXTURE = "tests/fixtures/z2_p2.json"
 
@@ -520,3 +526,74 @@ def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul, cli):
     assert payload["report_digest"] == (
         "sha256:690fcac7aa19008745e90749b7eecbf42dd8e39aabd83db71485313a3c8b04c0"
     )
+
+
+def _sampled_sign_complex():
+    """The sign complex of ``test_descent_report_structure``: its open
+    stratum is left open by the certificate and sampled."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 2, tuple(G.character((c,)) for c in (0, 0, 1)))
+    sign = G.character((1,))
+    q1 = Poly(3, {(2, 0, 0): 1, (1, 1, 0): 1})
+    q2 = Poly(3, {(2, 0, 0): 1, (1, 1, 0): -1})
+    return EquivariantComplex(
+        action,
+        {
+            0: (TwistedSummand(0, sign),),
+            1: (TwistedSummand(2, sign),) * 2,
+            2: (TwistedSummand(4, sign),),
+        },
+        {0: {(0, 0): q1, (0, 1): q2}, 1: {(0, 0): q2, (1, 0): -q1}},
+    )
+
+
+def _linear_zero_complex():
+    """x0 - x1 + x2 from O (x) sign to O(1) (x) sign under trivial Z/2 on
+    P^2: every sample point misses its zeros, a rational zero finds them."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    sign = G.character((1,))
+    entry = Poly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 1})
+    return EquivariantComplex(
+        action,
+        {0: (TwistedSummand(0, sign),), 1: (TwistedSummand(1, sign),)},
+        {0: {(0, 0): entry}},
+    )
+
+
+def _dropped_koszul_complex():
+    """The Koszul complex on P^4 under Z/2 x Z/2 with its leftmost term
+    dropped: the dropped summand's character survives, and most strata
+    fail at their first sample point."""
+    G = AbelianGroup((2, 2))
+    chars = ((0, 0), (1, 0), (1, 0), (0, 1), (0, 1))
+    action = ProjectiveAction(G, 4, tuple(G.character(c) for c in chars))
+    full = koszul_complex(action, (1, 1, 1, 1, 1))
+    terms, diffs = dict(full.terms), dict(full.differentials)
+    low = min(terms)
+    del terms[low], diffs[low]
+    return EquivariantComplex(action, terms, diffs)
+
+
+@pytest.mark.parametrize(
+    "build, argv, mode, digest",
+    (
+        (_sampled_sign_complex, ("--seed", "9"), "sampled",
+         "sha256:8ebf737ee65f5ac8b120edfc3873e132b50cbe725665e2a3da12ef6e71cc871c"),
+        (_linear_zero_complex, (), "exact-witness",
+         "sha256:180259283e31d444f9a47b276079aaf7e24dda24705ad24f7e5715c381519f7e"),
+        (_dropped_koszul_complex, (), "exact-witness",
+         "sha256:930ed21e17d63e4d732898872c229cc788ebc3dbfe33bbc8ccae12df5e961c8e"),
+    ),
+    ids=("sampled", "linear-zero-witness", "first-point-witness"),
+)
+def test_open_stratum_report_digests_are_pinned(tmp_path, build, argv, mode, digest, cli):
+    """Reports whose open strata are sampled or decided by a witness, the
+    modes the other pinned reports never reach."""
+    complex_ = build()
+    path = tmp_path / "open_strata.json"
+    path.write_text(json.dumps(problem_to_dict(complex_.action, {"c": complex_})))
+    code, _, payload = cli("check-descent", str(path), *argv)
+    assert code == 1
+    assert mode in {s["mode"] for s in payload["report"]["coverage"]["strata"]}
+    assert payload["report_digest"] == digest

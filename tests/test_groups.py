@@ -16,7 +16,7 @@ def brute_force_equalizer(chars):
     members = [
         g for g in group.elements if all(c(g) == base(g) for c in chars[1:])
     ]
-    return sorted(g.coords for g in members)
+    return sorted(members)
 
 
 def random_group(rng, max_order=64):
@@ -37,16 +37,24 @@ def _prod(t):
     return out
 
 
+def random_element(rng, group):
+    return tuple(rng.randrange(n) for n in group.orders)
+
+
+def add(group, a, b):
+    """The group law on coordinate tuples."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
 # ---------------------------------------------------------------------------
-# construction and element arithmetic
+# construction and elements
 # ---------------------------------------------------------------------------
 
 def test_group_basics():
     g = AbelianGroup((2, 3))
     assert g.order == 6
     assert g.exponent == 6
-    assert len(g.elements) == 6
-    assert g.identity().is_identity
+    assert g.elements == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
 
 
 def test_group_rejects_bad_orders():
@@ -58,14 +66,15 @@ def test_group_rejects_bad_orders():
         AbelianGroup((101, 101))  # order 10201 > bound
 
 
-def test_element_normalization_and_arithmetic():
-    g = AbelianGroup((4,))
-    a = g.element((3,))
-    b = g.element((2,))
-    assert (a + b).coords == (1,)
-    assert (-a).coords == (1,)
-    assert (a - a).is_identity
-    assert g.element((7,)).coords == (3,)
+def test_elements_of_the_wrong_length_are_refused():
+    g = AbelianGroup((4, 2))
+    chi = g.character((1, 1))
+    for bad in [(1,), (1, 0, 0)]:
+        with pytest.raises(InputError):
+            chi(bad)
+        with pytest.raises(InputError):
+            Subgroup(g, [bad])
+    assert Subgroup(g, [(7, 3)]) == Subgroup(g, [(3, 1)])  # reduced modulo the orders
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +84,15 @@ def test_element_normalization_and_arithmetic():
 def test_char_eval_z2():
     g = AbelianGroup((2,))
     chi = g.character((1,))
-    assert chi(g.element((1,))) == 1
-    assert chi(g.element((0,))) == 0
+    assert chi((1,)) == 1
+    assert chi((0,)) == 0
 
 
 def test_char_eval_z2_x_z3_frozen_case():
     g = AbelianGroup((2, 3))
     chi = g.character((1, 1))
     # (1*1*(6/2) + 1*2*(6/3)) mod 6 = (3 + 4) mod 6 = 1
-    assert chi(g.element((1, 2))) == 1
+    assert chi((1, 2)) == 1
 
 
 def test_char_eval_matches_complex_roots_of_unity():
@@ -93,9 +102,9 @@ def test_char_eval_matches_complex_roots_of_unity():
         group = random_group(rng, max_order=36)
         m = group.exponent
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
-        g = group.element(tuple(rng.randrange(n) for n in group.orders))
+        g = random_element(rng, group)
         expected = 1.0 + 0.0j
-        for c, gi, n in zip(chi.coords, g.coords, group.orders):
+        for c, gi, n in zip(chi.coords, g, group.orders):
             expected *= cmath.exp(2j * cmath.pi * c * gi / n)
         got = cmath.exp(2j * cmath.pi * chi(g) / m)
         assert abs(got - expected) < 1e-9
@@ -107,9 +116,9 @@ def test_char_eval_is_homomorphism():
         group = random_group(rng)
         m = group.exponent
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
-        a = group.element(tuple(rng.randrange(n) for n in group.orders))
-        b = group.element(tuple(rng.randrange(n) for n in group.orders))
-        assert (chi(a) + chi(b)) % m == chi(a + b)
+        a = random_element(rng, group)
+        b = random_element(rng, group)
+        assert (chi(a) + chi(b)) % m == chi(add(group, a, b))
 
 
 def test_char_combine():
@@ -131,7 +140,7 @@ def test_char_combine_evaluates_pointwise():
         b = group.character(tuple(rng.randrange(n) for n in group.orders))
         k = rng.randint(-5, 5)
         combined = a + b.scaled(k)
-        g = group.element(tuple(rng.randrange(n) for n in group.orders))
+        g = random_element(rng, group)
         assert combined(g) == (a(g) + k * b(g)) % m
 
 
@@ -153,19 +162,19 @@ def test_scaling_by_coordinate_order_kills_character():
 
 def test_subgroup_closure_identity_inverses():
     g = AbelianGroup((4, 2))
-    s = Subgroup(g, [g.element((2, 1))])
+    s = Subgroup(g, [(2, 1)])
     assert s.order == 2
-    assert g.identity().coords in s.coords
-    for h in s.elements:
-        assert (-h).coords in s.coords
-        for k in s.elements:
-            assert (h + k).coords in s.coords
+    assert (0, 0) in s.coords
+    for h in s.coords:
+        assert tuple(-x % n for x, n in zip(h, g.orders)) in s.coords
+        for k in s.coords:
+            assert add(g, h, k) in s.coords
 
 
 def test_subgroup_equality_by_elements():
     g = AbelianGroup((4,))
-    a = Subgroup(g, [g.element((2,))])
-    b = Subgroup(g, [g.element((2,)), g.element((0,))])
+    a = Subgroup(g, [(2,)])
+    b = Subgroup(g, [(2,), (0,)])
     assert a == b
     assert hash(a) == hash(b)
     assert a != Subgroup.trivial(g)
@@ -182,7 +191,7 @@ def brute_force_closure(group, gens):
     """Oracle: add generators to everything found until nothing new appears."""
     members = {(0,) * group.rank}
     while True:
-        grown = members | {(h + g).coords for h in map(group.element, members) for g in gens}
+        grown = members | {add(group, h, g) for h in members for g in gens}
         if grown == members:
             return sorted(members)
         members = grown
@@ -193,19 +202,19 @@ def test_subgroup_coords_are_the_sorted_closure():
     for _ in range(200):
         group = random_group(rng, max_order=64)
         gens = [
-            group.element(tuple(rng.randrange(n) for n in group.orders))
+            random_element(rng, group)
             for _ in range(rng.randint(0, 3))
         ]
         if gens and rng.random() < 0.5:
             gens.append(rng.choice(gens))  # repeated
         if rng.random() < 0.3:
-            gens.insert(rng.randrange(len(gens) + 1), group.identity())  # zero
+            gens.insert(rng.randrange(len(gens) + 1), (0,) * group.rank)  # zero
         if len(gens) >= 2 and rng.random() < 0.5:
-            gens.append(gens[0] + gens[1].scaled(rng.randint(2, 5)))  # dependent
+            k = rng.randint(2, 5)
+            gens.append(add(group, gens[0], tuple(k * x for x in gens[1])))  # dependent
         rng.shuffle(gens)
         s = Subgroup(group, gens)
         assert list(s.coords) == brute_force_closure(group, gens), (group, gens)
-        assert [g.coords for g in s.elements] == list(s.coords)
         assert group.order % s.order == 0
 
 
@@ -214,7 +223,7 @@ def test_whole_group_is_built_once_and_shared():
     whole = Subgroup.whole(g)
     assert Subgroup.whole(g) is whole
     assert equalizer_subgroup([g.character((1, 2))] * 3) is whole
-    assert whole.coords == tuple(h.coords for h in g.elements)
+    assert whole.coords == g.elements
     # another group object with the same orders has its own copy
     assert Subgroup.whole(AbelianGroup((4, 6))) is not whole
 
@@ -263,7 +272,7 @@ def test_equalizer_matches_brute_force():
             for _ in range(k)
         ]
         s = equalizer_subgroup(chars)
-        assert sorted(g.coords for g in s.elements) == brute_force_equalizer(chars)
+        assert list(s.coords) == brute_force_equalizer(chars)
 
 
 def test_equalizer_exhaustive_small_groups():
@@ -272,9 +281,7 @@ def test_equalizer_exhaustive_small_groups():
         all_chars = list(group.characters)
         for pair in itertools.product(all_chars, repeat=2):
             s = equalizer_subgroup(list(pair))
-            assert sorted(g.coords for g in s.elements) == brute_force_equalizer(
-                list(pair)
-            )
+            assert list(s.coords) == brute_force_equalizer(list(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def test_equalizer_exhaustive_small_groups():
 def test_restrict_z4_frozen_case():
     g = AbelianGroup((4,))
     chi = g.character((2,))
-    s = Subgroup(g, [g.element((2,))])  # elements (0,), (2,)
+    s = Subgroup(g, [(2,)])  # elements (0,), (2,)
     r = chi.restrict(s)
     # chi((2,)) = 2*2*(4/4) = 4 = 0 mod 4: trivial on the subgroup.
     assert r.values == (0, 0)
@@ -298,14 +305,18 @@ def test_restriction_arithmetic_and_homomorphism():
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
         psi = group.character(tuple(rng.randrange(n) for n in group.orders))
         gens = [
-            group.element(tuple(rng.randrange(n) for n in group.orders))
+            random_element(rng, group)
             for _ in range(rng.randint(0, 2))
         ]
         s = Subgroup(group, gens)
         rc, rp = chi.restrict(s), psi.restrict(s)
-        assert rc.is_homomorphism()
-        # Restriction commutes with character arithmetic, value by value.
+        # The table respects the group law.
         m = group.exponent
+        table = dict(zip(s.coords, rc.values))
+        for h in s.coords:
+            for k in s.coords:
+                assert (table[h] + table[k]) % m == table[add(group, h, k)]
+        # Restriction commutes with character arithmetic, value by value.
         pairs = list(zip(rc.values, rp.values))
         assert (chi + psi).restrict(s).values == tuple((a + b) % m for a, b in pairs)
         assert (chi - psi).restrict(s).values == tuple((a - b) % m for a, b in pairs)
@@ -322,7 +333,7 @@ def test_group_order_times_character_restricts_trivially():
         scaled = chi.scaled(group.order)
         s = Subgroup(
             group,
-            [group.element(tuple(rng.randrange(n) for n in group.orders))],
+            [random_element(rng, group)],
         )
         assert scaled.restrict(s).is_trivial
         assert all(scaled(g) == 0 for g in group.elements)
@@ -332,9 +343,9 @@ def test_restriction_is_computed_once_per_subgroup_and_character():
     rng = random.Random(99)
     for _ in range(50):
         group = random_group(rng)
-        s = Subgroup(group, [group.element(tuple(rng.randrange(n) for n in group.orders))])
+        s = Subgroup(group, [random_element(rng, group)])
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
         r = chi.restrict(s)
         assert group.character(chi.coords).restrict(s) is r
-        assert r.values == tuple(chi(g) for g in s.elements)
+        assert r.values == tuple(chi(g) for g in s.coords)
 

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from eqdescent.action import RationalPoint
+from eqdescent.errors import as_rational
 from eqdescent.groups import InputError
 from eqdescent.polynomials import MAX_TOTAL_DEGREE, Poly
 
@@ -152,6 +154,17 @@ def test_inexact_coefficients_and_scalars_are_refused():
     with pytest.raises(InputError, match="scale: 2.0"):
         p.substitute_scaled_permutation([(1, 2.0), (0, 1)])
     assert Poly(1, {(1,): "-3/6"}) == Poly(1, {(1,): Fraction(-1, 2)})
+
+
+def test_bools_are_not_rationals():
+    """True is an int to Python, but not an exact rational input."""
+    for bad in (True, False):
+        with pytest.raises(InputError, match=f"not an exact rational coordinate: {bad}"):
+            as_rational(bad, "coordinate")
+    with pytest.raises(InputError, match="coefficient: True"):
+        Poly(3, {(1, 0, 0): True})
+    with pytest.raises(InputError, match="coordinate: True"):
+        RationalPoint((True, 0, 0))
 
 
 # ---------------------------------------------------------------------------

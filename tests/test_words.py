@@ -115,6 +115,21 @@ def test_automorphism_scalars_must_be_nonzero(z2_p2):
         EquivariantAutomorphism(z2_p2, z2_p2, (0, 1, 2), (1, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "perm, scalars, message",
+    [
+        ((0, 1.9, 2), (1, 1, 1), "permutation entries must be ints"),
+        ((0, True, 2), (1, 1, 1), "permutation entries must be ints"),
+        ((0, 1, 2), (1, 0.1, 1), "scalar: 0.1"),
+        ((0, 1, 2), (1, "1e3", 1), "scalar: '1e3'"),
+    ],
+)
+def test_automorphism_refuses_inexact_entries(z2_p2, perm, scalars, message):
+    """No entry is truncated or rounded into a valid one."""
+    with pytest.raises(InputError, match=message):
+        EquivariantAutomorphism(z2_p2, z2_p2, perm, scalars)
+
+
 def test_automorphism_must_intertwine_characters(z2_p2):
     # Coordinate 2 carries the sign character; swapping it with 0 breaks it.
     with pytest.raises(InputError):
