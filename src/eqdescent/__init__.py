@@ -3,7 +3,7 @@
 Decides, by exact rational and integer arithmetic, whether complexes of
 twisted line bundles equivariant under a diagonal finite abelian group action
 descend to perfect complexes on the quotient, and whether Fourier-Mukai style
-functor words built from shifts, twists and equivariant automorphisms induce
+functor words built from shifts, twists and pushes along automorphisms induce
 equivalences downstairs.
 """
 
@@ -42,7 +42,6 @@ from .polynomials import Poly
 from .problem import Problem, load_problem, parse_problem, problem_to_dict
 from .selftest import SelftestReport, run_oracle_selftest
 from .words import (
-    EquivariantAutomorphism,
     FunctorWord,
     GeneratorRejectedError,
     NecessaryReport,
@@ -64,7 +63,6 @@ __all__ = [
     "CharacterRestriction",
     "CyclotomicField",
     "DescentReport",
-    "EquivariantAutomorphism",
     "EquivariantComplex",
     "FiberComplex",
     "FunctorWord",

@@ -110,6 +110,8 @@ class ProjectiveAction:
     coord_chars: tuple  # n+1 characters of ``group``
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            raise InputError(f"projective dimension must be an int, got {self.dim!r}")
         if self.dim < 0:
             raise InputError("projective dimension must be >= 0")
         chars = tuple(self.coord_chars)

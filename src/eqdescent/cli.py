@@ -31,7 +31,7 @@ import sys
 import time
 
 from .action import MAX_SAMPLES_PER_STRATUM
-from .descent import DescentReport, check_descent
+from .descent import DescentReport, char_str, check_descent
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
@@ -86,21 +86,11 @@ def _support_str(support) -> str:
     return "{" + ",".join(str(i) for i in support) + "}"
 
 
-def _char_str(values) -> str:
-    """A character's values; past 16, the first 8 and the count, so that a
-    summary row stays short however large the stabilizer (the JSON document
-    keeps every value)."""
-    if len(values) > 16:
-        head = ",".join(str(v) for v in values[:8])
-        return f"({head},... {len(values)} values)"
-    return "(" + ",".join(str(v) for v in values) + ")"
-
-
 def _descent_human(title: str, report: DescentReport) -> str:
     lines = [f"{title}: {'PASS' if report.passed else 'FAIL'}"]
     if report.witnesses:
         rows = [
-            (w.point, _support_str(w.support), w.degree, _char_str(w.char_values), w.dim)
+            (w.point, _support_str(w.support), w.degree, char_str(w.char_values), w.dim)
             for w in report.witnesses
         ]
         lines.append("")
@@ -203,7 +193,7 @@ def _cmd_strata(args, out) -> int:
         (
             _support_str(s.support),
             s.stabilizer.order,
-            _char_str(s.scalar_char.values),
+            char_str(s.scalar_char.values),
             s.representative().display(),
         )
         for s in strata
@@ -289,8 +279,8 @@ def _cmd_necessary(args, out) -> int:
     lines = [
         f"necessary kernel-fiber conditions for word {word_name!r}: "
         + ("PASS" if report.passed else "FAIL"),
-        f"kernel: net twist degree {report.net_twist_degree}, "
-        f"character {_char_str(report.net_twist_character)}, "
+        f"kernel: net twist degree {report.net_twist.degree}, "
+        f"character {char_str(report.net_twist.twist.coords)}, "
         f"cohomological degree {-report.net_shift}",
         "",
         _descent_human("condition (i), kernel fiber", report.condition_i),

@@ -33,6 +33,10 @@ class TwistedSummand:
     degree: int
     twist: Character
 
+    def __post_init__(self):
+        if type(self.degree) is not int:
+            raise InputError(f"a summand degree must be an int, got {self.degree!r}")
+
     def fiber_character(self, stratum):
         """Action of the stratum stabilizer on this summand's fiber.
 
@@ -144,6 +148,8 @@ class EquivariantComplex:
         nvars = action.dim + 1
         clean_terms = {}
         for j, summands in terms.items():
+            if type(j) is not int:
+                raise InputError(f"degree {j!r} is not an int")
             summands = tuple(summands)
             if not summands:
                 continue
@@ -154,10 +160,11 @@ class EquivariantComplex:
                     raise InputError(
                         f"summand twist in degree {j} belongs to a different group"
                     )
-            clean_terms[int(j)] = summands
+            clean_terms[j] = summands
         clean_diffs = {}
         for j, entries in differentials.items():
-            j = int(j)
+            if type(j) is not int:
+                raise InputError(f"differential degree {j!r} is not an int")
             kept = {}
             for (s, t), p in entries.items():
                 if p.is_zero:
@@ -166,16 +173,16 @@ class EquivariantComplex:
                     raise InputError(
                         f"differential at degree {j} connects missing terms"
                     )
-                if not (0 <= s < len(clean_terms[j])):
-                    raise InputError(f"source index {s} out of range in degree {j}")
-                if not (0 <= t < len(clean_terms[j + 1])):
-                    raise InputError(f"target index {t} out of range in degree {j + 1}")
+                if type(s) is not int or not (0 <= s < len(clean_terms[j])):
+                    raise InputError(f"source index {s!r} out of range in degree {j}")
+                if type(t) is not int or not (0 <= t < len(clean_terms[j + 1])):
+                    raise InputError(f"target index {t!r} out of range in degree {j + 1}")
                 if p.nvars != nvars:
                     raise InputError(
                         f"entry {s}->{t} at degree {j} uses {p.nvars} variables, "
                         f"expected {nvars}"
                     )
-                kept[(int(s), int(t))] = p
+                kept[(s, t)] = p
             if kept:
                 clean_diffs[j] = kept
         self.terms = clean_terms

@@ -314,6 +314,16 @@ def block_cohomology(fiber: FiberComplex) -> dict:
 # reports
 # ---------------------------------------------------------------------------
 
+def char_str(values) -> str:
+    """A character's values; past 16, the first 8 and the count, so that a
+    summary line stays short however large the stabilizer (reports keep
+    every value)."""
+    if len(values) > 16:
+        head = ",".join(str(v) for v in values[:8])
+        return f"({head},... {len(values)} values)"
+    return "(" + ",".join(str(v) for v in values) + ")"
+
+
 @dataclass(frozen=True)
 class Witness:
     """A failure of descent: nontrivial stabilizer character with surviving

@@ -53,7 +53,7 @@ class AbelianGroup:
             object.__setattr__(self, "orders", tuple(self.orders))
         if len(self.orders) == 0:
             raise InputError("a group needs at least one cyclic factor")
-        if not all(isinstance(n, int) and n >= 1 for n in self.orders):
+        if not all(type(n) is int and n >= 1 for n in self.orders):
             raise InputError(f"cyclic orders must be positive ints: {self.orders}")
         if prod(self.orders) > MAX_GROUP_ORDER:
             raise InputError(

@@ -42,7 +42,7 @@ from .complexes import EquivariantComplex, TwistedSummand
 from .errors import InputError, as_rational
 from .groups import AbelianGroup
 from .polynomials import Poly
-from .words import EquivariantAutomorphism, FunctorWord, Push, Shift, Twist
+from .words import FunctorWord, Push, Shift, Twist
 
 
 def _fmt_path(path) -> str:
@@ -255,7 +255,7 @@ def _parse_word(action, data, path) -> FunctorWord:
                 parse_rational(s, gpath + ["scalars", k])
                 for k, s in enumerate(scalars_data)
             )
-            gens.append(Push(EquivariantAutomorphism(action, action, perm, scalars)))
+            gens.append(Push(action, perm, scalars))
         else:
             _fail(gpath + ["kind"], f"unknown generator kind {kind!r}")
     return FunctorWord(tuple(gens))

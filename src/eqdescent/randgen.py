@@ -24,7 +24,7 @@ from .complexes import (
 )
 from .groups import AbelianGroup, Character
 from .polynomials import Poly
-from .words import EquivariantAutomorphism, FunctorWord, Push, Shift, Twist
+from .words import FunctorWord, Push, Shift, Twist
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,9 @@ def mixed_variant(rng: Random, complex_: EquivariantComplex) -> EquivariantCompl
 # ---------------------------------------------------------------------------
 
 
-def random_automorphism(rng: Random, action: ProjectiveAction) -> EquivariantAutomorphism:
-    """A random equivariant automorphism of the action with itself: shuffle
-    coordinates within equal-character classes and rescale."""
+def random_automorphism(rng: Random, action: ProjectiveAction) -> Push:
+    """A random push along an automorphism of the action: shuffle coordinates
+    within equal-character classes and rescale."""
     n = action.dim + 1
     classes: dict = {}
     for i, char in enumerate(action.coord_chars):
@@ -278,7 +278,7 @@ def random_automorphism(rng: Random, action: ProjectiveAction) -> EquivariantAut
         for i, t in zip(members, targets):
             perm[i] = t
     scalars = tuple(_random_fraction(rng) for _ in range(n))
-    return EquivariantAutomorphism(action, action, tuple(perm), scalars)
+    return Push(action, tuple(perm), scalars)
 
 
 def random_word(rng: Random, action: ProjectiveAction, max_len: int = 5) -> FunctorWord:
@@ -290,5 +290,5 @@ def random_word(rng: Random, action: ProjectiveAction, max_len: int = 5) -> Func
         elif kind == "twist":
             gens.append(Twist(random_summand(rng, action.group, max_degree=2)))
         else:
-            gens.append(Push(random_automorphism(rng, action)))
+            gens.append(random_automorphism(rng, action))
     return FunctorWord(tuple(gens))

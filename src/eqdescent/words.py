@@ -1,139 +1,141 @@
-"""Functor words: shifts, twists and pushforwards, and the checks on them.
+"""Functor words: shifts, twists and pushes, and the checks on them.
 
 The autoequivalences considered here are generated by three kinds of
-operations on equivariant complexes:
+operations on the equivariant complexes of one action:
 
   * ``Shift(k)``      - translate cohomological degrees,
   * ``Twist(s)``      - tensor with a twisted line bundle O(d) tensor psi,
-  * ``Push(f)``       - push forward along an equivariant automorphism of
-                        projective space (a coordinate permutation combined
-                        with nonzero rational coordinate scalings).
+  * ``Push(action, perm, scalars)`` - push forward along an automorphism of
+                        the action (a coordinate permutation combined with
+                        nonzero rational coordinate scalings).
 
-A ``FunctorWord`` is a finite composite, applied left to right.  The induced
-functor between the quotient categories is an equivalence of perfect
-complexes exactly when two generator images descend: the word applied to a
-generator upstairs, and the inverse word applied to a generator on the other
-side.  ``omega_check`` decides both; ``necessary_check`` runs the cheaper
-kernel-fiber conditions that are necessary (and computable stratum by
-stratum, exactly) for shift/twist words.
+Each generator applies itself, inverts itself and describes itself as a
+problem-file entry.  A ``FunctorWord`` is a finite composite, applied left
+to right.  The induced functor between the quotient categories is an
+equivalence of perfect complexes exactly when two generator images descend:
+the word applied to a generator, and the inverse word applied to another.
+``omega_check`` decides both; ``necessary_check`` is its exact shortcut for
+shift/twist words, with O as both generators (the images are then the
+kernel's fibers, see ``NecessaryReport``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .action import ProjectiveAction
-from .complexes import EquivariantComplex, InternalConsistencyError, TwistedSummand
-from .descent import DescentReport, check_bundle_descent, check_descent
+from .complexes import (
+    EquivariantComplex,
+    InternalConsistencyError,
+    TwistedSummand,
+    bundle_complex,
+)
+from .descent import DescentReport, char_str, check_descent
 from .errors import InputError, as_rational
-
-
-@dataclass(frozen=True)
-class EquivariantAutomorphism:
-    """Automorphism [x_i] -> [scalars_{perm[i]} * x_i in slot perm[i]].
-
-    ``perm[i]`` is the target slot of source coordinate i and ``scalars`` is
-    indexed by target slot.  Compatibility with the actions requires the
-    target's character at slot perm[i] to equal the source's at i.
-    """
-
-    source: ProjectiveAction
-    target: ProjectiveAction
-    perm: tuple
-    scalars: tuple
-
-    def __post_init__(self):
-        n = self.source.dim + 1
-        perm = tuple(self.perm)
-        if not all(type(i) is int for i in perm):
-            raise InputError(f"permutation entries must be ints: {perm}")
-        scalars = tuple(as_rational(s, "scalar") for s in self.scalars)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "scalars", scalars)
-        if self.target.dim != self.source.dim:
-            raise InputError("automorphism endpoints have different dimensions")
-        if self.target.group != self.source.group:
-            raise InputError("automorphism endpoints have different groups")
-        if sorted(perm) != list(range(n)):
-            raise InputError(f"{perm} is not a permutation of 0..{n - 1}")
-        if len(scalars) != n or any(s == 0 for s in scalars):
-            raise InputError("automorphism needs a nonzero scalar per coordinate")
-        for i in range(n):
-            if self.target.coord_chars[perm[i]] != self.source.coord_chars[i]:
-                raise InputError(
-                    f"coordinate {i} -> slot {perm[i]} does not intertwine the actions"
-                )
-
-    def inverse(self) -> "EquivariantAutomorphism":
-        n = len(self.perm)
-        inv_perm = [0] * n
-        for i, p in enumerate(self.perm):
-            inv_perm[p] = i
-        inv_scalars = [Fraction(1) / self.scalars[self.perm[j]] for j in range(n)]
-        return EquivariantAutomorphism(
-            source=self.target,
-            target=self.source,
-            perm=tuple(inv_perm),
-            scalars=tuple(inv_scalars),
-        )
-
-    def pushforward_images(self):
-        """Variable images realizing p -> p o f^{-1}: x_j -> (1/t_{perm[j]}) x_{perm[j]}."""
-        return [
-            (self.perm[j], Fraction(1) / self.scalars[self.perm[j]])
-            for j in range(len(self.perm))
-        ]
 
 
 @dataclass(frozen=True)
 class Shift:
     k: int
 
-    def __repr__(self):
-        return f"Shift({self.k})"
+    def __post_init__(self):
+        if type(self.k) is not int:
+            raise InputError(f"a shift must be an int, got {self.k!r}")
+
+    def apply(self, c: EquivariantComplex) -> EquivariantComplex:
+        terms = {j - self.k: v for j, v in c.terms.items()}
+        diffs = {j - self.k: e for j, e in c.differentials.items()}
+        return EquivariantComplex(c.action, terms, diffs)
+
+    def inverse(self) -> "Shift":
+        return Shift(-self.k)
+
+    def describe(self) -> dict:
+        return {"kind": "shift", "k": self.k}
 
 
 @dataclass(frozen=True)
 class Twist:
     summand: TwistedSummand
 
-    def __repr__(self):
-        return f"Twist({self.summand!r})"
+    def apply(self, c: EquivariantComplex) -> EquivariantComplex:
+        s = self.summand
+        if s.twist.group != c.action.group:
+            raise InputError("twist character belongs to a different group")
+        terms = {
+            j: tuple(TwistedSummand(t.degree + s.degree, t.twist + s.twist) for t in v)
+            for j, v in c.terms.items()
+        }
+        return EquivariantComplex(c.action, terms, c.differentials)
+
+    def inverse(self) -> "Twist":
+        return Twist(self.summand.inverse())
+
+    def describe(self) -> dict:
+        return {
+            "kind": "twist",
+            "degree": self.summand.degree,
+            "twist": list(self.summand.twist.coords),
+        }
 
 
 @dataclass(frozen=True)
 class Push:
-    auto: EquivariantAutomorphism
+    """Pushforward along the automorphism [x_i] -> [scalars_{perm[i]} * x_i
+    in slot perm[i]] of ``action``.
 
-    def __repr__(self):
-        return "Push(...)"
+    ``perm[i]`` is the target slot of coordinate i and ``scalars`` is indexed
+    by target slot.  The map commutes with the action exactly when the
+    character at slot perm[i] equals the character at i.  A push applies
+    only to complexes of ``action``.
+    """
 
+    action: ProjectiveAction = field(repr=False)
+    perm: tuple
+    scalars: tuple
 
-def _apply_shift(c: EquivariantComplex, k: int) -> EquivariantComplex:
-    terms = {j - k: v for j, v in c.terms.items()}
-    diffs = {j - k: dict(e) for j, e in c.differentials.items()}
-    return EquivariantComplex(c.action, terms, diffs)
+    def __post_init__(self):
+        n = self.action.dim + 1
+        perm = tuple(self.perm)
+        if not all(type(i) is int for i in perm):
+            raise InputError(f"permutation entries must be ints: {perm}")
+        scalars = tuple(as_rational(s, "scalar") for s in self.scalars)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "scalars", scalars)
+        if sorted(perm) != list(range(n)):
+            raise InputError(f"{perm} is not a permutation of 0..{n - 1}")
+        if len(scalars) != n or any(s == 0 for s in scalars):
+            raise InputError("a push needs a nonzero scalar per coordinate")
+        chars = self.action.coord_chars
+        for i in range(n):
+            if chars[perm[i]] != chars[i]:
+                raise InputError(
+                    f"coordinate {i} -> slot {perm[i]} does not intertwine the action"
+                )
 
+    def apply(self, c: EquivariantComplex) -> EquivariantComplex:
+        if c.action != self.action:
+            raise InputError("push action does not match the complex")
+        # p -> p o f^{-1} substitutes x_j -> (1/t_{perm[j]}) x_{perm[j]}.
+        images = [(p, 1 / self.scalars[p]) for p in self.perm]
+        diffs = {
+            j: {key: p.substitute_scaled_permutation(images) for key, p in e.items()}
+            for j, e in c.differentials.items()
+        }
+        return EquivariantComplex(c.action, c.terms, diffs)
 
-def _apply_twist(c: EquivariantComplex, s: TwistedSummand) -> EquivariantComplex:
-    terms = {
-        j: tuple(TwistedSummand(t.degree + s.degree, t.twist + s.twist) for t in v)
-        for j, v in c.terms.items()
-    }
-    diffs = {j: dict(e) for j, e in c.differentials.items()}
-    return EquivariantComplex(c.action, terms, diffs)
+    def inverse(self) -> "Push":
+        inv_perm = [0] * len(self.perm)
+        for i, p in enumerate(self.perm):
+            inv_perm[p] = i
+        return Push(self.action, inv_perm, [1 / self.scalars[p] for p in self.perm])
 
-
-def _apply_push(c: EquivariantComplex, auto: EquivariantAutomorphism) -> EquivariantComplex:
-    if auto.source != c.action:
-        raise InputError("pushforward source action does not match the complex")
-    images = auto.pushforward_images()
-    diffs = {
-        j: {key: p.substitute_scaled_permutation(images) for key, p in e.items()}
-        for j, e in c.differentials.items()
-    }
-    return EquivariantComplex(auto.target, dict(c.terms), diffs)
+    def describe(self) -> dict:
+        return {
+            "kind": "push",
+            "perm": list(self.perm),
+            "scalars": [str(s) for s in self.scalars],
+        }
 
 
 @dataclass(frozen=True)
@@ -145,95 +147,26 @@ class FunctorWord:
     def __post_init__(self):
         gens = tuple(self.generators)
         object.__setattr__(self, "generators", gens)
-        current = None
         for g in gens:
-            if isinstance(g, Push):
-                if current is not None and g.auto.source != current:
-                    raise InputError("consecutive pushforwards do not chain")
-                current = g.auto.target
-            elif not isinstance(g, (Shift, Twist)):
+            if not isinstance(g, (Shift, Twist, Push)):
                 raise InputError(f"unknown word generator: {g!r}")
 
     def apply(self, c: EquivariantComplex) -> EquivariantComplex:
-        out = c
         for g in self.generators:
-            if isinstance(g, Shift):
-                out = _apply_shift(out, g.k)
-            elif isinstance(g, Twist):
-                if g.summand.twist.group != out.action.group:
-                    raise InputError("twist character belongs to a different group")
-                out = _apply_twist(out, g.summand)
-            else:
-                out = _apply_push(out, g.auto)
-        report = out.validate()
+            c = g.apply(c)
+        report = c.validate()
         if not report.ok:
             raise InternalConsistencyError(
                 f"word application broke validity: {report.violations[:3]}"
             )
-        return out
+        return c
 
     def inverse(self) -> "FunctorWord":
-        inverted = []
-        for g in reversed(self.generators):
-            if isinstance(g, Shift):
-                inverted.append(Shift(-g.k))
-            elif isinstance(g, Twist):
-                inverted.append(Twist(g.summand.inverse()))
-            else:
-                inverted.append(Push(g.auto.inverse()))
-        return FunctorWord(tuple(inverted))
-
-    def target_action(self, source: ProjectiveAction) -> ProjectiveAction:
-        current = source
-        for g in self.generators:
-            if isinstance(g, Push):
-                if g.auto.source != current:
-                    raise InputError("pushforward does not chain with the given action")
-                current = g.auto.target
-        return current
-
-    @property
-    def is_twist_shift_only(self) -> bool:
-        return all(isinstance(g, (Shift, Twist)) for g in self.generators)
-
-    def net_shift(self) -> int:
-        return sum(g.k for g in self.generators if isinstance(g, Shift))
-
-    def net_twist(self, action: ProjectiveAction) -> TwistedSummand:
-        total = TwistedSummand(0, action.group.trivial_character())
-        for g in self.generators:
-            if isinstance(g, Twist):
-                total = TwistedSummand(
-                    total.degree + g.summand.degree, total.twist + g.summand.twist
-                )
-        return total
+        return FunctorWord(tuple(g.inverse() for g in reversed(self.generators)))
 
     def describe(self) -> list:
         """The generators as problem-file word entries, scalars as strings."""
-        out = []
-        for g in self.generators:
-            if isinstance(g, Shift):
-                out.append({"kind": "shift", "k": g.k})
-            elif isinstance(g, Twist):
-                out.append(
-                    {
-                        "kind": "twist",
-                        "degree": g.summand.degree,
-                        "twist": list(g.summand.twist.coords),
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "kind": "push",
-                        "perm": list(g.auto.perm),
-                        "scalars": [str(s) for s in g.auto.scalars],
-                    }
-                )
-        return out
-
-    def __repr__(self):
-        return "Word[" + ", ".join(repr(g) for g in self.generators) + "]"
+        return [g.describe() for g in self.generators]
 
 
 def default_generator(action: ProjectiveAction) -> EquivariantComplex:
@@ -251,14 +184,22 @@ def default_generator(action: ProjectiveAction) -> EquivariantComplex:
 
 
 class GeneratorRejectedError(InputError):
-    """A generator failed its own descent precondition."""
+    """A generator failed its own descent precondition.
+
+    The message names the first three witnesses with their characters cut
+    as in the CLI summary; ``report`` keeps every value."""
 
     def __init__(self, which: str, report: DescentReport):
         self.which = which
         self.report = report
+        named = "; ".join(
+            f"{w.point} on support {list(w.support)}, degree {w.degree}, "
+            f"dimension {w.dim}, character {char_str(w.char_values)}"
+            for w in report.witnesses[:3]
+        )
         super().__init__(
             f"generator {which} fails its own descent check; "
-            f"witnesses: {[w.to_dict() for w in report.witnesses[:3]]}"
+            f"{len(report.witnesses)} witness(es), the first: {named}"
         )
 
 
@@ -266,8 +207,6 @@ class GeneratorRejectedError(InputError):
 class OmegaReport:
     """Outcome of the two-sided generator-image test for a functor word."""
 
-    certified: bool
-    failing_conditions: tuple  # subset of ("i", "ii")
     condition_i: DescentReport
     condition_ii: DescentReport
     image_a: str  # the complex condition (i) actually checked
@@ -275,6 +214,19 @@ class OmegaReport:
     generator_a_default: bool
     generator_b_default: bool
     word: list
+
+    @property
+    def failing_conditions(self) -> tuple:
+        """The subset of ("i", "ii") whose image does not descend."""
+        return tuple(
+            name
+            for name, rep in (("i", self.condition_i), ("ii", self.condition_ii))
+            if not rep.passed
+        )
+
+    @property
+    def certified(self) -> bool:
+        return not self.failing_conditions
 
     def to_dict(self) -> dict:
         return {
@@ -315,23 +267,23 @@ def omega_check(
 ) -> OmegaReport:
     """Decide whether the induced functor is an equivalence downstairs.
 
-    Condition (i): the word applied to a generator upstairs descends.
-    Condition (ii): the inverse word applied to a generator on the target
-    side descends.  Both must pass.  The generators themselves must descend
-    to begin with --- a failing generator is rejected as bad input
-    (GeneratorRejectedError), not reported as a disproof.
+    Condition (i): the word applied to generator A descends.  Condition
+    (ii): the inverse word applied to generator B descends.  Both must pass.
+    Both generators live on ``action``, and so does every push of the word.
+    The generators themselves must descend to begin with --- a failing
+    generator is rejected as bad input (GeneratorRejectedError), not
+    reported as a disproof.
     """
-    target = word.target_action(action)
     a_default = gen_a is None
     b_default = gen_b is None
     if gen_a is None:
         gen_a = default_generator(action)
     if gen_b is None:
-        gen_b = default_generator(target)
+        gen_b = default_generator(action)
     if gen_a.action != action:
         raise InputError("generator A lives on a different action")
-    if gen_b.action != target:
-        raise InputError("generator B lives on the wrong side of the word")
+    if gen_b.action != action:
+        raise InputError("generator B lives on a different action")
 
     opts = dict(
         samples_per_stratum=samples_per_stratum,
@@ -348,18 +300,9 @@ def omega_check(
 
     image_a = word.apply(gen_a)
     image_b = word.inverse().apply(gen_b)
-    condition_i = check_descent(image_a, **opts)
-    condition_ii = check_descent(image_b, **opts)
-    failing = tuple(
-        name
-        for name, rep in (("i", condition_i), ("ii", condition_ii))
-        if not rep.passed
-    )
     return OmegaReport(
-        certified=not failing,
-        failing_conditions=failing,
-        condition_i=condition_i,
-        condition_ii=condition_ii,
+        condition_i=check_descent(image_a, **opts),
+        condition_ii=check_descent(image_b, **opts),
         image_a=repr(image_a),
         image_b=repr(image_b),
         generator_a_default=a_default,
@@ -374,23 +317,46 @@ class NecessaryReport:
 
     The kernel of such a word is the (shifted) diagonal pushforward of its
     net twist L; restricted to a vertical slice it is a skyscraper with
-    fiber L tensor k(y) in degree minus the net shift.  The conditions ask
-    that stabilizers act trivially on those fibers (and on the inverse
-    kernel's), which is exactly the stratum-by-stratum fiber character test
-    --- decidable exactly, with no sampling.  Words containing a pushforward
-    are reported as unsupported: their kernels carry a product-group
-    structure this tool does not model.
+    fiber L tensor k(y) in degree minus the net shift, which is the word
+    applied to O in degree 0 (``kernel``).  The conditions ask that
+    stabilizers act trivially on those fibers and on the inverse kernel's,
+    which is exactly the stratum-by-stratum fiber character test ---
+    decidable exactly, with no sampling.  Words containing a push have no
+    kernel here (``kernel`` is None) and are reported as unsupported: their
+    kernels carry a product-group structure this tool does not model.
     """
 
-    supported: bool
-    reason: str | None
-    passed: bool | None
+    word: FunctorWord
+    kernel: EquivariantComplex | None
     condition_i: DescentReport | None
     condition_ii: DescentReport | None
-    net_twist_degree: int | None
-    net_twist_character: tuple | None
-    net_shift: int | None
-    word: list
+
+    @property
+    def supported(self) -> bool:
+        return self.kernel is not None
+
+    @property
+    def reason(self) -> str | None:
+        if self.supported:
+            return None
+        return (
+            "word contains a pushforward; its kernel needs a product-group "
+            "equivariant structure that is not modeled here"
+        )
+
+    @property
+    def passed(self) -> bool | None:
+        if not self.supported:
+            return None
+        return self.condition_i.passed and self.condition_ii.passed
+
+    @property
+    def net_shift(self) -> int:
+        return -self.kernel.degrees()[0]
+
+    @property
+    def net_twist(self) -> TwistedSummand:
+        return self.kernel.summands(-self.net_shift)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -400,45 +366,22 @@ class NecessaryReport:
             "condition_i": None if self.condition_i is None else self.condition_i.to_dict(),
             "condition_ii": None if self.condition_ii is None else self.condition_ii.to_dict(),
             "kernel": None
-            if self.net_twist_degree is None
+            if not self.supported
             else {
-                "net_twist_degree": self.net_twist_degree,
-                "net_twist_character": list(self.net_twist_character),
+                "net_twist_degree": self.net_twist.degree,
+                "net_twist_character": list(self.net_twist.twist.coords),
                 "net_shift": self.net_shift,
             },
-            "word": self.word,
+            "word": self.word.describe(),
         }
 
 
 def necessary_check(word: FunctorWord, action: ProjectiveAction) -> NecessaryReport:
-    """Run the exact kernel-fiber necessary conditions for a shift/twist word."""
-    if not word.is_twist_shift_only:
-        return NecessaryReport(
-            supported=False,
-            reason=(
-                "word contains a pushforward; its kernel needs a product-group "
-                "equivariant structure that is not modeled here"
-            ),
-            passed=None,
-            condition_i=None,
-            condition_ii=None,
-            net_twist_degree=None,
-            net_twist_character=None,
-            net_shift=None,
-            word=word.describe(),
-        )
-    net = word.net_twist(action)
-    shift = word.net_shift()
-    condition_i = check_bundle_descent(net, action, degree=-shift)
-    condition_ii = check_bundle_descent(net.inverse(), action, degree=shift)
-    return NecessaryReport(
-        supported=True,
-        reason=None,
-        passed=condition_i.passed and condition_ii.passed,
-        condition_i=condition_i,
-        condition_ii=condition_ii,
-        net_twist_degree=net.degree,
-        net_twist_character=net.twist.coords,
-        net_shift=shift,
-        word=word.describe(),
-    )
+    """Run the exact kernel-fiber necessary conditions for a shift/twist
+    word: ``omega_check``'s two conditions with O as both generators."""
+    if any(isinstance(g, Push) for g in word.generators):
+        return NecessaryReport(word, None, None, None)
+    structure_sheaf = bundle_complex(action, TwistedSummand(0, action.group.trivial_character()))
+    kernel = word.apply(structure_sheaf)
+    inverse_kernel = word.inverse().apply(structure_sheaf)
+    return NecessaryReport(word, kernel, check_descent(kernel), check_descent(inverse_kernel))

@@ -246,3 +246,10 @@ def test_stratum_representative():
     act = z2_p2_action()
     st = act.stratum_of_support((0, 2))
     assert st.representative().coords == (1, 0, 1)
+
+
+@pytest.mark.parametrize("dim", [True, 2.0])
+def test_action_dimension_must_be_an_int(dim):
+    g = AbelianGroup((2,))
+    with pytest.raises(InputError, match="projective dimension must be an int"):
+        ProjectiveAction(g, dim, (g.trivial_character(),) * 3)

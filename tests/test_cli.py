@@ -17,7 +17,7 @@ from eqdescent.complexes import (
     TwistedSummand,
     bundle_complex,
 )
-from eqdescent.descent import block_cohomology
+from eqdescent.descent import block_cohomology, char_str
 from eqdescent.groups import AbelianGroup
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.polynomials import Poly
@@ -134,6 +134,26 @@ def test_omega_rejects_failing_generator(capsys):
     code = main(["omega", FIXTURE, "--word", "twist2", "--gen-a", "O1"])
     assert code == 2
     assert "fails its own descent check" in capsys.readouterr().err
+
+
+def test_rejected_generator_error_stays_short(tmp_path, capsys):
+    """O twisted by (1, 0) under trivial Z/100 x Z/100 on P^2 fails on every
+    stratum with a 10,000-value character: the error names the first
+    witnesses with cut characters instead of printing their tables."""
+    G = AbelianGroup((100, 100))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    bundle = bundle_complex(action, TwistedSummand(0, G.character((1, 0))))
+    problem = problem_to_dict(action, {"L": bundle})
+    problem["words"] = {"w": [{"kind": "shift", "k": 1}]}
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(problem))
+    code = main(["omega", str(path), "--word", "w", "--gen-a", "L", "--gen-b", "L"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: generator a fails its own descent check")
+    assert "... 10000 values)" in captured.err
+    assert len(captured.err.encode()) < 1024
 
 
 def test_omega_default_generator_is_decided_exactly(cli):
@@ -301,14 +321,14 @@ def test_fixture_summaries_print_whole_characters(argv, cli, monkeypatch):
     """Every character in the fixture's summaries is short enough to print in
     full, so cutting long ones leaves these summaries as they were."""
     _, text, _ = cli(*argv)
-    monkeypatch.setattr(cli_module, "_char_str", _whole_char_str)
+    monkeypatch.setattr(cli_module, "char_str", _whole_char_str)
     _, whole, _ = cli(*argv)
     assert split_report(text)[1] == split_report(whole)[1]
 
 
 def test_long_characters_print_their_first_values():
-    assert cli_module._char_str(tuple(range(16))) == _whole_char_str(range(16))
-    assert cli_module._char_str(tuple(range(17))) == "(0,1,2,3,4,5,6,7,... 17 values)"
+    assert char_str(tuple(range(16))) == _whole_char_str(range(16))
+    assert char_str(tuple(range(17))) == "(0,1,2,3,4,5,6,7,... 17 values)"
 
 
 def test_summary_rows_stay_short_on_a_stabilizer_of_order_10000(tmp_path, cli):
@@ -447,6 +467,8 @@ PINNED_DIGESTS = (
     (("omega", FIXTURE, "--word", "swap01"), "sha256:74204af69b3d799dd9b4228b1d6e415c4dd080b15186cc2030a64018f1262eb5"),
     (("necessary", FIXTURE, "--word", "mixed"), "sha256:9e3303577ce64778cd269791bcc1682127a831bafd8ecd990db057ae9a24fc7a"),
     (("necessary", FIXTURE, "--word", "twist1"), "sha256:e38ccdd438e2c96dacf28a3fddd482b07f791241d09649f541575a98799f7276"),
+    (("necessary", FIXTURE, "--word", "swap01"), "sha256:f18763b4db7d6ec7f22c3f102a8ba80b193871cfd361287967b3500d1d22edea"),
+    (("omega", FIXTURE, "--word", "mixed"), "sha256:decf6c1067d3ca2b4e247109123ae9210a67e09d1f3be4c98710fe5eea8cd026"),
 )
 
 
@@ -457,6 +479,42 @@ def test_fixture_report_digests_are_pinned(argv, digest, cli):
     """Any change to a report's content shows up here; CHANGES.md names
     every digest that was re-recorded on purpose, and why."""
     _, _, payload = cli(*argv)
+    assert payload["report_digest"] == digest
+
+
+# push (x0, x1, x2) -> (2 x1, x0, x2 / 3), then O(2) (x) sign, then shift by -1
+COMPOSITE_WORD = [
+    {"kind": "push", "perm": [1, 0, 2], "scalars": ["2", "1", "1/3"]},
+    {"kind": "twist", "degree": 2, "twist": [1]},
+    {"kind": "shift", "k": -1},
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    (
+        (("omega", "--gen-a", "koszul", "--gen-b", "koszul"), 0,
+         "sha256:65a5d7d52cafeaeb2c18607e8bf5e5cb684badc496ed62abebc2270f28890561"),
+        (("omega",), 1,
+         "sha256:0780d85b6d4e42eef223087c632a2451887d3474bb54eded3b964963b5a8573d"),
+        (("necessary",), 2,
+         "sha256:a1106aec77211e7d93166f04fb52b03f4ccb39bcf98badacb7772f3150d4ee43"),
+    ),
+    ids=("omega-koszul", "omega-default", "necessary"),
+)
+def test_composite_word_report_digests_are_pinned(tmp_path, argv, code, digest, cli):
+    """A push with scalars, a twist and a shift in one word: the Koszul
+    complex stays exact under it, the sign twist breaks the default
+    generator, and ``necessary`` refuses the push."""
+    with open(FIXTURE) as f:
+        action = parse_problem(json.load(f)).action
+    koszul = koszul_complex(action, (1, -2, Fraction(1, 3)))
+    problem = problem_to_dict(action, {"koszul": koszul})
+    problem["words"] = {"pts": COMPOSITE_WORD}
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(problem))
+    got, _, payload = cli(argv[0], str(path), "--word", "pts", *argv[1:])
+    assert got == code
     assert payload["report_digest"] == digest
 
 

@@ -132,6 +132,30 @@ def test_bad_index_rejected(z2_p2):
         )
 
 
+@pytest.mark.parametrize(
+    "terms, diffs, message",
+    [
+        ({0.7: "O"}, {}, "degree 0.7 is not an int"),
+        ({0: "O", 1: "O1"}, {0.0: {(0, 0): 0}}, "differential degree 0.0 is not an int"),
+        ({0: "O", 1: "O1"}, {0: {(0.0, 0): 0}}, "source index 0.0 out of range"),
+        ({0: "O", 1: "O1"}, {0: {(0, True): 0}}, "target index True out of range"),
+    ],
+)
+def test_inexact_degrees_and_indices_rejected(z2_p2, terms, diffs, message):
+    """No degree key or entry index is truncated into an int."""
+    summands = {"O": (O(z2_p2, 0),), "O1": (O(z2_p2, 1),)}
+    terms = {j: summands[name] for j, name in terms.items()}
+    diffs = {j: {key: x(0) for key in e} for j, e in diffs.items()}
+    with pytest.raises(InputError, match=message):
+        EquivariantComplex(z2_p2, terms, diffs)
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, True])
+def test_summand_degree_must_be_an_int(z2_p2, d):
+    with pytest.raises(InputError, match="a summand degree must be an int"):
+        TwistedSummand(d, z2_p2.group.trivial_character())
+
+
 def test_differential_between_missing_terms_rejected(z2_p2):
     with pytest.raises(InputError):
         EquivariantComplex(z2_p2, {0: (O(z2_p2, 0),)}, {0: {(0, 0): x(0)}})

@@ -66,6 +66,12 @@ def test_group_rejects_bad_orders():
         AbelianGroup((101, 101))  # order 10201 > bound
 
 
+@pytest.mark.parametrize("orders", [(True, 3), (2.0, 3), (2, 3.5)])
+def test_group_orders_must_be_exact_ints(orders):
+    with pytest.raises(InputError, match="cyclic orders must be positive ints"):
+        AbelianGroup(orders)
+
+
 def test_elements_of_the_wrong_length_are_refused():
     g = AbelianGroup((4, 2))
     chi = g.character((1, 1))

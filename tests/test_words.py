@@ -16,11 +16,11 @@ from eqdescent.randgen import (
     random_action,
     random_automorphism,
     random_group,
+    random_summand,
     random_valid_complex,
     random_word,
 )
 from eqdescent.words import (
-    EquivariantAutomorphism,
     FunctorWord,
     GeneratorRejectedError,
     Push,
@@ -73,10 +73,8 @@ def test_twist_adds_to_every_summand(two_term, z2_p2):
 
 
 def test_push_substitutes_coordinates(two_term, z2_p2):
-    auto = EquivariantAutomorphism(
-        z2_p2, z2_p2, (1, 0, 2), (Fraction(1), Fraction(3), Fraction(2))
-    )
-    pushed = FunctorWord((Push(auto),)).apply(two_term)
+    push = Push(z2_p2, (1, 0, 2), (Fraction(1), Fraction(3), Fraction(2)))
+    pushed = FunctorWord((push,)).apply(two_term)
     # x2 -> (1/2) x2 under p -> p o f^{-1} with f scaling x2 by 2.
     assert pushed.entry(0, 0, 0) == Poly.variable(3, 2) * Fraction(1, 2)
     assert pushed.terms == two_term.terms
@@ -88,9 +86,16 @@ def test_push_requires_matching_action(two_term, z2_p2):
         2,
         (z2_p2.group.character((1,)),) * 3,
     )
-    auto = EquivariantAutomorphism(other, other, (0, 1, 2), (1, 1, 1))
+    push = Push(other, (0, 1, 2), (1, 1, 1))
     with pytest.raises(InputError):
-        FunctorWord((Push(auto),)).apply(two_term)
+        FunctorWord((push,)).apply(two_term)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.9, True])
+def test_shift_refuses_inexact_ints(k):
+    """A float is not truncated into a shift, and a bool is not an int."""
+    with pytest.raises(InputError, match="a shift must be an int"):
+        Shift(k)
 
 
 def test_twist_from_foreign_group_rejected(two_term):
@@ -101,18 +106,18 @@ def test_twist_from_foreign_group_rejected(two_term):
 
 
 # ---------------------------------------------------------------------------
-# automorphism validation and inversion
+# push validation and inversion
 # ---------------------------------------------------------------------------
 
 
 def test_automorphism_must_be_a_permutation(z2_p2):
     with pytest.raises(InputError):
-        EquivariantAutomorphism(z2_p2, z2_p2, (0, 0, 2), (1, 1, 1))
+        Push(z2_p2, (0, 0, 2), (1, 1, 1))
 
 
 def test_automorphism_scalars_must_be_nonzero(z2_p2):
     with pytest.raises(InputError):
-        EquivariantAutomorphism(z2_p2, z2_p2, (0, 1, 2), (1, 0, 1))
+        Push(z2_p2, (0, 1, 2), (1, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -127,13 +132,13 @@ def test_automorphism_scalars_must_be_nonzero(z2_p2):
 def test_automorphism_refuses_inexact_entries(z2_p2, perm, scalars, message):
     """No entry is truncated or rounded into a valid one."""
     with pytest.raises(InputError, match=message):
-        EquivariantAutomorphism(z2_p2, z2_p2, perm, scalars)
+        Push(z2_p2, perm, scalars)
 
 
 def test_automorphism_must_intertwine_characters(z2_p2):
     # Coordinate 2 carries the sign character; swapping it with 0 breaks it.
     with pytest.raises(InputError):
-        EquivariantAutomorphism(z2_p2, z2_p2, (2, 1, 0), (1, 1, 1))
+        Push(z2_p2, (2, 1, 0), (1, 1, 1))
 
 
 def test_automorphism_inverse_composes_to_identity(z2_p2):
@@ -196,14 +201,16 @@ def test_double_inverse_is_identity_on_shift_twist_words(z2_p2):
 
 
 def test_net_shift_and_net_twist(z2_p2):
+    """The kernel ``necessary_check`` reports is the word applied to O."""
     word = FunctorWord(
         (Twist(O(z2_p2, 1, (1,))), Shift(2), Twist(O(z2_p2, 2, (1,))), Shift(-3))
     )
-    assert word.net_shift() == -1
-    net = word.net_twist(z2_p2)
-    assert net.degree == 3
-    assert net.twist.is_trivial  # (1,) + (1,) = (0,) in Z/2
-    assert word.is_twist_shift_only
+    report = necessary_check(word, z2_p2)
+    assert report.supported
+    assert report.net_shift == -1
+    assert report.net_twist.degree == 3
+    assert report.net_twist.twist.is_trivial  # (1,) + (1,) = (0,) in Z/2
+    assert report.kernel == EquivariantComplex(z2_p2, {1: (O(z2_p2, 3),)}, {})
 
 
 def test_word_rejects_unknown_generators():
@@ -211,18 +218,9 @@ def test_word_rejects_unknown_generators():
         FunctorWord(("twist",))
 
 
-def test_push_words_must_chain(z2_p2):
-    other = ProjectiveAction(z2_p2.group, 2, (z2_p2.group.character((1,)),) * 3)
-    a1 = EquivariantAutomorphism(z2_p2, z2_p2, (0, 1, 2), (1, 1, 2))
-    a2 = EquivariantAutomorphism(other, other, (2, 1, 0), (1, 1, 1))
-    with pytest.raises(InputError):
-        FunctorWord((Push(a1), Push(a2)))
-    assert FunctorWord((Push(a1), Push(a1))).target_action(z2_p2) == z2_p2
-
-
 def test_describe_is_json_serializable(z2_p2):
-    auto = EquivariantAutomorphism(z2_p2, z2_p2, (1, 0, 2), (1, Fraction(1, 2), 3))
-    word = FunctorWord((Shift(1), Twist(O(z2_p2, 2, (1,))), Push(auto)))
+    push = Push(z2_p2, (1, 0, 2), (1, Fraction(1, 2), 3))
+    word = FunctorWord((Shift(1), Twist(O(z2_p2, 2, (1,))), push))
     payload = word.describe()
     json.dumps(payload)
     assert [g["kind"] for g in payload] == ["shift", "twist", "push"]
@@ -285,8 +283,8 @@ def test_omega_pure_shift_certifies(z2_p2, k):
 
 
 def test_omega_equivariant_push_certifies(z2_p2):
-    auto = EquivariantAutomorphism(z2_p2, z2_p2, (1, 0, 2), (2, 1, Fraction(1, 3)))
-    report = omega_check(FunctorWord((Push(auto),)), z2_p2)
+    push = Push(z2_p2, (1, 0, 2), (2, 1, Fraction(1, 3)))
+    report = omega_check(FunctorWord((push,)), z2_p2)
     assert report.certified
 
 
@@ -329,8 +327,8 @@ def test_necessary_accumulates_net_twist_and_shift(z2_p2):
     word = FunctorWord((Twist(O(z2_p2, 1)), Shift(2), Twist(O(z2_p2, 1, (1,)))))
     report = necessary_check(word, z2_p2)
     assert report.supported
-    assert report.net_twist_degree == 2
-    assert report.net_twist_character == (1,)
+    assert report.net_twist.degree == 2
+    assert report.net_twist.twist.coords == (1,)
     assert report.net_shift == 2
     # Net twist O(2)@(1,) is nontrivial on the strata fixing x0 or x1.
     assert not report.passed
@@ -351,8 +349,8 @@ def test_necessary_conditions_run_both_directions(z2_p2):
 
 
 def test_necessary_rejects_push_words(z2_p2):
-    auto = EquivariantAutomorphism(z2_p2, z2_p2, (1, 0, 2), (1, 1, 1))
-    report = necessary_check(FunctorWord((Push(auto), Shift(1))), z2_p2)
+    push = Push(z2_p2, (1, 0, 2), (1, 1, 1))
+    report = necessary_check(FunctorWord((push, Shift(1))), z2_p2)
     assert not report.supported
     assert report.passed is None
     assert "pushforward" in report.reason
@@ -371,3 +369,25 @@ def test_necessary_failure_implies_omega_failure(z2_p2):
             if not necessary.passed:
                 full = omega_check(word, z2_p2, gen_a=gen, gen_b=gen)
                 assert not full.certified
+
+
+def test_necessary_is_omega_with_the_structure_sheaf():
+    """On shift/twist words, the kernel-fiber conditions are omega's two
+    conditions with O as both generators, report for report."""
+    rng = Random(31)
+    for _ in range(30):
+        group = random_group(rng)
+        action = random_action(rng, group)
+        gens = [
+            Shift(rng.choice((-2, -1, 1, 2)))
+            if rng.random() < 0.5
+            else Twist(random_summand(rng, group, max_degree=2))
+            for _ in range(rng.randint(1, 5))
+        ]
+        word = FunctorWord(tuple(gens))
+        structure_sheaf = bundle_complex(action, TwistedSummand(0, group.trivial_character()))
+        necessary = necessary_check(word, action)
+        full = omega_check(word, action, gen_a=structure_sheaf, gen_b=structure_sheaf)
+        assert necessary.condition_i.to_dict() == full.condition_i.to_dict()
+        assert necessary.condition_ii.to_dict() == full.condition_ii.to_dict()
+        assert necessary.passed == full.certified
