@@ -2,11 +2,13 @@
 
 Every command prints one JSON document to stdout, on its first line, then a
 blank line and a short human-readable summary.  The document has sorted keys
-and no indentation (``python -m json.tool`` shows it indented).  Character
-tables longer than 16 values are cut to their first 8 in the summary and
-kept whole in the document.  The document carries a ``report_digest``
-(sha256 of the canonical JSON, excluding the digest itself and
-``timing_seconds``), so two runs with the same inputs are byte-identical
+and no indentation (``python -m json.tool`` shows it indented): each
+top-level member is written as ``"key": value``, and the values nested in it
+are compact, with no spaces.  Character tables longer than 16 values are cut
+to their first 8 in the summary and kept whole in the document.  The
+document carries a ``report_digest``: sha256 of the canonical JSON (sorted
+keys, no spaces) of the payload without the digest itself and
+``timing_seconds``.  So two runs with the same inputs are byte-identical
 except for the timing value and can be compared by digest.
 
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
@@ -49,25 +51,51 @@ EXIT_PIPE = 141
 # ---------------------------------------------------------------------------
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _members(payload: dict) -> list:
+    """(key, canonical value) of each member the digest covers, by key."""
+    return [
+        (key, _canonical(payload[key]))
+        for key in sorted(payload)
+        if key not in ("report_digest", "timing_seconds")
+    ]
+
+
+def _digest(members) -> str:
+    """sha256 of the canonical text ``{"key":value,...}`` of ``members``."""
+    sha = hashlib.sha256(b"{")
+    for i, (key, value) in enumerate(members):
+        sha.update(f'{"," if i else ""}{json.dumps(key)}:'.encode())
+        sha.update(value.encode())
+    sha.update(b"}")
+    return "sha256:" + sha.hexdigest()
 
 
 def report_digest(payload: dict) -> str:
     """sha256 of the canonical JSON payload, with volatile fields removed."""
-    stripped = {k: v for k, v in payload.items() if k not in ("timing_seconds", "report_digest")}
-    return "sha256:" + hashlib.sha256(_canonical(stripped).encode("utf-8")).hexdigest()
+    return _digest(_members(payload))
 
 
 def _emit(payload: dict, human: str, started: float, out) -> None:
-    payload = dict(payload)
-    payload["report_digest"] = report_digest(payload)
-    payload["timing_seconds"] = round(time.perf_counter() - started, 6)
-    # No indent: json uses its C encoder only then.  The ": " separator keeps
-    # '"report_digest": "' a literal that readers can search the text for.
-    print(json.dumps(payload, sort_keys=True, separators=(",", ": ")), file=out)
-    print(file=out)
-    print(human, file=out)
+    members = _members(payload)
+    digest = _digest(members)
+    timing = round(time.perf_counter() - started, 6)
+    members += [("report_digest", json.dumps(digest)), ("timing_seconds", json.dumps(timing))]
+    members.sort()
+    # Each value is serialized once, above, and written member by member, so
+    # a megabyte report is never copied into one string.
+    # The ": " after each top-level key keeps '"report_digest": "' a literal
+    # that readers can search the text for.
+    out.write("{")
+    for i, (key, value) in enumerate(members):
+        out.write(f'{"," if i else ""}{json.dumps(key)}: ')
+        out.write(value)
+    out.write("}\n\n")
+    out.write(human)
+    out.write("\n")
 
 
 def _table(rows, headers) -> str:

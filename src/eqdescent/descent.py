@@ -340,7 +340,7 @@ class Witness:
             "point": self.point,
             "support": list(self.support),
             "degree": self.degree,
-            "fiber_character": list(self.char_values),
+            "fiber_character": self.char_values,
             "dimension": self.dim,
         }
 
@@ -382,6 +382,9 @@ class PointTable:
         )
 
     def to_dict(self) -> dict:
+        # Each character is its value table itself, not a list copy: json
+        # writes a tuple as an array, and the table of a 10,000-element
+        # stabilizer is 80 KB.
         return {
             "point": self.point,
             "support": list(self.support),
@@ -389,7 +392,7 @@ class PointTable:
             "cohomology": [
                 {
                     "degree": j,
-                    "fiber_character": list(values),
+                    "fiber_character": values,
                     "dimension": dim,
                     "trivial_character": trivial,
                 }

@@ -12,10 +12,16 @@ in the package is exact.
 
 A group element is its coordinate tuple (g_1, ..., g_r), and
 ``AbelianGroup.elements`` lists them all.  A ``Subgroup`` is held as
-``coords``, the sorted tuple of its elements.  The closure adjoins one
-generator g at a time by cyclic extension: if H is the subgroup so far and k
-is the order of g modulo H, the new subgroup is the disjoint union of the
-cosets H + i*g for 0 <= i < k, so no element is built twice.
+``coords``, the sorted tuple of its elements, and ``columns``, the same
+elements one coordinate at a time.  The closure adjoins one generator g at a
+time by cyclic extension: if H is the subgroup so far and k is the order of g
+modulo H, the new subgroup is the disjoint union of the cosets H + i*g for
+0 <= i < k, so no element is built twice.  H is kept as one list per
+coordinate, and each extension is built a column at a time (one sum mod n_i
+per element and coordinate); the columns are zipped into tuples only for the
+membership test of the next generator and for the final ``coords``.  A
+character's restriction is likewise summed over the columns and reduced mod
+m in the same pass.
 
 Caches, each tied to the object that owns it and living as long as it:
 
@@ -163,19 +169,23 @@ class Character:
         per subgroup and character, and kept on the subgroup.
 
         The value on h is sum_i w_i * h_i mod m with w_i = c_i * (m / n_i),
-        summed one coordinate column at a time.
+        summed one coordinate column at a time (``Subgroup.columns``) and
+        reduced mod m in the same pass.
         """
         if sub.parent != self.group:
             raise InputError("subgroup belongs to a different group")
         found = sub._restrictions.get(self.coords)
         if found is None:
             m = self.group.exponent
-            values = [0] * sub.order
-            for i, (c, n) in enumerate(zip(self.coords, self.group.orders)):
+            values = None
+            for col, c, n in zip(sub.columns, self.coords, self.group.orders):
                 w = c * (m // n)
-                if w:
-                    values = [v + w * h[i] for v, h in zip(values, sub.coords)]
-            found = sub._restrictions[self.coords] = CharacterRestriction(sub, tuple(values))
+                if w and values is None:
+                    values = [w * h % m for h in col]
+                elif w:
+                    values = [(v + w * h) % m for v, h in zip(values, col)]
+            values = values or (0,) * sub.order
+            found = sub._restrictions[self.coords] = CharacterRestriction(sub, values)
         return found
 
     def __repr__(self):
@@ -195,27 +205,27 @@ class Subgroup:
         elements of ``parent``."""
         self.parent = parent
         orders = parent.orders
-
-        def add(a, b):
-            return tuple((x + y) % n for x, y, n in zip(a, b, orders))
-
         # Closure by cyclic extension: adjoining g to H adds the cosets
         # H + k*g for 0 < k < (order of g modulo H), which are disjoint.
-        zero = (0,) * parent.rank
-        coords = [zero]
-        members = {zero}
+        # H is kept as one list per coordinate.
+        columns = [[0] for _ in orders]
+        members = set()  # H as a set of tuples, rebuilt only when H has grown
         for g in generators:
             g = _reduced(_checked(g, parent, "generator"), orders)
+            if len(members) < len(columns[0]):
+                members = set(zip(*columns))
             multiples = []
             step = g
             while step not in members:
                 multiples.append(step)
-                step = add(step, g)
-            grown = [add(h, m) for m in multiples for h in coords]
-            coords += grown
-            members.update(grown)
-        coords.sort()
-        self.coords = tuple(coords)
+                step = tuple((x + y) % n for x, y, n in zip(step, g, orders))
+            grown = [
+                [(x + y) % n for y in mcol for x in hcol]
+                for hcol, mcol, n in zip(columns, zip(*multiples), orders)
+            ]
+            for hcol, gcol in zip(columns, grown):
+                hcol += gcol
+        self.coords = tuple(sorted(zip(*columns)))
         self._restrictions = {}  # character coords -> CharacterRestriction
 
     @classmethod
@@ -230,6 +240,12 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The coordinates of ``coords`` one column per factor: columns[i][j]
+        is coordinate i of element j."""
+        return tuple(zip(*self.coords))
 
     @property
     def is_trivial(self) -> bool:
@@ -266,10 +282,13 @@ class CharacterRestriction:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != self.subgroup.order:
+        values = tuple(self.values)
+        if len(values) != self.subgroup.order:
             raise InputError("value table does not match the subgroup enumeration")
         m = self.modulus
-        object.__setattr__(self, "values", tuple(v % m for v in self.values))
+        if min(values) < 0 or max(values) >= m:
+            values = tuple(v % m for v in values)
+        object.__setattr__(self, "values", values)
 
     @property
     def modulus(self) -> int:
@@ -277,7 +296,7 @@ class CharacterRestriction:
 
     @property
     def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     def __repr__(self):
         return f"restriction{self.values} mod {self.modulus}"

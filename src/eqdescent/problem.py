@@ -255,7 +255,10 @@ def _parse_word(action, data, path) -> FunctorWord:
                 parse_rational(s, gpath + ["scalars", k])
                 for k, s in enumerate(scalars_data)
             )
-            gens.append(Push(action, perm, scalars))
+            try:
+                gens.append(Push(action, perm, scalars))
+            except InputError as err:
+                _fail(gpath, str(err))
         else:
             _fail(gpath + ["kind"], f"unknown generator kind {kind!r}")
     return FunctorWord(tuple(gens))

@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, payload shape, byte-determinism."""
 
+import hashlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -312,6 +315,61 @@ def test_report_is_a_one_line_document_then_the_summary(argv, cli, monkeypatch):
     assert rest == "\n" + human + "\n"
 
 
+ESCAPED_NAMES = ('a": "b\\', "Ω-ñ \u2603")
+
+
+def _load_perfbench_run(monkeypatch):
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(bench, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ESCAPED_NAMES, ids=("quote-colon-backslash", "non-ascii"))
+def test_document_with_escaped_names_parses_and_digests(tmp_path, name, cli, monkeypatch):
+    """Complex and word names that JSON must escape, through commands whose
+    top-level keys sort before (check-descent) and after (omega, necessary:
+    "word") the digest and timing: the first line parses to the payload, the
+    digest recomputes from the whole canonical JSON, and the benchmark's
+    digest marker finds it."""
+    with open(FIXTURE) as f:
+        data = json.load(f)
+    data["complexes"] = {name: data["complexes"]["O"]}
+    data["words"] = {name: data["words"]["twist2"]}
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    emitted = []
+    real_emit = cli_module._emit
+
+    def recording_emit(payload, human, started, out):
+        emitted.append(payload)
+        real_emit(payload, human, started, out)
+
+    monkeypatch.setattr(cli_module, "_emit", recording_emit)
+    digest_of = _load_perfbench_run(monkeypatch).digest_of
+    commands = (
+        ("check-descent", str(path), "--complex", name),
+        ("omega", str(path), "--word", name, "--gen-a", name, "--gen-b", name),
+        ("necessary", str(path), "--word", name),
+    )
+    for argv in commands:
+        emitted.clear()
+        code, text, _ = cli(*argv)
+        assert code == 0, argv
+        first = text.split("\n", 1)[0]
+        payload = json.loads(first)
+        [sent] = emitted
+        stripped = {k: v for k, v in payload.items() if k not in ("report_digest", "timing_seconds")}
+        assert stripped == json.loads(json.dumps(sent))
+        assert name in sent.values()
+        canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+        digest = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert payload["report_digest"] == digest
+        assert digest_of(text) == digest
+
+
 def _whole_char_str(values):
     return "(" + ",".join(str(v) for v in values) + ")"
 
@@ -400,6 +458,28 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["check-descent", str(path)]) == 2
     assert "equivariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "push, message",
+    (
+        ({"kind": "push", "perm": [2, 1, 0]}, "does not intertwine the action"),
+        ({"kind": "push", "perm": [0, 0, 1]}, "is not a permutation"),
+        ({"kind": "push", "perm": [1, 0, 2], "scalars": ["1", "0", "1"]}, "nonzero scalar"),
+    ),
+    ids=("not-intertwining", "not-a-permutation", "zero-scalar"),
+)
+def test_refused_push_names_its_json_path(tmp_path, capsys, push, message):
+    with open(FIXTURE) as f:
+        data = json.load(f)
+    data["words"]["bad"] = [push]
+    path = tmp_path / "bad_push.json"
+    path.write_text(json.dumps(data))
+    assert main(["omega", str(path), "--word", "twist2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.words.bad[0]: ")
+    assert message in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from eqdescent.groups import AbelianGroup, InputError, Subgroup, equalizer_subgroup
+from eqdescent.groups import (
+    AbelianGroup,
+    CharacterRestriction,
+    InputError,
+    Subgroup,
+    equalizer_subgroup,
+)
 
 
 def brute_force_equalizer(chars):
@@ -355,3 +361,47 @@ def test_restriction_is_computed_once_per_subgroup_and_character():
         assert group.character(chi.coords).restrict(s) is r
         assert r.values == tuple(chi(g) for g in s.coords)
 
+
+
+def _random_group_of_rank(rng, rank):
+    return AbelianGroup(tuple(rng.randint(1, 12) for _ in range(rank)))
+
+
+def test_restriction_equals_evaluation_on_every_element():
+    """The column-wise table is chi(h) for every h, in ``coords`` order,
+    also for characters with several nonzero coordinates."""
+    rng = random.Random(2718)
+    several = 0
+    for _ in range(300):
+        group = _random_group_of_rank(rng, rng.randint(1, 3))
+        chi = group.character(tuple(rng.randrange(n) for n in group.orders))
+        several += sum(c != 0 for c in chi.coords) >= 2
+        s = Subgroup(group, [random_element(rng, group) for _ in range(rng.randint(0, 3))])
+        assert s.columns == tuple(zip(*s.coords))
+        assert chi.restrict(s).values == tuple(chi(h) for h in s.coords), (group, chi, s)
+    assert several >= 50
+
+
+def test_restriction_built_directly_is_reduced_and_length_checked():
+    g = AbelianGroup((4, 6))  # exponent 12
+    s = Subgroup(g, [(2, 3)])  # (0, 0), (2, 3)
+    assert CharacterRestriction(s, (-1, 25)).values == (11, 1)
+    assert CharacterRestriction(s, [12, -12]).values == (0, 0)
+    assert CharacterRestriction(s, (3, 11)).values == (3, 11)
+    assert hash(CharacterRestriction(s, [3, 11])) == hash(CharacterRestriction(s, (15, -1)))
+    for wrong in ((), (0,), (0, 0, 0)):
+        with pytest.raises(InputError, match="value table"):
+            CharacterRestriction(s, wrong)
+
+
+def test_restriction_is_trivial_iff_every_value_is_zero():
+    rng = random.Random(161)
+    g = AbelianGroup((3, 5))
+    whole = Subgroup.whole(g)
+    for _ in range(200):
+        values = [0] * whole.order
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            values[rng.randrange(whole.order)] = rng.choice((-15, -1, 1, 7, 15, 30))
+        r = CharacterRestriction(whole, tuple(values))
+        assert r.is_trivial == all(v == 0 for v in r.values)
+        assert r.is_trivial == all(v % 15 == 0 for v in values)
