@@ -37,7 +37,7 @@ from .groups import (
     Subgroup,
     equalizer_subgroup,
 )
-from .oracle import CyclotomicField, cyclotomic_polynomial, isotypic_cohomology
+from .oracle import isotypic_cohomology
 from .polynomials import Poly
 from .problem import Problem, load_problem, parse_problem, problem_to_dict
 from .selftest import SelftestReport, run_oracle_selftest
@@ -61,7 +61,6 @@ __all__ = [
     "BlockComplex",
     "Character",
     "CharacterRestriction",
-    "CyclotomicField",
     "DescentReport",
     "EquivariantComplex",
     "FiberComplex",
@@ -91,7 +90,6 @@ __all__ = [
     "bundle_complex",
     "check_bundle_descent",
     "check_descent",
-    "cyclotomic_polynomial",
     "default_generator",
     "equalizer_subgroup",
     "fiber_restrict",

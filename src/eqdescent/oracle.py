@@ -1,43 +1,26 @@
 """Independent cohomology oracle by averaging projectors over Q(zeta_m).
 
-The fast path elsewhere in the package computes fiber cohomology by first
-splitting the fiber complex into character blocks and doing integer linear
-algebra per block.  This module cross-checks it by the textbook route with
-no block bookkeeping at all:
+The block path elsewhere splits the fiber complex into character blocks and
+does integer linear algebra per block.  This module cross-checks it by the
+textbook route, with no block bookkeeping:
 
-  * find the stabilizer by filtering all of G for the elements on which
-    the supported coordinate characters agree, not by Smith normal form
-    and subgroup closure;
-  * model Q(zeta_m) as Q[z] / Phi_m(z) (Phi_m the m-th cyclotomic
-    polynomial, from the Moebius product of the x^d - 1, d | m).  Phi_m is
-    monic with integer coefficients, so each z^e mod Phi_m is an integer
-    vector; each field keeps a power table of them, built once by repeated
-    multiplication by z.  One field is kept per exponent m;
-  * build the *un-decomposed* fiber complex at a point, one basis line per
-    summand, with raw evaluated entries p(x) and the stabilizer acting
-    diagonally by powers of zeta;
-  * for each character phi of the stabilizer form the averaging projector
-        e_phi = (1/|S|) * sum_g phi(g)^{-1} rho(g)
-    and read isotypic cohomology dimensions off projected ranks:
+  * the stabilizer S is found by filtering all of G for the elements on
+    which the supported coordinate characters agree (no Smith normal form,
+    no subgroup closure) and split, from that list, into cyclic groups
+    <s_k> of prime-power orders m_k;
+  * the fiber complex at a point is kept whole, one line per summand, with
+    raw evaluated entries p(x) and S acting on a line by rho(g) = zeta^{e(g)};
+  * each projector (1/|S|) sum_g phi(g)^{-1} rho(g) is factored as the
+    product over k of (1/m_k) sum_{a < m_k} phi(s_k)^{-a} rho(a s_k), and
+    every diagonal entry of every factor is checked to be exactly 0 or 1;
+  * P_j is then a 0/1 diagonal matrix and d_j P_j is d_j on the kept
+    columns, a rational matrix whose rank over Q(zeta_m) is its rank over
+    Q, found by the oracle's own Fraction elimination:
         dim H^j_phi = rank(P_j) - rank(d_j P_j) - rank(d_{j-1} P_{j-1}).
-    The action is diagonal, so P_j is diagonal: it is kept as its diagonal.
-    A diagonal entry (1/|S|) sum_g zeta^{e(g)} is summed as
-    sum_e count(e) zeta^e, one count per exponent e times the power table's
-    vector for e, and the integer sum is divided by |S| once, at the end;
-  * check that every such entry is exactly 0 or 1 (the integer sum is 0
-    or |S|), as the entries of a diagonal projector must be, and raise
-    InternalConsistencyError if not.
-
-After that check P_j is a 0/1 diagonal matrix: rank(P_j) is the number of
-ones, and d_j P_j is d_j with the other columns zeroed, a rational matrix.
-Gaussian elimination on a rational matrix never leaves Q, so its rank over
-Q(zeta_m) is its rank over Q; the oracle ranks the kept columns by its own
-Fraction elimination and shares no linear algebra with the block path.
 
 Raw entries differ from the trivialized (rescaling-invariant) ones only by
 conjugation with a diagonal matrix commuting with the group action, so the
-isotypic dimensions must agree exactly; the fast path relies on the same
-argument to use raw entries at integer coordinates.
+isotypic dimensions must agree exactly with the block path.
 """
 
 from __future__ import annotations
@@ -45,11 +28,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
 from .action import RationalPoint
 from .complexes import EquivariantComplex, InternalConsistencyError
-from .groups import InputError
 
 
 def _mobius(n: int) -> int:
@@ -65,70 +48,54 @@ def _mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple:
-    """Coefficients of Phi_m, little-endian, as exact integers.
-
-    Phi_m = prod_{d | m} (x^d - 1)^{mu(m/d)}: multiply by the factors with
-    mu = 1, then divide exactly by those with mu = -1, each step linear in
-    the degree.
-    """
-    if m < 1:
-        raise InputError("cyclotomic index must be >= 1")
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
+@lru_cache(maxsize=16)
+def cyclotomic_cofactor(m: int) -> tuple:
+    """Psi_m = (x^m - 1) / Phi_m = prod_{d | m, d < m} (x^d - 1)^{-mu(m/d)},
+    Phi_m the m-th cyclotomic polynomial, as its terms ((k, c_k), ...)."""
+    divisors = [d for d in range(1, m) if m % d == 0]
     poly = [1]
     for d in divisors:
-        if _mobius(m // d) == 1:  # poly * (x^d - 1)
+        if _mobius(m // d) == -1:  # poly * (x^d - 1)
             poly = [
                 (poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
                 for k in range(len(poly) + d)
             ]
     for d in divisors:
-        if _mobius(m // d) == -1:  # poly / (x^d - 1): p[k] = q[k - d] - q[k]
+        if _mobius(m // d) == 1:  # poly / (x^d - 1): p[k] = q[k - d] - q[k]
             q = []
             for k in range(len(poly) - d):
                 q.append((q[k - d] if k >= d else 0) - poly[k])
             if any(poly[k] != (q[k - d] if k >= d else 0) for k in range(len(q), len(poly))):
                 raise InternalConsistencyError("cyclotomic division must be exact")
             poly = q
-    return tuple(poly)
+    return tuple((k, c) for k, c in enumerate(poly) if c)
 
 
-class CyclotomicField:
-    """The powers of zeta_m in Q(zeta_m) = Q[z] / Phi_m(z).
+def _vanishes(counts, m: int) -> bool:
+    """Whether sum_e counts[e] * zeta_m^e is 0 in Q(zeta_m) = Q[z] / Phi_m:
+    whether Phi_m divides sum_e counts[e] x^e, that is whether Psi_m times
+    it is 0 modulo x^m - 1, where products only add exponents mod m."""
+    product = [0] * m
+    for k, c in cyclotomic_cofactor(m):
+        for e, n in counts.items():
+            product[(e + k) % m] += c * n
+    return not any(product)
 
-    A power z^e is the little-endian integer coefficient tuple of z^e mod
-    Phi_m, of length deg(Phi_m).  Phi_m is monic with integer coefficients,
-    so the tuples are built once per field, one multiplication by z at a
-    time, as far as the largest exponent asked for.
-    """
 
-    def __init__(self, m: int):
-        self.m = m
-        self.modulus = cyclotomic_polynomial(m)
-        self.degree = len(self.modulus) - 1
-        self._powers = [(1,) + (0,) * (self.degree - 1)]  # z^e mod Phi_m, e = 0, 1, ...
-
-    def zeta_pow(self, e: int) -> tuple:
-        e %= self.m
-        powers = self._powers
-        power = powers[-1]
-        while len(powers) <= e:
-            # z * (c_0 + ... + c_{n-1} z^{n-1}) with z^n = -(a_0 + ... + a_{n-1} z^{n-1});
-            # zip stops before the leading coefficient of Phi_m
-            top = power[-1]
-            power = (0,) + power[:-1]
-            if top:
-                power = tuple(c - top * a for c, a in zip(power, self.modulus))
-            powers.append(power)
-        return powers[e]
+@lru_cache(maxsize=None)
+def _roots_of_unity_cancel(m: int, d: int) -> bool:
+    """Whether the d-th roots of unity zeta_m^{b m/d}, b < d, sum to 0."""
+    return _vanishes(dict.fromkeys(range(0, m, m // d), 1), m)
 
 
 def _rank(rows) -> int:
     """Rank over Q of a list of equal-length rows of ints and Fractions, by
     Gaussian elimination in Fractions."""
-    a = [[Fraction(x) for x in row] for row in rows if any(row)]
-    ncols = len(a[0]) if a else 0
+    a = [row for row in rows if any(row)]
+    if len(a) < 2:
+        return len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    ncols = len(a[0])
     r = 0
     for col in range(ncols):
         if r == len(a):
@@ -148,13 +115,70 @@ def _rank(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the stabilizer as a direct sum of cyclic groups
+# ---------------------------------------------------------------------------
+
+def _add(g: tuple, h: tuple, orders: tuple) -> tuple:
+    return tuple((x + y) % n for x, y, n in zip(g, h, orders))
+
+
+def _times(a: int, g: tuple, orders: tuple) -> tuple:
+    return tuple(a * x % n for x, n in zip(g, orders))
+
+
+@lru_cache(maxsize=32)
+def _cyclic_decomposition(elements: tuple, orders: tuple) -> tuple:
+    """(factors, coefficients): S, the subgroup of Z/n_1 x ... x Z/n_r
+    listed by ``elements``, is the internal direct sum of the <s_k> for
+    (s_k, m_k) in factors, m_k a prime power and the order of s_k, and
+    elements[i] = sum_k a_k s_k for (a_k) = coefficients[i].
+
+    Per prime p, with H the sum so far: take the first g of p-power order
+    and of largest order q modulo H.  Then q g = sum_k c_k s_k with q | c_k,
+    so s = g - sum_k (c_k / q) s_k has order q and <s> meets H in 0.  The
+    last 32 subgroups are kept.
+    """
+    span = {(0,) * len(orders): ()}  # H: element -> its coefficients
+    factors = []
+    element_orders = [lcm(*(n // gcd(x, n) for x, n in zip(g, orders))) for g in elements]
+    size, p = len(elements), 1
+    while size > 1:
+        p += 1
+        if size % p:
+            continue
+        part_order = 1
+        while size % p == 0:
+            size, part_order = size // p, part_order * p
+        whole = len(span) * part_order
+        part = [g for g, k in zip(elements, element_orders) if part_order % k == 0]
+        while len(span) < whole:
+            q = 0
+            for g in part:
+                k, x = 1, g
+                while x not in span:
+                    k, x = k * p, _times(p, x, orders)
+                if k > q:
+                    q, s, top = k, g, x
+            for (t, _), c in zip(factors, span[top]):
+                s = _add(s, _times(-(c // q), t, orders), orders)
+            multiples = [_times(a, s, orders) for a in range(q)]
+            span = {
+                _add(h, x, orders): c + (a,)
+                for h, c in span.items()
+                for a, x in enumerate(multiples)
+            }
+            factors.append((s, q))
+    return tuple(factors), tuple(span[g] for g in elements)
+
+
+# ---------------------------------------------------------------------------
 # the oracle itself
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _field(m: int) -> CyclotomicField:
-    """One field, and so one power table, per exponent m."""
-    return CyclotomicField(m)
+def _values(chi, elements, m: int) -> list:
+    """The exponents chi(g) = sum_i c_i g_i (m / n_i) mod m, g in elements."""
+    weights = [c * (m // n) for c, n in zip(chi.coords, chi.group.orders)]
+    return [sum(map(mul, weights, g)) % m for g in elements]
 
 
 def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, elements, m: int) -> dict:
@@ -164,13 +188,48 @@ def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, element
     representative vector by the common value chi_i(g) (i in the support),
     and the fiber of O(d) tensor psi by psi(g) - d * chi_i(g).
     """
-    lead = complex_.action.coord_chars[point.support[0]]
-    scalar = [lead(g) for g in elements]
+    scalar = _values(complex_.action.coord_chars[point.support[0]], elements, m)
     return {
-        (j, idx): tuple((s.twist(g) - s.degree * c) % m for g, c in zip(elements, scalar))
+        (j, idx): tuple(
+            (t - s.degree * c) % m for t, c in zip(_values(s.twist, elements, m), scalar)
+        )
         for j in complex_.degrees()
         for idx, s in enumerate(complex_.summands(j))
     }
+
+
+def _factor_value(exps, m: int) -> int:
+    """f = phi(s) for the character phi of a cyclic factor <s> of order q
+    whose projector keeps a line, from exps[a] = e(a s), a < q.
+
+    The entry (1/q) sum_a zeta^{exps[a] - a f}, f a multiple of m/q, is 1
+    only if every exps[a] = a f, so f = exps[1]; each other entry is then
+    1/d times the sum of the d-th roots of unity, d > 1.  Otherwise the
+    entries are summed until one is neither 0 nor 1.
+    """
+    q = len(exps)
+    step = m // q
+    first = exps[1 % q] // step
+    for i in range(q):
+        f = (first + i) % q * step
+        shifted = [(e - a * f) % m for a, e in enumerate(exps)]
+        if not any(shifted):
+            break
+        counts = Counter(shifted)
+        if not _vanishes(counts, m):
+            raise InternalConsistencyError(
+                f"averaged projector entry (1/{q}) * sum_e n_e zeta_{m}^e, "
+                f"n = {dict(counts)}, is neither 0 nor 1"
+            )
+    else:  # unreachable: the q entries sum to zeta^{exps[0]} != 0
+        raise InternalConsistencyError("every averaged projector entry is 0")
+    for d in range(2, q + 1):
+        if q % d == 0 and not _roots_of_unity_cancel(m, d):
+            raise InternalConsistencyError(
+                f"averaged projector entry (1/{d}) * sum of the {d}-th roots of unity "
+                "is neither 0 nor 1"
+            )
+    return f
 
 
 def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> dict:
@@ -183,18 +242,32 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     """
     action = complex_.action
     action.check_point(point)
-    group = action.group
-    m = group.exponent
-    field = _field(m)
-    # The stabilizer by enumeration, apart from the Smith-form route: every
-    # g on which the supported coordinate characters agree.  ``elements`` is
-    # in lexicographic order, so the value tables are keyed as on the block
-    # path.
-    chars = [action.coord_chars[i] for i in point.support]
-    elements = [g for g in group.elements if len({chi(g) for chi in chars}) == 1]
-    size = len(elements)
+    orders = action.group.orders
+    m = action.group.exponent
+    # ``elements`` is in lexicographic order, as on the block path.
+    every = action.group.elements
+    chars = [_values(action.coord_chars[i], every, m) for i in point.support]
+    elements = [g for g, *v in zip(every, *chars) if v.count(v[0]) == len(v)]
     fiber_exp = _fiber_exponents(complex_, point, elements, m)
     degrees = complex_.degrees()
+
+    factors, coefficients = _cyclic_decomposition(tuple(elements), orders)
+    position = {g: i for i, g in enumerate(elements)}
+    # cyclic[k]: the positions of a s_k, a < m_k; a trivial S is read as one
+    # factor of order 1, so that every exponent at the identity is checked.
+    cyclic = [[position[_times(a, s, orders)] for a in range(q)] for s, q in factors] or [[0]]
+
+    # Each line lies in the part of the character phi read off the factors,
+    # whose value table must be the line's own exponents.
+    parts = {}  # value table -> {degree j: the summands whose entry of P_j is 1}
+    for (j, idx), table in fiber_exp.items():
+        phi = [_factor_value([table[i] for i in rows], m) for rows in cyclic]
+        if any(sum(map(mul, c, phi)) % m != e for c, e in zip(coefficients, table)):
+            raise InternalConsistencyError(
+                f"the stabilizer does not act on summand {idx} of degree {j} by a "
+                "character, so its averaging projectors do not factor"
+            )
+        parts.setdefault(table, {}).setdefault(j, []).append(idx)
 
     # Raw evaluated differentials, ints and Fractions.
     coords = point.coords
@@ -209,39 +282,16 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
             rows[t][s] = p.evaluate(coords)
         mats[j] = rows
 
-    # All distinct characters of the stabilizer = deduplicated value tables
-    # of the ambient group's characters.
-    tables = sorted({tuple(chi(g) for g in elements) for chi in group.characters})
-
     out = {}
-    for table in tables:
-        kept = {}  # j -> the summands whose diagonal entry of P_j is 1
-        for j in degrees:
-            kept[j] = []
-            for idx in range(len(complex_.summands(j))):
-                # sum_g zeta^{e(g)} grouped as sum_e count(e) zeta^e, one
-                # integer power vector per distinct exponent e
-                counts = Counter((e - v) % m for e, v in zip(fiber_exp[(j, idx)], table))
-                powers = [field.zeta_pow(e) for e in counts]
-                weights = list(counts.values())
-                total = [sum(map(mul, weights, column)) for column in zip(*powers)]
-                # P_j is a projector: (1/|S|) * total is exactly 0 or 1
-                if total[0] == size and not any(total[1:]):
-                    kept[j].append(idx)
-                elif any(total):
-                    raise InternalConsistencyError(
-                        f"averaged projector entry (1/{size}) * {total} is neither 0 nor 1"
-                    )
-
+    for table, kept in parts.items():
         # d_j P_j is d_j on the kept columns, a rational matrix: its rank
         # over Q(zeta_m) is its rank over Q.
         rank_dp = {
-            j: _rank([[row[s] for s in kept[j]] for row in rows])
+            j: _rank([[row[s] for s in kept.get(j, ())] for row in rows])
             for j, rows in mats.items()
         }
-
         for j in degrees:
-            dim = len(kept[j]) - rank_dp.get(j, 0) - rank_dp.get(j - 1, 0)
+            dim = len(kept.get(j, ())) - rank_dp.get(j, 0) - rank_dp.get(j - 1, 0)
             if dim < 0:
                 raise InternalConsistencyError("negative isotypic dimension")
             if dim:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
@@ -32,8 +33,10 @@ from .words import FunctorWord, Push, Shift, Twist
 # ---------------------------------------------------------------------------
 
 
-def _order_tuples(max_order: int, max_factors: int = 3) -> list:
-    """All non-decreasing tuples of cyclic orders >= 2 with product <= max_order."""
+@lru_cache(maxsize=None)
+def _order_tuples(max_order: int, max_factors: int = 3) -> tuple:
+    """All non-decreasing tuples of cyclic orders >= 2 with product <= max_order,
+    sorted; enumerated once per (max_order, max_factors)."""
     out = []
 
     def extend(prefix, product, minimum):
@@ -47,7 +50,7 @@ def _order_tuples(max_order: int, max_factors: int = 3) -> list:
             k += 1
 
     extend([], 1, 2)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def random_group(rng: Random, max_order: int = 12) -> AbelianGroup:

@@ -302,13 +302,13 @@ def test_07_word_round_trips_restore_complexes_and_reports():
 def test_08_the_averaging_oracle_scales_with_the_group_order(cli):
     with criterion(
         8,
-        "selftest-oracle --trials 30 --seed 3 --max-group-order 60: the "
-        "two routes agree on groups of order up to 60",
-        3.0,
+        "selftest-oracle --trials 10 --seed 1 --max-group-order 10000: the "
+        "two routes agree on groups of order up to 10,000",
+        10.0,
     ):
         code, _, payload = cli(
-            "selftest-oracle", "--trials", "30", "--seed", "3", "--max-group-order", "60"
+            "selftest-oracle", "--trials", "10", "--seed", "1", "--max-group-order", "10000"
         )
         assert code == 0
-        assert payload["report"]["trials"] == 30
+        assert payload["report"]["trials"] == 10
         assert payload["report"]["mismatch_count"] == 0

@@ -2,14 +2,26 @@
 
 Expected values in this file are frozen from hand computation; the oracle is
 the trust anchor that the block-decomposition path is later checked against,
-so nothing here may depend on that path.  The one exception is the
-cross-check of the oracle's private rank against ``linalg.rank``: two
-independent eliminations that must agree.
+so nothing here may depend on that path.  The exceptions are the
+cross-check of the oracle's private rank against ``linalg.rank`` (two
+independent eliminations that must agree), random subgroups built by
+``groups.Subgroup`` to feed the oracle's cyclic decomposition, and the
+instances too large for the quadratic reference below, which are checked
+against the block route.
+
+The quadratic reference averages over all of S without factoring: one
+value table per character of G on all of S, and for every table and summand
+the full sum (1/|S|) sum_g zeta^{e(g) - phi(g)}, counted per exponent and
+summed with a power table of zeta in Q[z] / Phi_m.
 """
 
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -22,15 +34,21 @@ from eqdescent.complexes import (
     TwistedSummand,
     bundle_complex,
 )
-from eqdescent.groups import AbelianGroup
+from eqdescent.descent import block_cohomology, fiber_restrict
+from eqdescent.groups import AbelianGroup, Subgroup
 from eqdescent.linalg import QMatrix, rank
 from eqdescent.oracle import (
-    CyclotomicField,
+    _cyclic_decomposition,
+    _fiber_exponents,
+    _mobius,
     _rank,
-    cyclotomic_polynomial,
+    _roots_of_unity_cancel,
+    _vanishes,
+    cyclotomic_cofactor,
     isotypic_cohomology,
 )
 from eqdescent.polynomials import Poly
+from eqdescent.randgen import random_action, random_group, random_point, random_valid_complex
 
 
 def z2_p2_action():
@@ -46,6 +64,95 @@ def two_term_example():
     tgt = TwistedSummand(1, g.character((0,)))
     diff = {0: {(0, 0): Poly(3, {(0, 0, 1): 1})}}
     return act, EquivariantComplex(act, {0: (src,), 1: (tgt,)}, diff)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic reference
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m):
+    """Coefficients of Phi_m, little-endian: prod_{d | m} (x^d - 1)^{mu(m/d)}."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:  # poly * (x^d - 1)
+            poly = [
+                (poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
+                for k in range(len(poly) + d)
+            ]
+    for d in divisors:
+        if _mobius(m // d) == -1:  # poly / (x^d - 1)
+            q = []
+            for k in range(len(poly) - d):
+                q.append((q[k - d] if k >= d else 0) - poly[k])
+            poly = q
+    return tuple(poly)
+
+
+class CyclotomicField:
+    """The powers of zeta_m in Q[z] / Phi_m(z), as integer coefficient
+    tuples, built one multiplication by z at a time."""
+
+    def __init__(self, m):
+        self.m = m
+        self.modulus = cyclotomic_polynomial(m)
+        self.degree = len(self.modulus) - 1
+        self._powers = [(1,) + (0,) * (self.degree - 1)]
+
+    def zeta_pow(self, e):
+        e %= self.m
+        powers = self._powers
+        power = powers[-1]
+        while len(powers) <= e:
+            top = power[-1]
+            power = (0,) + power[:-1]
+            if top:
+                power = tuple(c - top * a for c, a in zip(power, self.modulus))
+            powers.append(power)
+        return powers[e]
+
+
+def averaging_reference(complex_, point):
+    """isotypic_cohomology by the full average over S for every character."""
+    action = complex_.action
+    group = action.group
+    m = group.exponent
+    field = CyclotomicField(m)
+    chars = [action.coord_chars[i] for i in point.support]
+    elements = [g for g in group.elements if len({chi(g) for chi in chars}) == 1]
+    size = len(elements)
+    fiber_exp = _fiber_exponents(complex_, point, elements, m)
+    degrees = complex_.degrees()
+    mats = {}
+    for j in degrees:
+        if j + 1 not in complex_.terms:
+            continue
+        rows = [[0] * len(complex_.summands(j)) for _ in complex_.summands(j + 1)]
+        for (s, t), p in complex_.differentials.get(j, {}).items():
+            rows[t][s] = p.evaluate(point.coords)
+        mats[j] = rows
+    out = {}
+    for table in sorted({tuple(chi(g) for g in elements) for chi in group.characters}):
+        kept = {}
+        for j in degrees:
+            kept[j] = []
+            for idx in range(len(complex_.summands(j))):
+                counts = Counter((e - v) % m for e, v in zip(fiber_exp[(j, idx)], table))
+                powers = [field.zeta_pow(e) for e in counts]
+                total = [sum(map(mul, counts.values(), column)) for column in zip(*powers)]
+                if total[0] == size and not any(total[1:]):
+                    kept[j].append(idx)
+                elif any(total):
+                    raise InternalConsistencyError(f"entry (1/{size}) * {total} is neither 0 nor 1")
+        rank_dp = {
+            j: _rank([[row[s] for s in kept[j]] for row in rows]) for j, rows in mats.items()
+        }
+        for j in degrees:
+            dim = len(kept[j]) - rank_dp.get(j, 0) - rank_dp.get(j - 1, 0)
+            if dim:
+                out[(j, table)] = dim
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +273,204 @@ def test_character_orthogonality_through_the_field():
             assert not any(total)
 
 
+def test_cofactor_times_cyclotomic_polynomial_is_x_to_the_m_minus_1():
+    for m in list(range(1, 81)) + [2310, 9998]:
+        phi = cyclotomic_polynomial(m)
+        product = [0] * (m + 1)
+        for k, c in cyclotomic_cofactor(m):
+            for i, a in enumerate(phi):
+                product[k + i] += c * a
+        assert product == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_vanishing_matches_the_power_table():
+    """_vanishes against the reduced vector of the reference field, on
+    random integer combinations of powers of zeta and on multiples of
+    Phi_m, which must vanish."""
+    rng = random.Random(7)
+    for m in range(1, 41):
+        f = CyclotomicField(m)
+        for _ in range(25):
+            counts = Counter({rng.randrange(m): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))})
+            if rng.random() < 0.5:  # a multiple of Phi_m, exponents read mod m
+                counts = Counter()
+                for _ in range(rng.randint(1, 3)):
+                    shift, scale = rng.randrange(m), rng.randint(-2, 2)
+                    for i, c in enumerate(cyclotomic_polynomial(m)):
+                        counts[(shift + i) % m] += scale * c
+                assert _vanishes(counts, m), (m, counts)
+            total = _vector_sum(f, (tuple(n * c for c in f.zeta_pow(e)) for e, n in counts.items()))
+            assert _vanishes(counts, m) == (not any(total)), (m, counts)
+
+
+def test_roots_of_unity_cancel_exactly_for_d_above_1():
+    cases = [(m, d) for m in range(1, 61) for d in range(1, m + 1) if m % d == 0]
+    cases += [(2310, 1), (2310, 2), (2310, 7), (2310, 1155), (9998, 2), (9998, 4999)]
+    for m, d in cases:
+        assert _roots_of_unity_cancel(m, d) == (d > 1), (m, d)
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer as a direct sum of cyclic groups
+# ---------------------------------------------------------------------------
+
+def _order(g, orders):
+    return lcm(*(n // gcd(x, n) for x, n in zip(g, orders)))
+
+
+def _check_decomposition(elements, orders):
+    factors, coefficients = _cyclic_decomposition(elements, orders)
+    assert prod(q for _, q in factors) == len(elements), (orders, factors)
+    for s, q in factors:
+        assert s in elements and _order(s, orders) == q, (orders, s, q)
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        assert q == 1, (orders, s)  # m_k is a power of its least prime factor
+    sums = Counter([tuple([0] * len(orders))])
+    for s, q in factors:
+        sums = Counter(
+            tuple((x + a * y) % n for x, y, n in zip(g, s, orders))
+            for g in sums.elements()
+            for a in range(q)
+        )
+    # every element of S is exactly one sum_k a_k s_k, a_k < m_k
+    assert sorted(sums) == list(elements) and set(sums.values()) <= {1}, (orders, factors)
+    # and those a_k are its coefficients
+    for g, c in zip(elements, coefficients):
+        assert len(c) == len(factors) and all(0 <= a < q for a, (_, q) in zip(c, factors))
+        total = [0] * len(orders)
+        for a, (s, _) in zip(c, factors):
+            total = [(x + a * y) % n for x, y, n in zip(total, s, orders)]
+        assert tuple(total) == g, (orders, g, c)
+    return factors
+
+
+def test_cyclic_decomposition_of_named_groups():
+    for orders, want in [
+        ((8, 4, 2), [8, 4, 2]),
+        ((2, 2, 2), [2, 2, 2]),
+        ((12,), [4, 3]),
+        ((6, 10), [2, 2, 3, 5]),
+        ((9, 3, 27), [27, 9, 3]),
+        ((14, 487), [2, 7, 487]),
+        ((1,), []),
+    ]:
+        group = AbelianGroup(orders)
+        factors = _check_decomposition(group.elements, orders)
+        assert sorted(q for _, q in factors) == sorted(want), (orders, factors)
+
+
+def test_cyclic_decomposition_of_random_subgroups():
+    """Subgroups generated by random elements of random groups of rank 1
+    to 3, among them subgroups of Z/8 x Z/4 x Z/2 and of 2-groups of rank 3."""
+    rng = random.Random(11)
+    for trial in range(300):
+        if trial % 3 == 0:
+            orders = (8, 4, 2)
+        elif trial % 3 == 1:
+            orders = tuple(2 ** rng.randint(1, 4) for _ in range(3))
+        else:
+            orders = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+        group = AbelianGroup(orders)
+        gens = [rng.choice(group.elements) for _ in range(rng.randint(0, 3))]
+        _check_decomposition(Subgroup(group, gens).coords, orders)
+
+
+# ---------------------------------------------------------------------------
+# the factored oracle against the quadratic reference
+# ---------------------------------------------------------------------------
+
+def test_factored_oracle_equals_the_full_average_on_random_trials():
+    rng = random.Random(20260)
+    for trial in range(300):
+        group = random_group(rng, max_order=60)
+        action = random_action(rng, group)
+        complex_ = random_valid_complex(rng, action)
+        point = random_point(rng, action.dim + 1)
+        assert isotypic_cohomology(complex_, point) == averaging_reference(complex_, point), trial
+
+
+def _large_instance(orders, chars, coords, seed):
+    group = AbelianGroup(orders)
+    action = ProjectiveAction(group, len(chars) - 1, tuple(group.character(c) for c in chars))
+    return random_valid_complex(random.Random(seed), action), RationalPoint(coords)
+
+
+def _stabilizer_order(complex_, point):
+    chars = [complex_.action.coord_chars[i] for i in point.support]
+    return sum(1 for g in complex_.action.group.elements if len({chi(g) for chi in chars}) == 1)
+
+
+@pytest.mark.parametrize(
+    "orders, chars, coords, stabilizer",
+    [
+        # a non-cyclic 2-group stabilizer, Z/8 x Z/4 x Z/2, in a group of order 2048
+        ((8, 4, 64), [(0, 0, 0), (0, 0, 2), (1, 1, 1)], (1, -2, 0), 64),
+        # Z/2 x Z/2 x Z/250 (order 1000), stabilizer Z/2 x Z/2 x Z/5
+        ((2, 2, 250), [(0, 0, 0), (0, 0, 5), (1, 1, 1)], (1, 4, 0), 20),
+        # Z/3 x Z/2928 (order 8784), stabilizer Z/3 x Z/4
+        ((3, 2928), [(0, 0), (0, 4), (1, 1)], (5, 2, 0), 12),
+    ],
+    ids=["Z8xZ4xZ64", "Z2xZ2xZ250", "Z3xZ2928"],
+)
+def test_factored_oracle_equals_the_full_average_on_large_groups(orders, chars, coords, stabilizer):
+    for seed in range(3):
+        complex_, point = _large_instance(orders, chars, coords, seed)
+        assert _stabilizer_order(complex_, point) == stabilizer
+        assert isotypic_cohomology(complex_, point) == averaging_reference(complex_, point), seed
+
+
+def test_large_stabilizers_agree_with_the_block_route():
+    """Stabilizers of order 6,818 (Z/14 x Z/487, the third trial of
+    ``selftest-oracle --seed 1 --max-group-order 10000``), 8,028 and 9,998,
+    where the quadratic reference would take minutes."""
+    rng = random.Random(1)
+    trials = []
+    for _ in range(6):
+        group = random_group(rng, max_order=10000)
+        action = random_action(rng, group)
+        trials.append((random_valid_complex(rng, action), random_point(rng, action.dim + 1)))
+    assert trials[2][0].action.group.orders == (14, 487)
+    instances = [trials[2], trials[5], _large_instance((9998,), [(0,), (0,)], (2, 7), 5)]
+    assert [_stabilizer_order(*case) for case in instances] == [6818, 8028, 9998]
+    for complex_, point in instances:
+        via_blocks = {
+            (j, phi.values): dim
+            for (j, phi), dim in block_cohomology(fiber_restrict(complex_, point)).items()
+            if dim
+        }
+        assert isotypic_cohomology(complex_, point) == via_blocks
+
+
+def test_a_sum_of_roots_of_unity_that_does_not_cancel_is_an_internal_error(monkeypatch):
+    """The entries (1/d) * (sum of the d-th roots of unity) of the projectors
+    that do not keep a line must vanish too."""
+    monkeypatch.setattr(oracle_module, "_roots_of_unity_cancel", lambda m, d: False)
+    act, cpx = two_term_example()
+    with pytest.raises(InternalConsistencyError, match="neither 0 nor 1"):
+        isotypic_cohomology(cpx, RationalPoint((1, 0, 0)))
+
+
+def test_a_line_that_is_not_a_character_across_factors_is_an_internal_error(monkeypatch):
+    """A wrong exponent at s_1 + s_2 of a Z/2 x Z/2 stabilizer passes every
+    cyclic factor but not the check that rho is multiplicative on S."""
+    real = oracle_module._fiber_exponents
+
+    def patched(*args):
+        exps = real(*args)
+        first = next(iter(exps))
+        exps[first] = exps[first][:-1] + ((exps[first][-1] + 1) % 2,)
+        return exps
+
+    monkeypatch.setattr(oracle_module, "_fiber_exponents", patched)
+    group = AbelianGroup((2, 2))
+    action = ProjectiveAction(group, 1, (group.character((0, 0)), group.character((0, 0))))
+    cpx = bundle_complex(action, TwistedSummand(0, group.trivial_character()))
+    with pytest.raises(InternalConsistencyError, match="by a character"):
+        isotypic_cohomology(cpx, RationalPoint((1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # the oracle's own rank, and its independence from the block route
 # ---------------------------------------------------------------------------
@@ -211,8 +516,10 @@ def test_rank_over_q_matches_linalg_rank():
 
 
 def test_oracle_imports_nothing_from_the_block_route():
-    """The two cohomology routes share no linear algebra: oracle.py imports
-    neither the descent module nor linalg."""
+    """The two cohomology routes share no linear algebra and no subgroup
+    machinery: oracle.py imports neither the descent module nor linalg, nor
+    the Smith-form stabilizer (``Subgroup``, ``equalizer_subgroup``,
+    ``smith_normal_form``) under any module path."""
     tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -223,8 +530,9 @@ def test_oracle_imports_nothing_from_the_block_route():
             imported.add(tuple(module))
             imported.update(tuple(module + [alias.name]) for alias in node.names)
     assert imported, "no imports parsed"
+    forbidden = {"descent", "linalg", "Subgroup", "equalizer_subgroup", "smith_normal_form"}
     for parts in imported:
-        assert "descent" not in parts and "linalg" not in parts, parts
+        assert not forbidden.intersection(parts), parts
 
 
 # ---------------------------------------------------------------------------
