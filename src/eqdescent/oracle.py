@@ -11,8 +11,9 @@ textbook route, with no block bookkeeping:
   * the fiber complex at a point is kept whole, one line per summand, with
     raw evaluated entries p(x) and S acting on a line by rho(g) = zeta^{e(g)};
   * each projector (1/|S|) sum_g phi(g)^{-1} rho(g) is factored as the
-    product over k of (1/m_k) sum_{a < m_k} phi(s_k)^{-a} rho(a s_k), and
-    every diagonal entry of every factor is checked to be exactly 0 or 1;
+    product over k of (1/m_k) sum_{a < m_k} phi(s_k)^{-a} rho(a s_k); a
+    line's entry is 1 in exactly one factor projector per k, read off rho on
+    every a s_k, and its exponents must then be that character on all of S;
   * P_j is then a 0/1 diagonal matrix and d_j P_j is d_j on the kept
     columns, a rational matrix whose rank over Q(zeta_m) is its rank over
     Q, found by the oracle's own Fraction elimination:
@@ -25,67 +26,12 @@ isotypic dimensions must agree exactly with the block path.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 from .action import RationalPoint
 from .complexes import EquivariantComplex, InternalConsistencyError
-
-
-def _mobius(n: int) -> int:
-    """The Moebius function of n >= 1, by trial division."""
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-@lru_cache(maxsize=16)
-def cyclotomic_cofactor(m: int) -> tuple:
-    """Psi_m = (x^m - 1) / Phi_m = prod_{d | m, d < m} (x^d - 1)^{-mu(m/d)},
-    Phi_m the m-th cyclotomic polynomial, as its terms ((k, c_k), ...)."""
-    divisors = [d for d in range(1, m) if m % d == 0]
-    poly = [1]
-    for d in divisors:
-        if _mobius(m // d) == -1:  # poly * (x^d - 1)
-            poly = [
-                (poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
-                for k in range(len(poly) + d)
-            ]
-    for d in divisors:
-        if _mobius(m // d) == 1:  # poly / (x^d - 1): p[k] = q[k - d] - q[k]
-            q = []
-            for k in range(len(poly) - d):
-                q.append((q[k - d] if k >= d else 0) - poly[k])
-            if any(poly[k] != (q[k - d] if k >= d else 0) for k in range(len(q), len(poly))):
-                raise InternalConsistencyError("cyclotomic division must be exact")
-            poly = q
-    return tuple((k, c) for k, c in enumerate(poly) if c)
-
-
-def _vanishes(counts, m: int) -> bool:
-    """Whether sum_e counts[e] * zeta_m^e is 0 in Q(zeta_m) = Q[z] / Phi_m:
-    whether Phi_m divides sum_e counts[e] x^e, that is whether Psi_m times
-    it is 0 modulo x^m - 1, where products only add exponents mod m."""
-    product = [0] * m
-    for k, c in cyclotomic_cofactor(m):
-        for e, n in counts.items():
-            product[(e + k) % m] += c * n
-    return not any(product)
-
-
-@lru_cache(maxsize=None)
-def _roots_of_unity_cancel(m: int, d: int) -> bool:
-    """Whether the d-th roots of unity zeta_m^{b m/d}, b < d, sum to 0."""
-    return _vanishes(dict.fromkeys(range(0, m, m // d), 1), m)
 
 
 def _rank(rows) -> int:
@@ -126,8 +72,7 @@ def _times(a: int, g: tuple, orders: tuple) -> tuple:
     return tuple(a * x % n for x, n in zip(g, orders))
 
 
-@lru_cache(maxsize=32)
-def _cyclic_decomposition(elements: tuple, orders: tuple) -> tuple:
+def _cyclic_decomposition(elements, orders: tuple) -> tuple:
     """(factors, coefficients): S, the subgroup of Z/n_1 x ... x Z/n_r
     listed by ``elements``, is the internal direct sum of the <s_k> for
     (s_k, m_k) in factors, m_k a prime power and the order of s_k, and
@@ -135,8 +80,7 @@ def _cyclic_decomposition(elements: tuple, orders: tuple) -> tuple:
 
     Per prime p, with H the sum so far: take the first g of p-power order
     and of largest order q modulo H.  Then q g = sum_k c_k s_k with q | c_k,
-    so s = g - sum_k (c_k / q) s_k has order q and <s> meets H in 0.  The
-    last 32 subgroups are kept.
+    so s = g - sum_k (c_k / q) s_k has order q and <s> meets H in 0.
     """
     span = {(0,) * len(orders): ()}  # H: element -> its coefficients
     factors = []
@@ -175,12 +119,6 @@ def _cyclic_decomposition(elements: tuple, orders: tuple) -> tuple:
 # the oracle itself
 # ---------------------------------------------------------------------------
 
-def _values(chi, elements, m: int) -> list:
-    """The exponents chi(g) = sum_i c_i g_i (m / n_i) mod m, g in elements."""
-    weights = [c * (m // n) for c, n in zip(chi.coords, chi.group.orders)]
-    return [sum(map(mul, weights, g)) % m for g in elements]
-
-
 def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, elements, m: int) -> dict:
     """{(degree j, summand index): (exponent of rho(g) on its fiber line, g in elements)}.
 
@@ -188,48 +126,33 @@ def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, element
     representative vector by the common value chi_i(g) (i in the support),
     and the fiber of O(d) tensor psi by psi(g) - d * chi_i(g).
     """
-    scalar = _values(complex_.action.coord_chars[point.support[0]], elements, m)
+    lead = complex_.action.coord_chars[point.support[0]]
+    scalar = [lead(g) for g in elements]
     return {
-        (j, idx): tuple(
-            (t - s.degree * c) % m for t, c in zip(_values(s.twist, elements, m), scalar)
-        )
+        (j, idx): tuple((s.twist(g) - s.degree * c) % m for g, c in zip(elements, scalar))
         for j in complex_.degrees()
         for idx, s in enumerate(complex_.summands(j))
     }
 
 
 def _factor_value(exps, m: int) -> int:
-    """f = phi(s) for the character phi of a cyclic factor <s> of order q
-    whose projector keeps a line, from exps[a] = e(a s), a < q.
+    """f = phi(s) for the one character phi of a cyclic factor <s> of order
+    q whose projector keeps a line, from exps[a] = e(a s), a < q.
 
-    The entry (1/q) sum_a zeta^{exps[a] - a f}, f a multiple of m/q, is 1
-    only if every exps[a] = a f, so f = exps[1]; each other entry is then
-    1/d times the sum of the d-th roots of unity, d > 1.  Otherwise the
-    entries are summed until one is neither 0 nor 1.
+    The q entries (1/q) sum_a zeta^{exps[a] - a f}, f in (m/q) Z / m, sum to
+    zeta^{exps[0]} != 0.  An entry is 1 exactly when every exps[a] = a f, so
+    for f = exps[1]; each other entry is then 1/d times the sum of the d-th
+    roots of unity, d > 1, that is 0.  If no entry is 1, one is neither 0
+    nor 1, and the projectors are not idempotent.
     """
     q = len(exps)
-    step = m // q
-    first = exps[1 % q] // step
-    for i in range(q):
-        f = (first + i) % q * step
-        shifted = [(e - a * f) % m for a, e in enumerate(exps)]
-        if not any(shifted):
-            break
-        counts = Counter(shifted)
-        if not _vanishes(counts, m):
-            raise InternalConsistencyError(
-                f"averaged projector entry (1/{q}) * sum_e n_e zeta_{m}^e, "
-                f"n = {dict(counts)}, is neither 0 nor 1"
-            )
-    else:  # unreachable: the q entries sum to zeta^{exps[0]} != 0
-        raise InternalConsistencyError("every averaged projector entry is 0")
-    for d in range(2, q + 1):
-        if q % d == 0 and not _roots_of_unity_cancel(m, d):
-            raise InternalConsistencyError(
-                f"averaged projector entry (1/{d}) * sum of the {d}-th roots of unity "
-                "is neither 0 nor 1"
-            )
-    return f
+    f = exps[1 % q]
+    if f % (m // q) == 0 and all((e - a * f) % m == 0 for a, e in enumerate(exps)):
+        return f
+    raise InternalConsistencyError(
+        f"no averaged projector of a cyclic factor of order {q} keeps a line: "
+        f"their entries sum to zeta_{m}^{exps[0]}, so one is neither 0 nor 1"
+    )
 
 
 def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> dict:
@@ -245,13 +168,12 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     orders = action.group.orders
     m = action.group.exponent
     # ``elements`` is in lexicographic order, as on the block path.
-    every = action.group.elements
-    chars = [_values(action.coord_chars[i], every, m) for i in point.support]
-    elements = [g for g, *v in zip(every, *chars) if v.count(v[0]) == len(v)]
+    chars = [action.coord_chars[i] for i in point.support]
+    elements = [g for g in action.group.elements if len({chi(g) for chi in chars}) == 1]
     fiber_exp = _fiber_exponents(complex_, point, elements, m)
     degrees = complex_.degrees()
 
-    factors, coefficients = _cyclic_decomposition(tuple(elements), orders)
+    factors, coefficients = _cyclic_decomposition(elements, orders)
     position = {g: i for i, g in enumerate(elements)}
     # cyclic[k]: the positions of a s_k, a < m_k; a trivial S is read as one
     # factor of order 1, so that every exponent at the identity is checked.

@@ -35,8 +35,7 @@ from .words import FunctorWord, Push, Shift, Twist
 
 @lru_cache(maxsize=None)
 def _order_tuples(max_order: int, max_factors: int = 3) -> tuple:
-    """All non-decreasing tuples of cyclic orders >= 2 with product <= max_order,
-    sorted; enumerated once per (max_order, max_factors)."""
+    """All non-decreasing tuples of cyclic orders >= 2 with product <= max_order."""
     out = []
 
     def extend(prefix, product, minimum):

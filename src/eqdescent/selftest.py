@@ -8,11 +8,9 @@ methods:
     each sparse integer block map by exact sparse elimination, and
   * the averaging route (oracle module): keep the fiber complex whole,
     build the isotypic projectors (1/|S|) sum_g phi(g)^{-1} rho(g) as
-    products of averages over the cyclic factors of its own decomposition
-    of the stabilizer, with their entries summed in the cyclotomic field
-    Q(zeta_m) and checked to be exactly 0 or 1, and read dimensions off the
-    ranks of the projected differentials, rational matrices that the oracle
-    ranks over Q by its own Fraction elimination.
+    products of averages over cyclic factors of the stabilizer, with
+    entries exactly 0 or 1, and read dimensions off the ranks of the
+    projected differentials, which it ranks over Q by its own elimination.
 
 They share no linear algebra (the oracle module imports neither the descent
 module nor linalg) and disagree only if one of them is wrong, so

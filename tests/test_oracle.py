@@ -39,12 +39,9 @@ from eqdescent.groups import AbelianGroup, Subgroup
 from eqdescent.linalg import QMatrix, rank
 from eqdescent.oracle import (
     _cyclic_decomposition,
+    _factor_value,
     _fiber_exponents,
-    _mobius,
     _rank,
-    _roots_of_unity_cancel,
-    _vanishes,
-    cyclotomic_cofactor,
     isotypic_cohomology,
 )
 from eqdescent.polynomials import Poly
@@ -69,6 +66,19 @@ def two_term_example():
 # ---------------------------------------------------------------------------
 # the quadratic reference
 # ---------------------------------------------------------------------------
+
+def _mobius(n):
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
@@ -273,41 +283,15 @@ def test_character_orthogonality_through_the_field():
             assert not any(total)
 
 
-def test_cofactor_times_cyclotomic_polynomial_is_x_to_the_m_minus_1():
-    for m in list(range(1, 81)) + [2310, 9998]:
-        phi = cyclotomic_polynomial(m)
-        product = [0] * (m + 1)
-        for k, c in cyclotomic_cofactor(m):
-            for i, a in enumerate(phi):
-                product[k + i] += c * a
-        assert product == [-1] + [0] * (m - 1) + [1], m
-
-
-def test_vanishing_matches_the_power_table():
-    """_vanishes against the reduced vector of the reference field, on
-    random integer combinations of powers of zeta and on multiples of
-    Phi_m, which must vanish."""
-    rng = random.Random(7)
-    for m in range(1, 41):
-        f = CyclotomicField(m)
-        for _ in range(25):
-            counts = Counter({rng.randrange(m): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))})
-            if rng.random() < 0.5:  # a multiple of Phi_m, exponents read mod m
-                counts = Counter()
-                for _ in range(rng.randint(1, 3)):
-                    shift, scale = rng.randrange(m), rng.randint(-2, 2)
-                    for i, c in enumerate(cyclotomic_polynomial(m)):
-                        counts[(shift + i) % m] += scale * c
-                assert _vanishes(counts, m), (m, counts)
-            total = _vector_sum(f, (tuple(n * c for c in f.zeta_pow(e)) for e, n in counts.items()))
-            assert _vanishes(counts, m) == (not any(total)), (m, counts)
-
-
 def test_roots_of_unity_cancel_exactly_for_d_above_1():
-    cases = [(m, d) for m in range(1, 61) for d in range(1, m + 1) if m % d == 0]
-    cases += [(2310, 1), (2310, 2), (2310, 7), (2310, 1155), (9998, 2), (9998, 4999)]
-    for m, d in cases:
-        assert _roots_of_unity_cancel(m, d) == (d > 1), (m, d)
+    """The d-th roots of unity zeta_m^{b m/d}, b < d, sum to 0 for d > 1:
+    the identity that makes every factor projector entry of a line 0 but
+    one."""
+    for m in range(1, 61):
+        f = CyclotomicField(m)
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            total = _vector_sum(f, (f.zeta_pow(b * (m // d)) for b in range(d)))
+            assert any(total) == (d == 1), (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +427,15 @@ def test_large_stabilizers_agree_with_the_block_route():
         assert isotypic_cohomology(complex_, point) == via_blocks
 
 
-def test_a_sum_of_roots_of_unity_that_does_not_cancel_is_an_internal_error(monkeypatch):
-    """The entries (1/d) * (sum of the d-th roots of unity) of the projectors
-    that do not keep a line must vanish too."""
-    monkeypatch.setattr(oracle_module, "_roots_of_unity_cancel", lambda m, d: False)
-    act, cpx = two_term_example()
-    with pytest.raises(InternalConsistencyError, match="neither 0 nor 1"):
-        isotypic_cohomology(cpx, RationalPoint((1, 0, 0)))
+def test_a_factor_entry_is_1_only_for_a_character_of_the_factor():
+    """s of order 2 acting by zeta_4 is no character of <s>: its two entries
+    (1 + i) / 2 and (1 - i) / 2 are neither 0 nor 1, although e(a s) = a e(s)
+    for a < 2."""
+    assert _factor_value([0, 2], 4) == 2
+    assert _factor_value([0], 4) == 0
+    for exps in ([0, 1], [0, 3], [2, 0], [1]):
+        with pytest.raises(InternalConsistencyError, match="neither 0 nor 1"):
+            _factor_value(exps, 4)
 
 
 def test_a_line_that_is_not_a_character_across_factors_is_an_internal_error(monkeypatch):
