@@ -114,6 +114,11 @@ class ProjectiveAction:
             raise InputError(f"projective dimension must be an int, got {self.dim!r}")
         if self.dim < 0:
             raise InputError("projective dimension must be >= 0")
+        if self.dim > MAX_PROJECTIVE_DIM:
+            raise InputError(
+                f"dim {self.dim} exceeds the supported bound {MAX_PROJECTIVE_DIM} "
+                "(strata enumeration is exponential in dim)"
+            )
         chars = tuple(self.coord_chars)
         object.__setattr__(self, "coord_chars", chars)
         if len(chars) != self.dim + 1:
@@ -160,13 +165,8 @@ class ProjectiveAction:
         """All 2^(n+1) - 1 coordinate-support strata, smallest supports first.
 
         They are computed on the first call and kept for the life of the
-        action; the dimension bound is checked on every call.
+        action.
         """
-        if self.dim > MAX_PROJECTIVE_DIM:
-            raise InputError(
-                f"dim {self.dim} exceeds the supported bound {MAX_PROJECTIVE_DIM} "
-                "(strata enumeration is exponential in dim)"
-            )
         return self._strata
 
     @cached_property

@@ -339,7 +339,7 @@ def _cmd_selftest(args, out) -> int:
     lines = [
         f"dual-route self-test: {'PASS' if report.passed else 'FAIL'}",
         f"{report.trials} random instances, {len(report.mismatches)} disagreement(s) "
-        "between the character-block route and the cyclotomic averaging route",
+        "between the character-block route and the averaging route",
     ]
     if not report.passed:
         lines.append("replayable problem serializations are in the JSON payload above")

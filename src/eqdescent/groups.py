@@ -8,29 +8,28 @@ c_i in Z/n_i; its value on a group element g is the exponent
 
 of the primitive m-th root of unity zeta_m.  Character values are always
 handled as exponents in Z/m, never as complex numbers, so every comparison
-in the package is exact.
+in the package is exact.  ``Character.values`` evaluates a character on
+elements given one coordinate column at a time, reducing mod m as it sums.
 
 A group element is its coordinate tuple (g_1, ..., g_r), and
-``AbelianGroup.elements`` lists them all.  A ``Subgroup`` is held as
-``coords``, the sorted tuple of its elements, and ``columns``, the same
-elements one coordinate at a time.  The closure adjoins one generator g at a
-time by cyclic extension: if H is the subgroup so far and k is the order of g
-modulo H, the new subgroup is the disjoint union of the cosets H + i*g for
-0 <= i < k, so no element is built twice.  H is kept as one list per
-coordinate, and each extension is built a column at a time (one sum mod n_i
-per element and coordinate); the columns are zipped into tuples only for the
-membership test of the next generator and for the final ``coords``.  A
-character's restriction is likewise summed over the columns and reduced mod
-m in the same pass.
+``AbelianGroup.elements`` lists them all in lexicographic order.  A
+``Subgroup`` is held as ``coords``, the sorted tuple of its elements, and
+``columns``, the same elements one coordinate at a time.
+``equalizer_subgroup`` starts from the whole group, ``elements`` itself,
+and cuts it down once per character to the elements where a restriction
+table reads 0; filtering a sorted tuple keeps it sorted, so no cut is
+closed or sorted again.  Only ``Subgroup(parent, generators)`` closes its
+generators, by cyclic extension: adjoining g to H adds the disjoint cosets
+H + i*g, 0 < i < (order of g modulo H).
 
 Caches, each tied to the object that owns it and living as long as it:
 
-  * ``Subgroup.whole(G)`` is built once per ``AbelianGroup`` object (as
-    ``G.whole_subgroup``) and returned again by every later call, including
-    ``equalizer_subgroup`` when all the characters agree;
+  * ``AbelianGroup.whole_subgroup`` is built once per group object;
   * a subgroup keeps the restriction of every character it has been asked
     for, keyed by the character's coordinates, so ``Character.restrict``
-    computes each value table once per subgroup.
+    computes each value table once per subgroup;
+  * a restriction keeps its ``kernel``, so equalizers that begin with the
+    same characters share their cuts, and the cuts their tables.
 
 The strata of an action, and with them its stabilizers, are cached on the
 ``ProjectiveAction`` (see ``action``).
@@ -43,7 +42,6 @@ from functools import cached_property
 from math import lcm, prod
 
 from .errors import InputError
-from .linalg import ZMatrix, kernel_basis
 
 MAX_GROUP_ORDER = 10_000
 
@@ -88,11 +86,8 @@ class AbelianGroup:
 
     @cached_property
     def whole_subgroup(self) -> "Subgroup":
-        """The group as a subgroup of itself; ``Subgroup.whole`` returns it."""
-        units = [
-            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
-        ]
-        return Subgroup(self, units)
+        """The group as a subgroup of itself, built once per group object."""
+        return Subgroup._raw(self, self.elements)
 
     def character(self, coords) -> "Character":
         return Character(self, tuple(coords))
@@ -103,10 +98,7 @@ class AbelianGroup:
     @cached_property
     def characters(self) -> tuple:
         """All characters, in lexicographic coordinate order."""
-        out = [()]
-        for n in self.orders:
-            out = [c + (i,) for c in out for i in range(n)]
-        return tuple(Character(self, c) for c in out)
+        return tuple(Character(self, c) for c in self.elements)
 
     def __repr__(self):
         return "Z/" + " x Z/".join(str(n) for n in self.orders)
@@ -120,6 +112,8 @@ def _checked(coords, group, what):
     coords = tuple(coords)
     if len(coords) != group.rank:
         raise InputError(f"{what} coordinate count does not match the group rank")
+    if not all(type(c) is int for c in coords):
+        raise InputError(f"{what} coordinates must be ints, got {coords!r}")
     return coords
 
 
@@ -137,12 +131,24 @@ class Character:
     def __call__(self, g: tuple) -> int:
         """Value on the element g, as an exponent of zeta_m in Z/m with
         m = exponent(G)."""
-        g = _checked(g, self.group, "element")
+        return self.values([(x,) for x in _checked(g, self.group, "element")])[0]
+
+    def values(self, columns) -> list:
+        """Values on the elements whose coordinates are given one column per
+        factor (columns[i][j] is coordinate i of element j), unchecked.
+
+        The value on h is sum_i w_i * h_i mod m with w_i = c_i * (m / n_i),
+        summed one column at a time and reduced mod m in the same pass.
+        """
         m = self.group.exponent
-        total = 0
-        for c, gi, n in zip(self.coords, g, self.group.orders):
-            total += c * gi * (m // n)
-        return total % m
+        values = None
+        for col, c, n in zip(columns, self.coords, self.group.orders):
+            w = c * (m // n)
+            if w and values is None:
+                values = [w * h % m for h in col]
+            elif w:
+                values = [(v + w * h) % m for v, h in zip(values, col)]
+        return values or [0] * len(columns[0])
 
     def __add__(self, other: "Character") -> "Character":
         if other.group != self.group:
@@ -166,26 +172,14 @@ class Character:
 
     def restrict(self, sub: "Subgroup") -> "CharacterRestriction":
         """Value table on a subgroup, with a triviality flag; computed once
-        per subgroup and character, and kept on the subgroup.
-
-        The value on h is sum_i w_i * h_i mod m with w_i = c_i * (m / n_i),
-        summed one coordinate column at a time (``Subgroup.columns``) and
-        reduced mod m in the same pass.
-        """
+        per subgroup and character, and kept on the subgroup."""
         if sub.parent != self.group:
             raise InputError("subgroup belongs to a different group")
         found = sub._restrictions.get(self.coords)
         if found is None:
-            m = self.group.exponent
-            values = None
-            for col, c, n in zip(sub.columns, self.coords, self.group.orders):
-                w = c * (m // n)
-                if w and values is None:
-                    values = [w * h % m for h in col]
-                elif w:
-                    values = [(v + w * h) % m for v, h in zip(values, col)]
-            values = values or (0,) * sub.order
-            found = sub._restrictions[self.coords] = CharacterRestriction(sub, values)
+            found = sub._restrictions[self.coords] = CharacterRestriction(
+                sub, self.values(sub.columns)
+            )
         return found
 
     def __repr__(self):
@@ -229,9 +223,13 @@ class Subgroup:
         self._restrictions = {}  # character coords -> CharacterRestriction
 
     @classmethod
-    def whole(cls, parent: AbelianGroup) -> "Subgroup":
-        """The whole group, built once per group and shared."""
-        return parent.whole_subgroup
+    def _raw(cls, parent: AbelianGroup, coords: tuple) -> "Subgroup":
+        """The subgroup whose sorted elements are ``coords``, unchecked."""
+        sub = object.__new__(cls)
+        sub.parent = parent
+        sub.coords = coords
+        sub._restrictions = {}
+        return sub
 
     @classmethod
     def trivial(cls, parent: AbelianGroup) -> "Subgroup":
@@ -298,6 +296,17 @@ class CharacterRestriction:
     def is_trivial(self) -> bool:
         return not any(self.values)
 
+    @cached_property
+    def kernel(self) -> Subgroup:
+        """The elements of the subgroup where the value is 0, cut once per
+        restriction; the subgroup itself when the table is all 0."""
+        if self.is_trivial:
+            return self.subgroup
+        return Subgroup._raw(
+            self.subgroup.parent,
+            tuple(h for h, v in zip(self.subgroup.coords, self.values) if not v),
+        )
+
     def __repr__(self):
         return f"restriction{self.values} mod {self.modulus}"
 
@@ -305,11 +314,11 @@ class CharacterRestriction:
 def equalizer_subgroup(chars) -> Subgroup:
     """Largest subgroup on which all the given characters agree.
 
-    Solves the homogeneous congruences (chi_i - chi_1)(g) = 0 mod m by
-    computing the integer kernel lattice of the augmented system
-    [A | m*I] via Smith normal form, then projecting the lattice basis
-    into the group.  An empty character list is an input error (there is
-    no canonical "agreement" subgroup without at least one character).
+    Starts from the whole group and, for each later character chi, cuts the
+    subgroup so far down to the kernel of (chi - chi_1) restricted to it.
+    Equalizers whose character lists share a prefix share those cuts.  An
+    empty character list is an input error (there is no canonical
+    "agreement" subgroup without at least one character).
     """
     chars = list(chars)
     if not chars:
@@ -317,18 +326,7 @@ def equalizer_subgroup(chars) -> Subgroup:
     group = chars[0].group
     if any(c.group != group for c in chars):
         raise InputError("characters belong to different groups")
-    base = chars[0]
-    diffs = [d for d in (c - base for c in chars[1:]) if not d.is_trivial]
-    if not diffs:
-        return Subgroup.whole(group)
-    m = group.exponent
-    r = group.rank
-    k = len(diffs)
-    # Row j encodes (chi_j - chi_1)(g) = sum_i coords_i * (m/n_i) * g_i = 0 mod m.
-    rows = []
-    for j, d in enumerate(diffs):
-        row = [d.coords[i] * (m // group.orders[i]) for i in range(r)]
-        row += [m if t == j else 0 for t in range(k)]
-        rows.append(row)
-    lattice = kernel_basis(ZMatrix.from_rows(rows))
-    return Subgroup(group, [vec[:r] for vec in lattice])
+    sub = group.whole_subgroup
+    for chi in chars[1:]:
+        sub = (chi - chars[0]).restrict(sub).kernel
+    return sub

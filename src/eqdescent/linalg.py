@@ -399,13 +399,6 @@ def smith_normal_form(m: ZMatrix):
     return diag, (ZMatrix.from_rows(u), ZMatrix.from_rows(v))
 
 
-def kernel_basis(m: ZMatrix) -> list:
-    """Basis of the integer kernel lattice {x : m @ x = 0}, as column vectors."""
-    diag, (_, v) = smith_normal_form(m)
-    nonzero = sum(1 for d in diag if d != 0)
-    return [list(v.column(j)) for j in range(nonzero, m.cols)]
-
-
 def determinant(m: ZMatrix) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:

@@ -4,10 +4,10 @@ The block path elsewhere splits the fiber complex into character blocks and
 does integer linear algebra per block.  This module cross-checks it by the
 textbook route, with no block bookkeeping:
 
-  * the stabilizer S is found by filtering all of G for the elements on
-    which the supported coordinate characters agree (no Smith normal form,
-    no subgroup closure) and split, from that list, into cyclic groups
-    <s_k> of prime-power orders m_k;
+  * the stabilizer S is found by evaluating the supported coordinate
+    characters on all of G and keeping the elements where they agree (no
+    ``Subgroup``, no restriction tables, no kernel cuts), and split, from
+    that list, into cyclic groups <s_k> of prime-power orders m_k;
   * the fiber complex at a point is kept whole, one line per summand, with
     raw evaluated entries p(x) and S acting on a line by rho(g) = zeta^{e(g)};
   * each projector (1/|S|) sum_g phi(g)^{-1} rho(g) is factored as the
@@ -126,10 +126,10 @@ def _fiber_exponents(complex_: EquivariantComplex, point: RationalPoint, element
     representative vector by the common value chi_i(g) (i in the support),
     and the fiber of O(d) tensor psi by psi(g) - d * chi_i(g).
     """
-    lead = complex_.action.coord_chars[point.support[0]]
-    scalar = [lead(g) for g in elements]
+    columns = tuple(zip(*elements))
+    scalar = complex_.action.coord_chars[point.support[0]].values(columns)
     return {
-        (j, idx): tuple((s.twist(g) - s.degree * c) % m for g, c in zip(elements, scalar))
+        (j, idx): tuple((t - s.degree * c) % m for t, c in zip(s.twist.values(columns), scalar))
         for j in complex_.degrees()
         for idx, s in enumerate(complex_.summands(j))
     }
@@ -168,8 +168,10 @@ def isotypic_cohomology(complex_: EquivariantComplex, point: RationalPoint) -> d
     orders = action.group.orders
     m = action.group.exponent
     # ``elements`` is in lexicographic order, as on the block path.
-    chars = [action.coord_chars[i] for i in point.support]
-    elements = [g for g in action.group.elements if len({chi(g) for chi in chars}) == 1]
+    everything = action.group.elements
+    columns = tuple(zip(*everything))
+    values = [action.coord_chars[i].values(columns) for i in point.support]
+    elements = [g for g, *v in zip(everything, *values) if len(set(v)) == 1]
     fiber_exp = _fiber_exponents(complex_, point, elements, m)
     degrees = complex_.degrees()
 

@@ -56,6 +56,14 @@ def _fail(path, message):
     raise InputError(f"{_fmt_path(path)}: {message}")
 
 
+def _built(path, build, *args):
+    """build(*args), with the InputError it raises named by ``path``."""
+    try:
+        return build(*args)
+    except InputError as err:
+        _fail(path, str(err))
+
+
 def _expect(data, kind, path, what):
     if kind is int and isinstance(data, bool):
         _fail(path, f"expected {what}, got a boolean")
@@ -146,9 +154,8 @@ def _pick(what, table, name):
 def _parse_group(data, path) -> AbelianGroup:
     obj = _expect_dict(data, path)
     orders = _expect_list(obj.get("orders"), path + ["orders"], "a list of cyclic orders")
-    return AbelianGroup(
-        tuple(_expect_int(n, path + ["orders", i]) for i, n in enumerate(orders))
-    )
+    orders = tuple(_expect_int(n, path + ["orders", i]) for i, n in enumerate(orders))
+    return _built(path + ["orders"], AbelianGroup, orders)
 
 
 def _parse_character(group, data, path):
@@ -172,7 +179,7 @@ def _parse_action(group, data, path) -> ProjectiveAction:
         _parse_character(group, c, path + ["coordinate_characters", i])
         for i, c in enumerate(chars)
     )
-    return ProjectiveAction(group, dim, parsed)
+    return _built(path, ProjectiveAction, group, dim, parsed)
 
 
 def _parse_summand(group, data, path) -> TwistedSummand:
@@ -198,7 +205,7 @@ def _parse_poly(nvars, data, path) -> Poly:
         if any(e < 0 for e in exps):
             _fail(tpath + ["exponents"], "exponents must be nonnegative")
         terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    return Poly(nvars, terms)
+    return _built(path, Poly, nvars, terms)
 
 
 def _parse_complex(action, data, path) -> EquivariantComplex:
@@ -230,7 +237,7 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
             table[(s, t)] = _parse_poly(nvars, eobj.get("entry"), epath + ["entry"])
         diffs[j] = table
 
-    return EquivariantComplex(action, terms, diffs)
+    return _built(path, EquivariantComplex, action, terms, diffs)
 
 
 def _parse_word(action, data, path) -> FunctorWord:
@@ -255,10 +262,7 @@ def _parse_word(action, data, path) -> FunctorWord:
                 parse_rational(s, gpath + ["scalars", k])
                 for k, s in enumerate(scalars_data)
             )
-            try:
-                gens.append(Push(action, perm, scalars))
-            except InputError as err:
-                _fail(gpath, str(err))
+            gens.append(_built(gpath, Push, action, perm, scalars))
         else:
             _fail(gpath + ["kind"], f"unknown generator kind {kind!r}")
     return FunctorWord(tuple(gens))
@@ -269,10 +273,7 @@ def _parse_point(nvars, data, path) -> RationalPoint:
     if len(lst) != nvars:
         _fail(path, f"point needs {nvars} coordinates, got {len(lst)}")
     coords = tuple(parse_rational(c, path + [i]) for i, c in enumerate(lst))
-    try:
-        return RationalPoint(coords)
-    except InputError as err:
-        _fail(path, str(err))
+    return _built(path, RationalPoint, coords)
 
 
 def parse_problem(data) -> Problem:

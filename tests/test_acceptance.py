@@ -22,7 +22,7 @@ from eqdescent.descent import (
     check_descent,
     sandwich_check,
 )
-from eqdescent.groups import AbelianGroup, CharacterRestriction, Subgroup
+from eqdescent.groups import AbelianGroup, CharacterRestriction
 from eqdescent.linalg import QMatrix
 from eqdescent.problem import problem_to_dict
 from eqdescent.randgen import (
@@ -169,7 +169,7 @@ def test_04_group_order_tensor_powers_always_descend():
 def test_05_dual_route_selftest_is_clean(cli):
     with criterion(
         5,
-        "selftest-oracle --trials 100: block route and cyclotomic averaging "
+        "selftest-oracle --trials 100: block route and averaging "
         "route agree on every instance",
         300.0,
     ):
@@ -194,7 +194,7 @@ def _random_invertible(rng, n):
 
 
 def _block_keys(group):
-    whole = Subgroup.whole(group)
+    whole = group.whole_subgroup
     triv = CharacterRestriction(whole, (0,) * whole.order)
     sign = next(
         CharacterRestriction(whole, tuple(c(g) for g in whole.coords))

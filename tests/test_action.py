@@ -178,12 +178,69 @@ def test_strata_count_and_sorting():
         assert keys == sorted(keys)
 
 
+def brute_force_stabilizers(action):
+    """{support: the sorted g in G on which the supported coordinate
+    characters agree}, by evaluating each character on each element.  The
+    characters agree on g over a support exactly when the support lies in
+    one class of coordinates with equal values at g, so g is added to every
+    nonempty subset of every class; G is listed in lexicographic order, so
+    each list comes out sorted."""
+    out = {}
+    for g in action.group.elements:
+        classes = {}
+        for i, chi in enumerate(action.coord_chars):
+            classes.setdefault(chi(g), []).append(i)
+        for cls in classes.values():
+            for mask in range(1, 1 << len(cls)):
+                support = tuple(i for k, i in enumerate(cls) if mask >> k & 1)
+                out.setdefault(support, []).append(g)
+    return out
+
+
+def random_small_action(rng):
+    """P^1-P^6 under a group of rank at most 3 and order at most 64; the
+    characters come from a pool of at most four, so that strata share
+    support prefixes with equal and unequal characters."""
+    while True:
+        orders = tuple(rng.randint(1, 16) for _ in range(rng.randint(1, 3)))
+        if _prod(orders) <= 64:
+            break
+    g = AbelianGroup(orders)
+    pool = [tuple(rng.randrange(n) for n in orders) for _ in range(rng.randint(1, 4))]
+    dim = rng.randint(1, 6)
+    return ProjectiveAction(g, dim, tuple(g.character(rng.choice(pool)) for _ in range(dim + 1)))
+
+
+def _p10_action():
+    g = AbelianGroup((100, 100))
+    return ProjectiveAction(g, 10, tuple(g.character((7 * k, k * k % 100)) for k in range(11)))
+
+
+@pytest.mark.parametrize(
+    "actions",
+    [
+        lambda: [random_small_action(random.Random(seed)) for seed in range(200)],
+        lambda: [_p10_action()],
+    ],
+    ids=["200-random-small", "p10-z100xz100"],
+)
+def test_strata_stabilizers_match_brute_force(actions):
+    """Every stratum's stabilizer and scalar character, computed for all
+    strata together, against direct evaluation on all of G."""
+    for action in actions():
+        expected = brute_force_stabilizers(action)
+        for stratum in action.strata():
+            elements = expected[stratum.support]
+            assert list(stratum.stabilizer.coords) == elements, (action, stratum)
+            lead = action.coord_chars[stratum.support[0]]
+            assert stratum.scalar_char.values == tuple(lead(g) for g in elements)
+
+
 def test_strata_dim_bound():
     g = AbelianGroup((2,))
     chars = tuple(g.character((0,)) for _ in range(13))
-    act = ProjectiveAction(g, 12, chars)
     with pytest.raises(InputError):
-        act.strata()
+        ProjectiveAction(g, 12, chars)
 
 
 def test_free_action_detection():

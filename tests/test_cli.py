@@ -432,6 +432,61 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "$.action.coordinate_characters" in capsys.readouterr().err
 
 
+def _problem_with(group=None, action=None, degree="0", differential=None, exponents=(0, 0, 1)):
+    """A problem with one complex O(0) -> O(1) under Z/2 acting trivially on
+    P^2, with the given parts replaced."""
+    entry = {"source": 0, "target": 0, "entry": [{"coeff": 1, "exponents": list(exponents)}]}
+    entry.update(differential or {})
+    return {
+        "group": group or {"orders": [2]},
+        "action": action or {"dim": 2, "coordinate_characters": [[0], [0], [0]]},
+        "complexes": {
+            "c": {
+                "terms": {"0": [{"degree": 0}], "1": [{"degree": 1}]},
+                "differentials": {degree: [entry]},
+            }
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    (
+        (_problem_with(group={"orders": [0]}), "$.group.orders: "),
+        (_problem_with(group={"orders": [20000]}), "$.group.orders: "),
+        (_problem_with(action={"dim": -1, "coordinate_characters": []}), "$.action: "),
+        (
+            _problem_with(action={"dim": 11, "coordinate_characters": [[0]] * 12}),
+            "$.action: dim 11 exceeds",
+        ),
+        (
+            _problem_with(action={"dim": 2, "coordinate_characters": [[0], [0]]}),
+            "$.action: ",
+        ),
+        (_problem_with(degree="1"), "$.complexes.c: "),
+        (_problem_with(differential={"source": 3}), "$.complexes.c: "),
+        (_problem_with(exponents=(0, 0, 70)), "$.complexes.c.differentials.0[0].entry: "),
+    ),
+    ids=(
+        "order-0",
+        "order-20000",
+        "dim-negative",
+        "dim-11",
+        "too-few-characters",
+        "missing-target-term",
+        "source-out-of-range",
+        "degree-70",
+    ),
+)
+def test_constructor_errors_name_their_json_path(tmp_path, capsys, data, path):
+    problem = tmp_path / "bad.json"
+    problem.write_text(json.dumps(data))
+    assert main(["strata", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + path), captured.err
+
+
 def test_invalid_complex_exits_2(tmp_path, capsys):
     data = {
         "group": {"orders": [2]},

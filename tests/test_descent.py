@@ -3,7 +3,7 @@
 The load-bearing test here is the dual-route agreement property: the block
 decomposition path (integer fibers split by stabilizer characters, ranks
 by sparse integer elimination) must produce exactly the same isotypic
-cohomology dimensions as the independent cyclotomic averaging route, on a
+cohomology dimensions as the independent averaging route, on a
 large corpus of random instances.  The two routes share no linear algebra: one works over Z with
 character bookkeeping, the other over Q(zeta_m) with projectors.
 """
@@ -122,7 +122,7 @@ def test_zero_differential_complex_counts_summands(z2_p2):
 
 
 # ---------------------------------------------------------------------------
-# dual-route agreement: block path vs cyclotomic averaging
+# dual-route agreement: block path vs averaging
 # ---------------------------------------------------------------------------
 
 
@@ -404,17 +404,17 @@ def test_omega_check_computes_each_stratum_once(z2_p2, monkeypatch):
 
 def test_trivial_action_builds_one_subgroup(koszul, z2_trivial_p3, monkeypatch):
     built = []
-    init = Subgroup.__init__
+    raw = Subgroup._raw
 
-    def counting_init(self, parent, generators):
+    def counting_raw(parent, coords):
         built.append(parent)
-        init(self, parent, generators)
+        return raw(parent, coords)
 
-    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    monkeypatch.setattr(Subgroup, "_raw", counting_raw)
     report = check_descent(koszul(z2_trivial_p3, (1, 1, 1, 1)))
     assert report.passed and len(report.coverage) == 15
     assert len(built) == 1
-    assert all(s.stabilizer is Subgroup.whole(z2_trivial_p3.group) for s in z2_trivial_p3.strata())
+    assert all(s.stabilizer is z2_trivial_p3.group.whole_subgroup for s in z2_trivial_p3.strata())
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,7 @@ def test_report_determinism(z2_p2):
 
 
 def _restrictions(group):
-    whole = Subgroup.whole(group)
+    whole = group.whole_subgroup
     triv = CharacterRestriction(whole, (0,) * whole.order)
     chars = sorted(
         {CharacterRestriction(whole, tuple(c(g) for g in whole.coords)) for c in group.characters},

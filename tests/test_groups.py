@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,23 @@ def test_elements_of_the_wrong_length_are_refused():
         with pytest.raises(InputError):
             Subgroup(g, [bad])
     assert Subgroup(g, [(7, 3)]) == Subgroup(g, [(3, 1)])  # reduced modulo the orders
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, False, Fraction(1), Fraction(1, 2)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, x: g.character((1, x)),
+        lambda g, x: g.character((1, 0))((x, 1)),
+        lambda g, x: Subgroup(g, [(0, 1), (x, 0)]),
+    ],
+    ids=["character", "character-value", "subgroup-generator"],
+)
+def test_coordinates_must_be_exact_ints(build, bad):
+    """A float, string, bool or Fraction coordinate is refused with an
+    InputError, also where Python arithmetic would take it as a number."""
+    with pytest.raises(InputError, match="coordinates must be ints"):
+        build(AbelianGroup((4, 2)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +212,7 @@ def test_subgroup_equality_by_elements():
 
 def test_whole_and_trivial():
     g = AbelianGroup((2, 3))
-    assert Subgroup.whole(g).order == 6
+    assert g.whole_subgroup.order == 6
     assert Subgroup.trivial(g).order == 1
     assert Subgroup.trivial(g).is_trivial
 
@@ -232,12 +250,12 @@ def test_subgroup_coords_are_the_sorted_closure():
 
 def test_whole_group_is_built_once_and_shared():
     g = AbelianGroup((4, 6))
-    whole = Subgroup.whole(g)
-    assert Subgroup.whole(g) is whole
+    whole = g.whole_subgroup
+    assert g.whole_subgroup is whole
     assert equalizer_subgroup([g.character((1, 2))] * 3) is whole
     assert whole.coords == g.elements
     # another group object with the same orders has its own copy
-    assert Subgroup.whole(AbelianGroup((4, 6))) is not whole
+    assert AbelianGroup((4, 6)).whole_subgroup is not whole
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +415,7 @@ def test_restriction_built_directly_is_reduced_and_length_checked():
 def test_restriction_is_trivial_iff_every_value_is_zero():
     rng = random.Random(161)
     g = AbelianGroup((3, 5))
-    whole = Subgroup.whole(g)
+    whole = g.whole_subgroup
     for _ in range(200):
         values = [0] * whole.order
         for _ in range(rng.choice((0, 0, 1, 2))):

@@ -19,7 +19,6 @@ from eqdescent.linalg import (
     ZMatrix,
     determinant,
     is_unimodular,
-    kernel_basis,
     kernel_dim,
     monomial_pivots,
     rank,
@@ -470,19 +469,6 @@ def test_rank_invariant_under_unimodular_transforms():
         _, (u, v) = smith_normal_form(m)
         transformed = zmultiply(zmultiply(u, m), v)
         assert rank(to_qmatrix(m)) == rank(to_qmatrix(transformed))
-
-
-def test_kernel_basis_solves_and_spans():
-    rng = random.Random(555)
-    for _ in range(100):
-        m = random_zmatrix(rng, max_dim=4, lo=-4, hi=4)
-        basis = kernel_basis(m)
-        # every basis vector is a solution
-        for vec in basis:
-            for i in range(m.rows):
-                assert sum(m.entry(i, j) * vec[j] for j in range(m.cols)) == 0
-        # count matches the rank-nullity expectation over Q
-        assert len(basis) == m.cols - rank(to_qmatrix(m))
 
 
 def test_fraction_contract():

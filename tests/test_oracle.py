@@ -504,10 +504,12 @@ def test_rank_over_q_matches_linalg_rank():
 def test_oracle_imports_nothing_from_the_block_route():
     """The two cohomology routes share no linear algebra and no subgroup
     machinery: oracle.py imports neither the descent module nor linalg, nor
-    the Smith-form stabilizer (``Subgroup``, ``equalizer_subgroup``,
-    ``smith_normal_form``) under any module path."""
+    the stabilizer route (``Subgroup``, ``equalizer_subgroup``,
+    ``smith_normal_form``) under any module path, and reads no whole-group
+    subgroup, restriction table or kernel cut off any object."""
     tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
     imported = set()
+    attributes = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(tuple(alias.name.split(".")) for alias in node.names)
@@ -515,10 +517,14 @@ def test_oracle_imports_nothing_from_the_block_route():
             module = (node.module or "").split(".")
             imported.add(tuple(module))
             imported.update(tuple(module + [alias.name]) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
     assert imported, "no imports parsed"
+    assert "values" in attributes, "no attributes parsed"
     forbidden = {"descent", "linalg", "Subgroup", "equalizer_subgroup", "smith_normal_form"}
     for parts in imported:
         assert not forbidden.intersection(parts), parts
+    assert not attributes & {"whole_subgroup", "restrict", "kernel"}, attributes
 
 
 # ---------------------------------------------------------------------------
