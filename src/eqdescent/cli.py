@@ -5,16 +5,21 @@ blank line and a short human-readable summary.  The document has sorted keys
 and no indentation (``python -m json.tool`` shows it indented): each
 top-level member is written as ``"key": value``, and the values nested in it
 are compact, with no spaces.  Character tables longer than 16 values are cut
-to their first 8 in the summary and kept whole in the document.  The
-document carries a ``report_digest``: sha256 of the canonical JSON (sorted
-keys, no spaces) of the payload without the digest itself and
-``timing_seconds``.  So two runs with the same inputs are byte-identical
-except for the timing value and can be compared by digest.
+to their first 8 in the summary and kept whole in the document.  Each
+distinct long table (a tuple of more than 16 entries: a stabilizer's element
+list, a character's values) is encoded once per report, and its text is
+reused wherever the same tuple appears again, so the text is what encoding
+every copy would give.  The strata summary lists the first 32 strata and
+counts the rest.  The document carries a ``report_digest``: sha256 of the
+canonical JSON (sorted keys, no spaces) of the payload without the digest
+itself and ``timing_seconds``.  So two runs with the same inputs are
+byte-identical except for the timing value and can be compared by digest.
 
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
 schema violation, invalid complex, a generator failing its own descent
-precondition, ``--samples`` or a ``selftest-oracle`` option out of range),
+precondition, ``--samples`` or a ``selftest-oracle`` option out of range,
+a problem file that is not UTF-8 or nests too deeply),
 3 an internal error: any other exception, which is a bug in the package, not
 a verdict, 141 (128 + SIGPIPE) the reader closed stdout before the report
 was written out (``| head -c 100``).
@@ -33,7 +38,7 @@ import sys
 import time
 
 from .action import MAX_SAMPLES_PER_STRATUM
-from .descent import DescentReport, char_str, check_descent
+from .descent import LONG_TABLE, DescentReport, char_str, check_descent
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
@@ -45,20 +50,74 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 EXIT_PIPE = 141
 
+# The strata summary prints this many rows; the count grows as 2^(n+1) on P^n.
+SUMMARY_STRATA = 32
+
 
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
 
 
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+# json.dumps(value, sort_keys=True, separators=(",", ":")), without building
+# an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _holds_table(items) -> bool:
+    """Whether a long table lies in ``items`` or in the dicts and lists
+    among them, however deep.  Tuples are not looked into."""
+    for item in items:
+        kind = type(item)
+        if kind is tuple:
+            if len(item) > LONG_TABLE:
+                return True
+        elif kind is dict:
+            if _holds_table(item.values()):
+                return True
+        elif kind is list and _holds_table(item):
+            return True
+    return False
+
+
+def _write(value, tables: dict) -> str:
+    """Canonical JSON text of ``value``, each table's text taken from (and
+    put in) ``tables``, keyed by the table's ``id``.  A value holding no
+    table, and a dict with a key that is not a ``str`` (json sorts and
+    converts such keys itself), go to the C encoder whole."""
+    kind = type(value)
+    if kind is tuple and len(value) > LONG_TABLE:
+        text = tables.get(id(value))
+        if text is None:
+            text = tables[id(value)] = _dumps(value)
+        return text
+    if kind is list and _holds_table(value):
+        return "[" + ",".join([_write(item, tables) for item in value]) + "]"
+    if (
+        kind is dict
+        and all(type(key) is str for key in value)
+        and _holds_table(value.values())
+    ):
+        return "{" + ",".join(
+            [f"{_dumps(key)}:{_write(value[key], tables)}" for key in sorted(value)]
+        ) + "}"
+    return _dumps(value)
+
+
+def _canonical(value, tables: dict) -> str:
+    """Canonical JSON text (sorted keys, no spaces) of one top-level member.
+    It runs once per member, apart from the recursion in ``_write``, so the
+    texts it returns add up to the canonical report."""
+    return _write(value, tables)
 
 
 def _members(payload: dict) -> list:
-    """(key, canonical value) of each member the digest covers, by key."""
+    """(key, canonical value) of each member the digest covers, by key.  The
+    members share one table memo; ``payload`` keeps every tuple keyed in it
+    alive meanwhile, so no id is reused."""
+    tables = {}
     return [
-        (key, _canonical(payload[key]))
+        (key, _canonical(payload[key], tables))
         for key in sorted(payload)
         if key not in ("report_digest", "timing_seconds")
     ]
@@ -85,8 +144,9 @@ def _emit(payload: dict, human: str, started: float, out) -> None:
     timing = round(time.perf_counter() - started, 6)
     members += [("report_digest", json.dumps(digest)), ("timing_seconds", json.dumps(timing))]
     members.sort()
-    # Each value is serialized once, above, and written member by member, so
-    # a megabyte report is never copied into one string.
+    # Each value is serialized once, above, each distinct long table in it
+    # encoded once, and written member by member, so a megabyte report is
+    # never copied into one string.
     # The ": " after each top-level key keeps '"report_digest": "' a literal
     # that readers can search the text for.
     out.write("{")
@@ -211,7 +271,7 @@ def _cmd_strata(args, out) -> int:
                 "support": list(s.support),
                 "stabilizer_order": s.stabilizer.order,
                 "stabilizer_elements": s.stabilizer.coords,
-                "scalar_character": list(s.scalar_char.values),
+                "scalar_character": s.scalar_char.values,
                 "representative": s.representative().display(),
             }
             for s in strata
@@ -224,15 +284,18 @@ def _cmd_strata(args, out) -> int:
             char_str(s.scalar_char.values),
             s.representative().display(),
         )
-        for s in strata
+        for s in strata[:SUMMARY_STRATA]
     ]
-    human = "\n".join(
-        [
-            f"{len(strata)} coordinate strata for {action.group!r} acting on P^{action.dim}",
-            "",
-            _table(rows, ("SUPPORT", "STAB ORDER", "SCALAR CHAR", "REPRESENTATIVE")),
-        ]
-    )
+    lines = [
+        f"{len(strata)} coordinate strata for {action.group!r} acting on P^{action.dim}",
+        "",
+        _table(rows, ("SUPPORT", "STAB ORDER", "SCALAR CHAR", "REPRESENTATIVE")),
+    ]
+    if len(strata) > SUMMARY_STRATA:
+        lines.append(
+            f"... and {len(strata) - SUMMARY_STRATA:,} more strata (the report lists every one)"
+        )
+    human = "\n".join(lines)
     _emit(payload, human, started, out)
     return EXIT_PASS
 

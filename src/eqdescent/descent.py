@@ -314,11 +314,16 @@ def block_cohomology(fiber: FiberComplex) -> dict:
 # reports
 # ---------------------------------------------------------------------------
 
+# A value table with more entries than this is long: summaries cut it, and
+# a report writes its JSON text once however often it appears.
+LONG_TABLE = 16
+
+
 def char_str(values) -> str:
     """A character's values; past 16, the first 8 and the count, so that a
     summary line stays short however large the stabilizer (reports keep
     every value)."""
-    if len(values) > 16:
+    if len(values) > LONG_TABLE:
         head = ",".join(str(v) for v in values[:8])
         return f"({head},... {len(values)} values)"
     return "(" + ",".join(str(v) for v in values) + ")"

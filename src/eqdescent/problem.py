@@ -331,6 +331,8 @@ def load_problem_text(text: str) -> Problem:
         raise InputError(
             f"problem file is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:
+        raise InputError("problem file nests its arrays and objects too deeply to parse") from err
     return parse_problem(data)
 
 
@@ -340,6 +342,10 @@ def load_problem(path: str) -> Problem:
             text = handle.read()
     except OSError as err:
         raise InputError(f"cannot read problem file {path!r}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(
+            f"problem file {path!r} is not UTF-8: byte {err.start} is {err.object[err.start:err.end]!r}"
+        ) from err
     return load_problem_text(text)
 
 

@@ -41,7 +41,7 @@ class Mismatch:
     def to_dict(self) -> dict:
         def table(d):
             return [
-                {"degree": j, "fiber_character": list(values), "dimension": dim}
+                {"degree": j, "fiber_character": values, "dimension": dim}
                 for (j, values), dim in sorted(d.items())
             ]
 

@@ -406,6 +406,37 @@ def test_summary_rows_stay_short_on_a_stabilizer_of_order_10000(tmp_path, cli):
     assert all(len(row) < 200 for row in rows)
 
 
+P10_ACTION = {
+    "group": {"orders": [100, 100]},
+    "action": {
+        "dim": 10,
+        "coordinate_characters": [[7 * i % 100, i * i % 100] for i in range(11)],
+    },
+}
+
+
+def test_strata_summary_of_p10_stays_short(tmp_path, cli):
+    """Z/100 x Z/100 on P^10 has 2,047 strata: the summary prints the first
+    rows and counts the rest; the document lists every stratum."""
+    path = tmp_path / "p10.json"
+    path.write_text(json.dumps(P10_ACTION))
+    code, text, payload = cli("strata", str(path))
+    assert code == 0
+    assert payload["count"] == len(payload["strata"]) == 2047
+    assert payload["report_digest"] == (
+        "sha256:762adab9834f74445fdec4694bf7a09c8e461097705b3272e0b49cbbdab84dab"
+    )
+    summary = split_report(text)[1]
+    assert len(summary.encode("utf-8")) < 64 * 1024
+    lines = summary.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    rows = lines[rule + 1:]
+    assert len(rows) == cli_module.SUMMARY_STRATA + 1
+    assert rows[-1] == (
+        f"... and {2047 - cli_module.SUMMARY_STRATA:,} more strata (the report lists every one)"
+    )
+
+
 def test_digest_covers_everything_but_timing(cli):
     _, _, a = cli("check-descent", FIXTURE, "--complex", "O1")
     _, _, b = cli("check-descent", FIXTURE, "--complex", "O1")
@@ -413,6 +444,94 @@ def test_digest_covers_everything_but_timing(cli):
     assert a["report_digest"] == report_digest(a)  # recomputable from the payload
     _, _, c = cli("check-descent", FIXTURE, "--complex", "O1", "--seed", "8")
     assert c["report_digest"] != a["report_digest"]
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer
+# ---------------------------------------------------------------------------
+
+
+def _canonical_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_canonical_writer_matches_the_c_encoder():
+    """The members and the digest equal what one json.dumps of the payload
+    gives, over nested payloads whose long tuples are shared by several
+    members or not, beside short tuples, escaped and non-ASCII keys, int
+    keys, empty containers and every scalar."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shared = (
+        tuple(range(17)),
+        tuple(range(-5, 40)),
+        tuple((i, i * i % 7) for i in range(30)),
+        tuple((i,) for i in range(16)),
+        (3, 1, 2),
+    )
+    ints = st.integers(-(10**20), 10**20)
+    small = st.integers(-99, 99)
+    tables = st.one_of(
+        st.sampled_from(shared),
+        st.lists(small, max_size=16).map(tuple),
+        st.lists(small, min_size=17, max_size=24).map(tuple),
+        st.lists(st.tuples(small, small), min_size=15, max_size=20).map(tuple),
+    )
+    # Quotes, backslashes, control characters, non-ASCII and a lone surrogate.
+    text = st.text('ab"\\/\x00\n\x1f\x7f\u00f1\u03a9\u2603\ud800\U0001f600', max_size=6)
+    keys = st.one_of(text, st.sampled_from(['a": "b\\', "report_digest", ""]))
+    leaves = st.one_of(ints, st.booleans(), st.none(), st.floats(), text, tables)
+    values = st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(st.dictionaries(keys, children, max_size=4), max_size=4),
+            st.dictionaries(keys, children, max_size=5),
+            st.dictionaries(st.integers(-20, 20), children, max_size=4),
+        ),
+        max_leaves=15,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(keys, values, max_size=6))
+    def check(payload):
+        payload.pop("report_digest", None)
+        payload.pop("timing_seconds", None)
+        payload["~copy"] = list(payload.values())  # a second member that repeats every table
+        assert cli_module._members(payload) == [
+            (key, _canonical_json(payload[key])) for key in sorted(payload)
+        ]
+        whole = _canonical_json(payload).encode()
+        assert report_digest(payload) == "sha256:" + hashlib.sha256(whole).hexdigest()
+
+    check()
+
+
+def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
+    """Trivial Z/100 x Z/100 on P^2: all 7 strata share one 10,000-element
+    stabilizer list and one scalar character table, and the report encodes
+    each of them once."""
+    G = AbelianGroup((100, 100))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    problem = parse_problem(problem_to_dict(action, {}))
+    strata = problem.action.strata()
+    [elements] = {s.stabilizer.coords for s in strata}
+    [scalar] = {s.scalar_char.values for s in strata}
+    assert len(strata) == 7 and len(elements) == 10000
+    encoded = []
+    real_dumps = cli_module._dumps
+
+    def counting_dumps(value):
+        encoded.append(value)
+        return real_dumps(value)
+
+    monkeypatch.setattr(cli_module, "_dumps", counting_dumps)
+    monkeypatch.setattr(cli_module, "load_problem", lambda path: problem)
+    code, _, payload = cli("strata", "big_stabilizer.json")
+    assert code == 0
+    assert sum(value is elements for value in encoded) == 1
+    assert sum(value is scalar for value in encoded) == 1
+    assert [len(s["stabilizer_elements"]) for s in payload["strata"]] == [10000] * 7
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +549,25 @@ def test_schema_error_exits_2(tmp_path, capsys):
     bad.write_text('{"group": {"orders": [2]}, "action": {"dim": 2}}')
     assert main(["strata", str(bad)]) == 2
     assert "$.action.coordinate_characters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    (
+        (b"[" * 200_000 + b"]" * 200_000, "nests its arrays and objects too deeply"),
+        (b'{"group": \xff}', "is not UTF-8: byte 10 is b'\\xff'"),
+    ),
+    ids=("nested-200000-deep", "not-utf8"),
+)
+def test_malformed_problem_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    assert main(["strata", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _problem_with(group=None, action=None, degree="0", differential=None, exponents=(0, 0, 1)):
