@@ -151,13 +151,14 @@ class ProjectiveAction:
         return self.stratum_of_support(x.support)
 
     def monomial_character(self, exps) -> Character:
-        """The character sum_i a_i * chi_i by which the monomial x^a transforms."""
-        return self.group.character(
-            tuple(
-                sum(a * chi.coords[k] for a, chi in zip(exps, self.coord_chars) if a)
-                for k in range(self.group.rank)
-            )
-        )
+        """The character sum_i a_i * chi_i by which the monomial x^a
+        transforms; ``exps`` is a checked exponent vector, such as a key of
+        ``Poly.numerators``."""
+        chars = self.coord_chars
+        return Character._raw(self.group, tuple(
+            sum(a * chi.coords[k] for a, chi in zip(exps, chars) if a) % n
+            for k, n in enumerate(self.group.orders)
+        ))
 
     # -- strata ------------------------------------------------------------
 

@@ -9,15 +9,17 @@ to their first 8 in the summary and kept whole in the document.  Each
 distinct long table (a tuple of more than 16 entries: a stabilizer's element
 list, a character's values) is encoded once per report, and its text is
 reused wherever the same tuple appears again, so the text is what encoding
-every copy would give.  The strata summary lists the first 32 strata and
-counts the rest.  The document carries a ``report_digest``: sha256 of the
+every copy would give; a table is indexed by elements of the acting group,
+so on a group of order at most 16 nothing is looked for.  The strata
+summary lists the first 32 strata and counts the rest.  The document carries a ``report_digest``: sha256 of the
 canonical JSON (sorted keys, no spaces) of the payload without the digest
 itself and ``timing_seconds``.  So two runs with the same inputs are
 byte-identical except for the timing value and can be compared by digest.
 
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
-schema violation, invalid complex, a generator failing its own descent
+schema violation, invalid complex (named by its JSON path,
+``$.complexes.<name>``), a generator failing its own descent
 precondition, ``--samples`` or a ``selftest-oracle`` option out of range,
 a problem file that is not UTF-8 or nests too deeply),
 3 an internal error: any other exception, which is a bug in the package, not
@@ -104,18 +106,24 @@ def _write(value, tables: dict) -> str:
     return _dumps(value)
 
 
-def _canonical(value, tables: dict) -> str:
-    """Canonical JSON text (sorted keys, no spaces) of one top-level member.
-    It runs once per member, apart from the recursion in ``_write``, so the
-    texts it returns add up to the canonical report."""
-    return _write(value, tables)
+def _canonical(value, tables: dict | None) -> str:
+    """Canonical JSON text (sorted keys, no spaces) of one top-level member,
+    straight from the C encoder when ``tables`` is None.  It runs once per
+    member, apart from the recursion in ``_write``, so the texts it returns
+    add up to the canonical report."""
+    return _dumps(value) if tables is None else _write(value, tables)
 
 
-def _members(payload: dict) -> list:
-    """(key, canonical value) of each member the digest covers, by key.  The
+def _members(payload: dict, group_order: int | None = None) -> list:
+    """(key, canonical value) of each member the digest covers, by key.
+
+    Every table of a report is indexed by elements of the acting group, so
+    when ``group_order`` (the order of that group, or a bound on it) is at
+    most ``LONG_TABLE`` there is no table to look for and each member goes
+    to the C encoder whole; the text is the same either way.  Otherwise the
     members share one table memo; ``payload`` keeps every tuple keyed in it
     alive meanwhile, so no id is reused."""
-    tables = {}
+    tables = None if group_order is not None and group_order <= LONG_TABLE else {}
     return [
         (key, _canonical(payload[key], tables))
         for key in sorted(payload)
@@ -138,8 +146,10 @@ def report_digest(payload: dict) -> str:
     return _digest(_members(payload))
 
 
-def _emit(payload: dict, human: str, started: float, out) -> None:
-    members = _members(payload)
+def _emit(payload: dict, human: str, started: float, out, group_order: int) -> None:
+    """Write the document and the summary; ``group_order`` is the order of
+    the acting group, or a bound on it (see ``_members``)."""
+    members = _members(payload, group_order)
     digest = _digest(members)
     timing = round(time.perf_counter() - started, 6)
     members += [("report_digest", json.dumps(digest)), ("timing_seconds", json.dumps(timing))]
@@ -296,7 +306,7 @@ def _cmd_strata(args, out) -> int:
             f"... and {len(strata) - SUMMARY_STRATA:,} more strata (the report lists every one)"
         )
     human = "\n".join(lines)
-    _emit(payload, human, started, out)
+    _emit(payload, human, started, out, action.group.order)
     return EXIT_PASS
 
 
@@ -304,13 +314,14 @@ def _cmd_check_descent(args, out) -> int:
     started = time.perf_counter()
     problem = load_problem(args.problem)
     name, complex_ = problem.only_complex(args.complex)
-    report = check_descent(complex_, **_sampling(args, problem))
+    report = problem.naming_invalid(check_descent, complex_, **_sampling(args, problem))
     payload = {
         "command": "check-descent",
         "complex": name,
         "report": report.to_dict(),
     }
-    _emit(payload, _descent_human(f"descent of {name!r}", report), started, out)
+    human = _descent_human(f"descent of {name!r}", report)
+    _emit(payload, human, started, out, problem.action.group.order)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -325,7 +336,8 @@ def _cmd_omega(args, out) -> int:
         _, c = problem.only_complex(flag_name)
         return c
 
-    report = omega_check(
+    report = problem.naming_invalid(
+        omega_check,
         word,
         problem.action,
         gen_a=generator(args.gen_a),
@@ -349,7 +361,7 @@ def _cmd_omega(args, out) -> int:
     ]
     for caveat in report.caveats():
         lines.append(f"note: {caveat}")
-    _emit(payload, "\n".join(lines), started, out)
+    _emit(payload, "\n".join(lines), started, out, problem.action.group.order)
     return EXIT_PASS if report.certified else EXIT_FAIL
 
 
@@ -365,7 +377,7 @@ def _cmd_necessary(args, out) -> int:
     }
     if not report.supported:
         human = f"necessary conditions for word {word_name!r}: UNSUPPORTED\n{report.reason}"
-        _emit(payload, human, started, out)
+        _emit(payload, human, started, out, problem.action.group.order)
         return EXIT_INVALID
     lines = [
         f"necessary kernel-fiber conditions for word {word_name!r}: "
@@ -378,7 +390,7 @@ def _cmd_necessary(args, out) -> int:
         "",
         _descent_human("condition (ii), inverse kernel fiber", report.condition_ii),
     ]
-    _emit(payload, "\n".join(lines), started, out)
+    _emit(payload, "\n".join(lines), started, out, problem.action.group.order)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -406,7 +418,8 @@ def _cmd_selftest(args, out) -> int:
     ]
     if not report.passed:
         lines.append("replayable problem serializations are in the JSON payload above")
-    _emit(payload, "\n".join(lines), started, out)
+    # Every random group has order at most --max-group-order.
+    _emit(payload, "\n".join(lines), started, out, args.max_group_order)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

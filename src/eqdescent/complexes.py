@@ -10,12 +10,20 @@ homogeneous coordinates.  Such an entry is a legal sheaf map exactly when
                                                            (equivariance),
 
 and the collection is a complex when d o d = 0 as polynomial matrices.
-``EquivariantComplex.validate`` reports all three independently.
+``EquivariantComplex.validate`` reports all three independently.  The
+d o d check sums the products that make up each composite entry as integer
+numerators over the lcm of their denominators and builds a polynomial only
+for a nonzero sum, so products that cancel are never normalised, and a
+product above the degree cap that cancels is no error.  Summand twists and
+the characters derived from them are checked once, where they enter (see
+``groups``); fiber characters are built from them unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import add
 
 from .action import ProjectiveAction
 from .groups import Character, InputError
@@ -47,11 +55,15 @@ class TwistedSummand:
             phi(g) = psi(g) - d * c(g)   (exponents mod m).
 
         c is the restriction of the stratum's ``lead_char``, and restriction
-        is a homomorphism, so phi is the one restriction of psi - d * lead_char.
+        is a homomorphism, so phi is the one restriction of psi - d * lead_char,
+        whose coordinates are reduced in one pass.
         """
-        return (self.twist - stratum.lead_char.scaled(self.degree)).restrict(
-            stratum.stabilizer
-        )
+        twist, lead, d = self.twist, stratum.lead_char, self.degree
+        group = twist._same_group(lead)
+        phi = Character._raw(group, tuple(
+            (a - d * b) % n for a, b, n in zip(twist.coords, lead.coords, group.orders)
+        ))
+        return phi.restrict(stratum.stabilizer)
 
     def tensor_power(self, k: int) -> "TwistedSummand":
         """k-th tensor power: O(k*d) with the k-fold twist."""
@@ -105,10 +117,12 @@ class ValidationReport:
 
 
 class InvalidComplexError(InputError):
-    """Raised when an operation requires a valid complex but validation failed."""
+    """Raised when an operation requires a valid complex but validation
+    failed; ``complex_`` is the complex that failed, when known."""
 
-    def __init__(self, report: ValidationReport):
+    def __init__(self, report: ValidationReport, complex_=None):
         self.report = report
+        self.complex_ = complex_
         lines = "; ".join(repr(v) for v in report.violations[:5])
         more = "" if len(report.violations) <= 5 else f" (+{len(report.violations) - 5} more)"
         super().__init__(f"complex fails validation: {lines}{more}")
@@ -118,18 +132,39 @@ def _matrix_compose(entries_ab: dict, entries_bc: dict) -> dict:
     """Compose sparse polynomial matrices: (s -> u) then (u -> t).
 
     The second matrix is indexed by source first, so the work is linear in
-    the number of entry pairs that actually meet.
+    the number of entry pairs that actually meet.  The products that make
+    up one output entry are summed as integer numerators over the lcm of
+    their denominators, and a Poly is built (in normal form) only when the
+    sum is nonzero; no product is a Poly of its own, so a transient product
+    above ``MAX_TOTAL_DEGREE`` that cancels is no error.
     """
     by_source = {}
     for (u, t), q in entries_bc.items():
         by_source.setdefault(u, []).append((t, q))
-    out = {}
+    meeting = {}  # (s, t) -> [(p, q) per middle index u]
     for (s, u), p in entries_ab.items():
         for t, q in by_source.get(u, ()):
-            key = (s, t)
-            product = q * p
-            out[key] = product if key not in out else out[key] + product
-    return {k: v for k, v in out.items() if not v.is_zero}
+            meeting.setdefault((s, t), []).append((p, q))
+    out = {}
+    for key, pairs in meeting.items():
+        den = 1
+        for p, q in pairs:
+            d = p.denominator * q.denominator
+            if d != 1:
+                den = lcm(den, d)
+        nums = {}
+        get = nums.get
+        for p, q in pairs:
+            scale = den // (p.denominator * q.denominator)
+            right = tuple(q.numerators.items())
+            for e1, c1 in p.numerators.items():
+                c1 *= scale
+                for e2, c2 in right:
+                    e = tuple(map(add, e1, e2))
+                    nums[e] = get(e, 0) + c1 * c2
+        if any(nums.values()):
+            out[key] = Poly._normal(pairs[0][0].nvars, nums, den)
+    return out
 
 
 class EquivariantComplex:
@@ -259,7 +294,7 @@ class EquivariantComplex:
     def require_valid(self):
         report = self.validate()
         if not report.ok:
-            raise InvalidComplexError(report)
+            raise InvalidComplexError(report, self)
 
     # -- comparisons -------------------------------------------------------------
 

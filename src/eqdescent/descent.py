@@ -249,7 +249,8 @@ def fiber_layout(
         blocks[phi] = (per_degree, maps)
         if not phi.is_trivial:
             open_maps += [(phi, *m) for m in maps if m[3]]
-    polys = tuple(Poly(nvars, dict(terms)) for terms in polys)
+    # Int coefficients over the denominator 1 are already in normal form.
+    polys = tuple(Poly._raw(nvars, dict(terms), 1) for terms in polys)
     return FiberLayout(stratum, polys, blocks, tuple(open_maps))
 
 

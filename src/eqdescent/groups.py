@@ -11,6 +11,13 @@ handled as exponents in Z/m, never as complex numbers, so every comparison
 in the package is exact.  ``Character.values`` evaluates a character on
 elements given one coordinate column at a time, reducing mod m as it sums.
 
+Coordinates are checked once, where they enter: ``AbelianGroup.character``,
+``Character(...)``, ``Character.__call__`` and ``Subgroup(parent,
+generators)`` refuse a wrong count or a coordinate that is not an int.
+Sums, differences, negatives and ``scaled`` multiples of characters are
+built from coordinates already checked, reduced mod the orders in the same
+pass, through the unchecked ``Character._raw``.
+
 A group element is its coordinate tuple (g_1, ..., g_r), and
 ``AbelianGroup.elements`` lists them all in lexicographic order.  A
 ``Subgroup`` is held as ``coords``, the sorted tuple of its elements, and
@@ -150,21 +157,44 @@ class Character:
                 values = [(v + w * h) % m for v, h in zip(values, col)]
         return values or [0] * len(columns[0])
 
-    def __add__(self, other: "Character") -> "Character":
-        if other.group != self.group:
+    @classmethod
+    def _raw(cls, group: AbelianGroup, coords: tuple) -> "Character":
+        """The character with ``coords``, already reduced mod the group's
+        orders, unchecked."""
+        chi = object.__new__(cls)
+        object.__setattr__(chi, "group", group)
+        object.__setattr__(chi, "coords", coords)
+        return chi
+
+    def _same_group(self, other: "Character") -> AbelianGroup:
+        group = self.group
+        if other.group is not group and other.group != group:
             raise InputError("cannot combine characters of different groups")
-        return Character(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return group
+
+    def __add__(self, other: "Character") -> "Character":
+        group = self._same_group(other)
+        return Character._raw(group, tuple(
+            (a + b) % n for a, b, n in zip(self.coords, other.coords, group.orders)
+        ))
 
     def __neg__(self) -> "Character":
-        return Character(self.group, tuple(-c for c in self.coords))
+        return Character._raw(self.group, tuple(
+            -c % n for c, n in zip(self.coords, self.group.orders)
+        ))
 
     def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
+        group = self._same_group(other)
+        return Character._raw(group, tuple(
+            (a - b) % n for a, b, n in zip(self.coords, other.coords, group.orders)
+        ))
 
     def scaled(self, k: int) -> "Character":
-        return Character(self.group, tuple(k * c for c in self.coords))
+        if type(k) is not int:
+            raise InputError(f"a character is scaled by an int, got {k!r}")
+        return Character._raw(self.group, tuple(
+            k * c % n for c, n in zip(self.coords, self.group.orders)
+        ))
 
     @property
     def is_trivial(self) -> bool:

@@ -10,6 +10,15 @@ a polynomial with integer coefficients (every entry of a Koszul complex)
 never builds a Fraction.  ``terms`` and ``monomials()`` give the
 coefficients as Fractions.  A total-degree cap keeps accidental blow-ups
 (e.g. from repeated substitution) loud instead of silent.
+
+Exponents and coefficients are checked once, where a polynomial enters:
+``Poly(nvars, terms)`` and the constructors built on it.  Results of
+arithmetic on checked polynomials are built in normal form with the
+unchecked ``Poly._normal`` and ``Poly._raw``, and so are the values the
+package derives from them: a fiber layout's restricted entries, and the
+composite entries of the d o d check, whose products are summed as integer
+numerators and never built as polynomials (so the degree cap, which
+products check, does not apply to them).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
-from .complexes import EquivariantComplex, TwistedSummand
+from .complexes import EquivariantComplex, InvalidComplexError, TwistedSummand
 from .errors import InputError, as_rational
 from .groups import AbelianGroup
 from .polynomials import Poly
@@ -128,6 +128,17 @@ class Problem:
 
     def only_word(self, name: str | None) -> tuple:
         return _pick("word", self.words, name)
+
+    def naming_invalid(self, run, *args, **kwargs):
+        """run(*args, **kwargs), with the validation failure of one of this
+        problem's complexes named by its JSON path, ``$.complexes.<name>``."""
+        try:
+            return run(*args, **kwargs)
+        except InvalidComplexError as err:
+            for name, complex_ in self.complexes.items():
+                if complex_ is err.complex_:
+                    _fail(["complexes", name], str(err))
+            raise
 
 
 def _pick(what, table, name):

@@ -298,9 +298,9 @@ def test_report_is_a_one_line_document_then_the_summary(argv, cli, monkeypatch):
     emitted = []
     real_emit = cli_module._emit
 
-    def recording_emit(payload, human, started, out):
+    def recording_emit(payload, human, started, out, group_order):
         emitted.append((payload, human))
-        real_emit(payload, human, started, out)
+        real_emit(payload, human, started, out, group_order)
 
     monkeypatch.setattr(cli_module, "_emit", recording_emit)
     _, text, payload = cli(*argv)
@@ -343,9 +343,9 @@ def test_document_with_escaped_names_parses_and_digests(tmp_path, name, cli, mon
     emitted = []
     real_emit = cli_module._emit
 
-    def recording_emit(payload, human, started, out):
+    def recording_emit(payload, human, started, out, group_order):
         emitted.append(payload)
-        real_emit(payload, human, started, out)
+        real_emit(payload, human, started, out, group_order)
 
     monkeypatch.setattr(cli_module, "_emit", recording_emit)
     digest_of = _load_perfbench_run(monkeypatch).digest_of
@@ -539,6 +539,45 @@ def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "orders, chars, walks",
+    (
+        ([2], [[0], [0], [1]], False),
+        ([4, 4], [[0, 0], [1, 0], [0, 1]], False),
+        ([17], [[0], [1], [2]], True),
+        ([20], [[0], [0], [0]], True),
+    ),
+    ids=("z2", "z4xz4", "z17", "z20"),
+)
+def test_table_search_runs_only_when_the_group_can_hold_a_long_table(
+    tmp_path, monkeypatch, cli, orders, chars, walks
+):
+    """A table is indexed by elements of the acting group, so a report on
+    a group of order at most 16 goes to the C encoder without a search for
+    tables; the document is the same either way."""
+    G = AbelianGroup(tuple(orders))
+    action = ProjectiveAction(G, 2, tuple(G.character(c) for c in chars))
+    complex_ = koszul_complex(action, (1, 1, 1))
+    path = tmp_path / "koszul.json"
+    path.write_text(json.dumps(problem_to_dict(action, {"c": complex_})))
+    searches = []
+    real = cli_module._holds_table
+
+    def counting(items):
+        searches.append(1)
+        return real(items)
+
+    monkeypatch.setattr(cli_module, "_holds_table", counting)
+    for argv in (("strata", str(path)), ("check-descent", str(path))):
+        searches.clear()
+        code, text, payload = cli(*argv)
+        assert code == 0
+        assert bool(searches) == walks, argv
+        assert payload["report_digest"] == report_digest(payload)
+        stripped = {k: v for k, v in payload.items() if k not in ("report_digest", "timing_seconds")}
+        assert cli_module._members(stripped, G.order) == cli_module._members(stripped)
+
+
 def test_missing_problem_file_exits_2(capsys):
     assert main(["strata", "no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -651,6 +690,84 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["check-descent", str(path)]) == 2
     assert "equivariance" in capsys.readouterr().err
+
+
+# O(0) -> O(1) by x2 on the fixture's action, whose x2 is odd: not equivariant.
+BROKEN_COMPLEX = {
+    "terms": {"0": [{"degree": 0, "twist": [0]}], "1": [{"degree": 1, "twist": [0]}]},
+    "differentials": {
+        "0": [{"source": 0, "target": 0, "entry": [{"coeff": 1, "exponents": [0, 0, 1]}]}]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("check-descent", "--complex", "broken"),
+        ("omega", "--word", "twist2", "--gen-a", "broken", "--gen-b", "O"),
+        ("omega", "--word", "twist2", "--gen-a", "O", "--gen-b", "broken"),
+    ),
+    ids=("check-descent", "omega-gen-a", "omega-gen-b"),
+)
+def test_invalid_complex_error_names_its_json_path(tmp_path, capsys, argv):
+    with open(FIXTURE) as f:
+        data = json.load(f)
+    data["complexes"]["broken"] = BROKEN_COMPLEX
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: $.complexes.broken: complex fails validation: [equivariance] "
+    ), captured.err
+
+
+def _p1_complex(second_map):
+    """O -> O(40)^2 -> O(80) on P^1 under trivial Z/2, first map (x0^40, x1^40);
+    each map is a list of (source, target, coefficient, exponents)."""
+
+    def entries(terms):
+        return [
+            {"source": s, "target": t, "entry": [{"coeff": c, "exponents": e}]}
+            for s, t, c, e in terms
+        ]
+
+    def summand(degree):
+        return {"degree": degree, "twist": [0]}
+
+    return {
+        "group": {"orders": [2]},
+        "action": {"dim": 1, "coordinate_characters": [[0], [0]]},
+        "complexes": {
+            "c": {
+                "terms": {"0": [summand(0)], "1": [summand(40)] * 2, "2": [summand(80)]},
+                "differentials": {
+                    "0": entries([(0, 0, 1, [40, 0]), (0, 1, 1, [0, 40])]),
+                    "1": entries(second_map),
+                },
+            }
+        },
+    }
+
+
+def test_d_squared_products_above_the_degree_cap(tmp_path, capsys):
+    """Every entry has degree 40, within MAX_TOTAL_DEGREE = 64, while the
+    products in d o d have degree 80: with (-x1^40, x0^40) they cancel and
+    the complex is checked; with -x1^40 alone the composite is reported."""
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(_p1_complex([(0, 0, -1, [0, 40]), (1, 0, 1, [40, 0])])))
+    assert main(["check-descent", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(_p1_complex([(0, 0, -1, [0, 40])])))
+    assert main(["check-descent", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.complexes.c: complex fails validation: [d-squared] degree 0, "
+        "entry 0 -> 0: composition through degree 1 is -x0^40*x1^40, not 0\n"
+    )
 
 
 @pytest.mark.parametrize(

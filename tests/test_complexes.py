@@ -1,6 +1,8 @@
 """Validation and structure of equivariant complexes: frozen cases for each
 violation kind, structural input errors, canonical forms, summand algebra."""
 
+from fractions import Fraction
+
 import pytest
 
 from eqdescent.action import ProjectiveAction
@@ -8,6 +10,7 @@ from eqdescent.complexes import (
     EquivariantComplex,
     InvalidComplexError,
     TwistedSummand,
+    _matrix_compose,
     bundle_complex,
 )
 from eqdescent.groups import AbelianGroup, InputError
@@ -255,3 +258,77 @@ def test_fiber_character_on_invariant_stratum(z2_p2):
     stratum = z2_p2.stratum_of_support((0,))
     assert O(z2_p2, 7).fiber_character(stratum).is_trivial
     assert O(z2_p2, 7, (1,)).fiber_character(stratum).values == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# composition of polynomial matrices (the d o d check)
+# ---------------------------------------------------------------------------
+
+
+def _compose_reference(entries_ab, entries_bc):
+    """(s -> u) then (u -> t) by Poly products and sums, zeros dropped."""
+    out = {}
+    for (s, u), p in entries_ab.items():
+        for (v, t), q in entries_bc.items():
+            if u == v:
+                key = (s, t)
+                out[key] = out[key] + q * p if key in out else q * p
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def test_matrix_compose_matches_poly_arithmetic():
+    """Integer composition equals composing with Poly products and sums:
+    the same entries in the same order, the same normal forms and reprs,
+    over Fraction coefficients, products that cancel and empty matrices."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.sampled_from(
+        [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 6)]
+    )
+    monomials = st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 0)])
+    polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=3).map(
+        lambda terms: Poly(2, terms)
+    )
+    index = st.integers(0, 2)
+    matrices = st.dictionaries(st.tuples(index, index), polys, max_size=6)
+
+    @st.composite
+    def koszul_like(draw):
+        """(p, q) then (r*q, -r*p) into target 0 cancels; further random
+        entries of the second matrix may keep some of its terms alive."""
+        ab = draw(matrices)
+        p, q, r = draw(polys), draw(polys), draw(polys)
+        ab.update({(0, 0): p, (0, 1): q})
+        bc = draw(matrices)
+        bc.update({(0, 0): r * q, (1, 0): -(r * p)})
+        return ab, bc
+
+    seen = {"cancelled": 0, "fractions": 0, "empty": 0}
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.tuples(matrices, matrices), koszul_like()))
+    def check(pair):
+        ab, bc = pair
+        got = _matrix_compose(ab, bc)
+        want = _compose_reference(ab, bc)
+        assert list(got.items()) == list(want.items())
+        assert [repr(p) for p in got.values()] == [repr(p) for p in want.values()]
+        met = {(s, t) for (s, u) in ab for (v, t) in bc if u == v}
+        seen["cancelled"] += len(met - set(want))
+        seen["fractions"] += any(p.denominator > 1 for p in want.values())
+        seen["empty"] += not ab or not bc
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_matrix_compose_cancels_products_above_the_degree_cap():
+    """x0^40 * x1^40 has degree 80 > MAX_TOTAL_DEGREE; it cancels in the
+    composite without an error, and survives as a d-squared violation."""
+    hi0 = Poly.monomial(2, (40, 0))
+    hi1 = Poly.monomial(2, (0, 40))
+    first = {(0, 0): hi0, (0, 1): hi1}
+    assert _matrix_compose(first, {(0, 0): -hi1, (1, 0): hi0}) == {}
+    [(key, p)] = _matrix_compose(first, {(0, 0): -hi1}).items()
+    assert key == (0, 0) and repr(p) == "-x0^40*x1^40"
+    assert _matrix_compose({}, {(0, 0): hi0}) == {} == _matrix_compose(first, {})

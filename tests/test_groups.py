@@ -9,6 +9,7 @@ import pytest
 
 from eqdescent.groups import (
     AbelianGroup,
+    Character,
     CharacterRestriction,
     InputError,
     Subgroup,
@@ -184,6 +185,46 @@ def test_scaling_by_coordinate_order_kills_character():
         # k * chi is trivial iff n_i | k * c_i for all i; k = n_i kills slot i.
         for i, (c, ni) in enumerate(zip(scaled.coords, group.orders)):
             assert c == (n * chi.coords[i]) % ni
+
+
+def test_character_arithmetic_equals_the_checked_constructor():
+    """+, -, unary - and scaled(k), negative k included, build unchecked
+    characters; each equals the one the checked constructor gives for the
+    unreduced coordinates, coordinates and hash alike."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        group = random_group(rng)
+        a_raw = tuple(rng.randint(-50, 50) for _ in group.orders)
+        b_raw = tuple(rng.randint(-50, 50) for _ in group.orders)
+        a, b = Character(group, a_raw), Character(group, b_raw)
+        k = rng.randint(-40, -1)
+        cases = (
+            (a + b, [x + y for x, y in zip(a_raw, b_raw)]),
+            (a - b, [x - y for x, y in zip(a_raw, b_raw)]),
+            (-a, [-x for x in a_raw]),
+            (a.scaled(k), [k * x for x in a_raw]),
+            (b.scaled(-k), [-k * x for x in b_raw]),
+        )
+        for got, coords in cases:
+            want = Character(group, tuple(coords))
+            assert got == want and hash(got) == hash(want)
+            assert got.coords == want.coords
+            assert all(0 <= c < n for c, n in zip(got.coords, group.orders))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", Fraction(2), None])
+def test_scaling_by_a_non_int_is_refused(k):
+    chi = AbelianGroup((4, 2)).character((1, 1))
+    with pytest.raises(InputError):
+        chi.scaled(k)
+
+
+def test_characters_of_different_groups_do_not_combine():
+    a = AbelianGroup((4,)).character((1,))
+    b = AbelianGroup((2, 2)).character((1, 0))
+    for combine in (lambda: a + b, lambda: a - b):
+        with pytest.raises(InputError, match="different groups"):
+            combine()
 
 
 # ---------------------------------------------------------------------------
