@@ -314,7 +314,7 @@ def _cmd_check_descent(args, out) -> int:
     started = time.perf_counter()
     problem = load_problem(args.problem)
     name, complex_ = problem.only_complex(args.complex)
-    report = problem.naming_invalid(check_descent, complex_, **_sampling(args, problem))
+    report = check_descent(complex_, **_sampling(args, problem))
     payload = {
         "command": "check-descent",
         "complex": name,
@@ -336,8 +336,7 @@ def _cmd_omega(args, out) -> int:
         _, c = problem.only_complex(flag_name)
         return c
 
-    report = problem.naming_invalid(
-        omega_check,
+    report = omega_check(
         word,
         problem.action,
         gen_a=generator(args.gen_a),

@@ -118,11 +118,10 @@ class ValidationReport:
 
 class InvalidComplexError(InputError):
     """Raised when an operation requires a valid complex but validation
-    failed; ``complex_`` is the complex that failed, when known."""
+    failed."""
 
-    def __init__(self, report: ValidationReport, complex_=None):
+    def __init__(self, report: ValidationReport):
         self.report = report
-        self.complex_ = complex_
         lines = "; ".join(repr(v) for v in report.violations[:5])
         more = "" if len(report.violations) <= 5 else f" (+{len(report.violations) - 5} more)"
         super().__init__(f"complex fails validation: {lines}{more}")
@@ -175,7 +174,9 @@ class EquivariantComplex:
     target_index): Poly} describing the map from degree j to degree j+1.
     Structural problems (bad indices, wrong variable counts, foreign groups)
     raise InputError immediately; mathematical problems (homogeneity,
-    equivariance, d o d) are collected by :meth:`validate`.
+    equivariance, d o d) are collected by :meth:`validate`.  Nothing changes
+    a complex after it is built, so its validation report is kept on it and
+    each complex is validated once, however often it is checked.
     """
 
     def __init__(self, action: ProjectiveAction, terms: dict, differentials: dict):
@@ -222,6 +223,7 @@ class EquivariantComplex:
                 clean_diffs[j] = kept
         self.terms = clean_terms
         self.differentials = clean_diffs
+        self._validation = None
 
     # -- accessors -----------------------------------------------------------
 
@@ -241,6 +243,12 @@ class EquivariantComplex:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Every violation of the complex, found at the first call and kept."""
+        if self._validation is None:
+            self._validation = self._find_violations()
+        return self._validation
+
+    def _find_violations(self) -> ValidationReport:
         violations = []
         monomial_character = self.action.monomial_character
         for j, entries in sorted(self.differentials.items()):
@@ -292,9 +300,20 @@ class EquivariantComplex:
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def require_valid(self):
+        """Refuse an invalid complex as bad input (InvalidComplexError)."""
         report = self.validate()
         if not report.ok:
-            raise InvalidComplexError(report, self)
+            raise InvalidComplexError(report)
+
+    def require_built_valid(self, builder: str) -> "EquivariantComplex":
+        """This complex, which ``builder`` in this package built; an invalid
+        one is a bug there (InternalConsistencyError), not bad input."""
+        report = self.validate()
+        if not report.ok:
+            raise InternalConsistencyError(
+                f"{builder} produced an invalid complex: {report.violations[:3]}"
+            )
+        return self
 
     # -- comparisons -------------------------------------------------------------
 

@@ -26,7 +26,10 @@ words, and optional extra points and sampling defaults:
 Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
 floats and exponent notation are rejected so every computation stays exact
 and small.  Malformed JSON is reported with line and column; schema problems
-are reported with the JSON path of the offending value.  Pushforward
+are reported with the JSON path of the offending value.  Each complex is
+validated as it is parsed, so a file holding a complex that fails validation
+(homogeneity, equivariance, d o d) is refused whole, with the message naming
+the complex by its path, ``$.complexes.<name>``.  Pushforward
 generators act on the problem's own action (coordinate permutation plus
 scalings), which keeps the file format closed.
 """
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
-from .complexes import EquivariantComplex, InvalidComplexError, TwistedSummand
+from .complexes import EquivariantComplex, TwistedSummand
 from .errors import InputError, as_rational
 from .groups import AbelianGroup
 from .polynomials import Poly
@@ -128,17 +131,6 @@ class Problem:
 
     def only_word(self, name: str | None) -> tuple:
         return _pick("word", self.words, name)
-
-    def naming_invalid(self, run, *args, **kwargs):
-        """run(*args, **kwargs), with the validation failure of one of this
-        problem's complexes named by its JSON path, ``$.complexes.<name>``."""
-        try:
-            return run(*args, **kwargs)
-        except InvalidComplexError as err:
-            for name, complex_ in self.complexes.items():
-                if complex_ is err.complex_:
-                    _fail(["complexes", name], str(err))
-            raise
 
 
 def _pick(what, table, name):
@@ -248,7 +240,9 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
             table[(s, t)] = _parse_poly(nvars, eobj.get("entry"), epath + ["entry"])
         diffs[j] = table
 
-    return _built(path, EquivariantComplex, action, terms, diffs)
+    complex_ = _built(path, EquivariantComplex, action, terms, diffs)
+    _built(path, complex_.require_valid)
+    return complex_
 
 
 def _parse_word(action, data, path) -> FunctorWord:

@@ -17,12 +17,7 @@ from functools import lru_cache
 from random import Random
 
 from .action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
-from .complexes import (
-    EquivariantComplex,
-    InternalConsistencyError,
-    TwistedSummand,
-    _matrix_compose,
-)
+from .complexes import EquivariantComplex, TwistedSummand, _matrix_compose
 from .groups import AbelianGroup, Character
 from .polynomials import Poly
 from .words import FunctorWord, Push, Shift, Twist
@@ -237,12 +232,7 @@ def random_valid_complex(
         diffs.setdefault(j, {})[(s, t)] = entry
 
     complex_ = EquivariantComplex(action, terms, _random_mixing(rng, action, terms, diffs))
-    report = complex_.validate()
-    if not report.ok:
-        raise InternalConsistencyError(
-            f"random complex generator produced an invalid complex: {report.violations[:3]}"
-        )
-    return complex_
+    return complex_.require_built_valid("random complex generator")
 
 
 def mixed_variant(rng: Random, complex_: EquivariantComplex) -> EquivariantComplex:
@@ -253,12 +243,7 @@ def mixed_variant(rng: Random, complex_: EquivariantComplex) -> EquivariantCompl
         dict(complex_.terms),
         _random_mixing(rng, complex_.action, complex_.terms, complex_.differentials),
     )
-    report = out.validate()
-    if not report.ok:
-        raise InternalConsistencyError(
-            f"mixing produced an invalid complex: {report.violations[:3]}"
-        )
-    return out
+    return out.require_built_valid("mixing")
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .action import ProjectiveAction
-from .complexes import (
-    EquivariantComplex,
-    InternalConsistencyError,
-    TwistedSummand,
-    bundle_complex,
-)
+from .complexes import EquivariantComplex, TwistedSummand, bundle_complex
 from .descent import DescentReport, char_str, check_descent
 from .errors import InputError, as_rational
 
@@ -154,12 +149,7 @@ class FunctorWord:
     def apply(self, c: EquivariantComplex) -> EquivariantComplex:
         for g in self.generators:
             c = g.apply(c)
-        report = c.validate()
-        if not report.ok:
-            raise InternalConsistencyError(
-                f"word application broke validity: {report.violations[:3]}"
-            )
-        return c
+        return c.require_built_valid("word application")
 
     def inverse(self) -> "FunctorWord":
         return FunctorWord(tuple(g.inverse() for g in reversed(self.generators)))
@@ -272,18 +262,18 @@ def omega_check(
     Both generators live on ``action``, and so does every push of the word.
     The generators themselves must descend to begin with --- a failing
     generator is rejected as bad input (GeneratorRejectedError), not
-    reported as a disproof.
+    reported as a disproof.  A complex given as both generators, the default
+    included, is built and descent-checked once.
     """
     a_default = gen_a is None
     b_default = gen_b is None
-    if gen_a is None:
-        gen_a = default_generator(action)
-    if gen_b is None:
-        gen_b = default_generator(action)
-    if gen_a.action != action:
-        raise InputError("generator A lives on a different action")
-    if gen_b.action != action:
-        raise InputError("generator B lives on a different action")
+    if a_default or b_default:
+        default = default_generator(action)
+        gen_a = default if a_default else gen_a
+        gen_b = default if b_default else gen_b
+    for which, gen in (("A", gen_a), ("B", gen_b)):
+        if gen.action != action:
+            raise InputError(f"generator {which} lives on a different action")
 
     opts = dict(
         samples_per_stratum=samples_per_stratum,
@@ -294,7 +284,7 @@ def omega_check(
     pre_a = check_descent(gen_a, **opts)
     if not pre_a.passed:
         raise GeneratorRejectedError("a", pre_a)
-    pre_b = check_descent(gen_b, **opts)
+    pre_b = pre_a if gen_b is gen_a else check_descent(gen_b, **opts)
     if not pre_b.passed:
         raise GeneratorRejectedError("b", pre_b)
 

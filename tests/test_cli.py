@@ -12,6 +12,7 @@ import pytest
 
 import eqdescent.cli as cli_module
 import eqdescent.selftest as selftest_module
+import eqdescent.words as words_module
 from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.cli import main, report_digest
 from eqdescent.complexes import (
@@ -664,41 +665,20 @@ def test_constructor_errors_name_their_json_path(tmp_path, capsys, data, path):
     assert captured.err.startswith("error: " + path), captured.err
 
 
-def test_invalid_complex_exits_2(tmp_path, capsys):
-    data = {
-        "group": {"orders": [2]},
-        "action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]},
-        "complexes": {
-            "broken": {
-                "terms": {
-                    "0": [{"degree": 0, "twist": [0]}],
-                    "1": [{"degree": 1, "twist": [0]}],
-                },
-                "differentials": {
-                    "0": [
-                        {
-                            "source": 0,
-                            "target": 0,
-                            "entry": [{"coeff": 1, "exponents": [0, 0, 1]}],
-                        }
-                    ]
-                },
-            }
-        },
-    }
-    path = tmp_path / "invalid.json"
-    path.write_text(json.dumps(data))
-    assert main(["check-descent", str(path)]) == 2
-    assert "equivariance" in capsys.readouterr().err
+# The fixture's action with one complex, O(0) -> O(1) by x2, whose x2 is odd:
+# not equivariant.
+INVALID_FIXTURE = "tests/fixtures/z2_p2_invalid.json"
+INVALID_MESSAGE = "error: $.complexes.broken: complex fails validation: [equivariance] "
 
 
-# O(0) -> O(1) by x2 on the fixture's action, whose x2 is odd: not equivariant.
-BROKEN_COMPLEX = {
-    "terms": {"0": [{"degree": 0, "twist": [0]}], "1": [{"degree": 1, "twist": [0]}]},
-    "differentials": {
-        "0": [{"source": 0, "target": 0, "entry": [{"coeff": 1, "exponents": [0, 0, 1]}]}]
-    },
-}
+def test_invalid_complex_exits_2(capsys):
+    """Also ``eqdescent strata tests/fixtures/z2_p2_invalid.json``, as the
+    README documents it: a command that uses no complex refuses the file."""
+    for command in ("check-descent", "strata"):
+        assert main([command, INVALID_FIXTURE]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(INVALID_MESSAGE), captured.err
 
 
 @pytest.mark.parametrize(
@@ -707,21 +687,69 @@ BROKEN_COMPLEX = {
         ("check-descent", "--complex", "broken"),
         ("omega", "--word", "twist2", "--gen-a", "broken", "--gen-b", "O"),
         ("omega", "--word", "twist2", "--gen-a", "O", "--gen-b", "broken"),
+        ("strata",),
+        ("omega", "--word", "twist2"),
+        ("necessary", "--word", "mixed"),
+        ("check-descent", "--complex", "O"),
     ),
-    ids=("check-descent", "omega-gen-a", "omega-gen-b"),
+    ids=(
+        "check-descent",
+        "omega-gen-a",
+        "omega-gen-b",
+        "strata",
+        "omega-default",
+        "necessary",
+        "check-descent-other",
+    ),
 )
 def test_invalid_complex_error_names_its_json_path(tmp_path, capsys, argv):
+    """A problem file holding an invalid complex is refused by every
+    command, whichever complex the command itself uses."""
     with open(FIXTURE) as f:
         data = json.load(f)
-    data["complexes"]["broken"] = BROKEN_COMPLEX
+    with open(INVALID_FIXTURE) as f:
+        data["complexes"]["broken"] = json.load(f)["complexes"]["broken"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert main([argv[0], str(path), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: $.complexes.broken: complex fails validation: [equivariance] "
-    ), captured.err
+    assert captured.err.startswith(INVALID_MESSAGE), captured.err
+
+
+def test_omega_validates_each_complex_once(tmp_path, capsys, monkeypatch):
+    """``omega --gen-a c --gen-b c`` meets three complexes: c, its image and
+    the inverse word's image.  Each is validated once, d o d included (the
+    Koszul complex of P^2 has three consecutive maps), and c is descent-checked
+    once as both generators."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    problem = problem_to_dict(action, {"c": koszul_complex(action, (1, 1, 1))})
+    problem["words"] = {"w": [{"kind": "twist", "degree": 1, "twist": [1]}]}
+    path = tmp_path / "koszul.json"
+    path.write_text(json.dumps(problem))
+
+    validated, checked = [], []
+    find_violations = EquivariantComplex._find_violations
+    check_descent = words_module.check_descent
+
+    def counting_find_violations(complex_):
+        validated.append(complex_)
+        return find_violations(complex_)
+
+    def counting_check_descent(complex_, **kwargs):
+        checked.append(complex_)
+        return check_descent(complex_, **kwargs)
+
+    monkeypatch.setattr(EquivariantComplex, "_find_violations", counting_find_violations)
+    monkeypatch.setattr(words_module, "check_descent", counting_check_descent)
+    assert main(["omega", str(path), "--word", "w", "--gen-a", "c", "--gen-b", "c"]) == 0
+    capsys.readouterr()
+    assert len(validated) == 3
+    assert len({id(c) for c in validated}) == 3
+    assert all(c.differentials for c in validated)
+    assert len(checked) == 3
+    assert checked[0] is validated[0]
 
 
 def _p1_complex(second_map):
@@ -811,6 +839,28 @@ def test_internal_error_exits_3_without_a_verdict(error, monkeypatch, capsys):
     assert captured.err.startswith(f"internal error: {type(error).__name__}: ")
     assert "Traceback (most recent call last)" in captured.err
     assert "FAIL" not in captured.err
+
+
+def test_invalid_word_image_is_an_internal_error(monkeypatch, capsys):
+    """A word image is built by the package, so one that fails validation is
+    a bug (exit 3), not bad input, and the message names the word."""
+    def twist_into_broken(self, complex_):
+        # O(0) -> O(1) by x2, which the action makes odd: not equivariant.
+        trivial = complex_.action.group.trivial_character()
+        return EquivariantComplex(
+            complex_.action,
+            {0: (TwistedSummand(0, trivial),), 1: (TwistedSummand(1, trivial),)},
+            {0: {(0, 0): Poly.variable(3, 2)}},
+        )
+
+    monkeypatch.setattr(words_module.Twist, "apply", twist_into_broken)
+    assert main(["omega", FIXTURE, "--word", "twist2", "--gen-a", "O", "--gen-b", "O"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: InternalConsistencyError: word application produced an "
+        "invalid complex: ([equivariance] "
+    ), captured.err
 
 
 def test_installed_entry_point_works():

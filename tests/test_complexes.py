@@ -8,6 +8,7 @@ import pytest
 from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import (
     EquivariantComplex,
+    InternalConsistencyError,
     InvalidComplexError,
     TwistedSummand,
     _matrix_compose,
@@ -96,6 +97,35 @@ def test_d_squared_violation(z2_p2):
     with pytest.raises(InvalidComplexError) as exc:
         c.require_valid()
     assert exc.value.report.violations == report.violations
+
+
+def test_validation_is_kept_on_the_complex(z2_p2, monkeypatch):
+    c = EquivariantComplex(
+        z2_p2,
+        {0: (O(z2_p2, 0),), 1: (O(z2_p2, 1),), 2: (O(z2_p2, 2),)},
+        {0: {(0, 0): x(0)}, 1: {(0, 0): x(0)}},
+    )
+    report = c.validate()
+
+    def not_again(complex_):
+        raise AssertionError("validated twice")
+
+    monkeypatch.setattr(EquivariantComplex, "_find_violations", not_again)
+    assert c.validate() is report
+    with pytest.raises(InvalidComplexError):
+        c.require_valid()
+
+
+def test_an_invalid_built_complex_is_an_internal_error(z2_p2):
+    """The package's own complexes are checked by one call that names the
+    builder and raises the bug error, not the bad-input one."""
+    ok = EquivariantComplex(z2_p2, {0: (O(z2_p2, 0),), 1: (O(z2_p2, 1),)}, {0: {(0, 0): x(0)}})
+    assert ok.require_built_valid("mixing") is ok
+    bad = EquivariantComplex(z2_p2, {0: (O(z2_p2, 0),), 1: (O(z2_p2, 1),)}, {0: {(0, 0): x(2)}})
+    with pytest.raises(InternalConsistencyError) as exc:
+        bad.require_built_valid("mixing")
+    assert not isinstance(exc.value, InvalidComplexError)
+    assert str(exc.value).startswith("mixing produced an invalid complex: ([equivariance] ")
 
 
 def test_koszul_style_complex_is_valid(z2_p2):

@@ -134,6 +134,18 @@ def test_schema_errors_carry_json_paths():
         parse_problem(bad_kind)
 
 
+def test_invalid_complex_is_refused_with_its_path():
+    """A complex that fails validation is refused as it is parsed, named by
+    its JSON path, whether or not anything would use it."""
+    with open("tests/fixtures/z2_p2_invalid.json") as f:
+        data = json.load(f)
+    with pytest.raises(InputError) as exc:
+        parse_problem(data)
+    assert str(exc.value).startswith(
+        "$.complexes.broken: complex fails validation: [equivariance] "
+    ), str(exc.value)
+
+
 def test_duplicate_differential_entry_rejected():
     data = with_extras(
         complexes={
