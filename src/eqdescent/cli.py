@@ -9,22 +9,25 @@ to their first 8 in the summary and kept whole in the document.  Each
 distinct long table (a tuple of more than 16 entries: a stabilizer's element
 list, a character's values) is encoded once per report, and its text is
 reused wherever the same tuple appears again, so the text is what encoding
-every copy would give; a table is indexed by elements of the acting group,
-so on a group of order at most 16 nothing is looked for.  The strata
-summary lists the first 32 strata and counts the rest.  The document carries a ``report_digest``: sha256 of the
+every copy would give.  The strata summary lists the first 32 strata and
+counts the rest.  The document carries a ``report_digest``: sha256 of the
 canonical JSON (sorted keys, no spaces) of the payload without the digest
 itself and ``timing_seconds``.  So two runs with the same inputs are
 byte-identical except for the timing value and can be compared by digest.
 
+Each command returns its payload, its summary and its exit code, and
+``main`` writes the first two through ``_emit``, the one writer of reports.
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
-schema violation, invalid complex (named by its JSON path,
-``$.complexes.<name>``), a generator failing its own descent
-precondition, ``--samples`` or a ``selftest-oracle`` option out of range,
-a problem file that is not UTF-8 or nests too deeply),
-3 an internal error: any other exception, which is a bug in the package, not
-a verdict, 141 (128 + SIGPIPE) the reader closed stdout before the report
-was written out (``| head -c 100``).
+a key repeated in one of its objects, schema violation, invalid complex
+(named by its JSON path, ``$.complexes.<name>``), a generator failing its
+own descent precondition, ``necessary`` on a word holding a push (named
+``$.words.<name>``), ``--samples`` or a ``selftest-oracle`` option out of
+range, a problem file that is not UTF-8 or nests too deeply): every exit 2
+is an ``InputError``, which prints an ``error:`` line to stderr and nothing
+to stdout, 3 an internal error: any other exception, which is a bug in the
+package, not a verdict, 141 (128 + SIGPIPE) the reader closed stdout before
+the report was written out (``| head -c 100``).
 On an internal error no verdict is printed; stderr gets an
 ``internal error:`` line followed by the traceback.  A closed pipe prints
 nothing more, to stdout or stderr.
@@ -39,7 +42,7 @@ import os
 import sys
 import time
 
-from .action import MAX_SAMPLES_PER_STRATUM
+from .action import MAX_PROJECTIVE_DIM, MAX_SAMPLES_PER_STRATUM
 from .descent import LONG_TABLE, DescentReport, char_str, check_descent
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
@@ -106,24 +109,19 @@ def _write(value, tables: dict) -> str:
     return _dumps(value)
 
 
-def _canonical(value, tables: dict | None) -> str:
-    """Canonical JSON text (sorted keys, no spaces) of one top-level member,
-    straight from the C encoder when ``tables`` is None.  It runs once per
-    member, apart from the recursion in ``_write``, so the texts it returns
-    add up to the canonical report."""
-    return _dumps(value) if tables is None else _write(value, tables)
+def _canonical(value, tables: dict) -> str:
+    """Canonical JSON text (sorted keys, no spaces) of one top-level member.
+    It runs once per member, apart from the recursion in ``_write``, so the
+    texts it returns add up to the canonical report."""
+    return _write(value, tables)
 
 
-def _members(payload: dict, group_order: int | None = None) -> list:
+def _members(payload: dict) -> list:
     """(key, canonical value) of each member the digest covers, by key.
 
-    Every table of a report is indexed by elements of the acting group, so
-    when ``group_order`` (the order of that group, or a bound on it) is at
-    most ``LONG_TABLE`` there is no table to look for and each member goes
-    to the C encoder whole; the text is the same either way.  Otherwise the
-    members share one table memo; ``payload`` keeps every tuple keyed in it
-    alive meanwhile, so no id is reused."""
-    tables = None if group_order is not None and group_order <= LONG_TABLE else {}
+    The members share one table memo; ``payload`` keeps every tuple keyed in
+    it alive meanwhile, so no id is reused."""
+    tables = {}
     return [
         (key, _canonical(payload[key], tables))
         for key in sorted(payload)
@@ -146,10 +144,9 @@ def report_digest(payload: dict) -> str:
     return _digest(_members(payload))
 
 
-def _emit(payload: dict, human: str, started: float, out, group_order: int) -> None:
-    """Write the document and the summary; ``group_order`` is the order of
-    the acting group, or a bound on it (see ``_members``)."""
-    members = _members(payload, group_order)
+def _emit(payload: dict, human: str, started: float, out) -> None:
+    """Write the document and the summary."""
+    members = _members(payload)
     digest = _digest(members)
     timing = round(time.perf_counter() - started, 6)
     members += [("report_digest", json.dumps(digest)), ("timing_seconds", json.dumps(timing))]
@@ -266,8 +263,7 @@ def _add_sampling_flags(parser):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_strata(args, out) -> int:
-    started = time.perf_counter()
+def _cmd_strata(args) -> tuple:
     problem = load_problem(args.problem)
     action = problem.action
     strata = action.strata()
@@ -305,13 +301,10 @@ def _cmd_strata(args, out) -> int:
         lines.append(
             f"... and {len(strata) - SUMMARY_STRATA:,} more strata (the report lists every one)"
         )
-    human = "\n".join(lines)
-    _emit(payload, human, started, out, action.group.order)
-    return EXIT_PASS
+    return payload, "\n".join(lines), EXIT_PASS
 
 
-def _cmd_check_descent(args, out) -> int:
-    started = time.perf_counter()
+def _cmd_check_descent(args) -> tuple:
     problem = load_problem(args.problem)
     name, complex_ = problem.only_complex(args.complex)
     report = check_descent(complex_, **_sampling(args, problem))
@@ -321,12 +314,10 @@ def _cmd_check_descent(args, out) -> int:
         "report": report.to_dict(),
     }
     human = _descent_human(f"descent of {name!r}", report)
-    _emit(payload, human, started, out, problem.action.group.order)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return payload, human, EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _cmd_omega(args, out) -> int:
-    started = time.perf_counter()
+def _cmd_omega(args) -> tuple:
     problem = load_problem(args.problem)
     word_name, word = problem.only_word(args.word)
 
@@ -360,24 +351,21 @@ def _cmd_omega(args, out) -> int:
     ]
     for caveat in report.caveats():
         lines.append(f"note: {caveat}")
-    _emit(payload, "\n".join(lines), started, out, problem.action.group.order)
-    return EXIT_PASS if report.certified else EXIT_FAIL
+    return payload, "\n".join(lines), EXIT_PASS if report.certified else EXIT_FAIL
 
 
-def _cmd_necessary(args, out) -> int:
-    started = time.perf_counter()
+def _cmd_necessary(args) -> tuple:
     problem = load_problem(args.problem)
     word_name, word = problem.only_word(args.word)
-    report = necessary_check(word, problem.action)
+    try:
+        report = necessary_check(word, problem.action)
+    except InputError as err:
+        raise InputError(f"$.words.{word_name}: {err}") from None
     payload = {
         "command": "necessary",
         "word": word_name,
         "report": report.to_dict(),
     }
-    if not report.supported:
-        human = f"necessary conditions for word {word_name!r}: UNSUPPORTED\n{report.reason}"
-        _emit(payload, human, started, out, problem.action.group.order)
-        return EXIT_INVALID
     lines = [
         f"necessary kernel-fiber conditions for word {word_name!r}: "
         + ("PASS" if report.passed else "FAIL"),
@@ -389,20 +377,19 @@ def _cmd_necessary(args, out) -> int:
         "",
         _descent_human("condition (ii), inverse kernel fiber", report.condition_ii),
     ]
-    _emit(payload, "\n".join(lines), started, out, problem.action.group.order)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return payload, "\n".join(lines), EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _check_selftest_args(args) -> None:
-    """Reject option values that leave no random instance to draw."""
+    """Reject option values outside the ranges random instances are drawn
+    from."""
     _check_range("--trials", args.trials, 1)
-    _check_range("--max-dim", args.max_dim, 1)
+    _check_range("--max-dim", args.max_dim, 1, MAX_PROJECTIVE_DIM)
     _check_range("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
 
 
-def _cmd_selftest(args, out) -> int:
+def _cmd_selftest(args) -> tuple:
     _check_selftest_args(args)
-    started = time.perf_counter()
     report = run_oracle_selftest(
         trials=args.trials,
         seed=args.seed if args.seed is not None else 0,
@@ -417,9 +404,7 @@ def _cmd_selftest(args, out) -> int:
     ]
     if not report.passed:
         lines.append("replayable problem serializations are in the JSON payload above")
-    # Every random group has order at most --max-group-order.
-    _emit(payload, "\n".join(lines), started, out, args.max_group_order)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return payload, "\n".join(lines), EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-group-order", type=int, default=12, metavar="N",
         help=f"from 2 to {MAX_GROUP_ORDER}",
     )
-    p.add_argument("--max-dim", type=int, default=3, metavar="N", help="at least 1")
+    p.add_argument(
+        "--max-dim", type=int, default=3, metavar="N", help=f"from 1 to {MAX_PROJECTIVE_DIM}"
+    )
     p.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -492,7 +479,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, sys.stdout)
+        started = time.perf_counter()
+        payload, human, code = args.func(args)
+        _emit(payload, human, started, sys.stdout)
         # Flush here, so a reader that has gone away shows up below and not
         # as an error while the interpreter shuts down.
         sys.stdout.flush()

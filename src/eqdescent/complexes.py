@@ -100,21 +100,6 @@ class ValidationReport:
     ok: bool
     violations: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "degree": v.degree,
-                    "source": v.source,
-                    "target": v.target,
-                    "detail": v.detail,
-                }
-                for v in self.violations
-            ],
-        }
-
 
 class InvalidComplexError(InputError):
     """Raised when an operation requires a valid complex but validation

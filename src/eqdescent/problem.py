@@ -25,9 +25,10 @@ words, and optional extra points and sampling defaults:
 
 Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
 floats and exponent notation are rejected so every computation stays exact
-and small.  Malformed JSON is reported with line and column; schema problems
-are reported with the JSON path of the offending value.  Each complex is
-validated as it is parsed, so a file holding a complex that fails validation
+and small.  Malformed JSON is reported with line and column, and a key
+repeated in one object is refused; schema problems are reported with the
+JSON path of the offending value.  Each complex is validated as it is
+parsed, so a file holding a complex that fails validation
 (homogeneity, equivariance, d o d) is refused whole, with the message naming
 the complex by its path, ``$.complexes.<name>``.  Pushforward
 generators act on the problem's own action (coordinate permutation plus
@@ -329,9 +330,22 @@ def parse_problem(data) -> Problem:
     )
 
 
+def _object(pairs) -> dict:
+    """A JSON object, refused when it repeats a key: json.loads would keep
+    the last value and drop the others without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"problem file repeats the key {key!r} in one object")
+            seen.add(key)
+    return obj
+
+
 def load_problem_text(text: str) -> Problem:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as err:
         raise InputError(
             f"problem file is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"

@@ -18,6 +18,7 @@ from random import Random
 
 from .action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand, _matrix_compose
+from .errors import InputError
 from .groups import AbelianGroup, Character
 from .polynomials import Poly
 from .words import FunctorWord, Push, Shift, Twist
@@ -56,7 +57,11 @@ def random_character(rng: Random, group: AbelianGroup) -> Character:
 
 
 def random_action(rng: Random, group: AbelianGroup, max_dim: int = 3) -> ProjectiveAction:
-    dim = rng.randint(1, min(max_dim, MAX_PROJECTIVE_DIM))
+    """A random action on P^n for n from 1 to ``max_dim``, which must itself
+    lie in 1..MAX_PROJECTIVE_DIM."""
+    if not 1 <= max_dim <= MAX_PROJECTIVE_DIM:
+        raise InputError(f"max_dim must be from 1 to {MAX_PROJECTIVE_DIM}, got {max_dim}")
+    dim = rng.randint(1, max_dim)
     chars = tuple(random_character(rng, group) for _ in range(dim + 1))
     return ProjectiveAction(group, dim, chars)
 
@@ -186,13 +191,15 @@ def _random_mixing(rng: Random, action: ProjectiveAction, terms: dict, diffs: di
     return mixed
 
 
-def random_valid_complex(
-    rng: Random,
-    action: ProjectiveAction,
-    max_shards: int = 4,
-    max_degree: int = 3,
-    degree_span: int = 2,
-) -> EquivariantComplex:
+# A random complex has 1 to MAX_SHARDS shards, each placed at a degree in
+# [-DEGREE_SPAN, DEGREE_SPAN - 1] with a source twist degree in
+# [-MAX_DEGREE, MAX_DEGREE].
+MAX_SHARDS = 4
+MAX_DEGREE = 3
+DEGREE_SPAN = 2
+
+
+def random_valid_complex(rng: Random, action: ProjectiveAction) -> EquivariantComplex:
     """A random valid complex: block-diagonal shards mixed by a unipotent
     equivariant change of basis.  Always validates; a failure here is a bug
     in the generator, raised as InternalConsistencyError."""
@@ -206,9 +213,9 @@ def random_valid_complex(
         terms[j] = existing + (summand,)
         return len(existing)
 
-    for _ in range(rng.randint(1, max_shards)):
-        j = rng.randint(-degree_span, degree_span - 1)
-        src = random_summand(rng, group, max_degree)
+    for _ in range(rng.randint(1, MAX_SHARDS)):
+        j = rng.randint(-DEGREE_SPAN, DEGREE_SPAN - 1)
+        src = random_summand(rng, group, MAX_DEGREE)
         if rng.random() < 0.5:
             place(j, src)
             continue

@@ -16,7 +16,8 @@ equivalence of perfect complexes exactly when two generator images descend:
 the word applied to a generator, and the inverse word applied to another.
 ``omega_check`` decides both; ``necessary_check`` is its exact shortcut for
 shift/twist words, with O as both generators (the images are then the
-kernel's fibers, see ``NecessaryReport``).
+kernel's fibers, see ``NecessaryReport``), and refuses a word holding a push
+as bad input.
 """
 
 from __future__ import annotations
@@ -311,33 +312,17 @@ class NecessaryReport:
     applied to O in degree 0 (``kernel``).  The conditions ask that
     stabilizers act trivially on those fibers and on the inverse kernel's,
     which is exactly the stratum-by-stratum fiber character test ---
-    decidable exactly, with no sampling.  Words containing a push have no
-    kernel here (``kernel`` is None) and are reported as unsupported: their
-    kernels carry a product-group structure this tool does not model.
+    decidable exactly, with no sampling.  A word holding a push has no such
+    report: ``necessary_check`` refuses it.
     """
 
     word: FunctorWord
-    kernel: EquivariantComplex | None
-    condition_i: DescentReport | None
-    condition_ii: DescentReport | None
+    kernel: EquivariantComplex
+    condition_i: DescentReport
+    condition_ii: DescentReport
 
     @property
-    def supported(self) -> bool:
-        return self.kernel is not None
-
-    @property
-    def reason(self) -> str | None:
-        if self.supported:
-            return None
-        return (
-            "word contains a pushforward; its kernel needs a product-group "
-            "equivariant structure that is not modeled here"
-        )
-
-    @property
-    def passed(self) -> bool | None:
-        if not self.supported:
-            return None
+    def passed(self) -> bool:
         return self.condition_i.passed and self.condition_ii.passed
 
     @property
@@ -350,14 +335,15 @@ class NecessaryReport:
 
     def to_dict(self) -> dict:
         return {
-            "supported": self.supported,
-            "reason": self.reason,
-            "verdict": None if self.passed is None else ("pass" if self.passed else "fail"),
-            "condition_i": None if self.condition_i is None else self.condition_i.to_dict(),
-            "condition_ii": None if self.condition_ii is None else self.condition_ii.to_dict(),
-            "kernel": None
-            if not self.supported
-            else {
+            # Constant members: push words are refused before a report
+            # exists.  They stay so that the digests of earlier shift/twist
+            # reports still hold.
+            "supported": True,
+            "reason": None,
+            "verdict": "pass" if self.passed else "fail",
+            "condition_i": self.condition_i.to_dict(),
+            "condition_ii": self.condition_ii.to_dict(),
+            "kernel": {
                 "net_twist_degree": self.net_twist.degree,
                 "net_twist_character": list(self.net_twist.twist.coords),
                 "net_shift": self.net_shift,
@@ -368,9 +354,14 @@ class NecessaryReport:
 
 def necessary_check(word: FunctorWord, action: ProjectiveAction) -> NecessaryReport:
     """Run the exact kernel-fiber necessary conditions for a shift/twist
-    word: ``omega_check``'s two conditions with O as both generators."""
+    word: ``omega_check``'s two conditions with O as both generators.  A
+    word holding a push raises InputError: its kernel needs a product-group
+    equivariant structure that is not modeled here."""
     if any(isinstance(g, Push) for g in word.generators):
-        return NecessaryReport(word, None, None, None)
+        raise InputError(
+            "word contains a pushforward; its kernel needs a product-group "
+            "equivariant structure that is not modeled here"
+        )
     structure_sheaf = bundle_complex(action, TwistedSummand(0, action.group.trivial_character()))
     kernel = word.apply(structure_sheaf)
     inverse_kernel = word.inverse().apply(structure_sheaf)

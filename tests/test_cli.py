@@ -30,6 +30,7 @@ from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
 from conftest import koszul_complex, split_report
 
 FIXTURE = "tests/fixtures/z2_p2.json"
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,15 @@ def test_necessary_skips_trivial_stabilizers(cli):
         assert trivial == [[0, 2], [1, 2], [0, 1, 2]]
 
 
+def _assert_push_word_refused(code, text, err, word):
+    """``necessary`` on a word holding a push is bad input: exit 2, nothing
+    on stdout, and an error line naming the word by its JSON path."""
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"error: $.words.{word}: word contains a pushforward"), err
+    assert err.count("\n") == 1
+
+
 def test_necessary_pass_fail_and_unsupported(capsys, cli):
     code, _, payload = cli("necessary", FIXTURE, "--word", "mixed")
     assert code == 0
@@ -190,10 +200,8 @@ def test_necessary_pass_fail_and_unsupported(capsys, cli):
     }
     code, _, payload = cli("necessary", FIXTURE, "--word", "twist1")
     assert code == 1 and payload["report"]["verdict"] == "fail"
-    code, _, payload = cli("necessary", FIXTURE, "--word", "swap01")
-    assert code == 2
-    assert payload["report"]["supported"] is False
-    assert "pushforward" in payload["report"]["reason"]
+    code, text, _ = cli("necessary", FIXTURE, "--word", "swap01")
+    _assert_push_word_refused(code, text, capsys.readouterr().err, "swap01")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +261,7 @@ def test_selftest_exits_3_when_a_projector_is_not_idempotent(one_fiber_exponent_
     [
         ("--trials", "0"),
         ("--max-dim", "0"),
+        ("--max-dim", "11"),
         ("--max-group-order", "1"),
         ("--max-group-order", "10001"),
     ],
@@ -285,7 +294,7 @@ FIXTURE_COMMANDS = (
     [("strata", FIXTURE)]
     + [("check-descent", FIXTURE, "--complex", name) for name in ("O", "O1", "O2", "euler", "koszul")]
     + [("omega", FIXTURE, "--word", word) for word in ("twist1", "twist2", "shift3", "mixed", "swap01")]
-    + [("necessary", FIXTURE, "--word", word) for word in ("twist1", "mixed", "swap01")]
+    + [("necessary", FIXTURE, "--word", word) for word in ("twist1", "mixed")]
     + [("selftest-oracle", "--trials", "5", "--seed", "2")]
 )
 FIXTURE_IDS = [" ".join(a for a in argv if a != FIXTURE) for argv in FIXTURE_COMMANDS]
@@ -299,9 +308,9 @@ def test_report_is_a_one_line_document_then_the_summary(argv, cli, monkeypatch):
     emitted = []
     real_emit = cli_module._emit
 
-    def recording_emit(payload, human, started, out, group_order):
+    def recording_emit(payload, human, started, out):
         emitted.append((payload, human))
-        real_emit(payload, human, started, out, group_order)
+        real_emit(payload, human, started, out)
 
     monkeypatch.setattr(cli_module, "_emit", recording_emit)
     _, text, payload = cli(*argv)
@@ -344,9 +353,9 @@ def test_document_with_escaped_names_parses_and_digests(tmp_path, name, cli, mon
     emitted = []
     real_emit = cli_module._emit
 
-    def recording_emit(payload, human, started, out, group_order):
+    def recording_emit(payload, human, started, out):
         emitted.append(payload)
-        real_emit(payload, human, started, out, group_order)
+        real_emit(payload, human, started, out)
 
     monkeypatch.setattr(cli_module, "_emit", recording_emit)
     digest_of = _load_perfbench_run(monkeypatch).digest_of
@@ -541,7 +550,7 @@ def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
 
 
 @pytest.mark.parametrize(
-    "orders, chars, walks",
+    "orders, chars, finds",
     (
         ([2], [[0], [0], [1]], False),
         ([4, 4], [[0, 0], [1, 0], [0, 1]], False),
@@ -551,32 +560,36 @@ def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
     ids=("z2", "z4xz4", "z17", "z20"),
 )
 def test_table_search_runs_only_when_the_group_can_hold_a_long_table(
-    tmp_path, monkeypatch, cli, orders, chars, walks
+    tmp_path, monkeypatch, cli, orders, chars, finds
 ):
-    """A table is indexed by elements of the acting group, so a report on
-    a group of order at most 16 goes to the C encoder without a search for
-    tables; the document is the same either way."""
+    """A table is indexed by elements of the acting group, so the writer's
+    search finds one only in a report on a group of order above 16; on
+    smaller groups it finds nothing, and the document is what the C encoder
+    gives either way."""
     G = AbelianGroup(tuple(orders))
     action = ProjectiveAction(G, 2, tuple(G.character(c) for c in chars))
     complex_ = koszul_complex(action, (1, 1, 1))
     path = tmp_path / "koszul.json"
     path.write_text(json.dumps(problem_to_dict(action, {"c": complex_})))
-    searches = []
-    real = cli_module._holds_table
+    encoded = []
+    real_dumps = cli_module._dumps
 
-    def counting(items):
-        searches.append(1)
-        return real(items)
+    def recording_dumps(value):
+        encoded.append(value)
+        return real_dumps(value)
 
-    monkeypatch.setattr(cli_module, "_holds_table", counting)
+    monkeypatch.setattr(cli_module, "_dumps", recording_dumps)
     for argv in (("strata", str(path)), ("check-descent", str(path))):
-        searches.clear()
+        encoded.clear()
         code, text, payload = cli(*argv)
         assert code == 0
-        assert bool(searches) == walks, argv
+        tables = [v for v in encoded if type(v) is tuple and len(v) > cli_module.LONG_TABLE]
+        assert bool(tables) == finds, argv
         assert payload["report_digest"] == report_digest(payload)
         stripped = {k: v for k, v in payload.items() if k not in ("report_digest", "timing_seconds")}
-        assert cli_module._members(stripped, G.order) == cli_module._members(stripped)
+        assert cli_module._members(stripped) == [
+            (key, _canonical_json(stripped[key])) for key in sorted(stripped)
+        ]
 
 
 def test_missing_problem_file_exits_2(capsys):
@@ -596,8 +609,14 @@ def test_schema_error_exits_2(tmp_path, capsys):
     (
         (b"[" * 200_000 + b"]" * 200_000, "nests its arrays and objects too deeply"),
         (b'{"group": \xff}', "is not UTF-8: byte 10 is b'\\xff'"),
+        # The first "0" of one complex's terms fails at (0:0:1) and the
+        # second descends; plain JSON decoding keeps only the second.
+        (
+            open(os.path.join(FIXTURE_DIR, "z2_p2_repeated_key.json"), "rb").read(),
+            "error: problem file repeats the key '0' in one object\n",
+        ),
     ),
-    ids=("nested-200000-deep", "not-utf8"),
+    ids=("nested-200000-deep", "not-utf8", "repeated-key"),
 )
 def test_malformed_problem_file_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "malformed.json"
@@ -907,7 +926,8 @@ PINNED_DIGESTS = (
     (("omega", FIXTURE, "--word", "swap01"), "sha256:74204af69b3d799dd9b4228b1d6e415c4dd080b15186cc2030a64018f1262eb5"),
     (("necessary", FIXTURE, "--word", "mixed"), "sha256:9e3303577ce64778cd269791bcc1682127a831bafd8ecd990db057ae9a24fc7a"),
     (("necessary", FIXTURE, "--word", "twist1"), "sha256:e38ccdd438e2c96dacf28a3fddd482b07f791241d09649f541575a98799f7276"),
-    (("necessary", FIXTURE, "--word", "swap01"), "sha256:f18763b4db7d6ec7f22c3f102a8ba80b193871cfd361287967b3500d1d22edea"),
+    # A word holding a push has no necessary report: exit 2 (None below).
+    (("necessary", FIXTURE, "--word", "swap01"), None),
     (("omega", FIXTURE, "--word", "mixed"), "sha256:decf6c1067d3ca2b4e247109123ae9210a67e09d1f3be4c98710fe5eea8cd026"),
 )
 
@@ -915,11 +935,14 @@ PINNED_DIGESTS = (
 @pytest.mark.parametrize(
     "argv, digest", PINNED_DIGESTS, ids=[" ".join(argv[:1] + argv[2:]) for argv, _ in PINNED_DIGESTS]
 )
-def test_fixture_report_digests_are_pinned(argv, digest, cli):
+def test_fixture_report_digests_are_pinned(argv, digest, cli, capsys):
     """Any change to a report's content shows up here; CHANGES.md names
     every digest that was re-recorded on purpose, and why."""
-    _, _, payload = cli(*argv)
-    assert payload["report_digest"] == digest
+    code, text, payload = cli(*argv)
+    if digest is None:
+        _assert_push_word_refused(code, text, capsys.readouterr().err, argv[-1])
+    else:
+        assert payload["report_digest"] == digest
 
 
 # push (x0, x1, x2) -> (2 x1, x0, x2 / 3), then O(2) (x) sign, then shift by -1
@@ -937,12 +960,12 @@ COMPOSITE_WORD = [
          "sha256:65a5d7d52cafeaeb2c18607e8bf5e5cb684badc496ed62abebc2270f28890561"),
         (("omega",), 1,
          "sha256:0780d85b6d4e42eef223087c632a2451887d3474bb54eded3b964963b5a8573d"),
-        (("necessary",), 2,
-         "sha256:a1106aec77211e7d93166f04fb52b03f4ccb39bcf98badacb7772f3150d4ee43"),
+        # No report: exit 2 with an error line.
+        (("necessary",), 2, None),
     ),
     ids=("omega-koszul", "omega-default", "necessary"),
 )
-def test_composite_word_report_digests_are_pinned(tmp_path, argv, code, digest, cli):
+def test_composite_word_report_digests_are_pinned(tmp_path, argv, code, digest, cli, capsys):
     """A push with scalars, a twist and a shift in one word: the Koszul
     complex stays exact under it, the sign twist breaks the default
     generator, and ``necessary`` refuses the push."""
@@ -953,9 +976,12 @@ def test_composite_word_report_digests_are_pinned(tmp_path, argv, code, digest, 
     problem["words"] = {"pts": COMPOSITE_WORD}
     path = tmp_path / "composite.json"
     path.write_text(json.dumps(problem))
-    got, _, payload = cli(argv[0], str(path), "--word", "pts", *argv[1:])
+    got, text, payload = cli(argv[0], str(path), "--word", "pts", *argv[1:])
     assert got == code
-    assert payload["report_digest"] == digest
+    if digest is None:
+        _assert_push_word_refused(got, text, capsys.readouterr().err, "pts")
+    else:
+        assert payload["report_digest"] == digest
 
 
 @pytest.mark.parametrize(

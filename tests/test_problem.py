@@ -237,6 +237,39 @@ def test_duplicate_degree_keys_are_rejected(body, path):
         parse_problem(data)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"group": {"orders": [2]}, '
+            '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
+            '"complexes": {"c": {"terms": {"0": [{"degree": 0, "twist": [1]}], '
+            '"0": [{"degree": 0, "twist": [0]}]}}}}',
+            "0",
+        ),
+        (
+            '{"group": {"orders": [2]}, '
+            '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
+            '"complexes": {"c": {"terms": {"0": [{"degree": 1}]}}, '
+            '"c": {"terms": {"0": [{"degree": 0}]}}}}',
+            "c",
+        ),
+        (
+            '{"group": {"orders": [2]}, '
+            '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
+            '"group": {"orders": [3]}}',
+            "group",
+        ),
+    ],
+    ids=["terms", "complexes", "top-level"],
+)
+def test_repeated_keys_are_rejected(text, key):
+    """json.loads keeps the last of two equal keys and drops the other
+    without a word, which can flip a verdict; the file is refused instead."""
+    with pytest.raises(InputError, match=rf"^problem file repeats the key '{key}' in one object$"):
+        load_problem_text(text)
+
+
 def test_twist_defaults_to_trivial_character():
     data = with_extras(complexes={"c": {"terms": {"0": [{"degree": 4}]}}})
     problem = parse_problem(data)

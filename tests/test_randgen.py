@@ -6,8 +6,8 @@ from random import Random
 
 import pytest
 
-from eqdescent.action import ProjectiveAction
-from eqdescent.groups import AbelianGroup
+from eqdescent.action import MAX_PROJECTIVE_DIM, ProjectiveAction
+from eqdescent.groups import AbelianGroup, InputError
 from eqdescent.randgen import (
     _order_tuples,
     equivariant_monomials,
@@ -55,6 +55,12 @@ def test_random_groups_and_actions_respect_bounds():
         assert 1 <= action.dim <= 3
         s = random_summand(rng, group, max_degree=3)
         assert -3 <= s.degree <= 3
+
+
+@pytest.mark.parametrize("max_dim", [0, MAX_PROJECTIVE_DIM + 1])
+def test_random_action_refuses_a_dimension_bound_it_cannot_draw_up_to(max_dim):
+    with pytest.raises(InputError, match=f"max_dim must be from 1 to {MAX_PROJECTIVE_DIM}"):
+        random_action(Random(1), AbelianGroup((2,)), max_dim=max_dim)
 
 
 def test_random_points_have_nonzero_support():

@@ -206,7 +206,6 @@ def test_net_shift_and_net_twist(z2_p2):
         (Twist(O(z2_p2, 1, (1,))), Shift(2), Twist(O(z2_p2, 2, (1,))), Shift(-3))
     )
     report = necessary_check(word, z2_p2)
-    assert report.supported
     assert report.net_shift == -1
     assert report.net_twist.degree == 3
     assert report.net_twist.twist.is_trivial  # (1,) + (1,) = (0,) in Z/2
@@ -326,7 +325,6 @@ def test_omega_and_necessary_agree_on_twist_words(z2_p2):
 def test_necessary_accumulates_net_twist_and_shift(z2_p2):
     word = FunctorWord((Twist(O(z2_p2, 1)), Shift(2), Twist(O(z2_p2, 1, (1,)))))
     report = necessary_check(word, z2_p2)
-    assert report.supported
     assert report.net_twist.degree == 2
     assert report.net_twist.twist.coords == (1,)
     assert report.net_shift == 2
@@ -348,13 +346,17 @@ def test_necessary_conditions_run_both_directions(z2_p2):
     assert report.condition_i.exact and report.condition_ii.exact
 
 
-def test_necessary_rejects_push_words(z2_p2):
+def test_necessary_rejects_push_words(z2_p2, cli, capsys):
+    """A word holding a push is bad input, not a verdict: the library raises
+    InputError, and the command exits 2 with an error line naming the word
+    and nothing on stdout."""
     push = Push(z2_p2, (1, 0, 2), (1, 1, 1))
-    report = necessary_check(FunctorWord((push, Shift(1))), z2_p2)
-    assert not report.supported
-    assert report.passed is None
-    assert "pushforward" in report.reason
-    assert report.to_dict()["verdict"] is None
+    with pytest.raises(InputError, match="^word contains a pushforward"):
+        necessary_check(FunctorWord((push, Shift(1))), z2_p2)
+    code, text, _ = cli("necessary", "tests/fixtures/z2_p2.json", "--word", "swap01")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: $.words.swap01: word contains a pushforward")
 
 
 def test_necessary_failure_implies_omega_failure(z2_p2):
