@@ -9,34 +9,40 @@ c_i in Z/n_i; its value on a group element g is the exponent
 of the primitive m-th root of unity zeta_m.  Character values are always
 handled as exponents in Z/m, never as complex numbers, so every comparison
 in the package is exact.  ``Character.values`` evaluates a character on
-elements given one coordinate column at a time, reducing mod m as it sums.
+elements given one coordinate column at a time, reducing mod m as it sums;
+on the whole group, tables are built from the factor orders alone.
 
 Coordinates are checked once, where they enter: ``AbelianGroup.character``,
 ``Character(...)``, ``Character.__call__`` and ``Subgroup(parent,
 generators)`` refuse a wrong count or a coordinate that is not an int.
 Sums, differences, negatives and ``scaled`` multiples of characters are
 built from coordinates already checked, reduced mod the orders in the same
-pass, through the unchecked ``Character._raw``.
+pass, through the unchecked ``Character._raw``; the tables the package
+computes are built through the unchecked ``CharacterRestriction._raw``.
 
 A group element is its coordinate tuple (g_1, ..., g_r), and
 ``AbelianGroup.elements`` lists them all in lexicographic order.  A
 ``Subgroup`` is held as ``coords``, the sorted tuple of its elements, and
 ``columns``, the same elements one coordinate at a time.
-``equalizer_subgroup`` starts from the whole group, ``elements`` itself,
-and cuts it down once per character to the elements where a restriction
-table reads 0; filtering a sorted tuple keeps it sorted, so no cut is
-closed or sorted again.  Only ``Subgroup(parent, generators)`` closes its
-generators, by cyclic extension: adjoining g to H adds the disjoint cosets
-H + i*g, 0 < i < (order of g modulo H).
+``equalizer_subgroup`` cuts G once per nontrivial difference of its
+characters: the first cut is enumerated as a kernel on G, one arithmetic
+progression of last coordinates per prefix, with no table over G; each
+later cut keeps the elements where a restriction table reads 0.  Filtering
+a sorted tuple keeps it sorted, so no cut is closed or sorted again.  Only
+``Subgroup(parent, generators)`` closes its generators, by cyclic
+extension: adjoining g to H adds the disjoint cosets H + i*g,
+0 < i < (order of g modulo H).
 
 Caches, each tied to the object that owns it and living as long as it:
 
-  * ``AbelianGroup.whole_subgroup`` is built once per group object;
+  * ``AbelianGroup.elements`` and ``AbelianGroup.whole_subgroup`` are built
+    once per group object, and the group keeps every first cut, keyed by
+    the difference character's coordinates;
   * a subgroup keeps the restriction of every character it has been asked
     for, keyed by the character's coordinates, so ``Character.restrict``
     computes each value table once per subgroup;
   * a restriction keeps its ``kernel``, so equalizers that begin with the
-    same characters share their cuts, and the cuts their tables.
+    same characters share their later cuts, and the cuts their tables.
 
 The strata of an action, and with them its stabilizers, are cached on the
 ``ProjectiveAction`` (see ``action``).
@@ -46,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -86,15 +93,18 @@ class AbelianGroup:
     @cached_property
     def elements(self) -> tuple:
         """All elements as coordinate tuples, in lexicographic order."""
-        out = [()]
-        for n in self.orders:
-            out = [c + (i,) for c in out for i in range(n)]
-        return tuple(out)
+        return tuple(product(*map(range, self.orders)))
 
     @cached_property
     def whole_subgroup(self) -> "Subgroup":
         """The group as a subgroup of itself, built once per group object."""
         return Subgroup._raw(self, self.elements)
+
+    @cached_property
+    def _cuts(self) -> dict:
+        """The first cuts of ``equalizer_subgroup``, keyed by the difference
+        character's coordinates (see ``_product_kernel``)."""
+        return {}
 
     def character(self, coords) -> "Character":
         return Character(self, tuple(coords))
@@ -207,8 +217,13 @@ class Character:
             raise InputError("subgroup belongs to a different group")
         found = sub._restrictions.get(self.coords)
         if found is None:
-            found = sub._restrictions[self.coords] = CharacterRestriction(
-                sub, self.values(sub.columns)
+            group = self.group
+            if sub.order == group.order:  # the whole group, in ``elements`` order
+                values = _product_table(self.coords, group.orders, group.exponent)
+            else:
+                values = self.values(sub.columns)
+            found = sub._restrictions[self.coords] = CharacterRestriction._raw(
+                sub, tuple(values)
             )
         return found
 
@@ -318,6 +333,15 @@ class CharacterRestriction:
             values = tuple(v % m for v in values)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _raw(cls, subgroup: Subgroup, values: tuple) -> "CharacterRestriction":
+        """The restriction with ``values``, already reduced and aligned with
+        ``subgroup.coords``, unchecked."""
+        found = object.__new__(cls)
+        object.__setattr__(found, "subgroup", subgroup)
+        object.__setattr__(found, "values", values)
+        return found
+
     @property
     def modulus(self) -> int:
         return self.subgroup.parent.exponent
@@ -341,14 +365,57 @@ class CharacterRestriction:
         return f"restriction{self.values} mod {self.modulus}"
 
 
+def _product_table(coords, orders, m: int) -> list:
+    """Values of the exponent vector ``coords`` mod m on every element of
+    Z/n_1 x ... x Z/n_k (``orders``), in lexicographic order: the table so
+    far, each value summed with every value of the next factor."""
+    table = [0]
+    for c, n in zip(coords, orders):
+        w = c * (m // n)
+        col = [w * h % m for h in range(n)]
+        table = col if table == [0] else [(x + y) % m for x in table for y in col]
+    return table
+
+
+def _product_kernel(chi: Character) -> Subgroup:
+    """The elements of the whole group where ``chi`` reads 0, in
+    lexicographic order, enumerated without a table over the group.
+
+    For each prefix (g_1, ..., g_{r-1}) with partial value x, the last
+    coordinates h with w_r * h = -x (mod m) are none unless d = gcd(w_r, m)
+    divides x, and otherwise the progression h0, h0 + p, ... below n_r with
+    p = m / d = n_r / gcd(c_r, n_r) and h0 = (-x / d) * (w_r / d)^-1 mod p.
+    Costs O(|G| / n_r + |kernel|); kept on the group, by coordinates.
+    """
+    group = chi.group
+    found = group._cuts.get(chi.coords)
+    if found is None:
+        *head, n = group.orders
+        m = group.exponent
+        w = chi.coords[-1] * (m // n)
+        d = gcd(w, m)
+        p = m // d
+        inverse = pow(w // d, -1, p)
+        prefixes = product(*map(range, head))
+        partial = _product_table(chi.coords, head, m)  # zip stops at the head
+        found = group._cuts[chi.coords] = Subgroup._raw(group, tuple(
+            g + (h,)
+            for g, x in zip(prefixes, partial)
+            if not x % d
+            for h in range(-x // d * inverse % p, n, p)
+        ))
+    return found
+
+
 def equalizer_subgroup(chars) -> Subgroup:
     """Largest subgroup on which all the given characters agree.
 
-    Starts from the whole group and, for each later character chi, cuts the
-    subgroup so far down to the kernel of (chi - chi_1) restricted to it.
-    Equalizers whose character lists share a prefix share those cuts.  An
-    empty character list is an input error (there is no canonical
-    "agreement" subgroup without at least one character).
+    Each nontrivial difference chi - chi_1 cuts the group: the first by its
+    kernel on G, enumerated directly, each later one by the kernel of its
+    restriction to the subgroup so far.  Equalizers whose character lists
+    share a prefix share those cuts.  An empty character list is an input
+    error (there is no canonical "agreement" subgroup without at least one
+    character).
     """
     chars = list(chars)
     if not chars:
@@ -356,7 +423,10 @@ def equalizer_subgroup(chars) -> Subgroup:
     group = chars[0].group
     if any(c.group != group for c in chars):
         raise InputError("characters belong to different groups")
-    sub = group.whole_subgroup
-    for chi in chars[1:]:
-        sub = (chi - chars[0]).restrict(sub).kernel
+    deltas = [delta for delta in (chi - chars[0] for chi in chars[1:]) if not delta.is_trivial]
+    if not deltas:
+        return group.whole_subgroup
+    sub = _product_kernel(deltas[0])
+    for delta in deltas[1:]:
+        sub = delta.restrict(sub).kernel
     return sub

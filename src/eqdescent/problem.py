@@ -25,9 +25,9 @@ words, and optional extra points and sampling defaults:
 
 Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
 floats and exponent notation are rejected so every computation stays exact
-and small.  Malformed JSON is reported with line and column, and a key
-repeated in one object is refused; schema problems are reported with the
-JSON path of the offending value.  Each complex is validated as it is
+and small.  Malformed JSON is reported with line and column, a key
+repeated in one object with the path of that object, and schema problems
+with the JSON path of the offending value.  Each complex is validated as it is
 parsed, so a file holding a complex that fails validation
 (homogeneity, equivariance, d o d) is refused whole, with the message naming
 the complex by its path, ``$.complexes.<name>``.  Pushforward
@@ -330,22 +330,53 @@ def parse_problem(data) -> Problem:
     )
 
 
+class _RepeatedKey(Exception):
+    """Raised by ``_object`` on an object that repeats a key."""
+
+
+class _Pairs(list):
+    """A decoded JSON object as its (key, value) pairs, repeats kept."""
+
+
 def _object(pairs) -> dict:
     """A JSON object, refused when it repeats a key: json.loads would keep
     the last value and drop the others without a word."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise InputError(f"problem file repeats the key {key!r} in one object")
-            seen.add(key)
+        raise _RepeatedKey
     return obj
+
+
+def _decode(text: str):
+    """json.loads, refusing a repeated key with the path of its object.
+
+    Only a refused text is decoded a second time, keeping every pair, and
+    walked in document order to the first object that repeats a key; the
+    first decoding met one, so the walk does.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_object)
+    except _RepeatedKey:
+        pass
+    stack = [([], json.loads(text, object_pairs_hook=_Pairs))]
+    while True:
+        path, value = stack.pop()
+        if isinstance(value, _Pairs):
+            seen = set()
+            for key, _ in value:
+                if key in seen:
+                    _fail(path, f"object repeats the key {key!r}")
+                seen.add(key)
+        elif isinstance(value, list):
+            value = list(enumerate(value))
+        else:
+            continue
+        stack.extend((path + [key], item) for key, item in reversed(value))
 
 
 def load_problem_text(text: str) -> Problem:
     try:
-        data = json.loads(text, object_pairs_hook=_object)
+        data = _decode(text)
     except json.JSONDecodeError as err:
         raise InputError(
             f"problem file is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"

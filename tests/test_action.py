@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqdescent.action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
-from eqdescent.groups import AbelianGroup, InputError
+from eqdescent.groups import AbelianGroup, Character, InputError
 
 
 def z2_p2_action():
@@ -234,6 +234,29 @@ def test_strata_stabilizers_match_brute_force(actions):
             assert list(stratum.stabilizer.coords) == elements, (action, stratum)
             lead = action.coord_chars[stratum.support[0]]
             assert stratum.scalar_char.values == tuple(lead(g) for g in elements)
+
+
+def test_first_cuts_are_enumerated_without_a_table_over_the_group(monkeypatch):
+    """Z/2 x Z/5000 with characters (0,0), (1,2), (0,5), as in the CI
+    ``z2xz5000`` check: ``strata()`` cuts each stabilizer out of G without
+    restricting any character, difference characters included, to all of G,
+    and the stabilizers still match direct evaluation."""
+    g = AbelianGroup((2, 5000))
+    action = ProjectiveAction(g, 2, tuple(g.character(c) for c in ((0, 0), (1, 2), (0, 5))))
+    restricted = []
+    restrict = Character.restrict
+
+    def recording_restrict(chi, sub):
+        restricted.append((chi.coords, sub.order))
+        return restrict(chi, sub)
+
+    monkeypatch.setattr(Character, "restrict", recording_restrict)
+    strata = action.strata()
+    assert restricted, "no later cut was read from a table"
+    assert all(order < g.order for _, order in restricted), restricted
+    expected = brute_force_stabilizers(action)
+    for stratum in strata:
+        assert list(stratum.stabilizer.coords) == expected[stratum.support], stratum
 
 
 def test_strata_dim_bound():

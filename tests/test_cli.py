@@ -613,7 +613,7 @@ def test_schema_error_exits_2(tmp_path, capsys):
         # second descends; plain JSON decoding keeps only the second.
         (
             open(os.path.join(FIXTURE_DIR, "z2_p2_repeated_key.json"), "rb").read(),
-            "error: problem file repeats the key '0' in one object\n",
+            "error: $.complexes.twice.terms: object repeats the key '0'\n",
         ),
     ),
     ids=("nested-200000-deep", "not-utf8", "repeated-key"),

@@ -2,12 +2,14 @@
 
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from eqdescent.groups import (
+    MAX_GROUP_ORDER,
     AbelianGroup,
     Character,
     CharacterRestriction,
@@ -353,6 +355,62 @@ def test_equalizer_exhaustive_small_groups():
         for pair in itertools.product(all_chars, repeat=2):
             s = equalizer_subgroup(list(pair))
             assert list(s.coords) == brute_force_equalizer(list(pair))
+
+
+def test_first_cut_and_whole_group_tables_match_evaluation():
+    """On groups of rank 1-3 and order up to 10,000: ``elements`` is the
+    lexicographic list of G; the first cut of an equalizer, enumerated one
+    progression per prefix, is [g for g in G.elements if delta(g) == 0] in
+    the same order, and is shared by equalizers with the same difference;
+    the whole-group table built from the factor orders is delta(g) element
+    by element.  Zero coordinates, non-units and factors with a common
+    divisor are all met."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    met = set()
+
+    @st.composite
+    def groups_and_characters(draw):
+        rank = draw(st.integers(1, 3))
+        orders, budget = [], MAX_GROUP_ORDER
+        for _ in range(rank):
+            n = draw(st.integers(1, min(budget, MAX_GROUP_ORDER if rank == 1 else 150)))
+            orders.append(n)
+            budget //= n
+        coords = tuple(
+            draw(st.one_of(
+                st.just(0),
+                st.sampled_from([d for d in range(1, n) if n % d == 0] or [0]),
+                st.integers(0, n - 1),
+            ))
+            for n in orders
+        )
+        return AbelianGroup(tuple(orders)), coords
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(groups_and_characters())
+    def check(case):
+        group, coords = case
+        orders = group.orders
+        if coords[-1] == 0 and orders[-1] > 1:
+            met.add("zero")
+        if any(c and math.gcd(c, n) > 1 for c, n in zip(coords, orders)):
+            met.add("non-unit")
+        if math.gcd(*orders) > 1 and len(orders) > 1:
+            met.add("common divisor")
+        elements = group.elements
+        assert len(elements) == group.order
+        assert all(a < b for a, b in zip(elements, elements[1:]))
+        assert elements[-1] == tuple(n - 1 for n in orders)
+        delta = group.character(coords)
+        table = [delta(g) for g in elements]
+        cut = equalizer_subgroup([group.trivial_character(), delta])
+        assert list(cut.coords) == [g for g, v in zip(elements, table) if v == 0]
+        assert equalizer_subgroup([delta, delta.scaled(2)]) is cut
+        assert delta.restrict(group.whole_subgroup).values == tuple(table)
+
+    check()
+    assert met == {"zero", "non-unit", "common divisor"}, met
 
 
 # ---------------------------------------------------------------------------

@@ -505,8 +505,9 @@ def test_oracle_imports_nothing_from_the_block_route():
     """The two cohomology routes share no linear algebra and no subgroup
     machinery: oracle.py imports neither the descent module nor linalg, nor
     the stabilizer route (``Subgroup``, ``equalizer_subgroup``,
-    ``smith_normal_form``) under any module path, and reads no whole-group
-    subgroup, restriction table or kernel cut off any object."""
+    ``smith_normal_form``, the table and kernel helpers of ``groups``) under
+    any module path, and reads no whole-group subgroup, restriction table,
+    kernel or cached cut off any object."""
     tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
     imported = set()
     attributes = set()
@@ -521,10 +522,15 @@ def test_oracle_imports_nothing_from_the_block_route():
             attributes.add(node.attr)
     assert imported, "no imports parsed"
     assert "values" in attributes, "no attributes parsed"
-    forbidden = {"descent", "linalg", "Subgroup", "equalizer_subgroup", "smith_normal_form"}
+    forbidden = {
+        "descent", "linalg", "Subgroup", "equalizer_subgroup", "smith_normal_form",
+        "_product_table", "_product_kernel",
+    }
     for parts in imported:
         assert not forbidden.intersection(parts), parts
-    assert not attributes & {"whole_subgroup", "restrict", "kernel"}, attributes
+    assert not attributes & {
+        "whole_subgroup", "restrict", "kernel", "_cuts", "_product_table", "_product_kernel",
+    }, attributes
 
 
 # ---------------------------------------------------------------------------

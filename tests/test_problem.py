@@ -238,13 +238,14 @@ def test_duplicate_degree_keys_are_rejected(body, path):
 
 
 @pytest.mark.parametrize(
-    "text, key",
+    "text, path, key",
     [
         (
             '{"group": {"orders": [2]}, '
             '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
             '"complexes": {"c": {"terms": {"0": [{"degree": 0, "twist": [1]}], '
             '"0": [{"degree": 0, "twist": [0]}]}}}}',
+            r"\$\.complexes\.c\.terms",
             "0",
         ),
         (
@@ -252,22 +253,51 @@ def test_duplicate_degree_keys_are_rejected(body, path):
             '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
             '"complexes": {"c": {"terms": {"0": [{"degree": 1}]}}, '
             '"c": {"terms": {"0": [{"degree": 0}]}}}}',
+            r"\$\.complexes",
             "c",
         ),
         (
             '{"group": {"orders": [2]}, '
             '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
             '"group": {"orders": [3]}}',
+            r"\$",
             "group",
         ),
+        (
+            '{"group": {"orders": [2]}, '
+            '"action": {"dim": 2, "coordinate_characters": [[0], [0], [1]]}, '
+            '"points": [["1", "0", "0"], {"x": 1, "y": {"z": 1, "z": 2}, "x": 3}]}',
+            r"\$\.points\[1\]",
+            "x",
+        ),
     ],
-    ids=["terms", "complexes", "top-level"],
+    ids=["terms", "complexes", "top-level", "first-in-document-order"],
 )
-def test_repeated_keys_are_rejected(text, key):
+def test_repeated_keys_are_rejected(text, path, key):
     """json.loads keeps the last of two equal keys and drops the other
-    without a word, which can flip a verdict; the file is refused instead."""
-    with pytest.raises(InputError, match=rf"^problem file repeats the key '{key}' in one object$"):
+    without a word, which can flip a verdict; the file is refused instead,
+    naming the object that repeats the key by its JSON path."""
+    with pytest.raises(InputError, match=rf"^{path}: object repeats the key '{key}'$"):
         load_problem_text(text)
+
+
+def test_only_a_refused_file_is_decoded_twice(monkeypatch):
+    """The walk that finds a repeated key's path decodes the text again;
+    a file without repeats is decoded once."""
+    text = json.dumps(with_extras())
+    decodes = []
+    real_loads = json.loads
+
+    def counting_loads(text, **kwargs):
+        decodes.append(kwargs["object_pairs_hook"])
+        return real_loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    load_problem_text(text)
+    assert len(decodes) == 1
+    with pytest.raises(InputError, match=r"^\$: object repeats the key 'points'$"):
+        load_problem_text('{"points": [], "points": []}')
+    assert len(decodes) == 3
 
 
 def test_twist_defaults_to_trivial_character():
