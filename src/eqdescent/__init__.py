@@ -7,6 +7,8 @@ functor words built from shifts, twists and pushes along automorphisms induce
 equivalences downstairs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .action import ProjectiveAction, RationalPoint, Stratum
 from .complexes import (
     EquivariantComplex,
@@ -56,50 +58,8 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "BlockComplex",
-    "Character",
-    "CharacterRestriction",
-    "DescentReport",
-    "EquivariantComplex",
-    "FiberComplex",
-    "FunctorWord",
-    "GeneratorRejectedError",
-    "GradedSpace",
-    "InputError",
-    "InternalConsistencyError",
-    "InvalidComplexError",
-    "NecessaryReport",
-    "OmegaReport",
-    "Poly",
-    "Problem",
-    "ProjectiveAction",
-    "Push",
-    "RationalPoint",
-    "SandwichResult",
-    "SelftestReport",
-    "Shift",
-    "Stratum",
-    "Subgroup",
-    "Twist",
-    "TwistedSummand",
-    "ValidationReport",
-    "Witness",
-    "block_cohomology",
-    "bundle_complex",
-    "check_bundle_descent",
-    "check_descent",
-    "default_generator",
-    "equalizer_subgroup",
-    "fiber_restrict",
-    "isotypic_cohomology",
-    "load_problem",
-    "necessary_check",
-    "omega_check",
-    "parse_problem",
-    "problem_to_dict",
-    "run_oracle_selftest",
-    "sandwich_check",
-    "__version__",
-]
+# Every name imported above, and the version.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

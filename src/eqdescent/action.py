@@ -59,9 +59,11 @@ class RationalPoint:
         return tuple(v // common for v in ints)
 
     def canonical(self) -> "RationalPoint":
-        """Rescale so the first nonzero coordinate is 1."""
+        """Rescale so the first nonzero coordinate is 1; built unchecked."""
         lead = self.coords[self.support[0]]
-        return RationalPoint(tuple(c / lead for c in self.coords))
+        point = object.__new__(RationalPoint)
+        point.__dict__["coords"] = tuple(c / lead for c in self.coords)
+        return point
 
     def display(self) -> str:
         return "(" + ":".join(str(c) for c in self.canonical().coords) + ")"

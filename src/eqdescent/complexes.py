@@ -10,7 +10,10 @@ homogeneous coordinates.  Such an entry is a legal sheaf map exactly when
                                                            (equivariance),
 
 and the collection is a complex when d o d = 0 as polynomial matrices.
-``EquivariantComplex.validate`` reports all three independently.  The
+``EquivariantComplex.validate`` reports all three independently.  It
+computes the degree and character coordinates of each distinct monomial
+once per complex and compares coordinate tuples, so it builds one
+character per distinct monomial, not one per monomial or entry.  The
 d o d check sums the products that make up each composite entry as integer
 numerators over the lcm of their denominators and builds a polynomial only
 for a nonzero sum, so products that cancel are never normalised, and a
@@ -236,52 +239,38 @@ class EquivariantComplex:
     def _find_violations(self) -> ValidationReport:
         violations = []
         monomial_character = self.action.monomial_character
+        orders = self.action.group.orders
+        seen = {}  # exponent vector -> (degree, character coordinates)
         for j, entries in sorted(self.differentials.items()):
             for (s, t), p in sorted(entries.items()):
-                src = self.terms[j][s]
-                tgt = self.terms[j + 1][t]
+                src, tgt = self.terms[j][s], self.terms[j + 1][t]
                 want_deg = tgt.degree - src.degree
-                want_char = tgt.twist - src.twist
+                want_char = tuple(
+                    (a - b) % n for a, b, n in zip(tgt.twist.coords, src.twist.coords, orders)
+                )
                 for exps in sorted(p.numerators):
-                    if sum(exps) != want_deg:
-                        violations.append(
-                            Violation(
-                                "homogeneity",
-                                j,
-                                s,
-                                t,
-                                f"monomial {exps} has degree {sum(exps)}, "
-                                f"entry requires {want_deg}",
-                            )
-                        )
-                    if monomial_character(exps) != want_char:
-                        violations.append(
-                            Violation(
-                                "equivariance",
-                                j,
-                                s,
-                                t,
-                                f"monomial {exps} transforms by "
-                                f"{monomial_character(exps).coords}, entry requires "
-                                f"{want_char.coords}",
-                            )
-                        )
+                    found = seen.get(exps)
+                    if found is None:
+                        found = seen[exps] = (sum(exps), monomial_character(exps).coords)
+                    degree, char = found
+                    if degree != want_deg:
+                        violations.append(Violation("homogeneity", j, s, t, (
+                            f"monomial {exps} has degree {degree}, entry requires {want_deg}"
+                        )))
+                    if char != want_char:
+                        violations.append(Violation("equivariance", j, s, t, (
+                            f"monomial {exps} transforms by {char}, entry requires {want_char}"
+                        )))
 
         for j in sorted(self.differentials):
-            if j + 1 not in self.differentials:
-                continue
-            square = _matrix_compose(self.differentials[j], self.differentials[j + 1])
-            for (s, t), p in sorted(square.items()):
-                violations.append(
-                    Violation(
-                        "d-squared",
-                        j,
-                        s,
-                        t,
-                        f"composition through degree {j + 1} is {p!r}, not 0",
-                    )
+            if j + 1 in self.differentials:
+                square = _matrix_compose(self.differentials[j], self.differentials[j + 1])
+                violations += (
+                    Violation("d-squared", j, s, t, (
+                        f"composition through degree {j + 1} is {p!r}, not 0"
+                    ))
+                    for (s, t), p in sorted(square.items())
                 )
-
         return ValidationReport(ok=not violations, violations=tuple(violations))
 
     def require_valid(self):

@@ -296,7 +296,8 @@ def fiber_restrict(
                 value = values[number]
                 if value:
                     sparse[r][c] = value if sign > 0 else -value
-            mats[j] = ZMatrix(rows, cols, tuple(sparse))
+            # Nonzero ints: the polys have int coefficients over 1, x is integral.
+            mats[j] = ZMatrix._raw(rows, cols, tuple(sparse))
         blocks[phi] = BlockComplex(dims=dims, mats=mats)
 
     return FiberComplex(point=point, stabilizer=layout.stratum.stabilizer, blocks=blocks)

@@ -317,8 +317,7 @@ class CharacterRestriction:
     """A character's value table on a subgroup (exponents of zeta_m in Z/m).
 
     Values are aligned with ``subgroup.coords``; the modulus is the parent
-    group's exponent.  Restrictions are hashable, so they double as block
-    keys.
+    group's exponent.  Restrictions double as block keys, hashed once.
     """
 
     subgroup: Subgroup
@@ -341,6 +340,13 @@ class CharacterRestriction:
         object.__setattr__(found, "subgroup", subgroup)
         object.__setattr__(found, "values", values)
         return found
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.subgroup, self.values))
 
     @property
     def modulus(self) -> int:

@@ -86,7 +86,8 @@ class ZMatrix:
 
     Zeros are not stored.  Every stored entry must be exactly an ``int``
     (not a ``bool``) in a column inside the shape; the matrix owns its row
-    dicts and nothing here mutates them.
+    dicts and nothing here mutates them.  ``ZMatrix(...)`` checks this;
+    fiber blocks, of values computed here, use the unchecked ``_raw``.
     """
 
     rows: int
@@ -107,6 +108,13 @@ class ZMatrix:
                     raise InputError(
                         f"row {i} stores {j!r}: {x!r}, not a column and a nonzero int"
                     )
+
+    @classmethod
+    def _raw(cls, rows: int, cols: int, sparse_rows: tuple) -> "ZMatrix":
+        """The matrix of ``sparse_rows``, rows as described above, unchecked."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, sparse_rows=sparse_rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows_data) -> "ZMatrix":

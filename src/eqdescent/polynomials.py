@@ -12,7 +12,8 @@ coefficients as Fractions.  A total-degree cap keeps accidental blow-ups
 (e.g. from repeated substitution) loud instead of silent.
 
 Exponents and coefficients are checked once, where a polynomial enters:
-``Poly(nvars, terms)`` and the constructors built on it.  Results of
+``Poly(nvars, terms)`` and the constructors built on it, or the problem
+parser, which builds each entry it checked with ``Poly._normal``.  Results of
 arithmetic on checked polynomials are built in normal form with the
 unchecked ``Poly._normal`` and ``Poly._raw``, and so are the values the
 package derives from them: a fiber layout's restricted entries, and the

@@ -27,8 +27,11 @@ Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
 floats and exponent notation are rejected so every computation stays exact
 and small.  Malformed JSON is reported with line and column, a key
 repeated in one object with the path of that object, and schema problems
-with the JSON path of the offending value.  Each complex is validated as it is
-parsed, so a file holding a complex that fails validation
+with the JSON path of the offending value.  Each term of a differential
+entry is checked once, by one test of its shape, and the entry's polynomial
+is built from the checked terms with no second check in ``Poly``; JSON
+paths are built only for a value that fails.  Each complex is validated as
+it is parsed, so a file holding a complex that fails validation
 (homogeneity, equivariance, d o d) is refused whole, with the message naming
 the complex by its path, ``$.complexes.<name>``.  Pushforward
 generators act on the problem's own action (coordinate permutation plus
@@ -40,12 +43,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
 from .errors import InputError, as_rational
 from .groups import AbelianGroup
-from .polynomials import Poly
+from .polynomials import MAX_TOTAL_DEGREE, Poly, _degree_error
 from .words import FunctorWord, Push, Shift, Twist
 
 
@@ -195,21 +199,49 @@ def _parse_summand(group, data, path) -> TwistedSummand:
     return TwistedSummand(degree, _parse_character(group, twist, path + ["twist"]))
 
 
-def _parse_poly(nvars, data, path) -> Poly:
-    entries = _expect_list(data, path, "a list of monomial terms")
-    terms = {}  # repeated monomials are summed
-    for i, term in enumerate(entries):
-        tpath = path + [i]
-        obj = _expect_dict(term, tpath, "a monomial term")
-        coeff = parse_rational(obj.get("coeff", 1), tpath + ["coeff"])
-        exps = _expect_list(obj.get("exponents"), tpath + ["exponents"], "an exponent list")
-        if len(exps) != nvars:
-            _fail(tpath + ["exponents"], f"needs {nvars} exponents, got {len(exps)}")
-        exps = tuple(_expect_int(e, tpath + ["exponents", k]) for k, e in enumerate(exps))
-        if any(e < 0 for e in exps):
-            _fail(tpath + ["exponents"], "exponents must be nonnegative")
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    return _built(path, Poly, nvars, terms)
+def _refuse_term(nvars, term, path):
+    """Raise the error of the term at ``path`` that ``_parse_poly`` found
+    malformed: the first check it fails, in the order they are made."""
+    obj = _expect_dict(term, path, "a monomial term")
+    parse_rational(obj.get("coeff", 1), path + ["coeff"])
+    exps = _expect_list(obj.get("exponents"), path + ["exponents"], "an exponent list")
+    if len(exps) != nvars:
+        _fail(path + ["exponents"], f"needs {nvars} exponents, got {len(exps)}")
+    exps = tuple(_expect_int(e, path + ["exponents", k]) for k, e in enumerate(exps))
+    if any(e < 0 for e in exps):
+        _fail(path + ["exponents"], "exponents must be nonnegative")
+    # Left: an int subclass other than bool, which Poly refuses too.
+    _fail(path[:-1], f"exponent vector {exps} has an entry that is not an int")
+
+
+def _parse_poly(nvars, terms, parent, i) -> Poly:
+    """The polynomial of the entry at ``parent[i]``: one test per term, and
+    a JSON path only for a term that fails (see ``_refuse_term``).  Terms are
+    summed as int numerators over one running denominator, and the degree
+    cap is checked on the sums, as ``Poly`` checks it."""
+    if not isinstance(terms, list):
+        _expect_list(terms, parent + [i, "entry"], "a list of monomial terms")
+    nums, den = {}, 1
+    for k, term in enumerate(terms):
+        exps = term.get("exponents") if isinstance(term, dict) else None
+        key = tuple(exps) if isinstance(exps, list) else ()
+        coeff = term.get("coeff", 1) if len(key) == nvars else None
+        if type(coeff) is not int:
+            try:
+                coeff = as_rational(coeff, "coefficient")
+            except InputError:
+                coeff = None
+        if coeff is None or {*map(type, key)} != {int} or min(key) < 0:
+            _refuse_term(nvars, term, parent + [i, "entry", k])
+        if type(coeff) is not int and den % coeff.denominator:  # a Fraction
+            scale = lcm(den, coeff.denominator) // den
+            den *= scale
+            nums = {e: c * scale for e, c in nums.items()}
+        nums[key] = nums.get(key, 0) + int(coeff * den)
+    if nums and max(map(sum, nums)) > MAX_TOTAL_DEGREE:
+        degree = next(d for d in map(sum, nums) if d > MAX_TOTAL_DEGREE)
+        _fail(parent + [i, "entry"], str(_degree_error(degree)))
+    return Poly._normal(nvars, nums, den)
 
 
 def _parse_complex(action, data, path) -> EquivariantComplex:
@@ -232,13 +264,14 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
         lst = _expect_list(entries, dpath, "a list of entries")
         table = {}
         for i, e in enumerate(lst):
-            epath = dpath + [i]
-            eobj = _expect_dict(e, epath, "an entry object")
-            s = _expect_int(eobj.get("source"), epath + ["source"])
-            t = _expect_int(eobj.get("target"), epath + ["target"])
+            s, t = (e.get("source"), e.get("target")) if isinstance(e, dict) else (None, None)
+            if type(s) is not int or type(t) is not int:  # paths only on error
+                _expect_dict(e, dpath + [i], "an entry object")
+                s = _expect_int(s, dpath + [i, "source"])
+                t = _expect_int(t, dpath + [i, "target"])
             if (s, t) in table:
-                _fail(epath, f"duplicate entry for source {s}, target {t}")
-            table[(s, t)] = _parse_poly(nvars, eobj.get("entry"), epath + ["entry"])
+                _fail(dpath + [i], f"duplicate entry for source {s}, target {t}")
+            table[(s, t)] = _parse_poly(nvars, e.get("entry"), dpath, i)
         diffs[j] = table
 
     complex_ = _built(path, EquivariantComplex, action, terms, diffs)

@@ -85,6 +85,26 @@ def test_equivariance_violation(z2_p2):
     assert ok.validate().ok
 
 
+def test_a_monomial_in_two_entries_is_judged_per_entry():
+    """x1 is equivariant from O to O(1)@(1,) and not from O to O(1): the
+    character kept for x1 after the first entry must not excuse the second."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 1, (G.character((0,)), G.character((1,))))
+    x1 = Poly.variable(2, 1)
+    c = EquivariantComplex(
+        action,
+        {
+            0: (TwistedSummand(0, G.character((0,))),),
+            1: (TwistedSummand(1, G.character((1,))), TwistedSummand(1, G.character((0,)))),
+        },
+        {0: {(0, 0): x1, (0, 1): x1}},
+    )
+    assert [repr(v) for v in c.validate().violations] == [
+        "[equivariance] degree 0, entry 0 -> 1: monomial (0, 1) transforms by (1,), "
+        "entry requires (0,)"
+    ]
+
+
 def test_d_squared_violation(z2_p2):
     c = EquivariantComplex(
         z2_p2,

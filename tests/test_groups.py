@@ -511,6 +511,19 @@ def test_restriction_built_directly_is_reduced_and_length_checked():
             CharacterRestriction(s, wrong)
 
 
+def test_restriction_hash_is_computed_once_and_equal_for_equal_tables():
+    g = AbelianGroup((100, 100))
+    r = g.character((3, 7)).restrict(g.whole_subgroup)
+    twin = CharacterRestriction(g.whole_subgroup, list(r.values))
+    assert twin == r and twin is not r
+    assert hash(twin) == hash(r)
+    # The first hash is kept on the restriction; it is the hash of the
+    # dataclass fields, as the generated hash was.
+    assert r.__dict__["_hash"] == hash((r.subgroup, r.values))
+    assert hash(r) == hash((r.subgroup, r.values))
+    assert len({r: 1, twin: 2}) == 1
+
+
 def test_restriction_is_trivial_iff_every_value_is_zero():
     rng = random.Random(161)
     g = AbelianGroup((3, 5))

@@ -8,7 +8,9 @@ import pytest
 
 from eqdescent.action import MAX_SAMPLES_PER_STRATUM
 from eqdescent.groups import InputError
+from eqdescent.polynomials import Poly
 from eqdescent.problem import (
+    _parse_poly,
     load_problem,
     load_problem_text,
     parse_problem,
@@ -183,6 +185,143 @@ def test_negative_exponents_rejected():
     )
     with pytest.raises(InputError, match="nonnegative"):
         parse_problem(data)
+
+
+def _one_entry_problem(entry=None, terms=None):
+    """O(0) -> O(1) by x2 under Z/2 acting trivially on P^2, with the
+    differential entry's keys or its term list replaced."""
+    row = {"source": 0, "target": 0, "entry": [{"coeff": 1, "exponents": [0, 0, 1]}]}
+    if terms is not None:
+        row["entry"] = terms
+    row = row if entry is None else entry(row)
+    return {
+        "group": {"orders": [2]},
+        "action": {"dim": 2, "coordinate_characters": [[0], [0], [0]]},
+        "complexes": {
+            "c": {
+                "terms": {"0": [{"degree": 0}], "1": [{"degree": 1}]},
+                "differentials": {"0": [row]},
+            }
+        },
+    }
+
+
+def _term(**changes):
+    return [{"coeff": 1, "exponents": [0, 0, 1], **changes}]
+
+
+ENTRY = "$.complexes.c.differentials.0[0]"
+RATIONAL = 'not a rational number: expected an int, "p", "p/q" or "p.q", got '
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_one_entry_problem(terms=[5]), f"{ENTRY}.entry[0]: expected a monomial term, got int"),
+        (_one_entry_problem(terms=_term(coeff=True)), f"{ENTRY}.entry[0].coeff: {RATIONAL}True"),
+        (_one_entry_problem(terms=_term(coeff=0.5)), f"{ENTRY}.entry[0].coeff: {RATIONAL}0.5"),
+        (_one_entry_problem(terms=_term(coeff="1e3")), f"{ENTRY}.entry[0].coeff: {RATIONAL}'1e3'"),
+        (_one_entry_problem(terms=_term(coeff="1/0")), f"{ENTRY}.entry[0].coeff: {RATIONAL}'1/0'"),
+        (
+            _one_entry_problem(terms=[{"coeff": 1}]),
+            f"{ENTRY}.entry[0].exponents: expected an exponent list, got NoneType",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents="001")),
+            f"{ENTRY}.entry[0].exponents: expected an exponent list, got str",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents=[0, 1])),
+            f"{ENTRY}.entry[0].exponents: needs 3 exponents, got 2",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents=[0, 0, True])),
+            f"{ENTRY}.entry[0].exponents[2]: expected an integer, got a boolean",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents=[0, 0, "1"])),
+            f"{ENTRY}.entry[0].exponents[2]: expected an integer, got str",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents=[1, 1, -1])),
+            f"{ENTRY}.entry[0].exponents: exponents must be nonnegative",
+        ),
+        (
+            _one_entry_problem(terms=_term(exponents=[0, 0, 70])),
+            f"{ENTRY}.entry: monomial degree 70 exceeds the cap 64",
+        ),
+        (
+            # The degree cap is checked after every term is read.
+            _one_entry_problem(terms=_term(exponents=[0, 0, 70]) + _term(exponents=[2, 0, -1])),
+            f"{ENTRY}.entry[1].exponents: exponents must be nonnegative",
+        ),
+        (
+            _one_entry_problem(terms={}),
+            f"{ENTRY}.entry: expected a list of monomial terms, got dict",
+        ),
+        (_one_entry_problem(entry=lambda row: 5), f"{ENTRY}: expected an entry object, got int"),
+        (
+            _one_entry_problem(entry=lambda row: {**row, "source": True}),
+            f"{ENTRY}.source: expected an integer, got a boolean",
+        ),
+        (
+            _one_entry_problem(entry=lambda row: {**row, "target": "0"}),
+            f"{ENTRY}.target: expected an integer, got str",
+        ),
+    ],
+    ids=[
+        "term-int",
+        "coeff-true",
+        "coeff-float",
+        "coeff-exponent-notation",
+        "coeff-zero-denominator",
+        "exponents-missing",
+        "exponents-string",
+        "exponents-short",
+        "exponent-bool",
+        "exponent-string",
+        "exponent-negative",
+        "degree-70",
+        "degree-70-then-negative",
+        "entry-object",
+        "entry-int",
+        "source-bool",
+        "target-string",
+    ],
+)
+def test_entry_errors_keep_their_paths_and_messages(data, message):
+    """Each message as recorded when ``Poly`` still checked every parsed
+    term a second time: the same text, the same path, the same error first."""
+    assert parse_problem(_one_entry_problem()).complexes["c"].differentials
+    with pytest.raises(InputError) as exc:
+        parse_problem(data)
+    assert str(exc.value) == message
+
+
+def test_parsed_entries_equal_the_checked_polynomial():
+    """Terms summed as int numerators over one running denominator give
+    the polynomial that ``Poly`` builds from the same terms, summed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nvars = 2
+    coeffs = st.integers(-4, 4) | st.builds(
+        "{}/{}".format, st.integers(-12, 12), st.integers(1, 12)
+    )
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coeffs), max_size=8)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(terms, st.booleans())
+    def check(drawn, cancel):
+        if cancel:  # repeat the first terms with the opposite sign
+            drawn = drawn + [(e, f"-{c}".replace("--", "")) for e, c in drawn[: len(drawn) // 2]]
+        summed = {}
+        for exps, coeff in drawn:
+            summed[exps] = summed.get(exps, 0) + Fraction(coeff)
+        want = Poly(nvars, summed)
+        got = _parse_poly(nvars, [{"coeff": c, "exponents": list(e)} for e, c in drawn], [], 0)
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+
+    check()
 
 
 def test_point_length_checked():
