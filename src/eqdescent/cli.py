@@ -229,7 +229,6 @@ def _sampling(args, problem: Problem) -> dict:
         samples_per_stratum=samples,
         seed=seed,
         points=problem.points,
-        points_only=args.points_only,
     )
 
 
@@ -250,11 +249,6 @@ def _add_sampling_flags(parser):
         default=None,
         metavar="N",
         help="seed for deterministic sampling (default: problem file, then 0)",
-    )
-    parser.add_argument(
-        "--points-only",
-        action="store_true",
-        help="skip stratum coverage; check only the problem file's points",
     )
 
 

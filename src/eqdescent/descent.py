@@ -62,6 +62,8 @@ stratum with a nontrivial stabilizer is decided in one of these modes:
     than decided exactly.
 
 Strata with trivial stabilizer hold vacuously (``exact-trivial-stabilizer``).
+Every check decides every stratum in one of these six modes; points given
+by the caller are examined in addition, never instead.
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ class StratumCoverage:
     #            "exact-stratum" (no nontrivial block has a map entry) |
     #            "exact-witness" (a point of it fails) |
     #            "exact-certified" (monomial pivot minors, one point) |
-    #            "sampled" | "skipped"; the module docstring has the proofs
+    #            "sampled"; the module docstring has the proofs
     points_checked: int
 
     def to_dict(self) -> dict:
@@ -459,10 +461,6 @@ class DescentReport:
                 f"strata {pretty} were checked at sample points only; "
                 "cohomology ranks can jump on proper closed subsets"
             )
-        skipped = [c for c in self.coverage if c.mode == "skipped"]
-        if skipped:
-            pretty = ", ".join("{" + ",".join(map(str, c.support)) + "}" for c in skipped)
-            out.append(f"strata {pretty} were not checked (points-only mode)")
         return out
 
 
@@ -559,7 +557,6 @@ def check_descent(
     points=(),
     samples_per_stratum: int = 5,
     seed: int = 0,
-    points_only: bool = False,
 ) -> DescentReport:
     """Decide descent for a complex: every stabilizer must act trivially on
     all fiber cohomology.
@@ -586,9 +583,6 @@ def check_descent(
     strata = action.strata()
     for stratum in strata:
         order = stratum.stabilizer.order
-        if points_only:
-            coverage.append(StratumCoverage(stratum.support, order, "skipped", 0))
-            continue
         if stratum.stabilizer.is_trivial:
             coverage.append(
                 StratumCoverage(stratum.support, order, "exact-trivial-stabilizer", 0)
@@ -622,14 +616,11 @@ def check_descent(
     )
 
 
-def check_bundle_descent(
-    summand: TwistedSummand, action: ProjectiveAction, degree: int = 0
-) -> DescentReport:
-    """Exact descent decision for a single twisted line bundle placed in
-    cohomological degree ``degree`` (it only relabels report rows; the
-    verdict is degree-independent).  With no differentials every stratum is
-    decided exactly by ``check_descent``."""
-    return check_descent(EquivariantComplex(action, {degree: (summand,)}, {}))
+def check_bundle_descent(summand: TwistedSummand, action: ProjectiveAction) -> DescentReport:
+    """Exact descent decision for a single twisted line bundle in degree 0.
+    With no differentials every stratum is decided exactly by
+    ``check_descent``."""
+    return check_descent(EquivariantComplex(action, {0: (summand,)}, {}))
 
 
 # ---------------------------------------------------------------------------

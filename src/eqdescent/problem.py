@@ -72,6 +72,20 @@ def _built(path, build, *args):
         _fail(path, str(err))
 
 
+def _refuse_unknown(obj, known, path):
+    """Refuse the first key of ``obj``, in document order, that is not in
+    ``known``, naming it by its path."""
+    for key in obj:
+        if key not in known:
+            _fail(path + [key], f"unknown key (expected one of {sorted(known)})")
+
+
+# The keys of the objects parsed once per term and once per entry, tested
+# with the rest of their shape.
+_TERM_KEYS = frozenset(("coeff", "exponents"))
+_ENTRY_KEYS = frozenset(("source", "target", "entry"))
+
+
 def _expect(data, kind, path, what):
     if kind is int and isinstance(data, bool):
         _fail(path, f"expected {what}, got a boolean")
@@ -161,6 +175,7 @@ def _pick(what, table, name):
 
 def _parse_group(data, path) -> AbelianGroup:
     obj = _expect_dict(data, path)
+    _refuse_unknown(obj, ("orders",), path)
     orders = _expect_list(obj.get("orders"), path + ["orders"], "a list of cyclic orders")
     orders = tuple(_expect_int(n, path + ["orders", i]) for i, n in enumerate(orders))
     return _built(path + ["orders"], AbelianGroup, orders)
@@ -177,6 +192,7 @@ def _parse_character(group, data, path):
 
 def _parse_action(group, data, path) -> ProjectiveAction:
     obj = _expect_dict(data, path)
+    _refuse_unknown(obj, ("dim", "coordinate_characters"), path)
     dim = _expect_int(obj.get("dim"), path + ["dim"])
     chars = _expect_list(
         obj.get("coordinate_characters"),
@@ -190,8 +206,9 @@ def _parse_action(group, data, path) -> ProjectiveAction:
     return _built(path, ProjectiveAction, group, dim, parsed)
 
 
-def _parse_summand(group, data, path) -> TwistedSummand:
+def _parse_summand(group, data, path, known=("degree", "twist")) -> TwistedSummand:
     obj = _expect_dict(data, path, "a summand object")
+    _refuse_unknown(obj, known, path)
     degree = _expect_int(obj.get("degree"), path + ["degree"])
     twist = obj.get("twist")
     if twist is None:
@@ -203,6 +220,7 @@ def _refuse_term(nvars, term, path):
     """Raise the error of the term at ``path`` that ``_parse_poly`` found
     malformed: the first check it fails, in the order they are made."""
     obj = _expect_dict(term, path, "a monomial term")
+    _refuse_unknown(obj, _TERM_KEYS, path)
     parse_rational(obj.get("coeff", 1), path + ["coeff"])
     exps = _expect_list(obj.get("exponents"), path + ["exponents"], "an exponent list")
     if len(exps) != nvars:
@@ -225,7 +243,7 @@ def _parse_poly(nvars, terms, parent, i) -> Poly:
     for k, term in enumerate(terms):
         exps = term.get("exponents") if isinstance(term, dict) else None
         key = tuple(exps) if isinstance(exps, list) else ()
-        coeff = term.get("coeff", 1) if len(key) == nvars else None
+        coeff = term.get("coeff", 1) if len(key) == nvars and term.keys() <= _TERM_KEYS else None
         if type(coeff) is not int:
             try:
                 coeff = as_rational(coeff, "coefficient")
@@ -246,6 +264,7 @@ def _parse_poly(nvars, terms, parent, i) -> Poly:
 
 def _parse_complex(action, data, path) -> EquivariantComplex:
     obj = _expect_dict(data, path, "a complex object")
+    _refuse_unknown(obj, ("terms", "differentials"), path)
     group = action.group
     nvars = action.dim + 1
 
@@ -264,9 +283,12 @@ def _parse_complex(action, data, path) -> EquivariantComplex:
         lst = _expect_list(entries, dpath, "a list of entries")
         table = {}
         for i, e in enumerate(lst):
-            s, t = (e.get("source"), e.get("target")) if isinstance(e, dict) else (None, None)
+            s = t = None
+            if isinstance(e, dict) and e.keys() <= _ENTRY_KEYS:
+                s, t = e.get("source"), e.get("target")
             if type(s) is not int or type(t) is not int:  # paths only on error
                 _expect_dict(e, dpath + [i], "an entry object")
+                _refuse_unknown(e, _ENTRY_KEYS, dpath + [i])
                 s = _expect_int(s, dpath + [i, "source"])
                 t = _expect_int(t, dpath + [i, "target"])
             if (s, t) in table:
@@ -288,10 +310,12 @@ def _parse_word(action, data, path) -> FunctorWord:
         obj = _expect_dict(g, gpath, "a generator object")
         kind = obj.get("kind")
         if kind == "shift":
+            _refuse_unknown(obj, ("kind", "k"), gpath)
             gens.append(Shift(_expect_int(obj.get("k"), gpath + ["k"])))
         elif kind == "twist":
-            gens.append(Twist(_parse_summand(group, obj, gpath)))
+            gens.append(Twist(_parse_summand(group, obj, gpath, ("kind", "degree", "twist"))))
         elif kind == "push":
+            _refuse_unknown(obj, ("kind", "perm", "scalars"), gpath)
             perm = _expect_list(obj.get("perm"), gpath + ["perm"], "a permutation list")
             perm = tuple(_expect_int(p, gpath + ["perm", k]) for k, p in enumerate(perm))
             scalars_data = _expect_list(
@@ -317,10 +341,7 @@ def _parse_point(nvars, data, path) -> RationalPoint:
 
 def parse_problem(data) -> Problem:
     obj = _expect_dict(data, [], "a problem object")
-    known = {"group", "action", "complexes", "words", "points", "sampling"}
-    for key in obj:
-        if key not in known:
-            _fail([key], f"unknown problem key (expected one of {sorted(known)})")
+    _refuse_unknown(obj, ("group", "action", "complexes", "words", "points", "sampling"), [])
     group = _parse_group(obj.get("group"), ["group"])
     action = _parse_action(group, obj.get("action"), ["action"])
     nvars = action.dim + 1
@@ -339,6 +360,7 @@ def parse_problem(data) -> Problem:
     )
 
     sampling = _expect_dict(obj.get("sampling", {}), ["sampling"])
+    _refuse_unknown(sampling, ("samples_per_stratum", "seed"), ["sampling"])
     samples = sampling.get("samples_per_stratum")
     if samples is not None:
         samples = _expect_int(samples, ["sampling", "samples_per_stratum"])

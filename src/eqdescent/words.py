@@ -251,10 +251,7 @@ def omega_check(
     action: ProjectiveAction,
     gen_a: EquivariantComplex | None = None,
     gen_b: EquivariantComplex | None = None,
-    samples_per_stratum: int = 5,
-    seed: int = 0,
-    points=(),
-    points_only: bool = False,
+    **opts,
 ) -> OmegaReport:
     """Decide whether the induced functor is an equivalence downstairs.
 
@@ -264,7 +261,8 @@ def omega_check(
     The generators themselves must descend to begin with --- a failing
     generator is rejected as bad input (GeneratorRejectedError), not
     reported as a disproof.  A complex given as both generators, the default
-    included, is built and descent-checked once.
+    included, is built and descent-checked once.  ``opts`` (``points``,
+    ``samples_per_stratum``, ``seed``) go to every ``check_descent``.
     """
     a_default = gen_a is None
     b_default = gen_b is None
@@ -276,12 +274,6 @@ def omega_check(
         if gen.action != action:
             raise InputError(f"generator {which} lives on a different action")
 
-    opts = dict(
-        samples_per_stratum=samples_per_stratum,
-        seed=seed,
-        points=points,
-        points_only=points_only,
-    )
     pre_a = check_descent(gen_a, **opts)
     if not pre_a.passed:
         raise GeneratorRejectedError("a", pre_a)

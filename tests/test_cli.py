@@ -67,15 +67,28 @@ def test_check_descent_needs_a_named_complex_when_ambiguous(capsys):
     assert "more than one complex" in capsys.readouterr().err
 
 
-def test_points_only_flag(cli):
-    code, _, payload = cli(
-        "check-descent", FIXTURE, "--complex", "O1", "--points-only"
-    )
-    # the fixture's point (1:1:1) has trivial stabilizer, so nothing fails
-    assert code == 0
-    coverage = payload["report"]["coverage"]["strata"]
-    assert all(c["mode"] == "skipped" for c in coverage)
+def test_problem_points_are_checked_with_every_stratum(cli):
+    code, _, payload = cli("check-descent", FIXTURE, "--complex", "O1")
+    # the fixture's point (1:1:1) has trivial stabilizer; O(1) fails on a stratum
+    assert code == 1
+    assert payload["report"]["verdict"] == "fail"
     assert payload["report"]["coverage"]["user_points"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-descent", FIXTURE, "--complex", "O1"),
+        ("omega", FIXTURE, "--word", "twist1", "--gen-a", "O", "--gen-b", "O"),
+    ],
+)
+def test_points_only_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--points-only"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --points-only" in err
 
 
 def test_sampling_flags_override_problem_defaults(cli):

@@ -508,6 +508,53 @@ def test_exact_stratum_rule_is_sound():
     assert strata >= 100 and points == 5 * strata
 
 
+DECIDED_MODES = {
+    "exact-single-point",
+    "exact-trivial-stabilizer",
+    "exact-stratum",
+    "exact-witness",
+    "exact-certified",
+    "sampled",
+}
+
+
+def assert_every_stratum_decided(report: dict) -> None:
+    """Every stratum of a report's coverage is decided in one of the modes,
+    the report is exact exactly when none is sampled, and every stratum with
+    a nontrivial stabilizer was examined at one point at least."""
+    strata = report["coverage"]["strata"]
+    assert {c["mode"] for c in strata} <= DECIDED_MODES
+    assert report["exact"] == all(c["mode"] != "sampled" for c in strata)
+    assert all(c["points_checked"] >= 1 for c in strata if c["stabilizer_order"] > 1)
+
+
+def test_every_stratum_is_decided_through_the_cli(cli):
+    fixture = "tests/fixtures/z2_p2.json"
+    with open(fixture, encoding="utf-8") as handle:
+        problem = json.load(handle)
+    reports = []
+    for name in problem["complexes"]:
+        _, _, payload = cli("check-descent", fixture, "--complex", name)
+        reports.append(payload["report"])
+    for name in problem["words"]:
+        _, _, payload = cli("omega", fixture, "--word", name)
+        reports += [payload["report"]["condition_i"], payload["report"]["condition_ii"]]
+    for report in reports:
+        assert_every_stratum_decided(report)
+    assert {"pass", "fail"} == {r["verdict"] for r in reports}
+
+
+def test_every_stratum_is_decided_on_random_complexes():
+    modes = set()
+    for seed in range(40):
+        rng = Random(seed)
+        action = random_action(rng, random_group(rng))
+        report = check_descent(random_valid_complex(rng, action)).to_dict()
+        assert_every_stratum_decided(report)
+        modes |= {c["mode"] for c in report["coverage"]["strata"]}
+    assert len(modes) >= 4, modes
+
+
 @pytest.mark.parametrize("d", range(-4, 5))
 def test_line_bundle_descends_iff_degree_even(z2_p2, d):
     via_complex = check_descent(bundle_complex(z2_p2, O(z2_p2, d)))
@@ -517,9 +564,9 @@ def test_line_bundle_descends_iff_degree_even(z2_p2, d):
     assert via_strata.exact and not via_strata.sampled_supports
 
 
-def test_bundle_check_degree_parameter_only_relabels(z2_p2):
+def test_bundle_degree_only_relabels(z2_p2):
     base = check_bundle_descent(O(z2_p2, 1), z2_p2)
-    shifted = check_bundle_descent(O(z2_p2, 1), z2_p2, degree=-2)
+    shifted = check_descent(EquivariantComplex(z2_p2, {-2: (O(z2_p2, 1),)}, {}))
     assert base.passed == shifted.passed
     assert [w.degree for w in shifted.witnesses] == [-2] * len(shifted.witnesses)
     assert [w.point for w in base.witnesses] == [w.point for w in shifted.witnesses]
@@ -533,21 +580,6 @@ def test_twist_can_rescue_or_break_descent(z2_p2):
     assert check_bundle_descent(O(z2_p2, 2, (1,)), z2_p2).passed is False
 
 
-def test_points_only_mode_checks_exactly_the_given_points(z2_p2):
-    c = bundle_complex(z2_p2, O(z2_p2, 1))
-    good = RationalPoint((Fraction(1), Fraction(1), Fraction(1)))
-    bad = RationalPoint((Fraction(0), Fraction(0), Fraction(1)))
-    report = check_descent(c, points=[good], points_only=True)
-    assert report.passed  # the odd twist is invisible on the free stratum
-    assert all(cov.mode == "skipped" for cov in report.coverage)
-    assert report.user_points == 1
-    assert any("points-only" in cv for cv in report.caveats())
-
-    report2 = check_descent(c, points=[good, bad], points_only=True)
-    assert not report2.passed
-    assert report2.witnesses[0].point == "(0:0:1)"
-
-
 def test_user_points_are_checked_in_addition_to_strata(z2_p2):
     c = bundle_complex(z2_p2, O(z2_p2, 2))
     pt = RationalPoint((Fraction(1), Fraction(7), Fraction(0)))
@@ -555,6 +587,25 @@ def test_user_points_are_checked_in_addition_to_strata(z2_p2):
     assert report.passed
     assert report.user_points == 1
     assert any(t.point == pt.display() for t in report.tables)
+
+
+def test_points_only_mode_checks_exactly_the_given_points(z2_p2):
+    # There is no points-only mode: given points are examined exactly as
+    # given, each adding its own table and witnesses on top of every stratum.
+    # O(1) fails at (0:0:1) with or without a user point there.
+    c = bundle_complex(z2_p2, O(z2_p2, 1))
+    with pytest.raises(TypeError):
+        check_descent(c, points=[], points_only=True)
+    free = RationalPoint((Fraction(1), Fraction(1), Fraction(1)))
+    fixed = RationalPoint((Fraction(0), Fraction(0), Fraction(1)))
+    base = check_descent(c, points=[free])
+    both = check_descent(c, points=[free, fixed])
+    assert not base.passed and base.user_points == 1
+    assert both.user_points == 2
+    assert both.tables[:-1] == base.tables
+    assert both.tables[-1].point == "(0:0:1)"
+    at_fixed = [w for w in both.witnesses if w.point == "(0:0:1)"]
+    assert len(at_fixed) == len([w for w in base.witnesses if w.point == "(0:0:1)"]) + 1
 
 
 def test_invalid_complex_is_rejected_before_checking(z2_p2):

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from eqdescent.action import MAX_SAMPLES_PER_STRATUM
+from eqdescent.cli import main
 from eqdescent.groups import InputError
 from eqdescent.polynomials import Poly
 from eqdescent.problem import (
@@ -99,6 +100,78 @@ def test_json_syntax_error_reports_line_and_column():
 def test_unknown_top_level_key_is_anchored():
     with pytest.raises(InputError, match=r"\$\.complices"):
         parse_problem(with_extras(complices={}))
+
+
+FULL = with_extras(
+    complexes={
+        "c": {
+            "terms": {
+                "0": [{"degree": 0, "twist": [1]}],
+                "1": [{"degree": 1, "twist": [0]}],
+            },
+            "differentials": {
+                "0": [{"source": 0, "target": 0, "entry": [{"coeff": 1, "exponents": [0, 0, 1]}]}]
+            },
+        }
+    },
+    words={
+        "w": [
+            {"kind": "shift", "k": 1},
+            {"kind": "twist", "degree": 2, "twist": [0]},
+            {"kind": "push", "perm": [1, 0, 2], "scalars": [1, 1, 2]},
+        ]
+    },
+    sampling={"samples_per_stratum": 3, "seed": 1},
+)
+
+
+@pytest.mark.parametrize(
+    "where, path, known",
+    [
+        ((), "$.extra", ["action", "complexes", "group", "points", "sampling", "words"]),
+        (("group",), "$.group.extra", ["orders"]),
+        (("action",), "$.action.extra", ["coordinate_characters", "dim"]),
+        (("complexes", "c"), "$.complexes.c.extra", ["differentials", "terms"]),
+        (
+            ("complexes", "c", "terms", "0", 0),
+            "$.complexes.c.terms.0[0].extra",
+            ["degree", "twist"],
+        ),
+        (
+            ("complexes", "c", "differentials", "0", 0),
+            "$.complexes.c.differentials.0[0].extra",
+            ["entry", "source", "target"],
+        ),
+        (
+            ("complexes", "c", "differentials", "0", 0, "entry", 0),
+            "$.complexes.c.differentials.0[0].entry[0].extra",
+            ["coeff", "exponents"],
+        ),
+        (("words", "w", 0), "$.words.w[0].extra", ["k", "kind"]),
+        (("words", "w", 1), "$.words.w[1].extra", ["degree", "kind", "twist"]),
+        (("words", "w", 2), "$.words.w[2].extra", ["kind", "perm", "scalars"]),
+        (("sampling",), "$.sampling.extra", ["samples_per_stratum", "seed"]),
+    ],
+)
+def test_every_object_refuses_an_unknown_key(where, path, known):
+    parse_problem(FULL)
+    data = json.loads(json.dumps(FULL))
+    obj = data
+    for step in where:
+        obj = obj[step]
+    obj["extra"] = 1
+    with pytest.raises(InputError) as err:
+        parse_problem(data)
+    assert str(err.value) == f"{path}: unknown key (expected one of {known})"
+
+
+def test_a_misspelled_nested_key_exits_2(capsys):
+    assert main(["check-descent", "tests/fixtures/z2_p2_unknown_key.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: $.complexes.L.terms.0[0].twsit: unknown key (expected one of ['degree', 'twist'])\n"
+    )
 
 
 def test_schema_errors_carry_json_paths():
