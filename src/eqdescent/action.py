@@ -31,6 +31,8 @@ MAX_PROJECTIVE_DIM = 10
 # and drawing them costs seconds per stratum, so larger counts are refused.
 MAX_SAMPLES_PER_STRATUM = 100
 _SAMPLER_MIX = 0x9E3779B1  # 32-bit golden-ratio constant, for per-stratum seeds
+# The numerators a sampled coordinate is drawn from.
+_SAMPLER_NUMERATORS = tuple(n for n in range(-9, 10) if n)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class ProjectiveAction:
             attempts += 1
             coords = [Fraction(0)] * (self.dim + 1)
             for i in support:
-                num = rng.choice([n for n in range(-9, 10) if n != 0])
+                num = rng.choice(_SAMPLER_NUMERATORS)
                 den = rng.randint(1, 9)
                 coords[i] = Fraction(num, den)
             p = RationalPoint(tuple(coords))

@@ -9,9 +9,13 @@ to their first 8 in the summary and kept whole in the document.  Each
 distinct long table (a tuple of more than 16 entries: a stabilizer's element
 list, a character's values) is encoded once per report, and its text is
 reused wherever the same tuple appears again, so the text is what encoding
-every copy would give.  The strata summary lists the first 32 strata and
-counts the rest.  The document carries a ``report_digest``: sha256 of the
-canonical JSON (sorted keys, no spaces) of the payload without the digest
+every copy would give.  Every table is a stabilizer's element list or a
+character's values on a stabilizer, so a report of a group of order at most
+16 holds none: each command's ``_Payload`` carries its group's order (the
+self-test's, its bound on it), and such a report goes to the C encoder
+whole, with no walk looking for tables.  The strata summary lists the first
+32 strata and counts the rest.  The document carries a ``report_digest``:
+sha256 of the canonical JSON (sorted keys, no spaces) of the payload without the digest
 itself and ``timing_seconds``.  So two runs with the same inputs are
 byte-identical except for the timing value and can be compared by digest.
 
@@ -109,19 +113,32 @@ def _write(value, tables: dict) -> str:
     return _dumps(value)
 
 
-def _canonical(value, tables: dict) -> str:
-    """Canonical JSON text (sorted keys, no spaces) of one top-level member.
-    It runs once per member, apart from the recursion in ``_write``, so the
-    texts it returns add up to the canonical report."""
-    return _write(value, tables)
+def _canonical(value, tables: dict | None) -> str:
+    """Canonical JSON text (sorted keys, no spaces) of one top-level member,
+    by the C encoder alone when ``tables`` is None.  It runs once per
+    member, apart from the recursion in ``_write``, so the texts it returns
+    add up to the canonical report."""
+    return _dumps(value) if tables is None else _write(value, tables)
+
+
+class _Payload(dict):
+    """A command's report members, with ``group_order``, the order of the
+    group whose stabilizers its tables are read on, or a bound on it: no
+    table in the report is longer."""
+
+    def __init__(self, group_order: int, members: dict):
+        super().__init__(members)
+        self.group_order = group_order
 
 
 def _members(payload: dict) -> list:
     """(key, canonical value) of each member the digest covers, by key.
 
     The members share one table memo; ``payload`` keeps every tuple keyed in
-    it alive meanwhile, so no id is reused."""
-    tables = {}
+    it alive meanwhile, so no id is reused.  A ``_Payload`` whose group order
+    is at most ``LONG_TABLE`` holds no long table, so it gets no memo."""
+    short = isinstance(payload, _Payload) and payload.group_order <= LONG_TABLE
+    tables = None if short else {}
     return [
         (key, _canonical(payload[key], tables))
         for key in sorted(payload)
@@ -261,7 +278,7 @@ def _cmd_strata(args) -> tuple:
     problem = load_problem(args.problem)
     action = problem.action
     strata = action.strata()
-    payload = {
+    payload = _Payload(action.group.order, {
         "command": "strata",
         "group": repr(action.group),
         "dim": action.dim,
@@ -276,7 +293,7 @@ def _cmd_strata(args) -> tuple:
             }
             for s in strata
         ],
-    }
+    })
     rows = [
         (
             _support_str(s.support),
@@ -302,11 +319,11 @@ def _cmd_check_descent(args) -> tuple:
     problem = load_problem(args.problem)
     name, complex_ = problem.only_complex(args.complex)
     report = check_descent(complex_, **_sampling(args, problem))
-    payload = {
+    payload = _Payload(problem.action.group.order, {
         "command": "check-descent",
         "complex": name,
         "report": report.to_dict(),
-    }
+    })
     human = _descent_human(f"descent of {name!r}", report)
     return payload, human, EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -328,13 +345,13 @@ def _cmd_omega(args) -> tuple:
         gen_b=generator(args.gen_b),
         **_sampling(args, problem),
     )
-    payload = {
+    payload = _Payload(problem.action.group.order, {
         "command": "omega",
         "word": word_name,
         "generator_a": args.gen_a,
         "generator_b": args.gen_b,
         "report": report.to_dict(),
-    }
+    })
     lines = [
         f"equivalence check for word {word_name!r}: "
         + ("CERTIFIED" if report.certified else "DISPROVED"),
@@ -355,11 +372,11 @@ def _cmd_necessary(args) -> tuple:
         report = necessary_check(word, problem.action)
     except InputError as err:
         raise InputError(f"$.words.{word_name}: {err}") from None
-    payload = {
+    payload = _Payload(problem.action.group.order, {
         "command": "necessary",
         "word": word_name,
         "report": report.to_dict(),
-    }
+    })
     lines = [
         f"necessary kernel-fiber conditions for word {word_name!r}: "
         + ("PASS" if report.passed else "FAIL"),
@@ -390,7 +407,10 @@ def _cmd_selftest(args) -> tuple:
         max_group_order=args.max_group_order,
         max_dim=args.max_dim,
     )
-    payload = {"command": "selftest-oracle", "report": report.to_dict()}
+    # Every random group has order at most --max-group-order.
+    payload = _Payload(args.max_group_order, {
+        "command": "selftest-oracle", "report": report.to_dict()
+    })
     lines = [
         f"dual-route self-test: {'PASS' if report.passed else 'FAIL'}",
         f"{report.trials} random instances, {len(report.mismatches)} disagreement(s) "

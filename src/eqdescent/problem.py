@@ -210,10 +210,9 @@ def _parse_summand(group, data, path, known=("degree", "twist")) -> TwistedSumma
     obj = _expect_dict(data, path, "a summand object")
     _refuse_unknown(obj, known, path)
     degree = _expect_int(obj.get("degree"), path + ["degree"])
-    twist = obj.get("twist")
-    if twist is None:
+    if "twist" not in obj:
         return TwistedSummand(degree, group.trivial_character())
-    return TwistedSummand(degree, _parse_character(group, twist, path + ["twist"]))
+    return TwistedSummand(degree, _parse_character(group, obj["twist"], path + ["twist"]))
 
 
 def _refuse_term(nvars, term, path):

@@ -7,6 +7,18 @@ shards (isolated summands and single nonzero arrows, whose square is zero for
 shape reasons) and conjugates by random equivariant unipotent changes of
 basis, which preserves validity while producing dense, non-obvious
 differentials.
+
+What is drawn here is in range by construction, so it is built unchecked
+and once: characters through ``Character._raw`` from coordinates drawn below
+the group's orders, points as ``canonical()`` builds them, and polynomials
+through ``Poly._normal`` from integer numerators over one denominator,
+never through ``Fraction`` sums and ``Poly.__init__``.  Every generated
+complex is still validated (``require_built_valid``).  The draws, and their
+order, are those of the checked constructors.  A caller that draws many
+instances may draw only the orders (``random_orders``) and reuse a group it
+already built with those orders, as the self-test does with a bounded memo
+(see ``selftest``), so that the group's element lists, stabilizer cuts and
+restriction tables are built once per run.
 """
 
 from __future__ import annotations
@@ -14,9 +26,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from random import Random
 
-from .action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
+from .action import _SAMPLER_NUMERATORS, MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand, _matrix_compose
 from .errors import InputError
 from .groups import AbelianGroup, Character
@@ -48,12 +61,17 @@ def _order_tuples(max_order: int, max_factors: int = 3) -> tuple:
     return tuple(sorted(out))
 
 
+def random_orders(rng: Random, max_order: int = 12) -> tuple:
+    """The cyclic orders of a random group of order at most ``max_order``."""
+    return rng.choice(_order_tuples(max_order))
+
+
 def random_group(rng: Random, max_order: int = 12) -> AbelianGroup:
-    return AbelianGroup(rng.choice(_order_tuples(max_order)))
+    return AbelianGroup(random_orders(rng, max_order))
 
 
 def random_character(rng: Random, group: AbelianGroup) -> Character:
-    return group.character(tuple(rng.randrange(n) for n in group.orders))
+    return Character._raw(group, tuple([rng.randrange(n) for n in group.orders]))
 
 
 def random_action(rng: Random, group: AbelianGroup, max_dim: int = 3) -> ProjectiveAction:
@@ -70,18 +88,38 @@ def random_summand(rng: Random, group: AbelianGroup, max_degree: int = 3) -> Twi
     return TwistedSummand(rng.randint(-max_degree, max_degree), random_character(rng, group))
 
 
-def _random_fraction(rng: Random, max_num: int = 5, max_den: int = 3) -> Fraction:
-    num = rng.choice([n for n in range(-max_num, max_num + 1) if n != 0])
-    return Fraction(num, rng.randint(1, max_den))
+# Coefficients are n/d with 0 < |n| <= 5 and 1 <= d <= 3; point coordinates
+# are drawn as the stratum sampler draws them, n/d with 0 < |n| <= 9 and
+# 1 <= d <= 9.
+_COEFF_NUMERATORS = tuple(n for n in range(-5, 6) if n)
+_ZERO = Fraction(0)
+
+
+def _random_ratio(rng: Random, numerators=_COEFF_NUMERATORS, max_den: int = 3) -> tuple:
+    """(n, d): a numerator drawn from ``numerators``, then a denominator from
+    1 to ``max_den``; not reduced."""
+    return rng.choice(numerators), rng.randint(1, max_den)
+
+
+def _random_poly(rng: Random, nvars: int, monomials) -> Poly:
+    """sum of a random coefficient times x^e over the distinct exponent
+    tuples e in ``monomials``, its coefficients drawn in that order."""
+    ratios = [_random_ratio(rng) for _ in monomials]
+    den = lcm(*(d for _, d in ratios))
+    return Poly._normal(nvars, {e: n * (den // d) for e, (n, d) in zip(monomials, ratios)}, den)
 
 
 def random_point(rng: Random, nvars: int) -> RationalPoint:
+    """A point with a random nonempty support, built unchecked: its
+    coordinates are reduced Fractions, nonzero on the support."""
     size = rng.randint(1, nvars)
-    support = sorted(rng.sample(range(nvars), size))
-    coords = tuple(
-        _random_fraction(rng, 9, 9) if i in support else Fraction(0) for i in range(nvars)
-    )
-    return RationalPoint(coords)
+    support = set(rng.sample(range(nvars), size))
+    point = object.__new__(RationalPoint)
+    point.__dict__["coords"] = tuple([
+        Fraction(*_random_ratio(rng, _SAMPLER_NUMERATORS, 9)) if i in support else _ZERO
+        for i in range(nvars)
+    ])
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +129,22 @@ def random_point(rng: Random, nvars: int) -> RationalPoint:
 
 def equivariant_monomials(action: ProjectiveAction, degree: int, char: Character) -> list:
     """Exponent tuples a with |a| = degree and sum_i a_i * chi_i == char,
-    compared coordinate by coordinate modulo the group's cyclic orders."""
+    in combinations order, compared modulo the group's cyclic orders one
+    factor at a time: each factor keeps the variable multisets that the
+    previous factors kept."""
     if degree < 0:
         return []
     nvars = action.dim + 1
-    chars = [chi.coords for chi in action.coord_chars]
-    wanted = list(enumerate(zip(action.group.orders, char.coords)))
+    combos = itertools.combinations_with_replacement(range(nvars), degree)
+    for k, (n, c) in enumerate(zip(action.group.orders, char.coords)):
+        exponent = [chi.coords[k] for chi in action.coord_chars].__getitem__
+        combos = [combo for combo in combos if sum(map(exponent, combo)) % n == c]
     out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        if all(sum(chars[i][k] for i in combo) % n == c for k, (n, c) in wanted):
-            exps = [0] * nvars
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
+    for combo in combos:
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -120,7 +161,7 @@ def random_equivariant_poly(
     if not monos:
         return Poly.zero(nvars)
     chosen = rng.sample(monos, rng.randint(1, min(max_terms, len(monos))))
-    return Poly(nvars, {exps: _random_fraction(rng) for exps in chosen})
+    return _random_poly(rng, nvars, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -128,32 +169,33 @@ def random_equivariant_poly(
 # ---------------------------------------------------------------------------
 
 
+# The constant polynomial 1 in each variable count an action can have, shared
+# by every identity matrix (a Poly is immutable).
+_ONE = tuple(Poly._raw(n, {(0,) * n: 1}, 1) for n in range(MAX_PROJECTIVE_DIM + 2))
+
+
 def _matrix_identity(n: int, nvars: int) -> dict:
-    return {(i, i): Poly.constant(nvars, Fraction(1)) for i in range(n)}
-
-
-def _matrix_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, p in b.items():
-        out[key] = out[key] + p if key in out else p
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _matrix_negate(a: dict) -> dict:
-    return {k: -v for k, v in a.items()}
+    return dict.fromkeys([(i, i) for i in range(n)], _ONE[nvars])
 
 
 def _unipotent_inverse(nilpotent: dict, n: int, nvars: int) -> dict:
-    """(I + N)^{-1} = I - N + N^2 - ... for nilpotent N."""
+    """(I + N)^{-1} = I - N + N^2 - ... for nilpotent N, summed in place;
+    an entry that cancels is dropped when it does."""
     inv = _matrix_identity(n, nvars)
-    power = dict(nilpotent)
-    sign = -1
-    for _ in range(n):
-        if not power:
-            break
-        inv = _matrix_add(inv, _matrix_negate(power) if sign < 0 else power)
+    power = nilpotent
+    negate = True
+    while power:
+        for key, p in power.items():
+            if negate:
+                p = -p
+            if key in inv:
+                p = inv[key] + p
+                if p.is_zero:
+                    del inv[key]
+                    continue
+            inv[key] = p
         power = _matrix_compose(power, nilpotent)
-        sign = -sign
+        negate = not negate
     return inv
 
 
@@ -176,7 +218,8 @@ def _random_mixing(rng: Random, action: ProjectiveAction, terms: dict, diffs: di
                 if not p.is_zero:
                     nil[(s, t)] = p
         if nil:
-            mixers[j] = _matrix_add(_matrix_identity(n, nvars), nil)
+            # nil holds no diagonal entry, so I + N is a union of entries.
+            mixers[j] = {**_matrix_identity(n, nvars), **nil}
             inverses[j] = _unipotent_inverse(nil, n, nvars)
 
     mixed: dict = {}
@@ -226,10 +269,12 @@ def random_valid_complex(rng: Random, action: ProjectiveAction) -> EquivariantCo
         for _ in range(arrow_deg):
             exps[rng.randrange(nvars)] += 1
         tgt = TwistedSummand(src.degree + arrow_deg, src.twist + action.monomial_character(exps))
-        entry = Poly.monomial(nvars, tuple(exps), _random_fraction(rng))
+        entry = _random_poly(rng, nvars, [tuple(exps)])
         extra = random_equivariant_poly(rng, action, src, tgt, max_terms=2)
-        if rng.random() < 0.5 and not (entry + extra).is_zero:
-            entry = entry + extra
+        if rng.random() < 0.5:
+            summed = entry + extra
+            if not summed.is_zero:
+                entry = summed
         s = place(j, src)
         t = place(j + 1, tgt)
         arrows.append((j, s, t, entry))
@@ -271,7 +316,7 @@ def random_automorphism(rng: Random, action: ProjectiveAction) -> Push:
         rng.shuffle(targets)
         for i, t in zip(members, targets):
             perm[i] = t
-    scalars = tuple(_random_fraction(rng) for _ in range(n))
+    scalars = tuple(Fraction(*_random_ratio(rng)) for _ in range(n))
     return Push(action, tuple(perm), scalars)
 
 

@@ -17,17 +17,36 @@ module nor linalg) and disagree only if one of them is wrong, so
 agreement over a random corpus is the toolkit's strongest internal evidence.
 Each mismatch is reported with a full problem-file serialization of the
 instance, ready to replay.
+
+A run draws many instances from few groups (``--max-group-order 8`` allows
+11 order tuples), so it keeps the last ``GROUP_MEMO_SIZE`` groups of order
+at most ``GROUP_MEMO_MAX_ORDER`` that it drew, by their orders, and a trial
+whose orders are among them reuses that group object, with the element
+lists, stabilizer cuts and restriction tables cached on it (see
+``groups``).  The memo lives as long as the run.  Both bounds cap what it
+holds: larger groups rarely repeat (``--max-group-order 10000`` allows
+thousands of order tuples), and keeping 16 of them alive with their tables
+would add about a third to the peak memory of a run at that bound, so each
+trial builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 from random import Random
 
 from .descent import block_cohomology, fiber_restrict
+from .groups import AbelianGroup
 from .oracle import isotypic_cohomology
 from .problem import point_to_list, problem_to_dict
-from .randgen import random_action, random_group, random_point, random_valid_complex
+from .randgen import random_action, random_orders, random_point, random_valid_complex
+
+# A run keeps this many groups for reuse, least recently drawn dropped
+# first, and only groups of order at most GROUP_MEMO_MAX_ORDER.
+GROUP_MEMO_SIZE = 16
+GROUP_MEMO_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -81,9 +100,11 @@ def run_oracle_selftest(
     max_dim: int = 3,
 ) -> SelftestReport:
     rng = Random(seed)
+    group_of = lru_cache(maxsize=GROUP_MEMO_SIZE)(AbelianGroup)
     mismatches = []
     for trial in range(trials):
-        group = random_group(rng, max_order=max_group_order)
+        orders = random_orders(rng, max_group_order)
+        group = group_of(orders) if prod(orders) <= GROUP_MEMO_MAX_ORDER else AbelianGroup(orders)
         action = random_action(rng, group, max_dim=max_dim)
         complex_ = random_valid_complex(rng, action)
         point = random_point(rng, action.dim + 1)

@@ -1134,3 +1134,52 @@ def test_open_stratum_report_digests_are_pinned(tmp_path, build, argv, mode, dig
     assert code == 1
     assert mode in {s["mode"] for s in payload["report"]["coverage"]["strata"]}
     assert payload["report_digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("strata", FIXTURE),
+        ("check-descent", FIXTURE, "--complex", "koszul"),
+        ("omega", FIXTURE, "--word", "mixed"),
+        ("selftest-oracle", "--trials", "5", "--max-group-order", "16"),
+    ],
+    ids=("strata", "check-descent", "omega", "selftest-oracle"),
+)
+def test_a_report_of_a_small_group_is_not_walked_for_tables(argv, cli, monkeypatch):
+    """A group of order at most 16 has no table longer than 16 values, so
+    its report goes to the C encoder whole: no dict or list of it is walked,
+    and the text is what the walk would have written."""
+    walks = []
+    real = cli_module._holds_table
+
+    def counting(items):
+        walks.append(items)
+        return real(items)
+
+    monkeypatch.setattr(cli_module, "_holds_table", counting)
+    _, text, payload = cli(*argv)
+    assert walks == []
+    first = text.split("\n", 1)[0]
+    assert json.loads(first) == payload
+    assert payload["report_digest"] == report_digest(payload)
+    assert walks  # report_digest of a plain dict still walks it
+
+
+def test_a_report_of_a_large_group_still_shares_its_tables(tmp_path, cli, monkeypatch):
+    """Over order 16 the walk runs, and finds the long tables."""
+    path = tmp_path / "z17.json"
+    path.write_text(json.dumps({
+        "group": {"orders": [17]},
+        "action": {"dim": 1, "coordinate_characters": [[0], [0]]},
+    }), encoding="utf-8")
+    found = []
+    real = cli_module._holds_table
+
+    def recording(items):
+        found.append(real(items))
+        return found[-1]
+
+    monkeypatch.setattr(cli_module, "_holds_table", recording)
+    cli("strata", str(path))
+    assert True in found

@@ -165,6 +165,56 @@ def test_every_object_refuses_an_unknown_key(where, path, known):
     assert str(err.value) == f"{path}: unknown key (expected one of {known})"
 
 
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("complexes", "c", "terms", "1", 0), "$.complexes.c.terms.1[0].twist"),
+        (("words", "w", 1), "$.words.w[1].twist"),
+    ],
+)
+def test_a_null_twist_is_refused_with_its_path(where, path):
+    """An omitted twist is the trivial character; a null one is no character."""
+    data = json.loads(json.dumps(FULL))
+    obj = data
+    for step in where:
+        obj = obj[step]
+    del obj["twist"]
+    parse_problem(data)
+    obj["twist"] = None
+    with pytest.raises(InputError) as err:
+        parse_problem(data)
+    assert str(err.value) == (
+        f"{path}: expected a character as a list of exponents, got NoneType"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, edit, path",
+    [
+        (
+            ["check-descent", "--complex", "O1"],
+            lambda data: data["complexes"]["O1"]["terms"]["0"][0].update(twist=None),
+            "$.complexes.O1.terms.0[0].twist",
+        ),
+        (
+            ["omega", "--word", "twist1"],
+            lambda data: data["words"]["twist1"][0].update(twist=None),
+            "$.words.twist1[0].twist",
+        ),
+    ],
+)
+def test_a_null_twist_in_a_fixture_exits_2(argv, edit, path, tmp_path, capsys):
+    with open("tests/fixtures/z2_p2.json", encoding="utf-8") as handle:
+        data = json.load(handle)
+    edit(data)
+    problem = tmp_path / "null_twist.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    assert main([argv[0], str(problem), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: expected a character as a list of exponents, got NoneType\n"
+
+
 def test_a_misspelled_nested_key_exits_2(capsys):
     assert main(["check-descent", "tests/fixtures/z2_p2_unknown_key.json"]) == 2
     out, err = capsys.readouterr()

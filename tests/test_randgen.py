@@ -1,18 +1,27 @@
 """Contracts of the seeded random instance generators: determinism, bounds,
 and validity-by-construction."""
 
+import hashlib
 import itertools
+import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from eqdescent.action import MAX_PROJECTIVE_DIM, ProjectiveAction
+import eqdescent.selftest as selftest_module
+from eqdescent.action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
+from eqdescent.complexes import TwistedSummand
 from eqdescent.groups import AbelianGroup, InputError
+from eqdescent.polynomials import Poly
+from eqdescent.problem import problem_to_dict
 from eqdescent.randgen import (
     _order_tuples,
     equivariant_monomials,
     random_action,
     random_automorphism,
+    random_character,
+    random_equivariant_poly,
     random_group,
     random_point,
     random_summand,
@@ -146,3 +155,106 @@ def test_equivariant_monomials_match_monomial_characters_in_order():
             for char in action.group.characters[:12]:
                 want = [e for e in every if action.monomial_character(e) == char]
                 assert equivariant_monomials(action, degree, char) == want
+
+
+# ---------------------------------------------------------------------------
+# unchecked draws against the checked constructors
+# ---------------------------------------------------------------------------
+
+
+def _twin(rng: Random) -> Random:
+    """A generator that will repeat ``rng``'s next draws."""
+    twin = Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+def _checked_fraction(rng: Random, max_num: int, max_den: int) -> Fraction:
+    return Fraction(rng.choice([n for n in range(-max_num, max_num + 1) if n]), rng.randint(1, max_den))
+
+
+def test_unchecked_draws_equal_the_checked_constructors():
+    """Each object randgen builds unchecked equals the one the checked
+    constructor builds from the same draws, made in the same order."""
+    rng = Random(26)
+    for _ in range(1000):
+        group = random_group(rng, 60)
+        action = random_action(rng, group)
+        nvars = action.dim + 1
+
+        twin = _twin(rng)
+        chi = random_character(rng, group)
+        assert chi == group.character([twin.randrange(n) for n in group.orders])
+        assert type(chi.coords) is tuple
+
+        twin = _twin(rng)
+        src = random_summand(rng, group, 3)
+        assert src == TwistedSummand(
+            twin.randint(-3, 3), group.character([twin.randrange(n) for n in group.orders])
+        )
+        tgt = random_summand(rng, group, 3)
+
+        twin = _twin(rng)
+        poly = random_equivariant_poly(rng, action, src, tgt)
+        monos = equivariant_monomials(action, tgt.degree - src.degree, tgt.twist - src.twist)
+        if monos:
+            chosen = twin.sample(monos, twin.randint(1, min(3, len(monos))))
+            checked = Poly(nvars, {e: _checked_fraction(twin, 5, 3) for e in chosen})
+        else:
+            checked = Poly.zero(nvars)
+        assert poly == checked and hash(poly) == hash(checked)
+        assert twin.getstate() == rng.getstate()
+
+        twin = _twin(rng)
+        point = random_point(rng, nvars)
+        support = sorted(twin.sample(range(nvars), twin.randint(1, nvars)))
+        checked = RationalPoint(tuple(
+            _checked_fraction(twin, 9, 9) if i in support else Fraction(0) for i in range(nvars)
+        ))
+        assert point == checked and hash(point) == hash(checked)
+        assert all(type(c) is Fraction for c in point.coords)
+        assert twin.getstate() == rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# the self-test corpus
+# ---------------------------------------------------------------------------
+
+
+def _corpus_hash(monkeypatch, **options) -> tuple:
+    """(count, sha256) of the problem-file serializations of every instance
+    ``run_oracle_selftest`` draws, in order."""
+    sha = hashlib.sha256()
+    count = 0
+    real = selftest_module.fiber_restrict
+
+    def recording(complex_, point):
+        nonlocal count
+        count += 1
+        problem = problem_to_dict(complex_.action, complexes={"i": complex_}, points=[point])
+        sha.update(json.dumps(problem, sort_keys=True, separators=(",", ":")).encode())
+        return real(complex_, point)
+
+    monkeypatch.setattr(selftest_module, "fiber_restrict", recording)
+    assert selftest_module.run_oracle_selftest(**options).passed
+    return count, sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "options, pinned",
+    [
+        (
+            {"trials": 40, "seed": 1, "max_group_order": 8},
+            (40, "25866c20a101ae06833d676c104e30ebf42a2104c4298587c8b84f7717a15bab"),
+        ),
+        (
+            {"seed": 7},
+            (100, "139c02b2e6cc82e0ce6d76c20633de3b73adbea8f376c4e67393613f153322f4"),
+        ),
+    ],
+    ids=("seed-1-order-8", "seed-7-defaults"),
+)
+def test_selftest_corpus_is_pinned(options, pinned, monkeypatch):
+    """The instances the self-test draws are fixed by its seed: a change to
+    how they are drawn or built changes this hash."""
+    assert _corpus_hash(monkeypatch, **options) == pinned
