@@ -10,7 +10,8 @@ of the primitive m-th root of unity zeta_m.  Character values are always
 handled as exponents in Z/m, never as complex numbers, so every comparison
 in the package is exact.  ``Character.values`` evaluates a character on
 elements given one coordinate column at a time, reducing mod m as it sums;
-on the whole group, tables are built from the factor orders alone.
+on the whole group, tables are built from the factor orders alone, each
+row a rotation of one period of a factor's column (``_product_table``).
 
 Coordinates are checked once, where they enter: ``AbelianGroup.character``,
 ``Character(...)``, ``Character.__call__`` and ``Subgroup(parent,
@@ -22,8 +23,13 @@ computes are built through the unchecked ``CharacterRestriction._raw``.
 
 A group element is its coordinate tuple (g_1, ..., g_r), and
 ``AbelianGroup.elements`` lists them all in lexicographic order.  A
-``Subgroup`` is held as ``coords``, the sorted tuple of its elements, and
-``columns``, the same elements one coordinate at a time.
+``Subgroup`` is held as its ``order``, ``coords``, the sorted tuple of its
+elements, and ``columns``, the same elements one coordinate at a time.  The
+whole group, ``AbelianGroup.whole_subgroup``, gets its ``coords`` (which are
+``elements``) only when something reads them: the ``strata`` report, a cut
+of it, its ``columns``, or a comparison with another subgroup object of the
+same order; no decision does.  A subgroup hashes as (parent, order), in
+O(1), and compares element by element.
 ``equalizer_subgroup`` cuts G once per nontrivial difference of its
 characters: the first cut is enumerated as a kernel on G, one arithmetic
 progression of last coordinates per prefix, with no table over G; each
@@ -35,9 +41,9 @@ extension: adjoining g to H adds the disjoint cosets H + i*g,
 
 Caches, each tied to the object that owns it and living as long as it:
 
-  * ``AbelianGroup.elements`` and ``AbelianGroup.whole_subgroup`` are built
-    once per group object, and the group keeps every first cut, keyed by
-    the difference character's coordinates;
+  * ``AbelianGroup.whole_subgroup`` is built once per group object, and
+    ``AbelianGroup.elements`` once, when first read; the group keeps every
+    first cut, keyed by the difference character's coordinates;
   * a subgroup keeps the restriction of every character it has been asked
     for, keyed by the character's coordinates, so ``Character.restrict``
     computes each value table once per subgroup;
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 
 from .errors import InputError
@@ -97,8 +103,9 @@ class AbelianGroup:
 
     @cached_property
     def whole_subgroup(self) -> "Subgroup":
-        """The group as a subgroup of itself, built once per group object."""
-        return Subgroup._raw(self, self.elements)
+        """The group as a subgroup of itself, built once per group object;
+        its ``coords`` are ``elements``, listed only when first read."""
+        return Subgroup._raw(self, None)
 
     @cached_property
     def _cuts(self) -> dict:
@@ -234,9 +241,10 @@ class Character:
 class Subgroup:
     """Subgroup of an AbelianGroup, held as its sorted coordinate tuples.
 
-    Equality and hashing are by (parent, sorted coordinates), not by the
-    particular generating set, so stabilizers computed through different
-    routes compare equal exactly when they agree element-by-element.
+    Equality is by (parent, sorted coordinates), not by the particular
+    generating set, so stabilizers computed through different routes compare
+    equal exactly when they agree element-by-element.  The hash is that of
+    (parent, order), which equal subgroups share.
     """
 
     def __init__(self, parent: AbelianGroup, generators):
@@ -265,14 +273,20 @@ class Subgroup:
             for hcol, gcol in zip(columns, grown):
                 hcol += gcol
         self.coords = tuple(sorted(zip(*columns)))
+        self.order = len(self.coords)
         self._restrictions = {}  # character coords -> CharacterRestriction
 
     @classmethod
     def _raw(cls, parent: AbelianGroup, coords: tuple) -> "Subgroup":
-        """The subgroup whose sorted elements are ``coords``, unchecked."""
+        """The subgroup whose sorted elements are ``coords``, unchecked;
+        ``coords`` None is the whole of ``parent``, listed when first read."""
         sub = object.__new__(cls)
         sub.parent = parent
-        sub.coords = coords
+        if coords is None:
+            sub.order = parent.order
+        else:
+            sub.coords = coords
+            sub.order = len(coords)
         sub._restrictions = {}
         return sub
 
@@ -280,9 +294,11 @@ class Subgroup:
     def trivial(cls, parent: AbelianGroup) -> "Subgroup":
         return cls(parent, [])
 
-    @property
-    def order(self) -> int:
-        return len(self.coords)
+    @cached_property
+    def coords(self) -> tuple:
+        """The sorted elements of the whole group, ``parent.elements``; every
+        other subgroup is built with its ``coords``."""
+        return self.parent.elements
 
     @cached_property
     def columns(self) -> tuple:
@@ -292,21 +308,18 @@ class Subgroup:
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.coords) == 1
+        return self.order == 1
 
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Subgroup)
+            and self.order == other.order
             and self.parent == other.parent
             and self.coords == other.coords
         )
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.parent, self.coords))
+        return hash((self.parent, self.order))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -374,12 +387,33 @@ class CharacterRestriction:
 def _product_table(coords, orders, m: int) -> list:
     """Values of the exponent vector ``coords`` mod m on every element of
     Z/n_1 x ... x Z/n_k (``orders``), in lexicographic order: the table so
-    far, each value summed with every value of the next factor."""
+    far with each value x replaced by its row x + col, col the next factor's
+    values w * h (w = c * (m / n), 0 <= h < n).
+
+    col repeats with period p = m / d, d = gcd(w, m).  When d divides x,
+    x = w * h0 with h0 = (x / d) * (w / d)^-1 mod p (as in
+    ``_product_kernel``), so the row is col rotated by h0; any other row is
+    summed.  Each distinct x's row is made once.
+    """
     table = [0]
     for c, n in zip(coords, orders):
         w = c * (m // n)
-        col = [w * h % m for h in range(n)]
-        table = col if table == [0] else [(x + y) % m for x in table for y in col]
+        d = gcd(w, m)
+        p = m // d
+        col = ([v % m for v in range(0, w * p, w)] if w else [0]) * (n // p)
+        if table == [0]:
+            table = col
+            continue
+        inverse = pow(w // d, -1, p)
+        rows = {}
+        for x in table:
+            if x not in rows:
+                if x % d:
+                    rows[x] = [(x + y) % m for y in col]
+                else:
+                    h0 = x // d * inverse % p
+                    rows[x] = col[h0:] + col[:h0]
+        table = list(chain.from_iterable(map(rows.__getitem__, table)))
     return table
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import eqdescent.cli as cli_module
 import eqdescent.selftest as selftest_module
 import eqdescent.words as words_module
 from eqdescent.action import ProjectiveAction, RationalPoint
-from eqdescent.cli import main, report_digest
+from eqdescent.cli import build_parser, main, report_digest
 from eqdescent.complexes import (
     EquivariantComplex,
     InternalConsistencyError,
@@ -895,6 +896,83 @@ def test_invalid_word_image_is_an_internal_error(monkeypatch, capsys):
     ), captured.err
 
 
+# ---------------------------------------------------------------------------
+# the parser, shared by every call in a process
+# ---------------------------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, cli):
+    built = []
+    real = cli_module.build_parser
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    for argv in (("strata", FIXTURE), ("necessary", FIXTURE, "--word", "mixed"), ("strata", FIXTURE)):
+        cli(*argv)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", (["--help"], ["check-descent", "--help"], ["selftest-oracle", "--help"])
+)
+def test_help_is_the_text_of_a_freshly_built_parser(argv, capsys, cli):
+    cli("strata", FIXTURE)  # the shared parser exists and has parsed a call
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    shared = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert capsys.readouterr().out == shared
+    assert shared.startswith("usage: eqdescent")
+
+
+@pytest.mark.parametrize(
+    "rejected",
+    (["check-descent"], ["frobnicate", FIXTURE], ["selftest-oracle", "--trials", "x"], []),
+    ids=("no-problem", "no-such-command", "not-an-int", "empty"),
+)
+def test_a_rejected_command_line_leaves_the_next_call_working(rejected, capsys, cli):
+    with pytest.raises(SystemExit) as exc:
+        main(rejected)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, _, payload = cli("check-descent", FIXTURE, "--complex", "O1")
+    assert code == 1
+    assert payload["report_digest"] == (
+        "sha256:8f164fc3912fbbb00212a68b09fb7ef0a5088f0f807767ae39951590a431f7e4"
+    )
+
+
+def test_commands_run_back_to_back_give_the_reports_they_give_alone(cli):
+    """One process runs three commands in a row, the second with sampling
+    flags the third must not inherit; each report and summary equals that
+    of a process that runs the command alone, but for the timing."""
+    runs = (
+        ("strata", FIXTURE),
+        ("check-descent", FIXTURE, "--complex", "euler", "--seed", "5", "--samples", "3"),
+        ("check-descent", FIXTURE, "--complex", "euler"),
+        ("selftest-oracle", "--trials", "5", "--seed", "2"),
+    )
+    together = [cli(*argv) for argv in runs]
+    for argv, (code, text, payload) in zip(runs, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "eqdescent.cli", *argv], capture_output=True, text=True
+        )
+        assert alone.returncode == code, argv
+        alone_payload, alone_summary = split_report(alone.stdout)
+        for report in (payload, alone_payload):
+            del report["timing_seconds"]
+        assert payload == alone_payload, argv
+        assert split_report(text)[1] == alone_summary, argv
+    assert together[2][2]["report"]["coverage"]["samples_per_stratum"] == 5
+
+
 def test_installed_entry_point_works():
     result = subprocess.run(
         [sys.executable, "-m", "eqdescent.cli", "strata", FIXTURE],
@@ -1016,6 +1094,112 @@ def test_big_stabilizer_report_digests_are_pinned(tmp_path, command, digest, cli
     code, _, payload = cli(command, str(path))
     assert code == (0 if command == "strata" else 1)
     assert payload["report_digest"] == digest
+
+
+def _z10000_line_bundle():
+    """O(1) twisted by (1) under Z/10000 on P^2 with coordinate characters
+    0, 2, 5: one cyclic factor, so its whole-group tables have no prefix."""
+    G = AbelianGroup((10000,))
+    action = ProjectiveAction(G, 2, tuple(G.character((c,)) for c in (0, 2, 5)))
+    return bundle_complex(action, TwistedSummand(1, G.character((1,))))
+
+
+def _z10xz100_dropped_koszul():
+    """The Koszul complex of x0, x1, x2 under trivial Z/10 x Z/100 on P^2,
+    every term twisted by (0, 1) and the leftmost term dropped: every
+    stratum's stabilizer is the whole group."""
+    G = AbelianGroup((10, 100))
+    action = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    full = koszul_complex(action, (1, 1, 1))
+    base = G.character((0, 1))
+    low = min(full.terms)
+    terms = {
+        j: tuple(TwistedSummand(s.degree, s.twist + base) for s in summands)
+        for j, summands in full.terms.items()
+        if j != low
+    }
+    diffs = {j: d for j, d in full.differentials.items() if j != low}
+    return EquivariantComplex(action, terms, diffs)
+
+
+@pytest.mark.parametrize(
+    "build, code, digest",
+    (
+        (_z10000_line_bundle, 1,
+         "sha256:88be820fd18434e9343e52e5ce065d650a15835aa5c9246b21bd484a2e4a850a"),
+        (_z10xz100_dropped_koszul, 1,
+         "sha256:0b99128c5c8d4ec37dac459b273110e572838e42f74438ed2ecd191a6070bd62"),
+    ),
+    ids=("z10000-bundle", "z10xz100-dropped-koszul"),
+)
+def test_whole_group_report_digests_are_pinned(tmp_path, build, code, digest, cli):
+    """Reports read on stabilizers equal to G, one cyclic factor or two."""
+    complex_ = build()
+    path = tmp_path / "whole_group.json"
+    path.write_text(json.dumps(problem_to_dict(complex_.action, {"c": complex_})))
+    got, _, payload = cli("check-descent", str(path))
+    assert got == code
+    assert payload["report_digest"] == digest
+
+
+BIG_ACTIONS = (
+    ((2, 5000), ((0, 0), (1, 2), (0, 5))),
+    ((10000,), ((0,), (2,), (5,))),
+)
+
+
+def _big_problem(tmp_path, orders, chars, monkeypatch):
+    """A problem file on P^2 under ``orders`` with the Koszul complex ``c``
+    and the word ``w`` (twist by O(1) (x) (1, ..., 1), shift by 1); returns
+    its path and the list each problem the CLI loads is appended to."""
+    G = AbelianGroup(orders)
+    action = ProjectiveAction(G, 2, tuple(G.character(c) for c in chars))
+    problem = problem_to_dict(action, {"c": koszul_complex(action, (1, 1, 1))})
+    problem["words"] = {"w": [
+        {"kind": "twist", "degree": 1, "twist": [1] * G.rank}, {"kind": "shift", "k": 1},
+    ]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(problem))
+    loaded = []
+    real = cli_module.load_problem
+    monkeypatch.setattr(cli_module, "load_problem", lambda p: loaded.append(real(p)) or loaded[-1])
+    return str(path), loaded
+
+
+@pytest.mark.parametrize("orders, chars", BIG_ACTIONS, ids=("z2xz5000", "z10000"))
+def test_decisions_on_a_big_group_never_list_its_elements(tmp_path, orders, chars, cli, monkeypatch):
+    """Every single-coordinate stratum has the whole group of order 10,000
+    as stabilizer, yet no decision lists G's elements."""
+    path, loaded = _big_problem(tmp_path, orders, chars, monkeypatch)
+    for argv in (
+        ("check-descent",),
+        ("necessary", "--word", "w"),
+        ("omega", "--word", "w"),
+        ("omega", "--word", "w", "--gen-a", "c", "--gen-b", "c"),
+    ):
+        code, _, payload = cli(argv[0], path, *argv[1:])
+        assert code in (0, 1) and payload is not None, argv
+        group = loaded[-1].action.group
+        assert loaded[-1].action.strata()[0].stabilizer is group.whole_subgroup
+        assert "elements" not in group.__dict__, argv
+
+
+@pytest.mark.parametrize("orders, chars", BIG_ACTIONS, ids=("z2xz5000", "z10000"))
+def test_strata_lists_the_whole_groups_elements_once(tmp_path, orders, chars, cli, monkeypatch):
+    """The three single-coordinate strata list all of G, in lexicographic
+    order, from one tuple encoded once."""
+    path, loaded = _big_problem(tmp_path, orders, chars, monkeypatch)
+    encoded = []
+    real_dumps = cli_module._dumps
+    monkeypatch.setattr(cli_module, "_dumps", lambda value: encoded.append(value) or real_dumps(value))
+    code, _, payload = cli("strata", path)
+    assert code == 0
+    elements = loaded[-1].action.group.elements
+    assert sum(value is elements for value in encoded) == 1
+    whole = [s for s in payload["strata"] if s["stabilizer_order"] == 10000]
+    assert [s["support"] for s in whole] == [[0], [1], [2]]
+    listed = [list(g) for g in itertools.product(*map(range, orders))]
+    assert all(s["stabilizer_elements"] == listed for s in whole)
 
 
 PINNED_SELFTEST_DIGESTS = (

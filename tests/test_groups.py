@@ -15,6 +15,8 @@ from eqdescent.groups import (
     CharacterRestriction,
     InputError,
     Subgroup,
+    _product_kernel,
+    _product_table,
     equalizer_subgroup,
 )
 
@@ -362,9 +364,11 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
     lexicographic list of G; the first cut of an equalizer, enumerated one
     progression per prefix, is [g for g in G.elements if delta(g) == 0] in
     the same order, and is shared by equalizers with the same difference;
-    the whole-group table built from the factor orders is delta(g) element
-    by element.  Zero coordinates, non-units and factors with a common
-    divisor are all met."""
+    the whole-group table built from the factor orders (``_product_table``,
+    each row a rotated column or, for a prefix value outside <w>, a summed
+    one) is delta(g) and sum_i c_i * g_i * (m / n_i) mod m element by
+    element.  Zero coordinates, non-units, factors with a common divisor,
+    factors of order 1 and summed rows are all met."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     met = set()
@@ -389,15 +393,25 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(groups_and_characters())
+    @hypothesis.example((AbelianGroup((1, 6)), (0, 5)))
+    @hypothesis.example((AbelianGroup((4, 2)), (1, 1)))
     def check(case):
         group, coords = case
-        orders = group.orders
+        orders, m = group.orders, group.exponent
         if coords[-1] == 0 and orders[-1] > 1:
             met.add("zero")
         if any(c and math.gcd(c, n) > 1 for c, n in zip(coords, orders)):
             met.add("non-unit")
         if math.gcd(*orders) > 1 and len(orders) > 1:
             met.add("common divisor")
+        if 1 in orders:
+            met.add("order 1")
+        weights = [c * (m // n) for c, n in zip(coords, orders)]
+        prefix = {0}
+        for w, n in zip(weights, orders):
+            if any(x % math.gcd(w, m) for x in prefix):
+                met.add("summed row")
+            prefix = {(x + w * h) % m for x in prefix for h in range(n)}
         elements = group.elements
         assert len(elements) == group.order
         assert all(a < b for a, b in zip(elements, elements[1:]))
@@ -408,9 +422,54 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
         assert list(cut.coords) == [g for g, v in zip(elements, table) if v == 0]
         assert equalizer_subgroup([delta, delta.scaled(2)]) is cut
         assert delta.restrict(group.whole_subgroup).values == tuple(table)
+        assert _product_table(coords, orders, m) == table == [
+            sum(w * h for w, h in zip(weights, g)) % m for g in elements
+        ]
 
     check()
-    assert met == {"zero", "non-unit", "common divisor"}, met
+    assert met == {"zero", "non-unit", "common divisor", "order 1", "summed row"}, met
+
+
+def test_the_whole_group_is_enumerated_only_when_read():
+    """The whole subgroup has its order from the group's, hashes without its
+    elements and restricts characters without them; reading ``coords`` lists
+    ``elements``, once."""
+    g = AbelianGroup((2, 5000))
+    whole = g.whole_subgroup
+    assert whole is g.whole_subgroup
+    assert whole.order == 10000 and not whole.is_trivial
+    hash(whole)
+    r = g.character((1, 0)).restrict(whole)
+    assert whole != _product_kernel(g.character((1, 0)))
+    assert "elements" not in g.__dict__ and "coords" not in whole.__dict__
+    assert r.kernel.order == 5000  # a cut of the whole group reads its elements
+    assert whole.coords is g.elements
+    assert whole.columns == tuple(zip(*g.elements))
+    assert AbelianGroup((1,)).whole_subgroup.is_trivial
+
+
+@pytest.mark.parametrize("orders", [(1,), (6,), (2, 2), (4, 6), (3, 1, 4)])
+def test_equal_subgroups_from_different_routes_compare_and_hash_equal(orders):
+    """The whole group as ``whole_subgroup``, as generated by the factors'
+    unit vectors and as the cut of the trivial character; a character's
+    kernel as a ``_product_kernel`` cut, as the kernel of its whole-group
+    restriction and as generated by its own elements."""
+    g = AbelianGroup(orders)
+    units = [tuple(int(i == k) for i in range(g.rank)) for k in range(g.rank)]
+    wholes = [g.whole_subgroup, Subgroup(g, units), _product_kernel(g.trivial_character())]
+    for chi in g.characters:
+        cut = _product_kernel(chi)
+        kernels = [cut, chi.restrict(g.whole_subgroup).kernel, Subgroup(g, cut.coords)]
+        for same in (wholes, kernels):
+            for a, b in itertools.combinations(same, 2):
+                assert a == b and b == a and hash(a) == hash(b)
+        assert (cut == g.whole_subgroup) == chi.is_trivial
+
+
+def test_distinct_subgroups_of_one_order_share_a_hash_and_differ():
+    g = AbelianGroup((2, 2))
+    lines = [Subgroup(g, [h]) for h in ((1, 0), (0, 1), (1, 1))]
+    assert len({hash(s) for s in lines}) == 1 and len(set(lines)) == 3
 
 
 # ---------------------------------------------------------------------------
