@@ -30,25 +30,24 @@ whole group, ``AbelianGroup.whole_subgroup``, gets its ``coords`` (which are
 of it, its ``columns``, or a comparison with another subgroup object of the
 same order; no decision does.  A subgroup hashes as (parent, order), in
 O(1), and compares element by element.
-``equalizer_subgroup`` cuts G once per nontrivial difference of its
-characters: the first cut is enumerated as a kernel on G, one arithmetic
-progression of last coordinates per prefix, with no table over G; each
-later cut keeps the elements where a restriction table reads 0.  Filtering
-a sorted tuple keeps it sorted, so no cut is closed or sorted again.  Only
-``Subgroup(parent, generators)`` closes its generators, by cyclic
-extension: adjoining g to H adds the disjoint cosets H + i*g,
-0 < i < (order of g modulo H).
+``equalizer_subgroup`` cuts G by each difference of its characters in
+turn, through ``Subgroup.cut``: a cut of the whole group is enumerated as a
+kernel on G, one arithmetic progression of last coordinates per prefix,
+with no table over G; a cut of any other subgroup keeps the elements where
+a restriction table reads 0.  Filtering a sorted tuple keeps it sorted, so
+no cut is closed or sorted again.  Only ``Subgroup(parent, generators)``
+closes its generators, by cyclic extension: adjoining g to H adds the
+disjoint cosets H + i*g, 0 < i < (order of g modulo H).
 
 Caches, each tied to the object that owns it and living as long as it:
 
   * ``AbelianGroup.whole_subgroup`` is built once per group object, and
-    ``AbelianGroup.elements`` once, when first read; the group keeps every
-    first cut, keyed by the difference character's coordinates;
+    ``AbelianGroup.elements`` once, when first read;
   * a subgroup keeps the restriction of every character it has been asked
-    for, keyed by the character's coordinates, so ``Character.restrict``
-    computes each value table once per subgroup;
-  * a restriction keeps its ``kernel``, so equalizers that begin with the
-    same characters share their later cuts, and the cuts their tables.
+    for, so ``Character.restrict`` computes each value table once per
+    subgroup, and every cut it has made, so equalizers that begin with the
+    same characters share their cuts, and the cuts their tables; both are
+    keyed by the character's coordinates.
 
 The strata of an action, and with them its stabilizers, are cached on the
 ``ProjectiveAction`` (see ``action``).
@@ -106,12 +105,6 @@ class AbelianGroup:
         """The group as a subgroup of itself, built once per group object;
         its ``coords`` are ``elements``, listed only when first read."""
         return Subgroup._raw(self, None)
-
-    @cached_property
-    def _cuts(self) -> dict:
-        """The first cuts of ``equalizer_subgroup``, keyed by the difference
-        character's coordinates (see ``_product_kernel``)."""
-        return {}
 
     def character(self, coords) -> "Character":
         return Character(self, tuple(coords))
@@ -275,6 +268,7 @@ class Subgroup:
         self.coords = tuple(sorted(zip(*columns)))
         self.order = len(self.coords)
         self._restrictions = {}  # character coords -> CharacterRestriction
+        self._cuts = {}  # character coords -> Subgroup, see ``cut``
 
     @classmethod
     def _raw(cls, parent: AbelianGroup, coords: tuple) -> "Subgroup":
@@ -288,6 +282,7 @@ class Subgroup:
             sub.coords = coords
             sub.order = len(coords)
         sub._restrictions = {}
+        sub._cuts = {}
         return sub
 
     @classmethod
@@ -309,6 +304,50 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
+
+    def cut(self, chi: Character) -> "Subgroup":
+        """The elements where ``chi`` reads 0, cut once per subgroup and
+        character and kept on the subgroup; the subgroup itself when ``chi``
+        is trivial on it.
+
+        A cut of the whole group is enumerated without a table over it: for
+        each prefix (g_1, ..., g_{r-1}) with partial value x, the last
+        coordinates h with w_r * h = -x (mod m) are none unless
+        d = gcd(w_r, m) divides x, and otherwise the progression h0, h0 + p,
+        ... below n_r with p = m / d = n_r / gcd(c_r, n_r) and
+        h0 = (-x / d) * (w_r / d)^-1 mod p, at a cost of
+        O(|G| / n_r + |kernel|).  A cut of any other subgroup keeps the
+        elements where ``chi.restrict(self)`` reads 0.
+        """
+        group = self.parent
+        if chi.group != group:
+            raise InputError("character and subgroup belong to different groups")
+        if chi.is_trivial:
+            return self
+        found = self._cuts.get(chi.coords)
+        if found is None:
+            if self.order == group.order:
+                *head, n = group.orders
+                m = group.exponent
+                w = chi.coords[-1] * (m // n)
+                d = gcd(w, m)
+                p = m // d
+                inverse = pow(w // d, -1, p)
+                prefixes = product(*map(range, head))
+                partial = _product_table(chi.coords, head, m)  # zip stops at the head
+                found = Subgroup._raw(group, tuple(
+                    g + (h,)
+                    for g, x in zip(prefixes, partial)
+                    if not x % d
+                    for h in range(-x // d * inverse % p, n, p)
+                ))
+            else:
+                r = chi.restrict(self)
+                found = self if r.is_trivial else Subgroup._raw(
+                    group, tuple(h for h, v in zip(self.coords, r.values) if not v)
+                )
+            self._cuts[chi.coords] = found
+        return found
 
     def __eq__(self, other):
         return self is other or (
@@ -369,17 +408,6 @@ class CharacterRestriction:
     def is_trivial(self) -> bool:
         return not any(self.values)
 
-    @cached_property
-    def kernel(self) -> Subgroup:
-        """The elements of the subgroup where the value is 0, cut once per
-        restriction; the subgroup itself when the table is all 0."""
-        if self.is_trivial:
-            return self.subgroup
-        return Subgroup._raw(
-            self.subgroup.parent,
-            tuple(h for h, v in zip(self.subgroup.coords, self.values) if not v),
-        )
-
     def __repr__(self):
         return f"restriction{self.values} mod {self.modulus}"
 
@@ -392,7 +420,7 @@ def _product_table(coords, orders, m: int) -> list:
 
     col repeats with period p = m / d, d = gcd(w, m).  When d divides x,
     x = w * h0 with h0 = (x / d) * (w / d)^-1 mod p (as in
-    ``_product_kernel``), so the row is col rotated by h0; any other row is
+    ``Subgroup.cut``), so the row is col rotated by h0; any other row is
     summed.  Each distinct x's row is made once.
     """
     table = [0]
@@ -417,56 +445,17 @@ def _product_table(coords, orders, m: int) -> list:
     return table
 
 
-def _product_kernel(chi: Character) -> Subgroup:
-    """The elements of the whole group where ``chi`` reads 0, in
-    lexicographic order, enumerated without a table over the group.
-
-    For each prefix (g_1, ..., g_{r-1}) with partial value x, the last
-    coordinates h with w_r * h = -x (mod m) are none unless d = gcd(w_r, m)
-    divides x, and otherwise the progression h0, h0 + p, ... below n_r with
-    p = m / d = n_r / gcd(c_r, n_r) and h0 = (-x / d) * (w_r / d)^-1 mod p.
-    Costs O(|G| / n_r + |kernel|); kept on the group, by coordinates.
-    """
-    group = chi.group
-    found = group._cuts.get(chi.coords)
-    if found is None:
-        *head, n = group.orders
-        m = group.exponent
-        w = chi.coords[-1] * (m // n)
-        d = gcd(w, m)
-        p = m // d
-        inverse = pow(w // d, -1, p)
-        prefixes = product(*map(range, head))
-        partial = _product_table(chi.coords, head, m)  # zip stops at the head
-        found = group._cuts[chi.coords] = Subgroup._raw(group, tuple(
-            g + (h,)
-            for g, x in zip(prefixes, partial)
-            if not x % d
-            for h in range(-x // d * inverse % p, n, p)
-        ))
-    return found
-
-
 def equalizer_subgroup(chars) -> Subgroup:
-    """Largest subgroup on which all the given characters agree.
-
-    Each nontrivial difference chi - chi_1 cuts the group: the first by its
-    kernel on G, enumerated directly, each later one by the kernel of its
-    restriction to the subgroup so far.  Equalizers whose character lists
-    share a prefix share those cuts.  An empty character list is an input
-    error (there is no canonical "agreement" subgroup without at least one
-    character).
+    """Largest subgroup on which all the given characters agree: the whole
+    group cut by each difference chi - chi_1 in turn (``Subgroup.cut``), so
+    equalizers whose character lists share a prefix share those cuts.  An
+    empty character list is an input error (there is no canonical
+    "agreement" subgroup without at least one character).
     """
     chars = list(chars)
     if not chars:
         raise InputError("equalizer_subgroup needs at least one character")
-    group = chars[0].group
-    if any(c.group != group for c in chars):
-        raise InputError("characters belong to different groups")
-    deltas = [delta for delta in (chi - chars[0] for chi in chars[1:]) if not delta.is_trivial]
-    if not deltas:
-        return group.whole_subgroup
-    sub = _product_kernel(deltas[0])
-    for delta in deltas[1:]:
-        sub = delta.restrict(sub).kernel
+    sub = chars[0].group.whole_subgroup
+    for chi in chars[1:]:
+        sub = sub.cut(chi - chars[0])
     return sub

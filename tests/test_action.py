@@ -238,9 +238,11 @@ def test_strata_stabilizers_match_brute_force(actions):
 
 def test_first_cuts_are_enumerated_without_a_table_over_the_group(monkeypatch):
     """Z/2 x Z/5000 with characters (0,0), (1,2), (0,5), as in the CI
-    ``z2xz5000`` check: ``strata()`` cuts each stabilizer out of G without
-    restricting any character, difference characters included, to all of G,
-    and the stabilizers still match direct evaluation."""
+    ``z2xz5000`` check: ``strata()`` cuts each stabilizer out of G with
+    ``Subgroup.cut``, whose cuts of the whole group restrict no character,
+    difference characters included, to all of G (only cuts of proper
+    subgroups read tables), and the stabilizers still match direct
+    evaluation."""
     g = AbelianGroup((2, 5000))
     action = ProjectiveAction(g, 2, tuple(g.character(c) for c in ((0, 0), (1, 2), (0, 5))))
     restricted = []

@@ -124,6 +124,87 @@ def test_problem_file_sample_count_out_of_range_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _entry(*terms):
+    """A JSON differential entry from (coeff, exponents) pairs."""
+    return [{"coeff": c, "exponents": list(e)} for c, e in terms]
+
+
+def _sign_quadric(*f):
+    """0 -> O x sign --(f + x2^2)--> O(2) x sign -> 0 on the fixture's
+    action, f a binary quadric in x0, x1 given as (coeff, exponents) pairs."""
+    return {
+        "terms": {"0": [{"degree": 0, "twist": [1]}], "1": [{"degree": 2, "twist": [1]}]},
+        "differentials": {
+            "0": [{"source": 0, "target": 0, "entry": _entry(*f, (1, (0, 0, 2)))}],
+        },
+    }
+
+
+# The Koszul complex of x0 - x1 and x1 - x2 on P^2 under trivial Z/2, every
+# term twisted by sign: O(-2) -> O(-1)^2 -> O.  Its maps are 2x1 and 1x2.
+_K3 = {
+    "terms": {
+        "-2": [{"degree": -2, "twist": [1]}],
+        "-1": [{"degree": -1, "twist": [1]}, {"degree": -1, "twist": [1]}],
+        "0": [{"degree": 0, "twist": [1]}],
+    },
+    "differentials": {
+        "-2": [
+            {"source": 0, "target": 0, "entry": _entry((-1, (0, 1, 0)), (1, (0, 0, 1)))},
+            {"source": 0, "target": 1, "entry": _entry((1, (1, 0, 0)), (-1, (0, 1, 0)))},
+        ],
+        "-1": [
+            {"source": 0, "target": 0, "entry": _entry((1, (1, 0, 0)), (-1, (0, 1, 0)))},
+            {"source": 1, "target": 0, "entry": _entry((1, (0, 1, 0)), (-1, (0, 0, 1)))},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "chars, complex_, open_stratum, points",
+    [
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (-1, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (-3, (1, 1, 0)), (2, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (-2, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (1, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (1, (1, 1, 0)), (1, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [1]], _sign_quadric((1, (2, 0, 0)), (1, (1, 1, 0)), (-3, (0, 2, 0))), [0, 1], []),
+        ([[0], [0], [0]], _K3, [0, 1, 2], []),
+        ([[0], [0], [0]], _K3, [0, 1, 2], [["1", "1", "1"]]),
+    ],
+    ids=[
+        "x0^2-x1^2", "(x0-x1)(x0-2x1)", "x0^2-2x1^2", "x0^2+x1^2",
+        "x0^2+x0x1+x1^2", "x0^2+x0x1-3x1^2", "k3", "k3-at-(1:1:1)",
+    ],
+)
+def test_known_non_descending_complexes_never_get_an_exact_pass(
+    cli, tmp_path, chars, complex_, open_stratum, points
+):
+    """Each complex fails to descend on ``open_stratum``: the first six have
+    f + x2^2 vanishing there (at rational points or over Q-bar only), and
+    K3's maps all vanish at (1:1:1).  A report may call such a complex
+    ``fail``, or leave the stratum sampled and the verdict not exact; it
+    never gives it an exact PASS.  With the user point (1:1:1), K3 fails."""
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    problem = {
+        "group": data["group"],
+        "action": {"dim": 2, "coordinate_characters": chars},
+        "complexes": {"c": complex_},
+        "points": points,
+        "sampling": data["sampling"],
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    code, _, payload = cli("check-descent", str(path))
+    report = payload["report"]
+    assert report["verdict"] == "fail" or (
+        report["exact"] is False and open_stratum in report["sampled_strata"]
+    ), report
+    if points:
+        assert code == 1 and report["verdict"] == "fail"
+
+
 # ---------------------------------------------------------------------------
 # omega and necessary
 # ---------------------------------------------------------------------------

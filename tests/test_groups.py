@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqdescent.action import ProjectiveAction
 from eqdescent.groups import (
     MAX_GROUP_ORDER,
     AbelianGroup,
@@ -15,7 +16,6 @@ from eqdescent.groups import (
     CharacterRestriction,
     InputError,
     Subgroup,
-    _product_kernel,
     _product_table,
     equalizer_subgroup,
 )
@@ -226,7 +226,12 @@ def test_scaling_by_a_non_int_is_refused(k):
 def test_characters_of_different_groups_do_not_combine():
     a = AbelianGroup((4,)).character((1,))
     b = AbelianGroup((2, 2)).character((1, 0))
-    for combine in (lambda: a + b, lambda: a - b):
+    for combine in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: equalizer_subgroup([a, b]),
+        lambda: b.group.whole_subgroup.cut(a),
+    ):
         with pytest.raises(InputError, match="different groups"):
             combine()
 
@@ -361,17 +366,29 @@ def test_equalizer_exhaustive_small_groups():
 
 def test_first_cut_and_whole_group_tables_match_evaluation():
     """On groups of rank 1-3 and order up to 10,000: ``elements`` is the
-    lexicographic list of G; the first cut of an equalizer, enumerated one
-    progression per prefix, is [g for g in G.elements if delta(g) == 0] in
-    the same order, and is shared by equalizers with the same difference;
-    the whole-group table built from the factor orders (``_product_table``,
-    each row a rotated column or, for a prefix value outside <w>, a summed
-    one) is delta(g) and sum_i c_i * g_i * (m / n_i) mod m element by
-    element.  Zero coordinates, non-units, factors with a common divisor,
-    factors of order 1 and summed rows are all met."""
+    lexicographic list of G; a cut of the whole group (``Subgroup.cut``),
+    enumerated one progression per prefix, is [g for g in G.elements if
+    delta(g) == 0] in the same order, and is shared by equalizers with the
+    same difference; the whole-group table built from the factor orders
+    (``_product_table``, each row a rotated column or, for a prefix value
+    outside <w>, a summed one) is delta(g) and sum_i c_i * g_i * (m / n_i)
+    mod m element by element.  A cut of a subgroup generated by an element
+    is [h for h in sub.coords if chi(h) == 0], and is ``sub`` itself when
+    chi reads 0 on it; the stabilizer of every stratum T of an action with
+    |T| >= 2 is the stabilizer of T[:-1] cut by chi_{T[-1]} - chi_{T[0]},
+    the same object.  Zero coordinates, non-units, factors with a common
+    divisor, factors of order 1, summed rows, cuts of proper subgroups and
+    proper subgroups a nontrivial character reads 0 on are all met."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     met = set()
+
+    def character(n):
+        return st.one_of(
+            st.just(0),
+            st.sampled_from([d for d in range(1, n) if n % d == 0] or [0]),
+            st.integers(0, n - 1),
+        )
 
     @st.composite
     def groups_and_characters(draw):
@@ -381,22 +398,17 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
             n = draw(st.integers(1, min(budget, MAX_GROUP_ORDER if rank == 1 else 150)))
             orders.append(n)
             budget //= n
-        coords = tuple(
-            draw(st.one_of(
-                st.just(0),
-                st.sampled_from([d for d in range(1, n) if n % d == 0] or [0]),
-                st.integers(0, n - 1),
-            ))
-            for n in orders
-        )
-        return AbelianGroup(tuple(orders)), coords
+        coords = tuple(draw(character(n)) for n in orders)
+        psi = tuple(draw(character(n)) for n in orders)
+        generator = tuple(draw(character(n)) for n in orders)
+        return AbelianGroup(tuple(orders)), coords, psi, generator
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hypothesis.given(groups_and_characters())
-    @hypothesis.example((AbelianGroup((1, 6)), (0, 5)))
-    @hypothesis.example((AbelianGroup((4, 2)), (1, 1)))
+    @hypothesis.example((AbelianGroup((1, 6)), (0, 5), (0, 3), (0, 2)))
+    @hypothesis.example((AbelianGroup((4, 2)), (1, 1), (2, 0), (2, 1)))
     def check(case):
-        group, coords = case
+        group, coords, psi_coords, generator = case
         orders, m = group.orders, group.exponent
         if coords[-1] == 0 and orders[-1] > 1:
             met.add("zero")
@@ -418,31 +430,53 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
         assert elements[-1] == tuple(n - 1 for n in orders)
         delta = group.character(coords)
         table = [delta(g) for g in elements]
-        cut = equalizer_subgroup([group.trivial_character(), delta])
+        cut = group.whole_subgroup.cut(delta)
         assert list(cut.coords) == [g for g, v in zip(elements, table) if v == 0]
+        assert equalizer_subgroup([group.trivial_character(), delta]) is cut
         assert equalizer_subgroup([delta, delta.scaled(2)]) is cut
         assert delta.restrict(group.whole_subgroup).values == tuple(table)
         assert _product_table(coords, orders, m) == table == [
             sum(w * h for w, h in zip(weights, g)) % m for g in elements
         ]
+        assert cut.cut(delta) is cut
+        psi = group.character(psi_coords)
+        sub = Subgroup(group, [generator])
+        for chi in (delta, psi):
+            kept = [h for h in sub.coords if chi(h) == 0]
+            assert list(sub.cut(chi).coords) == kept
+            assert (sub.cut(chi) is sub) == (len(kept) == sub.order)
+            if sub.order < group.order and len(kept) < sub.order:
+                met.add("cut of a proper subgroup")
+            if sub.order < group.order and len(kept) == sub.order and not chi.is_trivial:
+                met.add("read 0 on a proper subgroup")
+        action = ProjectiveAction(group, 2, (group.trivial_character(), delta, psi))
+        stabilizers = {s.support: s.stabilizer for s in action.strata()}
+        chars = action.coord_chars
+        for support, stabilizer in stabilizers.items():
+            if len(support) >= 2:
+                before = stabilizers[support[:-1]]
+                assert stabilizer is before.cut(chars[support[-1]] - chars[support[0]])
 
     check()
-    assert met == {"zero", "non-unit", "common divisor", "order 1", "summed row"}, met
+    assert met == {
+        "zero", "non-unit", "common divisor", "order 1", "summed row",
+        "cut of a proper subgroup", "read 0 on a proper subgroup",
+    }, met
 
 
 def test_the_whole_group_is_enumerated_only_when_read():
     """The whole subgroup has its order from the group's, hashes without its
-    elements and restricts characters without them; reading ``coords`` lists
-    ``elements``, once."""
+    elements, and restricts and cuts characters without them; reading
+    ``coords`` lists ``elements``, once."""
     g = AbelianGroup((2, 5000))
     whole = g.whole_subgroup
     assert whole is g.whole_subgroup
     assert whole.order == 10000 and not whole.is_trivial
     hash(whole)
-    r = g.character((1, 0)).restrict(whole)
-    assert whole != _product_kernel(g.character((1, 0)))
+    g.character((1, 0)).restrict(whole)
+    cut = whole.cut(g.character((1, 0)))
+    assert whole != cut and cut.order == 5000
     assert "elements" not in g.__dict__ and "coords" not in whole.__dict__
-    assert r.kernel.order == 5000  # a cut of the whole group reads its elements
     assert whole.coords is g.elements
     assert whole.columns == tuple(zip(*g.elements))
     assert AbelianGroup((1,)).whole_subgroup.is_trivial
@@ -451,15 +485,16 @@ def test_the_whole_group_is_enumerated_only_when_read():
 @pytest.mark.parametrize("orders", [(1,), (6,), (2, 2), (4, 6), (3, 1, 4)])
 def test_equal_subgroups_from_different_routes_compare_and_hash_equal(orders):
     """The whole group as ``whole_subgroup``, as generated by the factors'
-    unit vectors and as the cut of the trivial character; a character's
-    kernel as a ``_product_kernel`` cut, as the kernel of its whole-group
-    restriction and as generated by its own elements."""
+    unit vectors and as its cut by the trivial character; a character's
+    kernel as a cut of ``whole_subgroup``, as a cut of the group generated
+    by the unit vectors and as generated by its own elements."""
     g = AbelianGroup(orders)
     units = [tuple(int(i == k) for i in range(g.rank)) for k in range(g.rank)]
-    wholes = [g.whole_subgroup, Subgroup(g, units), _product_kernel(g.trivial_character())]
+    generated = Subgroup(g, units)
+    wholes = [g.whole_subgroup, generated, generated.cut(g.trivial_character())]
     for chi in g.characters:
-        cut = _product_kernel(chi)
-        kernels = [cut, chi.restrict(g.whole_subgroup).kernel, Subgroup(g, cut.coords)]
+        cut = g.whole_subgroup.cut(chi)
+        kernels = [cut, generated.cut(chi), Subgroup(g, cut.coords)]
         for same in (wholes, kernels):
             for a, b in itertools.combinations(same, 2):
                 assert a == b and b == a and hash(a) == hash(b)

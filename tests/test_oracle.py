@@ -507,7 +507,7 @@ def test_oracle_imports_nothing_from_the_block_route():
     the stabilizer route (``Subgroup``, ``equalizer_subgroup``,
     ``smith_normal_form``, the table and kernel helpers of ``groups``) under
     any module path, and reads no whole-group subgroup, restriction table,
-    kernel or cached cut off any object."""
+    kernel, cut (``Subgroup.cut``) or cached cut off any object."""
     tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
     imported = set()
     attributes = set()
@@ -529,7 +529,8 @@ def test_oracle_imports_nothing_from_the_block_route():
     for parts in imported:
         assert not forbidden.intersection(parts), parts
     assert not attributes & {
-        "whole_subgroup", "restrict", "kernel", "_cuts", "_product_table", "_product_kernel",
+        "whole_subgroup", "restrict", "cut", "kernel", "_cuts", "_product_table",
+        "_product_kernel",
     }, attributes
 
 
