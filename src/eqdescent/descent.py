@@ -11,13 +11,16 @@ Stabilizers and fiber characters are constant along coordinate-support
 strata, so all of the fiber that does not depend on the point is computed
 once per stratum, as a ``FiberLayout``: the block each summand lands in, its
 position there, and every differential entry restricted to the stratum, by
-dropping the terms that hold a variable off the support.  Entries that
-vanish on the stratum are dropped.  An entry between two blocks must vanish
-identically there (equivariance forces it), so one that does not raises
-InternalConsistencyError.  The restricted entries are shared up to sign: on
-a stratum, every entry of a Koszul complex is +-x_i for some i in the
-support.  At a point each distinct restricted entry is evaluated once, in
-integers:
+dropping the terms that hold a variable off the support.  The placement of
+the summands in blocks depends only on the stabilizer and the lead
+character, so a check builds it once per stabilizer class and shares it
+between the strata of that class; the entries are filtered once per
+stratum.  Entries that vanish on the stratum are dropped.  An entry between
+two blocks must vanish identically there (equivariance forces it), so one
+that does not raises InternalConsistencyError.  The restricted entries are
+shared up to sign: on a stratum, every entry of a Koszul complex is +-x_i
+for some i in the support.  At a point each distinct restricted entry is
+evaluated once, in integers:
 
   * the point is scaled to primitive integer coordinates x;
   * an entry p from (d_s, psi_s) to (d_t, psi_t) contributes its raw value
@@ -120,7 +123,7 @@ class FiberComplex:
 def integer_entries(complex_: EquivariantComplex) -> tuple:
     """The summands, numbered, and the differentials with coefficient
     denominators cleared row by row, in the form ``fiber_layout`` lays out
-    on a stratum: (distinct, numbers, entries).
+    on a stratum: (distinct, numbers, entries, placements).
 
     ``distinct`` lists the distinct summands in the order they first occur
     and ``numbers`` maps each degree to the position in ``distinct`` of each
@@ -131,7 +134,9 @@ def integer_entries(complex_: EquivariantComplex) -> tuple:
     ``terms`` are the entry's (exponents, int coefficient) pairs in sorted
     order, times ``sign`` so that the first coefficient is positive, a
     term's mask has bit i set when x_i occurs in it, and ``occurring`` is
-    the union of the masks.
+    the union of the masks.  ``placements`` starts empty; ``fiber_layout``
+    keeps there the block placement of each stabilizer class it meets, so
+    the strata that share these entries share their placements too.
     """
     position = {}  # summand -> its index in distinct
     numbers = {
@@ -154,7 +159,32 @@ def integer_entries(complex_: EquivariantComplex) -> tuple:
                 terms = [(e, -c) for e, c in terms]
             masks = tuple(sum(1 << i for i, a in enumerate(e) if a) for e, _ in terms)
             out.append((s, t, sign, tuple(terms), masks, reduce(or_, masks)))
-    return tuple(position), numbers, entries
+    return tuple(position), numbers, entries, {}
+
+
+def _placement(stratum: Stratum, distinct: tuple, numbers: dict) -> tuple:
+    """(keys, dims, places): the block keys numbered by first occurrence,
+    each block's {degree: summand count}, and for each degree the (block,
+    position) of each of its summands.  Each distinct summand's fiber
+    character is computed once, and each block key is numbered when first
+    met, so the loop over the entries compares small ints rather than
+    characters."""
+    block_numbers = {}  # block key -> block number
+    of_summand = [  # distinct summand -> block number
+        block_numbers.setdefault(s.fiber_character(stratum), len(block_numbers))
+        for s in distinct
+    ]
+    dims = [{} for _ in block_numbers]  # block number -> {degree -> summand count}
+    places = {}  # degree -> [(block number, position in the block) per summand]
+    for j, kinds in numbers.items():
+        placed = places[j] = []
+        for n in kinds:
+            k = of_summand[n]
+            per_degree = dims[k]
+            position = per_degree.get(j, 0)
+            per_degree[j] = position + 1
+            placed.append((k, position))
+    return list(block_numbers), dims, places
 
 
 @dataclass(frozen=True)
@@ -183,29 +213,20 @@ def fiber_layout(
     """Lay out the fibers of a validated complex on a stratum, given the
     complex's ``integer_entries`` (computed once, shared between strata).
 
-    Each distinct summand's fiber character is computed once, and each
-    block key is numbered when first met, so the loop over the entries
-    compares small ints rather than characters.  An entry between two blocks
-    that does not vanish identically on the stratum raises
-    InternalConsistencyError: equivariance forbids it, so the decomposition
-    or the validation is buggy."""
-    distinct, numbers, diffs = entries
-    block_numbers = {}  # block key -> block number
-    of_summand = [  # distinct summand -> block number
-        block_numbers.setdefault(s.fiber_character(stratum), len(block_numbers))
-        for s in distinct
-    ]
-    keys = list(block_numbers)  # block number -> block key
-    dims = [{} for _ in keys]  # block number -> {degree -> summand count}
-    places = {}  # degree -> [(block number, position in the block) per summand]
-    for j, kinds in numbers.items():
-        placed = places[j] = []
-        for n in kinds:
-            k = of_summand[n]
-            per_degree = dims[k]
-            position = per_degree.get(j, 0)
-            per_degree[j] = position + 1
-            placed.append((k, position))
+    The fiber characters depend only on the stabilizer and the lead
+    character, so the block placement is built once per stabilizer class,
+    keyed on (stabilizer, lead character coordinates), and kept in the
+    entries' ``placements``.  The entries are filtered once per stratum: an
+    entry between two blocks that does not vanish identically on the stratum
+    raises InternalConsistencyError, as equivariance forbids it, so the
+    decomposition or the validation is buggy."""
+    distinct, numbers, diffs, placements = entries
+    # Not keyed on ``scalar_char``: its value table is |S| long.
+    key = (stratum.stabilizer, stratum.lead_char.coords)
+    placement = placements.get(key)
+    if placement is None:
+        placement = placements[key] = _placement(stratum, distinct, numbers)
+    keys, dims, places = placement
 
     nvars = complex_.action.dim + 1
     off = (1 << nvars) - 1  # the variables off the support
@@ -573,7 +594,9 @@ def check_descent(
 
     Each stratum's fiber layout is built once, before its mode is chosen,
     shared by its points, and dropped when the stratum is done; user
-    points share one layout per support.
+    points share one layout per support.  The block placements that the
+    layouts are built from last for the whole check, one per stabilizer
+    class.
     """
     complex_.require_valid()
     action = complex_.action

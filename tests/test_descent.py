@@ -359,6 +359,85 @@ def test_an_entry_between_blocks_must_vanish_on_the_stratum(z2_p2):
         not cells for _, maps in layout.blocks.values() for _, _, _, cells in maps
     )
 
+    # Under trivial Z/2 every stratum has the whole group as stabilizer and
+    # the same lead character, so all share one block placement; x2 from O
+    # to O(1) (x) sign still vanishes on {0} and still crosses on {0, 2}.
+    G = AbelianGroup((2,))
+    trivial = ProjectiveAction(G, 2, (G.trivial_character(),) * 3)
+    broken = EquivariantComplex(
+        trivial,
+        {0: (O(trivial, 0),), 1: (O(trivial, 1, (1,)),)},
+        {0: {(0, 0): Poly.variable(3, 2)}},
+    )
+    entries = descent_module.integer_entries(broken)
+    layout = descent_module.fiber_layout(broken, trivial.stratum_of_support((0,)), entries)
+    assert layout.polys == () and len(layout.blocks) == 2
+    with pytest.raises(InternalConsistencyError, match="does not vanish"):
+        descent_module.fiber_layout(broken, trivial.stratum_of_support((0, 2)), entries)
+    assert len(entries[3]) == 1  # one stabilizer class, one placement
+
+
+def _layout_parts(layout):
+    """Everything a layout holds, blocks in their numbering order."""
+    return layout.polys, list(layout.blocks.items()), layout.open_maps
+
+
+def test_a_shared_placement_gives_the_layout_a_fresh_one_would():
+    """On random actions and valid complexes, laying out every stratum with
+    a nontrivial stabilizer through one ``integer_entries``, in the order of
+    ``strata()`` and in a shuffled order, gives the layout that entries of
+    its own would: the same polys, the same blocks in the same order with
+    the same dims and maps, cells in the same order, and the same open
+    maps."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    reused = {"strata": 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 10**9))
+    def check(seed):
+        rng = Random(seed)
+        action = random_action(rng, random_group(rng))
+        c = random_valid_complex(rng, action)
+        strata = [s for s in action.strata() if not s.stabilizer.is_trivial]
+        shuffled = list(strata)
+        rng.shuffle(shuffled)
+        for order in (strata, shuffled):
+            shared = descent_module.integer_entries(c)
+            for stratum in order:
+                got = descent_module.fiber_layout(c, stratum, shared)
+                fresh = descent_module.fiber_layout(
+                    c, stratum, descent_module.integer_entries(c)
+                )
+                assert got.stratum is stratum
+                assert _layout_parts(got) == _layout_parts(fresh), (seed, stratum.support)
+            reused["strata"] += len(order) - len(shared[3])
+
+    check()
+    assert reused["strata"] >= 100
+
+
+def test_fiber_characters_are_computed_once_per_stabilizer_class(koszul, monkeypatch):
+    """Under trivial Z/2 all 63 strata of P^5 share the whole group as
+    stabilizer and the lead character, so a check of the Koszul complex
+    computes the fiber character of each of its 7 distinct summands (one
+    per degree, among 64) once, not once per stratum."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 5, (G.trivial_character(),) * 6)
+    complex_ = koszul(action, (1,) * 6)
+    calls = []
+    fiber_character = TwistedSummand.fiber_character
+
+    def counting(self, stratum):
+        calls.append(self)
+        return fiber_character(self, stratum)
+
+    monkeypatch.setattr(TwistedSummand, "fiber_character", counting)
+    report = check_descent(complex_)
+    assert report.passed and len(report.coverage) == 63
+    distinct = {s for j in complex_.degrees() for s in complex_.summands(j)}
+    assert len(calls) == len(set(calls)) == len(distinct) == 7
+
 
 def test_each_distinct_restricted_entry_is_evaluated_once(koszul, monkeypatch):
     """On a stratum every Koszul entry restricts to +-c_i x_i with i in the
