@@ -13,7 +13,11 @@ every copy would give.  Every table is a stabilizer's element list or a
 character's values on a stabilizer, so a report of a group of order at most
 16 holds none: each command's ``_Payload`` carries its group's order (the
 self-test's, its bound on it), and such a report goes to the C encoder
-whole, with no walk looking for tables.  The strata summary lists the first
+whole, with no walk looking for tables.  Above that, every entry of a table
+is an int below ``MAX_GROUP_ORDER`` (a value in Z/m, a coordinate in
+Z/n_i), so a table's text is joined from ``str(v)`` looked up in one shared
+text table, built on first use and never at import, instead of each int
+being converted again by the encoder.  The strata summary lists the first
 32 strata and counts the rest.  The document carries a ``report_digest``:
 sha256 of the canonical JSON (sorted keys, no spaces) of the payload without the digest
 itself and ``timing_seconds``.  So two runs with the same inputs are
@@ -46,6 +50,7 @@ import json
 import os
 import sys
 import time
+from operator import itemgetter
 
 from .action import MAX_PROJECTIVE_DIM, MAX_SAMPLES_PER_STRATUM
 from .descent import LONG_TABLE, DescentReport, char_str, check_descent
@@ -90,42 +95,88 @@ def _holds_table(items) -> bool:
     return False
 
 
-def _write(value, tables: dict) -> str:
+# str(v) at each int key 0 <= v < len(_INT_TEXTS) <= MAX_GROUP_ORDER: the text
+# of every table entry a report of a group of that order can hold.  Empty
+# until a long table is first written, then grown to the largest entry met.
+_INT_TEXTS: dict = {}
+
+
+def _texts(column) -> tuple:
+    """``str(v)`` for each entry of ``column`` (more than one), from
+    ``_INT_TEXTS``.  KeyError or TypeError where the text table cannot answer:
+    an entry that is negative, at or above ``MAX_GROUP_ORDER``, or not an
+    int.  A bool or an integral float would be answered as the int it equals,
+    which is why only ``_Payload`` tables come here."""
+    try:
+        return itemgetter(*column)(_INT_TEXTS)
+    except KeyError:
+        grown = range(len(_INT_TEXTS), min(max(column) + 1, MAX_GROUP_ORDER))
+        _INT_TEXTS.update(zip(grown, map(str, grown)))
+        return itemgetter(*column)(_INT_TEXTS)
+
+
+def _table_text(table: tuple) -> str:
+    """Canonical JSON text of a long table of a ``_Payload``.  A table of
+    ints is its entries' texts joined; a list of elements, tuples of one
+    length, is split into columns, each looked up at once, and joined back
+    row by row.  Whatever the text table cannot answer, a ragged or empty
+    element included, goes to the C encoder."""
+    try:
+        if type(table[0]) is not tuple:
+            return "[" + ",".join(_texts(table)) + "]"
+        columns = tuple(zip(*table))
+        if columns and sum(map(len, table)) == len(columns) * len(table):
+            return "[[" + "],[".join(map(",".join, zip(*map(_texts, columns)))) + "]]"
+    except (KeyError, TypeError):
+        pass
+    return _dumps(table)
+
+
+def _write(value, tables: dict, encode) -> str:
     """Canonical JSON text of ``value``, each table's text taken from (and
-    put in) ``tables``, keyed by the table's ``id``.  A value holding no
-    table, and a dict with a key that is not a ``str`` (json sorts and
-    converts such keys itself), go to the C encoder whole."""
+    put in) ``tables``, keyed by the table's ``id``, and made the first time
+    by ``encode``: ``_table_text``, which joins the entries' texts from the
+    shared text table, for a ``_Payload``, the C encoder for any other dict.
+    A value holding no table, and a dict with a key that is not a ``str``
+    (json sorts and converts such keys itself), go to the C encoder whole."""
     kind = type(value)
     if kind is tuple and len(value) > LONG_TABLE:
         text = tables.get(id(value))
         if text is None:
-            text = tables[id(value)] = _dumps(value)
+            text = tables[id(value)] = encode(value)
         return text
     if kind is list and _holds_table(value):
-        return "[" + ",".join([_write(item, tables) for item in value]) + "]"
+        return "[" + ",".join([_write(item, tables, encode) for item in value]) + "]"
     if (
         kind is dict
         and all(type(key) is str for key in value)
         and _holds_table(value.values())
     ):
         return "{" + ",".join(
-            [f"{_dumps(key)}:{_write(value[key], tables)}" for key in sorted(value)]
+            [f"{_dumps(key)}:{_write(value[key], tables, encode)}" for key in sorted(value)]
         ) + "}"
     return _dumps(value)
 
 
-def _canonical(value, tables: dict | None) -> str:
+def _canonical(value, tables: dict | None, encode) -> str:
     """Canonical JSON text (sorted keys, no spaces) of one top-level member,
     by the C encoder alone when ``tables`` is None.  It runs once per
     member, apart from the recursion in ``_write``, so the texts it returns
     add up to the canonical report."""
-    return _dumps(value) if tables is None else _write(value, tables)
+    return _dumps(value) if tables is None else _write(value, tables, encode)
 
 
 class _Payload(dict):
     """A command's report members, with ``group_order``, the order of the
     group whose stabilizers its tables are read on, or a bound on it: no
-    table in the report is longer."""
+    table in the report is longer.
+
+    The contract its long tables are written on: every tuple of more than
+    16 entries in it is a table the package built, of ints (character
+    values) or of equal-length tuples of ints (stabilizer elements), so
+    ``_table_text`` may read each entry's text from the shared text table
+    without checking that it is an int and not a bool or a float equal to
+    one.  A plain dict gets no such trust: its tables go to the C encoder."""
 
     def __init__(self, group_order: int, members: dict):
         super().__init__(members)
@@ -137,11 +188,13 @@ def _members(payload: dict) -> list:
 
     The members share one table memo; ``payload`` keeps every tuple keyed in
     it alive meanwhile, so no id is reused.  A ``_Payload`` whose group order
-    is at most ``LONG_TABLE`` holds no long table, so it gets no memo."""
-    short = isinstance(payload, _Payload) and payload.group_order <= LONG_TABLE
-    tables = None if short else {}
+    is at most ``LONG_TABLE`` holds no long table, so it gets no memo; a
+    larger one has its tables written by ``_table_text``."""
+    trusted = isinstance(payload, _Payload)
+    tables = None if trusted and payload.group_order <= LONG_TABLE else {}
+    encode = _table_text if trusted else _dumps
     return [
-        (key, _canonical(payload[key], tables))
+        (key, _canonical(payload[key], tables, encode))
         for key in sorted(payload)
         if key not in ("report_digest", "timing_seconds")
     ]

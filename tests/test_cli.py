@@ -4,10 +4,12 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -23,10 +25,11 @@ from eqdescent.complexes import (
     bundle_complex,
 )
 from eqdescent.descent import block_cohomology, char_str
-from eqdescent.groups import AbelianGroup
+from eqdescent.groups import MAX_GROUP_ORDER, AbelianGroup
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.polynomials import Poly
 from eqdescent.problem import parse_problem, point_to_list, problem_to_dict
+from eqdescent.randgen import random_action, random_orders, random_valid_complex
 
 from conftest import koszul_complex, split_report
 
@@ -560,56 +563,100 @@ def _canonical_json(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def test_canonical_writer_matches_the_c_encoder():
+def test_canonical_writer_matches_the_c_encoder(monkeypatch):
     """The members and the digest equal what one json.dumps of the payload
     gives, over nested payloads whose long tuples are shared by several
     members or not, beside short tuples, escaped and non-ASCII keys, int
-    keys, empty containers and every scalar."""
+    keys, empty containers and every scalar.  Long tuples hold ints the
+    text table answers, a 10,000-entry table among them, element tuples of
+    length 1 to 3, and entries it cannot answer: negative ints, ints at and
+    above 10,000, strings, ragged and empty element tuples, mixed entries;
+    in a plain dict also bools and floats, which equal ints as dict keys.
+    The same payloads as a ``_Payload``, whose long tuples hold ints only,
+    take the text table's path and must give the same text."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    monkeypatch.setattr(cli_module, "_INT_TEXTS", {})
     shared = (
         tuple(range(17)),
         tuple(range(-5, 40)),
         tuple((i, i * i % 7) for i in range(30)),
         tuple((i,) for i in range(16)),
         (3, 1, 2),
+        tuple(i * 7 % 10000 for i in range(10000)),
     )
     ints = st.integers(-(10**20), 10**20)
     small = st.integers(-99, 99)
-    tables = st.one_of(
-        st.sampled_from(shared),
-        st.lists(small, max_size=16).map(tuple),
-        st.lists(small, min_size=17, max_size=24).map(tuple),
-        st.lists(st.tuples(small, small), min_size=15, max_size=20).map(tuple),
-    )
+    entry = st.integers(0, 99)
     # Quotes, backslashes, control characters, non-ASCII and a lone surrogate.
     text = st.text('ab"\\/\x00\n\x1f\x7f\u00f1\u03a9\u2603\ud800\U0001f600', max_size=6)
     keys = st.one_of(text, st.sampled_from(['a": "b\\', "report_digest", ""]))
-    leaves = st.one_of(ints, st.booleans(), st.none(), st.floats(), text, tables)
-    values = st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.lists(children, max_size=5),
-            st.lists(st.dictionaries(keys, children, max_size=4), max_size=4),
-            st.dictionaries(keys, children, max_size=5),
-            st.dictionaries(st.integers(-20, 20), children, max_size=4),
-        ),
-        max_leaves=15,
-    )
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.dictionaries(keys, values, max_size=6))
-    def check(payload):
-        payload.pop("report_digest", None)
-        payload.pop("timing_seconds", None)
-        payload["~copy"] = list(payload.values())  # a second member that repeats every table
-        assert cli_module._members(payload) == [
-            (key, _canonical_json(payload[key])) for key in sorted(payload)
-        ]
-        whole = _canonical_json(payload).encode()
-        assert report_digest(payload) == "sha256:" + hashlib.sha256(whole).hexdigest()
+    def long_lists(of):
+        return st.lists(of, min_size=17, max_size=24)
 
-    check()
+    def with_one(odd, rows):
+        """Rows with one of them replaced by ``odd``."""
+        return st.tuples(rows, odd, st.integers(0, 16)).map(
+            lambda t: tuple(t[0][: t[2]] + [t[1]] + t[0][t[2] + 1:])
+        )
+
+    def payloads(odd):
+        """Payloads whose long tuples hold ``entry`` ints and, at some
+        places, ``odd`` entries."""
+        element = st.integers(1, 3).flatmap(lambda r: st.tuples(*[entry] * r))
+        odd_element = st.integers(1, 3).flatmap(lambda r: st.tuples(odd, *[entry] * (r - 1)))
+        elements = st.integers(1, 3).flatmap(lambda r: long_lists(st.tuples(*[entry] * r)))
+        tables = st.one_of(
+            st.sampled_from(shared),
+            st.lists(small, max_size=16).map(tuple),
+            st.lists(st.tuples(small, small), min_size=15, max_size=20).map(tuple),
+            long_lists(entry).map(tuple),
+            long_lists(small).map(tuple),
+            long_lists(st.integers(9_990, 10_010)).map(tuple),
+            elements.map(tuple),
+            with_one(odd, long_lists(entry)),
+            with_one(odd_element, elements),
+            long_lists(element).map(tuple),  # ranks 1 to 3 in one list
+            long_lists(st.lists(entry, max_size=3).map(tuple)).map(tuple),  # ragged, empty
+            long_lists(st.one_of(entry, element, odd)).map(tuple),  # mixed
+        )
+        leaves = st.one_of(ints, st.booleans(), st.none(), st.floats(), text, tables)
+        values = st.recursive(
+            leaves,
+            lambda children: st.one_of(
+                st.lists(children, max_size=5),
+                st.lists(st.dictionaries(keys, children, max_size=4), max_size=4),
+                st.dictionaries(keys, children, max_size=5),
+                st.dictionaries(st.integers(-20, 20), children, max_size=4),
+            ),
+            max_leaves=15,
+        )
+        return st.dictionaries(keys, values, max_size=6)
+
+    def checker(odd, as_payload):
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(payloads(odd), st.booleans())
+        def check(payload, fresh):
+            if fresh:
+                cli_module._INT_TEXTS.clear()
+            payload.pop("report_digest", None)
+            payload.pop("timing_seconds", None)
+            payload["~copy"] = list(payload.values())  # a second member that repeats every table
+            expected = [(key, _canonical_json(payload[key])) for key in sorted(payload)]
+            whole = _canonical_json(payload).encode()
+            if as_payload:
+                payload = cli_module._Payload(MAX_GROUP_ORDER, payload)
+            assert cli_module._members(payload) == expected
+            assert report_digest(payload) == "sha256:" + hashlib.sha256(whole).hexdigest()
+            assert len(cli_module._INT_TEXTS) <= MAX_GROUP_ORDER
+
+        return check
+
+    outside = st.one_of(st.integers(-99, -1), st.integers(10_000, 10_010))
+    not_ints = st.one_of(text, st.booleans(), st.sampled_from((2.0, 0.0, -0.0, 1.5)))
+    checker(st.one_of(outside, not_ints), False)()
+    checker(outside, True)()
 
 
 def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
@@ -624,13 +671,13 @@ def test_a_shared_table_is_encoded_once_per_report(monkeypatch, cli):
     [scalar] = {s.scalar_char.values for s in strata}
     assert len(strata) == 7 and len(elements) == 10000
     encoded = []
-    real_dumps = cli_module._dumps
+    real_table_text = cli_module._table_text
 
-    def counting_dumps(value):
+    def counting_table_text(value):
         encoded.append(value)
-        return real_dumps(value)
+        return real_table_text(value)
 
-    monkeypatch.setattr(cli_module, "_dumps", counting_dumps)
+    monkeypatch.setattr(cli_module, "_table_text", counting_table_text)
     monkeypatch.setattr(cli_module, "load_problem", lambda path: problem)
     code, _, payload = cli("strata", "big_stabilizer.json")
     assert code == 0
@@ -667,13 +714,13 @@ def test_table_search_runs_only_when_the_group_can_hold_a_long_table(
     path = tmp_path / "koszul.json"
     path.write_text(json.dumps(problem_to_dict(action, {"c": complex_})))
     encoded = []
-    real_dumps = cli_module._dumps
+    real_table_text = cli_module._table_text
 
-    def recording_dumps(value):
+    def recording_table_text(value):
         encoded.append(value)
-        return real_dumps(value)
+        return real_table_text(value)
 
-    monkeypatch.setattr(cli_module, "_dumps", recording_dumps)
+    monkeypatch.setattr(cli_module, "_table_text", recording_table_text)
     for argv in (("strata", str(path)), ("check-descent", str(path))):
         encoded.clear()
         code, text, payload = cli(*argv)
@@ -1271,8 +1318,10 @@ def test_strata_lists_the_whole_groups_elements_once(tmp_path, orders, chars, cl
     order, from one tuple encoded once."""
     path, loaded = _big_problem(tmp_path, orders, chars, monkeypatch)
     encoded = []
-    real_dumps = cli_module._dumps
-    monkeypatch.setattr(cli_module, "_dumps", lambda value: encoded.append(value) or real_dumps(value))
+    real_table_text = cli_module._table_text
+    monkeypatch.setattr(
+        cli_module, "_table_text", lambda value: encoded.append(value) or real_table_text(value)
+    )
     code, _, payload = cli("strata", path)
     assert code == 0
     elements = loaded[-1].action.group.elements
@@ -1448,3 +1497,75 @@ def test_a_report_of_a_large_group_still_shares_its_tables(tmp_path, cli, monkey
     monkeypatch.setattr(cli_module, "_holds_table", recording)
     cli("strata", str(path))
     assert True in found
+
+
+def test_real_reports_of_groups_above_order_16_equal_the_c_encoder(tmp_path, cli, monkeypatch):
+    """Random actions on groups of order 17 to 10,000, rank 1 to 3, and a
+    random complex on each: every member of the ``strata`` and
+    ``check-descent`` reports, written from the text table, equals
+    json.dumps of the member, the printed digest recomputes from the printed
+    document, and the text table holds no entry past the group's order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(cli_module, "_INT_TEXTS", {})
+    written = []
+    real_members = cli_module._members
+    monkeypatch.setattr(
+        cli_module, "_members", lambda payload: written.append(payload) or real_members(payload)
+    )
+    orders = st.one_of(
+        st.sampled_from(((17,), (10000,), (2, 5000), (4, 5, 500))),
+        st.integers(0, 2**32).map(lambda s: random_orders(Random(s), MAX_GROUP_ORDER)),
+    ).filter(lambda o: math.prod(o) > cli_module.LONG_TABLE)
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(orders, st.integers(0, 2**32))
+    def check(orders, seed):
+        cli_module._INT_TEXTS.clear()
+        rng = Random(seed)
+        action = random_action(rng, AbelianGroup(orders))
+        complex_ = random_valid_complex(rng, action)
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(problem_to_dict(action, {"c": complex_})))
+        for argv in (("strata", str(path)), ("check-descent", str(path))):
+            written.clear()
+            code, _, printed = cli(*argv)
+            assert code in (0, 1), argv
+            payload = written[0]
+            assert type(payload) is cli_module._Payload and payload.group_order == math.prod(orders)
+            assert real_members(payload) == [
+                (key, _canonical_json(payload[key])) for key in sorted(payload)
+            ]
+            assert printed["report_digest"] == report_digest(printed)
+        assert len(cli_module._INT_TEXTS) <= math.prod(orders)
+
+    check()
+
+
+def test_small_group_reports_leave_the_text_table_unbuilt():
+    """In a fresh process the text table is empty after import, and stays
+    empty through reports on groups of order at most 16 (the fixture's Z/2,
+    a self-test bounded at 16); the first report with a long table builds
+    it, up to the largest entry written."""
+    script = "\n".join((
+        "import contextlib, io, json, os, tempfile",
+        "import eqdescent.cli as cli",
+        "sizes = [len(cli._INT_TEXTS)]",
+        "def run(*argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        cli.main(list(argv))",
+        "    sizes.append(len(cli._INT_TEXTS))",
+        f"run('strata', {FIXTURE!r})",
+        f"run('check-descent', {FIXTURE!r}, '--complex', 'koszul')",
+        "run('selftest-oracle', '--trials', '5', '--max-group-order', '16')",
+        "with tempfile.TemporaryDirectory() as tmp:",
+        "    path = os.path.join(tmp, 'z17.json')",
+        "    with open(path, 'w') as handle:",
+        "        json.dump({'group': {'orders': [17]},",
+        "                   'action': {'dim': 1, 'coordinate_characters': [[0], [1]]}}, handle)",
+        "    run('strata', path)",
+        "print(json.dumps(sizes))",
+    ))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, 0, 0, 0, 17]
