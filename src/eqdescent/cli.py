@@ -31,7 +31,8 @@ a key repeated in one of its objects, schema violation, invalid complex
 (named by its JSON path, ``$.complexes.<name>``), a generator failing its
 own descent precondition, ``necessary`` on a word holding a push (named
 ``$.words.<name>``), ``--samples`` or a ``selftest-oracle`` option out of
-range, a problem file that is not UTF-8 or nests too deeply): every exit 2
+range, a problem file that is not UTF-8, nests too deeply or holds a number
+with more digits than int() converts): every exit 2
 is an ``InputError``, which prints an ``error:`` line to stderr and nothing
 to stdout, 3 an internal error: any other exception, which is a bug in the
 package, not a verdict, 141 (128 + SIGPIPE) the reader closed stdout before
@@ -288,38 +289,27 @@ def _check_range(flag, value, low, high=None) -> None:
 
 
 def _sampling(args, problem: Problem) -> dict:
-    samples = args.samples
-    if samples is not None:
-        _check_range("--samples", samples, 1, MAX_SAMPLES_PER_STRATUM)
-    else:
-        samples = problem.samples_per_stratum if problem.samples_per_stratum else 5
-    seed = args.seed
-    if seed is None:
-        seed = problem.seed if problem.seed is not None else 0
-    return dict(
-        samples_per_stratum=samples,
-        seed=seed,
-        points=problem.points,
-    )
+    _check_range("--samples", args.samples, 1, MAX_SAMPLES_PER_STRATUM)
+    return dict(samples_per_stratum=args.samples, seed=args.seed, points=problem.points)
 
 
 def _add_sampling_flags(parser):
     parser.add_argument(
         "--samples",
         type=int,
-        default=None,
+        default=5,
         metavar="N",
         help=(
             f"sample points per multi-coordinate stratum, 1 to {MAX_SAMPLES_PER_STRATUM} "
-            "(default: problem file, then 5)"
+            "(default 5)"
         ),
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help="seed for deterministic sampling (default: problem file, then 0)",
+        help="seed for deterministic sampling (default 0)",
     )
 
 
@@ -457,7 +447,7 @@ def _cmd_selftest(args) -> tuple:
     _check_selftest_args(args)
     report = run_oracle_selftest(
         trials=args.trials,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         max_group_order=args.max_group_order,
         max_dim=args.max_dim,
     )
@@ -530,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the block route against the averaging route on random instances",
     )
     p.add_argument("--trials", type=int, default=100, metavar="N", help="at least 1")
-    p.add_argument("--seed", type=int, default=None, metavar="N")
+    p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument(
         "--max-group-order", type=int, default=12, metavar="N",
         help=f"from 2 to {MAX_GROUP_ORDER}",

@@ -77,7 +77,7 @@ from functools import cached_property, reduce
 from math import lcm
 from operator import or_
 
-from .action import ProjectiveAction, RationalPoint, Stratum
+from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint, Stratum
 from .complexes import (
     EquivariantComplex,
     InternalConsistencyError,
@@ -596,8 +596,20 @@ def check_descent(
     shared by its points, and dropped when the stratum is done; user
     points share one layout per support.  The block placements that the
     layouts are built from last for the whole check, one per stabilizer
-    class.
+    class.  ``samples_per_stratum`` is an int from 1 to
+    ``MAX_SAMPLES_PER_STRATUM`` and ``seed`` an int, each checked here, so
+    the report's coverage holds only values that the sampling accepts.
     """
+    # type(...) is int, so a bool is refused too.
+    if type(samples_per_stratum) is not int or not (
+        1 <= samples_per_stratum <= MAX_SAMPLES_PER_STRATUM
+    ):
+        raise InputError(
+            f"samples_per_stratum must be an int from 1 to {MAX_SAMPLES_PER_STRATUM}, "
+            f"got {samples_per_stratum!r}"
+        )
+    if type(seed) is not int:
+        raise InputError(f"seed must be an int, got {seed!r}")
     complex_.require_valid()
     action = complex_.action
     entries = integer_entries(complex_)

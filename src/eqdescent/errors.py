@@ -9,6 +9,7 @@ with the same ``InputError``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 # "p", "p/q" or "p.q" in ASCII digits with an optional sign.  Fraction also
@@ -23,7 +24,9 @@ class InputError(ValueError):
 def as_rational(x, what: str) -> Fraction:
     """``x`` (an int, a Fraction or a string matching ``RATIONAL_TEXT``) as
     a Fraction.  Anything else, floats and bools above all, raises
-    InputError naming ``what``."""
+    InputError naming ``what``; so does a string that int() refuses to
+    convert (``sys.get_int_max_str_digits``), and that error, raised from the
+    ValueError, gives the length in digits instead of the string."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -33,4 +36,10 @@ def as_rational(x, what: str) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             pass
+        except ValueError as err:  # a run of digits longer than int() converts
+            digits = max(map(len, re.findall("[0-9]+", x)))
+            raise InputError(
+                f"not an exact rational {what}: a run of {digits} digits, over the limit "
+                f"of {sys.get_int_max_str_digits()} for an int"
+            ) from err
     raise InputError(f"not an exact rational {what}: {x!r}")

@@ -1,7 +1,7 @@
 """The JSON problem format: parsing, validation, and serialization.
 
 A problem file describes one group action plus named complexes, named functor
-words, and optional extra points and sampling defaults:
+words, and optional extra points:
 
     {
       "group":  {"orders": [2]},
@@ -19,15 +19,15 @@ words, and optional extra points and sampling defaults:
                {"kind": "shift", "k": 2},
                {"kind": "push", "perm": [1, 0, 2], "scalars": ["1", "1/2", "3"]}]
       },
-      "points": [["1", "0", "-2/3"]],
-      "sampling": {"samples_per_stratum": 5, "seed": 0}
+      "points": [["1", "0", "-2/3"]]
     }
 
 Rational numbers are JSON integers or strings such as "-7/3" or "0.25"; JSON
 floats and exponent notation are rejected so every computation stays exact
 and small.  Malformed JSON is reported with line and column, a key
-repeated in one object with the path of that object, and schema problems
-with the JSON path of the offending value.  Each term of a differential
+repeated in one object with the path of that object, and schema problems,
+a number with more digits than int() converts among them, with the JSON
+path of the offending value.  Each term of a differential
 entry is checked once, by one test of its shape, and the entry's polynomial
 is built from the checked terms with no second check in ``Poly``; JSON
 paths are built only for a value that fails.  Each complex is validated as
@@ -41,11 +41,12 @@ scalings), which keeps the file format closed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
-from .action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
+from .action import ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
 from .errors import InputError, as_rational
 from .groups import AbelianGroup
@@ -110,10 +111,13 @@ def parse_rational(value, path) -> Fraction:
     """A JSON integer or a string "p", "p/q" or "p.q" of ASCII digits with an
     optional sign, coerced by ``as_rational``.  Anything else, floats and
     exponents included ("1e4000000" would build a four-million-digit
-    integer), is rejected with the path."""
+    integer), is rejected with the path.  A well-formed string too long for
+    int() keeps the message of ``as_rational``, which names its length."""
     try:
         return as_rational(value, "number")
-    except InputError:
+    except InputError as err:
+        if err.__cause__ is not None:  # the ValueError of an over-long run of digits
+            _fail(path, str(err))
         _fail(path, f'not a rational number: expected an int, "p", "p/q" or "p.q", got {value!r}')
 
 
@@ -142,8 +146,6 @@ class Problem:
     complexes: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)
     points: tuple = ()
-    samples_per_stratum: int | None = None
-    seed: int | None = None
 
     def only_complex(self, name: str | None) -> tuple:
         return _pick("complex", self.complexes, name)
@@ -340,7 +342,7 @@ def _parse_point(nvars, data, path) -> RationalPoint:
 
 def parse_problem(data) -> Problem:
     obj = _expect_dict(data, [], "a problem object")
-    _refuse_unknown(obj, ("group", "action", "complexes", "words", "points", "sampling"), [])
+    _refuse_unknown(obj, ("group", "action", "complexes", "words", "points"), [])
     group = _parse_group(obj.get("group"), ["group"])
     action = _parse_action(group, obj.get("action"), ["action"])
     nvars = action.dim + 1
@@ -358,30 +360,7 @@ def parse_problem(data) -> Problem:
         for i, p in enumerate(_expect_list(obj.get("points", []), ["points"]))
     )
 
-    sampling = _expect_dict(obj.get("sampling", {}), ["sampling"])
-    _refuse_unknown(sampling, ("samples_per_stratum", "seed"), ["sampling"])
-    samples = sampling.get("samples_per_stratum")
-    if samples is not None:
-        samples = _expect_int(samples, ["sampling", "samples_per_stratum"])
-        if samples < 1:
-            _fail(["sampling", "samples_per_stratum"], "must be at least 1")
-        if samples > MAX_SAMPLES_PER_STRATUM:
-            _fail(
-                ["sampling", "samples_per_stratum"],
-                f"must be at most {MAX_SAMPLES_PER_STRATUM}, got {samples}",
-            )
-    seed = sampling.get("seed")
-    if seed is not None:
-        seed = _expect_int(seed, ["sampling", "seed"])
-
-    return Problem(
-        action=action,
-        complexes=complexes,
-        words=words,
-        points=points,
-        samples_per_stratum=samples,
-        seed=seed,
-    )
+    return Problem(action=action, complexes=complexes, words=words, points=points)
 
 
 class _RepeatedKey(Exception):
@@ -401,18 +380,29 @@ def _object(pairs) -> dict:
     return obj
 
 
-def _decode(text: str):
-    """json.loads, refusing a repeated key with the path of its object.
+class _IntText(str):
+    """A JSON integer literal, kept as its text."""
 
-    Only a refused text is decoded a second time, keeping every pair, and
-    walked in document order to the first object that repeats a key; the
-    first decoding met one, so the walk does.
+
+def _decode(text: str):
+    """json.loads, refusing with its path a repeated key or an integer
+    literal longer than int() converts (``sys.get_int_max_str_digits``).
+
+    Only a refused text is decoded a second time, keeping every pair and
+    each integer literal as its text, and walked in document order (an
+    object before its members) to the first object that repeats a key or
+    the first over-long literal; the first decoding met one, so the walk
+    does.
     """
     try:
         return json.loads(text, object_pairs_hook=_object)
-    except _RepeatedKey:
+    except json.JSONDecodeError:
+        raise
+    except (_RepeatedKey, ValueError):  # ValueError: int() refused a literal
         pass
-    stack = [([], json.loads(text, object_pairs_hook=_Pairs))]
+    # 0, or no such function (before Python 3.10.7), is no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or inf
+    stack = [([], json.loads(text, object_pairs_hook=_Pairs, parse_int=_IntText))]
     while True:
         path, value = stack.pop()
         if isinstance(value, _Pairs):
@@ -424,6 +414,9 @@ def _decode(text: str):
         elif isinstance(value, list):
             value = list(enumerate(value))
         else:
+            digits = len(value.lstrip("-")) if isinstance(value, _IntText) else 0
+            if digits > limit:
+                _fail(path, f"an integer of {digits} digits, over the limit of {limit} for an int")
             continue
         stack.extend((path + [key], item) for key, item in reversed(value))
 
@@ -497,8 +490,6 @@ def problem_to_dict(
     complexes: dict | None = None,
     words: dict | None = None,
     points=(),
-    samples_per_stratum: int | None = None,
-    seed: int | None = None,
 ) -> dict:
     out = {
         "group": {"orders": list(action.group.orders)},
@@ -513,11 +504,4 @@ def problem_to_dict(
         out["words"] = {name: w.describe() for name, w in words.items()}
     if points:
         out["points"] = [point_to_list(p) for p in points]
-    sampling = {}
-    if samples_per_stratum is not None:
-        sampling["samples_per_stratum"] = samples_per_stratum
-    if seed is not None:
-        sampling["seed"] = seed
-    if sampling:
-        out["sampling"] = sampling
     return out

@@ -95,7 +95,7 @@ def test_points_only_is_not_an_option(capsys, argv):
     assert "unrecognized arguments: --points-only" in err
 
 
-def test_sampling_flags_override_problem_defaults(cli):
+def test_sampling_flags_set_the_run_and_default_to_5_and_0(cli):
     _, _, payload = cli(
         "check-descent", FIXTURE, "--complex", "O2", "--samples", "2", "--seed", "77"
     )
@@ -115,15 +115,100 @@ def test_samples_out_of_range_exits_2(value, capsys):
     assert captured.out == ""
 
 
-def test_problem_file_sample_count_out_of_range_exits_2(tmp_path, capsys):
+def test_problem_file_sampling_object_is_an_unknown_key_exits_2(tmp_path, capsys):
+    """Sampling is set by the flags only: a problem file holding the run's
+    sample count and seed is refused."""
     data = json.loads(open(FIXTURE, encoding="utf-8").read())
-    data["sampling"] = {"samples_per_stratum": 101}
-    path = tmp_path / "many_samples.json"
+    data["sampling"] = {"samples_per_stratum": 5, "seed": 0}
+    path = tmp_path / "sampling.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code = main(["check-descent", str(path), "--complex", "O2"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: $.sampling.samples_per_stratum: must be at most 100")
+    assert captured.err == (
+        "error: $.sampling: unknown key (expected one of "
+        "['action', 'complexes', 'group', 'points', 'words'])\n"
+    )
+    assert captured.out == ""
+
+
+# One digit more than int() converts from text; 0 turns the limit off.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_DIGITS == 0, reason="int() has no digit limit")
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("complexes", "euler", "differentials", "0", 0, "entry", 0, "coeff"),
+         "$.complexes.euler.differentials.0[0].entry[0].coeff"),
+        (("points", 0, 1), "$.points[0][1]"),
+        (("words", "swap01", 0, "scalars", 2), "$.words.swap01[0].scalars[2]"),
+    ],
+)
+@pytest.mark.parametrize("prefix", ["", "-", "1/", "1."], ids=["int", "negative", "ratio", "decimal"])
+def test_a_rational_string_over_the_int_digit_limit_exits_2(tmp_path, capsys, where, path, prefix):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    obj = data
+    for step in where[:-1]:
+        obj = obj[step]
+    obj[where[-1]] = prefix + "7" * (INT_DIGITS + 1)
+    problem = tmp_path / "long.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["strata", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: not an exact rational number: a run of {INT_DIGITS + 1} digits, "
+        f"over the limit of {INT_DIGITS} for an int\n"
+    )
+    assert captured.out == ""
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("group", "orders", 0), "$.group.orders[0]"),
+        (("complexes", "euler", "differentials", "0", 0, "entry", 0, "exponents", 2),
+         "$.complexes.euler.differentials.0[0].entry[0].exponents[2]"),
+        (("complexes", "euler", "differentials", "0", 0, "entry", 0, "coeff"),
+         "$.complexes.euler.differentials.0[0].entry[0].coeff"),
+        (("words", "shift3", 0, "k"), "$.words.shift3[0].k"),
+    ],
+)
+def test_a_json_integer_over_the_int_digit_limit_exits_2(tmp_path, capsys, where, path):
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    obj = data
+    for step in where[:-1]:
+        obj = obj[step]
+    obj[where[-1]] = "LONG"
+    problem = tmp_path / "long.json"
+    text = json.dumps(data).replace('"LONG"', "-" + "7" * (INT_DIGITS + 1))
+    problem.write_text(text, encoding="utf-8")
+    code = main(["strata", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: an integer of {INT_DIGITS + 1} digits, "
+        f"over the limit of {INT_DIGITS} for an int\n"
+    )
+    assert captured.out == ""
+
+
+def test_a_repeated_key_keeps_its_error_next_to_a_long_integer(tmp_path, capsys):
+    """The second decoding looks for both faults: the first in document
+    order is reported."""
+    text = open(FIXTURE, encoding="utf-8").read().replace(
+        '"group": {"orders": [2]}', '"group": {"orders": [2], "orders": [2]}'
+    ).replace('"k": 3', '"k": ' + "7" * (INT_DIGITS + 1))
+    problem = tmp_path / "both.json"
+    problem.write_text(text, encoding="utf-8")
+    code = main(["strata", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: $.group: object repeats the key 'orders'\n"
     assert captured.out == ""
 
 
@@ -195,7 +280,6 @@ def test_known_non_descending_complexes_never_get_an_exact_pass(
         "action": {"dim": 2, "coordinate_characters": chars},
         "complexes": {"c": complex_},
         "points": points,
-        "sampling": data["sampling"],
     }
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem), encoding="utf-8")
@@ -1367,12 +1451,10 @@ def test_rational_koszul_p3_report_digest_is_pinned(tmp_path, koszul, cli):
     action = ProjectiveAction(G, 3, tuple(G.character((c,)) for c in (0, 1, 0, 1)))
     complex_ = koszul(action, (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(1, 9)))
     points = [RationalPoint(("1/2", "-3/7", "0", "5/3")), RationalPoint(("0", "4/9", "0", "-2"))]
-    problem = problem_to_dict(
-        action, {"koszul": complex_}, points=points, samples_per_stratum=4, seed=13
-    )
+    problem = problem_to_dict(action, {"koszul": complex_}, points=points)
     path = tmp_path / "koszul_p3.json"
     path.write_text(json.dumps(problem))
-    code, _, payload = cli("check-descent", str(path))
+    code, _, payload = cli("check-descent", str(path), "--samples", "4", "--seed", "13")
     assert code == 0  # the Koszul complex of a full regular sequence is exact off 0
     assert payload["report_digest"] == (
         "sha256:690fcac7aa19008745e90749b7eecbf42dd8e39aabd83db71485313a3c8b04c0"

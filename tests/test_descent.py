@@ -21,6 +21,7 @@ import eqdescent.action as action_module
 import eqdescent.descent as descent_module
 import eqdescent.linalg as linalg_module
 from eqdescent.action import ProjectiveAction, RationalPoint
+from eqdescent.cli import report_digest
 from eqdescent.complexes import EquivariantComplex, TwistedSummand, bundle_complex
 from eqdescent.descent import (
     BlockComplex,
@@ -632,6 +633,46 @@ def test_every_stratum_is_decided_on_random_complexes():
         assert_every_stratum_decided(report)
         modes |= {c["mode"] for c in report["coverage"]["strata"]}
     assert len(modes) >= 4, modes
+
+
+def _sign_bundle_on_p1():
+    """O twisted by the sign of Z/2 acting on P^1 by (0, 1): no stratum
+    samples, so the sample count and seed reach only the coverage."""
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 1, (G.character((0,)), G.character((1,))))
+    return bundle_complex(action, TwistedSummand(0, G.character((1,))))
+
+
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (0, 0, "samples_per_stratum must be an int from 1 to 100, got 0"),
+        (101, 0, "samples_per_stratum must be an int from 1 to 100, got 101"),
+        (True, 0, "samples_per_stratum must be an int from 1 to 100, got True"),
+        ("5", 0, "samples_per_stratum must be an int from 1 to 100, got '5'"),
+        (5, True, "seed must be an int, got True"),
+        (5, "5", "seed must be an int, got '5'"),
+    ],
+)
+def test_check_descent_refuses_sampling_arguments_out_of_contract(samples, seed, message):
+    with pytest.raises(InputError) as err:
+        check_descent(_sign_bundle_on_p1(), samples_per_stratum=samples, seed=seed)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "samples, seed, digest",
+    [
+        (1, 0, "sha256:5fd11e27f788c834ea259121935c278c08218d24d9a072e23ba959d3f18b5563"),
+        (100, -4, "sha256:fbc30f0c605874abe1809f4bd6dc745364b639162866bede3245ef0a4d4d6280"),
+        (3, 7, "sha256:a3ada9712e0ab0a8bf54c9340c4fd5b3bdba10b2cc4d5fe3d18fa8c46c356952"),
+    ],
+)
+def test_check_descent_reports_valid_sampling_arguments_as_given(samples, seed, digest):
+    report = check_descent(_sign_bundle_on_p1(), samples_per_stratum=samples, seed=seed)
+    coverage = report.to_dict()["coverage"]
+    assert (coverage["samples_per_stratum"], coverage["seed"]) == (samples, seed)
+    assert report_digest(report.to_dict()) == digest
 
 
 @pytest.mark.parametrize("d", range(-4, 5))

@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-from eqdescent.action import MAX_SAMPLES_PER_STRATUM
 from eqdescent.cli import main
 from eqdescent.groups import InputError
 from eqdescent.polynomials import Poly
@@ -82,7 +81,6 @@ def test_fixture_parses(tmp_path):
     assert set(problem.complexes) == {"O", "O1", "O2", "euler", "koszul"}
     assert set(problem.words) == {"twist1", "twist2", "shift3", "mixed", "swap01"}
     assert len(problem.points) == 1
-    assert problem.samples_per_stratum == 5 and problem.seed == 0
     for c in problem.complexes.values():
         assert c.validate().ok
 
@@ -121,14 +119,13 @@ FULL = with_extras(
             {"kind": "push", "perm": [1, 0, 2], "scalars": [1, 1, 2]},
         ]
     },
-    sampling={"samples_per_stratum": 3, "seed": 1},
 )
 
 
 @pytest.mark.parametrize(
     "where, path, known",
     [
-        ((), "$.extra", ["action", "complexes", "group", "points", "sampling", "words"]),
+        ((), "$.extra", ["action", "complexes", "group", "points", "words"]),
         (("group",), "$.group.extra", ["orders"]),
         (("action",), "$.action.extra", ["coordinate_characters", "dim"]),
         (("complexes", "c"), "$.complexes.c.extra", ["differentials", "terms"]),
@@ -150,7 +147,7 @@ FULL = with_extras(
         (("words", "w", 0), "$.words.w[0].extra", ["k", "kind"]),
         (("words", "w", 1), "$.words.w[1].extra", ["degree", "kind", "twist"]),
         (("words", "w", 2), "$.words.w[2].extra", ["kind", "perm", "scalars"]),
-        (("sampling",), "$.sampling.extra", ["samples_per_stratum", "seed"]),
+        ((), "$.sampling", ["action", "complexes", "group", "points", "words"]),
     ],
 )
 def test_every_object_refuses_an_unknown_key(where, path, known):
@@ -159,7 +156,7 @@ def test_every_object_refuses_an_unknown_key(where, path, known):
     obj = data
     for step in where:
         obj = obj[step]
-    obj["extra"] = 1
+    obj[path.rsplit(".", 1)[1]] = 1
     with pytest.raises(InputError) as err:
         parse_problem(data)
     assert str(err.value) == f"{path}: unknown key (expected one of {known})"
@@ -457,19 +454,6 @@ def test_zero_point_error_names_its_path():
         parse_problem(with_extras(points=[["1", "0", "0"], ["0", 0, "0/5"]]))
 
 
-def test_sampling_bounds_checked():
-    with pytest.raises(InputError, match="at least 1"):
-        parse_problem(with_extras(sampling={"samples_per_stratum": 0}))
-
-
-def test_sample_count_is_bounded_above():
-    top = with_extras(sampling={"samples_per_stratum": MAX_SAMPLES_PER_STRATUM})
-    assert parse_problem(top).samples_per_stratum == MAX_SAMPLES_PER_STRATUM
-    over = with_extras(sampling={"samples_per_stratum": MAX_SAMPLES_PER_STRATUM + 1})
-    with pytest.raises(InputError, match=r"^\$\.sampling\.samples_per_stratum: must be at most"):
-        parse_problem(over)
-
-
 @pytest.mark.parametrize(
     "body, path",
     [
@@ -598,7 +582,7 @@ def test_random_instances_round_trip_through_json():
         w = random_word(rng, action)
         pt = random_point(rng, action.dim + 1)
         data = problem_to_dict(
-            action, complexes={"c": c}, words={"w": w}, points=[pt], seed=3
+            action, complexes={"c": c}, words={"w": w}, points=[pt]
         )
         # must survive an actual JSON encode/decode, not just dict identity
         problem = parse_problem(json.loads(json.dumps(data)))
@@ -606,7 +590,6 @@ def test_random_instances_round_trip_through_json():
         assert problem.complexes["c"] == c
         assert problem.words["w"] == w
         assert problem.points == (pt,)
-        assert problem.seed == 3
 
 
 def test_point_serialization_uses_exact_strings():
@@ -681,8 +664,6 @@ def test_arbitrary_json_raises_only_input_errors():
             complexes={"c": random_valid_complex(rng, action)},
             words={"w": random_word(rng, action)},
             points=[random_point(rng, action.dim + 1)],
-            samples_per_stratum=rng.randint(1, 5),
-            seed=rng.randint(0, 9),
         )
         path = data.draw(st.sampled_from(list(_nodes(valid))))
         copy_to_key = copy_to_key and bool(path) and isinstance(path[-1], str)
