@@ -46,13 +46,11 @@ from .selftest import SelftestReport, run_oracle_selftest
 from .words import (
     FunctorWord,
     GeneratorRejectedError,
-    NecessaryReport,
     OmegaReport,
     Push,
     Shift,
     Twist,
     default_generator,
-    necessary_check,
     omega_check,
 )
 

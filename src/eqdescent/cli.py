@@ -23,19 +23,22 @@ sha256 of the canonical JSON (sorted keys, no spaces) of the payload without the
 itself and ``timing_seconds``.  So two runs with the same inputs are
 byte-identical except for the timing value and can be compared by digest.
 
+``necessary`` is ``omega`` with O as both generators, on shift/twist words.
+
 Each command returns its payload, its summary and its exit code, and
 ``main`` writes the first two through ``_emit``, the one writer of reports.
 Exit codes: 0 the check passed (or the command only lists data), 1 the check
 failed or was disproved, 2 the input was invalid (unparsable problem file,
 a key repeated in one of its objects, schema violation, invalid complex
-(named by its JSON path, ``$.complexes.<name>``), a generator failing its
-own descent precondition, ``necessary`` on a word holding a push (named
-``$.words.<name>``), ``--samples`` or a ``selftest-oracle`` option out of
-range, a problem file that is not UTF-8, nests too deeply or holds a number
-with more digits than int() converts): every exit 2
+(named by its JSON path, ``$.complexes.<name>``), a generator whose own
+descent check fails or is undecided, ``necessary`` on a word holding a push
+(named ``$.words.<name>``), ``--samples`` or a ``selftest-oracle`` option
+out of range, a problem file that is not UTF-8, nests too deeply or holds a
+number with more digits than int() converts or writes): every exit 2
 is an ``InputError``, which prints an ``error:`` line to stderr and nothing
 to stdout, 3 an internal error: any other exception, which is a bug in the
-package, not a verdict, 141 (128 + SIGPIPE) the reader closed stdout before
+package, not a verdict, 4 undecided: no witness, but a stratum was only
+sampled, 141 (128 + SIGPIPE) the reader closed stdout before
 the report was written out (``| head -c 100``).
 On an internal error no verdict is printed; stderr gets an
 ``internal error:`` line followed by the traceback.  A closed pipe prints
@@ -54,17 +57,26 @@ import time
 from operator import itemgetter
 
 from .action import MAX_PROJECTIVE_DIM, MAX_SAMPLES_PER_STRATUM
-from .descent import LONG_TABLE, DescentReport, char_str, check_descent
+from .complexes import TwistedSummand, bundle_complex
+from .descent import LONG_TABLE, DescentReport, char_str, check_descent, sampled_str, support_str
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
-from .words import necessary_check, omega_check
+from .words import Push, omega_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_UNDECIDED = 4
 EXIT_PIPE = 141
+
+# The exit code of each verdict of a descent check and of omega.
+_EXIT_CODES = {
+    "pass": EXIT_PASS, "equivalence-certified": EXIT_PASS,
+    "fail": EXIT_FAIL, "disproved": EXIT_FAIL,
+    "undecided": EXIT_UNDECIDED,
+}
 
 # The strata summary prints this many rows; the count grows as 2^(n+1) on P^n.
 SUMMARY_STRATA = 32
@@ -249,15 +261,18 @@ def _table(rows, headers) -> str:
     return "\n".join([line, rule] + body)
 
 
-def _support_str(support) -> str:
-    return "{" + ",".join(str(i) for i in support) + "}"
+def _verdict_word(verdict: str) -> str:
+    """The verdict as a summary writes it: PASS, CERTIFIED, UNDECIDED, ..."""
+    return verdict.removeprefix("equivalence-").upper()
 
 
 def _descent_human(title: str, report: DescentReport) -> str:
-    lines = [f"{title}: {'PASS' if report.passed else 'FAIL'}"]
+    lines = [f"{title}: {_verdict_word(report.verdict)}"]
+    if report.verdict == "undecided":
+        lines[0] += f" ({sampled_str(report.sampled_supports)})"
     if report.witnesses:
         rows = [
-            (w.point, _support_str(w.support), w.degree, char_str(w.char_values), w.dim)
+            (w.point, support_str(w.support), w.degree, char_str(w.char_values), w.dim)
             for w in report.witnesses
         ]
         lines.append("")
@@ -265,14 +280,12 @@ def _descent_human(title: str, report: DescentReport) -> str:
         lines.append(_table(rows, ("POINT", "SUPPORT", "DEGREE", "CHARACTER", "DIM")))
     if report.coverage:
         rows = [
-            (_support_str(c.support), c.stabilizer_order, c.mode, c.points_checked)
+            (support_str(c.support), c.stabilizer_order, c.mode, c.points_checked)
             for c in report.coverage
         ]
         lines.append("")
         lines.append("stratum coverage:")
         lines.append(_table(rows, ("SUPPORT", "STAB ORDER", "MODE", "POINTS")))
-    for caveat in report.caveats():
-        lines.append(f"note: {caveat}")
     return "\n".join(lines)
 
 
@@ -340,7 +353,7 @@ def _cmd_strata(args) -> tuple:
     })
     rows = [
         (
-            _support_str(s.support),
+            support_str(s.support),
             s.stabilizer.order,
             char_str(s.scalar_char.values),
             s.representative().display(),
@@ -369,7 +382,7 @@ def _cmd_check_descent(args) -> tuple:
         "report": report.to_dict(),
     })
     human = _descent_human(f"descent of {name!r}", report)
-    return payload, human, EXIT_PASS if report.passed else EXIT_FAIL
+    return payload, human, _EXIT_CODES[report.verdict]
 
 
 def _cmd_omega(args) -> tuple:
@@ -397,8 +410,7 @@ def _cmd_omega(args) -> tuple:
         "report": report.to_dict(),
     })
     lines = [
-        f"equivalence check for word {word_name!r}: "
-        + ("CERTIFIED" if report.certified else "DISPROVED"),
+        f"equivalence check for word {word_name!r}: {_verdict_word(report.verdict)}",
         "",
         _descent_human("condition (i), word applied to generator A", report.condition_i),
         "",
@@ -406,33 +418,54 @@ def _cmd_omega(args) -> tuple:
     ]
     for caveat in report.caveats():
         lines.append(f"note: {caveat}")
-    return payload, "\n".join(lines), EXIT_PASS if report.certified else EXIT_FAIL
+    return payload, "\n".join(lines), _EXIT_CODES[report.verdict]
 
 
 def _cmd_necessary(args) -> tuple:
     problem = load_problem(args.problem)
     word_name, word = problem.only_word(args.word)
-    try:
-        report = necessary_check(word, problem.action)
-    except InputError as err:
-        raise InputError(f"$.words.{word_name}: {err}") from None
-    payload = _Payload(problem.action.group.order, {
+    if any(isinstance(g, Push) for g in word.generators):
+        raise InputError(
+            f"$.words.{word_name}: word contains a pushforward; its kernel needs a "
+            "product-group equivariant structure that is not modeled here"
+        )
+    action = problem.action
+    structure_sheaf = bundle_complex(action, TwistedSummand(0, action.group.trivial_character()))
+    report = omega_check(word, action, structure_sheaf, structure_sheaf)
+    # The image of O is the kernel fiber: one line bundle in one degree.
+    (degree,) = report.image_a.degrees()
+    (net_twist,) = report.image_a.summands(degree)
+    verdict = {"equivalence-certified": "pass", "disproved": "fail"}.get(report.verdict, "undecided")
+    payload = _Payload(action.group.order, {
         "command": "necessary",
         "word": word_name,
-        "report": report.to_dict(),
+        "report": {
+            # Constant members, kept so that the digests of earlier reports
+            # still hold: a push word is refused before a report exists.
+            "supported": True,
+            "reason": None,
+            "verdict": verdict,
+            "condition_i": report.condition_i.to_dict(),
+            "condition_ii": report.condition_ii.to_dict(),
+            "kernel": {
+                "net_twist_degree": net_twist.degree,
+                "net_twist_character": list(net_twist.twist.coords),
+                "net_shift": -degree,
+            },
+            "word": report.word,
+        },
     })
     lines = [
-        f"necessary kernel-fiber conditions for word {word_name!r}: "
-        + ("PASS" if report.passed else "FAIL"),
-        f"kernel: net twist degree {report.net_twist.degree}, "
-        f"character {char_str(report.net_twist.twist.coords)}, "
-        f"cohomological degree {-report.net_shift}",
+        f"necessary kernel-fiber conditions for word {word_name!r}: {_verdict_word(verdict)}",
+        f"kernel: net twist degree {net_twist.degree}, "
+        f"character {char_str(net_twist.twist.coords)}, "
+        f"cohomological degree {degree}",
         "",
         _descent_human("condition (i), kernel fiber", report.condition_i),
         "",
         _descent_human("condition (ii), inverse kernel fiber", report.condition_ii),
     ]
-    return payload, "\n".join(lines), EXIT_PASS if report.passed else EXIT_FAIL
+    return payload, "\n".join(lines), _EXIT_CODES[verdict]
 
 
 def _check_selftest_args(args) -> None:

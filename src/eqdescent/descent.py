@@ -62,7 +62,7 @@ stratum with a nontrivial stabilizer is decided in one of these modes:
     d o d = 0 keeps it from going below);
   * ``sampled``: otherwise; the stratum is checked at ``samples_per_stratum``
     deterministic sample points, and the report lists it as sampled rather
-    than decided exactly.
+    than decided exactly: with no witness, its verdict is ``undecided``.
 
 Strata with trivial stabilizer hold vacuously (``exact-trivial-stabilizer``).
 Every check decides every stratum in one of these six modes; points given
@@ -83,7 +83,7 @@ from .complexes import (
     InternalConsistencyError,
     TwistedSummand,
 )
-from .groups import InputError
+from .errors import InputError, require_int
 from .linalg import QMatrix, ZMatrix, kernel_dim, monomial_pivots, rank
 from .polynomials import Poly
 
@@ -354,6 +354,14 @@ def char_str(values) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
+def support_str(support) -> str:
+    return "{" + ",".join(map(str, support)) + "}"
+
+
+def sampled_str(supports) -> str:
+    return "strata " + ", ".join(map(support_str, supports)) + " sampled only"
+
+
 @dataclass(frozen=True)
 class Witness:
     """A failure of descent: nontrivial stabilizer character with surviving
@@ -435,7 +443,8 @@ class PointTable:
 class DescentReport:
     """Outcome of a descent check, with everything needed to audit it: the
     verdict, witnesses and sampled strata follow from the tables and the
-    coverage."""
+    coverage: ``fail`` with a witness, else ``undecided`` with a sampled
+    stratum, else ``pass``."""
 
     coverage: tuple
     tables: tuple
@@ -448,10 +457,6 @@ class DescentReport:
         return tuple(w for t in self.tables for w in t.witnesses)
 
     @property
-    def passed(self) -> bool:
-        return not self.witnesses
-
-    @property
     def sampled_supports(self) -> tuple:
         return tuple(c.support for c in self.coverage if c.mode == "sampled")
 
@@ -459,9 +464,19 @@ class DescentReport:
     def exact(self) -> bool:
         return not self.sampled_supports
 
+    @property
+    def verdict(self) -> str:
+        if self.witnesses:
+            return "fail"
+        return "pass" if self.exact else "undecided"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
     def to_dict(self) -> dict:
         return {
-            "verdict": "pass" if self.passed else "fail",
+            "verdict": self.verdict,
             "witnesses": [w.to_dict() for w in self.witnesses],
             "coverage": {
                 "strata": [c.to_dict() for c in self.coverage],
@@ -473,16 +488,6 @@ class DescentReport:
             "exact": self.exact,
             "tables": [t.to_dict() for t in self.tables],
         }
-
-    def caveats(self) -> list:
-        out = []
-        if self.sampled_supports:
-            pretty = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.sampled_supports)
-            out.append(
-                f"strata {pretty} were checked at sample points only; "
-                "cohomology ranks can jump on proper closed subsets"
-            )
-        return out
 
 
 def _examine_point(complex_, point, layout, tables) -> FiberComplex:
@@ -600,16 +605,8 @@ def check_descent(
     ``MAX_SAMPLES_PER_STRATUM`` and ``seed`` an int, each checked here, so
     the report's coverage holds only values that the sampling accepts.
     """
-    # type(...) is int, so a bool is refused too.
-    if type(samples_per_stratum) is not int or not (
-        1 <= samples_per_stratum <= MAX_SAMPLES_PER_STRATUM
-    ):
-        raise InputError(
-            f"samples_per_stratum must be an int from 1 to {MAX_SAMPLES_PER_STRATUM}, "
-            f"got {samples_per_stratum!r}"
-        )
-    if type(seed) is not int:
-        raise InputError(f"seed must be an int, got {seed!r}")
+    require_int("samples_per_stratum", samples_per_stratum, 1, MAX_SAMPLES_PER_STRATUM)
+    require_int("seed", seed)
     complex_.require_valid()
     action = complex_.action
     entries = integer_entries(complex_)

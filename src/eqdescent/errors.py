@@ -43,3 +43,28 @@ def as_rational(x, what: str) -> Fraction:
                 f"of {sys.get_int_max_str_digits()} for an int"
             ) from err
     raise InputError(f"not an exact rational {what}: {x!r}")
+
+
+def require_int(name: str, value, low=None, high=None) -> None:
+    """Refuse a ``value`` that is not an int (a bool included) or lies
+    outside ``low``..``high``, each bound optional."""
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
+        return
+    bound = "" if low is None else f" at least {low}" if high is None else f" from {low} to {high}"
+    raise InputError(f"{name} must be an int{bound}, got {value!r}")
+
+
+def digit_count(n: int) -> int:
+    """The number of decimal digits of a nonzero ``n``, without writing it."""
+    count = int(abs(n).bit_length() * 0.30102999566398120)  # log10(2): one short at most
+    return count + (10**count <= abs(n))
+
+
+def number_text(q) -> str:
+    """``str(q)`` of an int or a Fraction, or, where int() refuses to write
+    a part of it, the digit count of its longest part: ``-<6000 digits>``."""
+    try:
+        return str(q)
+    except ValueError:
+        digits = max(digit_count(q.numerator), digit_count(q.denominator))
+        return f"{'-' if q < 0 else ''}<{digits} digits>"

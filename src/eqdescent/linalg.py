@@ -406,31 +406,3 @@ def smith_normal_form(m: ZMatrix):
     diag = [a[i][i] for i in range(bound)]
     return diag, (ZMatrix.from_rows(u), ZMatrix.from_rows(v))
 
-
-def determinant(m: ZMatrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: ZMatrix) -> bool:
-    return m.rows == m.cols and determinant(m) in (1, -1)

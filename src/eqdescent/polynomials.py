@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import InputError, as_rational
+from .errors import InputError, as_rational, number_text
 
 MAX_TOTAL_DEGREE = 64
 
@@ -277,11 +277,11 @@ class Poly:
                 f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e
             )
             if not vars_part:
-                bits.append(str(coeff))
+                bits.append(number_text(coeff))
             elif coeff == 1:
                 bits.append(vars_part)
             elif coeff == -1:
                 bits.append(f"-{vars_part}")
             else:
-                bits.append(f"{coeff}*{vars_part}")
+                bits.append(f"{number_text(coeff)}*{vars_part}")
         return " + ".join(bits).replace("+ -", "- ")

@@ -27,7 +27,8 @@ floats and exponent notation are rejected so every computation stays exact
 and small.  Malformed JSON is reported with line and column, a key
 repeated in one object with the path of that object, and schema problems,
 a number with more digits than int() converts among them, with the JSON
-path of the offending value.  Each term of a differential
+path of the offending value, as is a point (scaled to first coordinate 1)
+or push scalar that int() could not write out.  Each term of a differential
 entry is checked once, by one test of its shape, and the entry's polynomial
 is built from the checked terms with no second check in ``Poly``; JSON
 paths are built only for a value that fails.  Each complex is validated as
@@ -48,7 +49,7 @@ from math import inf, lcm
 
 from .action import ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
-from .errors import InputError, as_rational
+from .errors import InputError, as_rational, digit_count
 from .groups import AbelianGroup
 from .polynomials import MAX_TOTAL_DEGREE, Poly, _degree_error
 from .words import FunctorWord, Push, Shift, Twist
@@ -119,6 +120,17 @@ def parse_rational(value, path) -> Fraction:
         if err.__cause__ is not None:  # the ValueError of an over-long run of digits
             _fail(path, str(err))
         _fail(path, f'not a rational number: expected an int, "p", "p/q" or "p.q", got {value!r}')
+
+
+def _refuse_unwritable(path, what, numbers) -> None:
+    """Refuse, with ``path``, Fractions that a report writes and int() cannot."""
+    for q in numbers:
+        try:
+            str(q)
+        except ValueError:
+            digits = max(digit_count(q.numerator), digit_count(q.denominator))
+            limit = sys.get_int_max_str_digits()
+            _fail(path, f"{what} holds an integer of {digits} digits, over the limit of {limit} for writing an int")
 
 
 def _degree_items(obj, path):
@@ -326,6 +338,8 @@ def _parse_word(action, data, path) -> FunctorWord:
                 parse_rational(s, gpath + ["scalars", k])
                 for k, s in enumerate(scalars_data)
             )
+            for k, s in enumerate(scalars):
+                _refuse_unwritable(gpath + ["scalars", k], "the scalar", (s,))
             gens.append(_built(gpath, Push, action, perm, scalars))
         else:
             _fail(gpath + ["kind"], f"unknown generator kind {kind!r}")
@@ -337,7 +351,9 @@ def _parse_point(nvars, data, path) -> RationalPoint:
     if len(lst) != nvars:
         _fail(path, f"point needs {nvars} coordinates, got {len(lst)}")
     coords = tuple(parse_rational(c, path + [i]) for i, c in enumerate(lst))
-    return _built(path, RationalPoint, coords)
+    point = _built(path, RationalPoint, coords)
+    _refuse_unwritable(path, "scaled to first nonzero coordinate 1, the point", point.canonical().coords)
+    return point
 
 
 def parse_problem(data) -> Problem:

@@ -31,7 +31,7 @@ from random import Random
 
 from .action import _SAMPLER_NUMERATORS, MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand, _matrix_compose
-from .errors import InputError
+from .errors import require_int
 from .groups import AbelianGroup, Character
 from .polynomials import Poly
 from .words import FunctorWord, Push, Shift, Twist
@@ -77,8 +77,7 @@ def random_character(rng: Random, group: AbelianGroup) -> Character:
 def random_action(rng: Random, group: AbelianGroup, max_dim: int = 3) -> ProjectiveAction:
     """A random action on P^n for n from 1 to ``max_dim``, which must itself
     lie in 1..MAX_PROJECTIVE_DIM."""
-    if not 1 <= max_dim <= MAX_PROJECTIVE_DIM:
-        raise InputError(f"max_dim must be from 1 to {MAX_PROJECTIVE_DIM}, got {max_dim}")
+    require_int("max_dim", max_dim, 1, MAX_PROJECTIVE_DIM)
     dim = rng.randint(1, max_dim)
     chars = tuple(random_character(rng, group) for _ in range(dim + 1))
     return ProjectiveAction(group, dim, chars)

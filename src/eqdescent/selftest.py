@@ -38,7 +38,8 @@ from math import prod
 from random import Random
 
 from .descent import block_cohomology, fiber_restrict
-from .groups import AbelianGroup
+from .errors import require_int
+from .groups import MAX_GROUP_ORDER, AbelianGroup
 from .oracle import isotypic_cohomology
 from .problem import point_to_list, problem_to_dict
 from .randgen import random_action, random_orders, random_point, random_valid_complex
@@ -99,6 +100,11 @@ def run_oracle_selftest(
     max_group_order: int = 12,
     max_dim: int = 3,
 ) -> SelftestReport:
+    """Compare the two routes on ``trials`` random instances drawn from
+    ``seed``; ``random_action`` checks ``max_dim``."""
+    require_int("trials", trials, 1)
+    require_int("max_group_order", max_group_order, 2, MAX_GROUP_ORDER)
+    require_int("seed", seed)
     rng = Random(seed)
     group_of = lru_cache(maxsize=GROUP_MEMO_SIZE)(AbelianGroup)
     mismatches = []

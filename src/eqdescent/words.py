@@ -14,10 +14,9 @@ problem-file entry.  A ``FunctorWord`` is a finite composite, applied left
 to right.  The induced functor between the quotient categories is an
 equivalence of perfect complexes exactly when two generator images descend:
 the word applied to a generator, and the inverse word applied to another.
-``omega_check`` decides both; ``necessary_check`` is its exact shortcut for
-shift/twist words, with O as both generators (the images are then the
-kernel's fibers, see ``NecessaryReport``), and refuses a word holding a push
-as bad input.
+``omega_check`` decides both.  With O as both generators, the images of a
+shift/twist word are the fibers of its kernel, a shifted line bundle; the
+CLI's ``necessary`` command is that case.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .action import ProjectiveAction
-from .complexes import EquivariantComplex, TwistedSummand, bundle_complex
-from .descent import DescentReport, char_str, check_descent
+from .complexes import EquivariantComplex, TwistedSummand
+from .descent import DescentReport, char_str, check_descent, sampled_str
 from .errors import InputError, as_rational
 
 
@@ -175,33 +174,48 @@ def default_generator(action: ProjectiveAction) -> EquivariantComplex:
 
 
 class GeneratorRejectedError(InputError):
-    """A generator failed its own descent precondition.
+    """A generator whose own descent check fails or is undecided.
 
     The message names the first three witnesses with their characters cut
-    as in the CLI summary; ``report`` keeps every value."""
+    as in the CLI summary, or else the sampled strata; ``report`` keeps
+    every value."""
 
     def __init__(self, which: str, report: DescentReport):
         self.which = which
         self.report = report
-        named = "; ".join(
-            f"{w.point} on support {list(w.support)}, degree {w.degree}, "
-            f"dimension {w.dim}, character {char_str(w.char_values)}"
-            for w in report.witnesses[:3]
-        )
-        super().__init__(
-            f"generator {which} fails its own descent check; "
-            f"{len(report.witnesses)} witness(es), the first: {named}"
-        )
+        if report.witnesses:
+            named = "; ".join(
+                f"{w.point} on support {list(w.support)}, degree {w.degree}, "
+                f"dimension {w.dim}, character {char_str(w.char_values)}"
+                for w in report.witnesses[:3]
+            )
+            why = f"fails its own descent check; {len(report.witnesses)} witness(es), the first: {named}"
+        else:
+            why = f"is undecided by its own descent check; {sampled_str(report.sampled_supports)}"
+        super().__init__(f"generator {which} {why}")
+
+
+def _descends_by_construction(gen: EquivariantComplex) -> bool:
+    """Whether ``gen`` has no differentials and only untwisted summands
+    O(d) with e | d, e the group exponent, like ``default_generator``.  On
+    a stratum with scalar character c such a summand's fiber character is
+    -d*c, which e kills, so ``gen`` descends."""
+    e = gen.action.group.exponent
+    return not gen.differentials and all(
+        s.twist.is_trivial and s.degree % e == 0 for v in gen.terms.values() for s in v
+    )
 
 
 @dataclass(frozen=True)
 class OmegaReport:
-    """Outcome of the two-sided generator-image test for a functor word."""
+    """Outcome of the two-sided generator-image test for a functor word:
+    ``disproved`` if a condition fails, else ``undecided`` if one is, else
+    ``equivalence-certified``."""
 
     condition_i: DescentReport
     condition_ii: DescentReport
-    image_a: str  # the complex condition (i) actually checked
-    image_b: str  # the complex condition (ii) actually checked
+    image_a: EquivariantComplex  # the complex condition (i) actually checked
+    image_b: EquivariantComplex  # the complex condition (ii) actually checked
     generator_a_default: bool
     generator_b_default: bool
     word: list
@@ -212,21 +226,28 @@ class OmegaReport:
         return tuple(
             name
             for name, rep in (("i", self.condition_i), ("ii", self.condition_ii))
-            if not rep.passed
+            if rep.verdict == "fail"
         )
 
     @property
+    def verdict(self) -> str:
+        if self.failing_conditions:
+            return "disproved"
+        passed = self.condition_i.passed and self.condition_ii.passed
+        return "equivalence-certified" if passed else "undecided"
+
+    @property
     def certified(self) -> bool:
-        return not self.failing_conditions
+        return self.verdict == "equivalence-certified"
 
     def to_dict(self) -> dict:
         return {
-            "verdict": "equivalence-certified" if self.certified else "disproved",
+            "verdict": self.verdict,
             "failing_conditions": list(self.failing_conditions),
             "condition_i": self.condition_i.to_dict(),
             "condition_ii": self.condition_ii.to_dict(),
-            "image_a": self.image_a,
-            "image_b": self.image_b,
+            "image_a": repr(self.image_a),
+            "image_b": repr(self.image_b),
             "default_generator": {
                 "a": self.generator_a_default,
                 "b": self.generator_b_default,
@@ -235,15 +256,12 @@ class OmegaReport:
         }
 
     def caveats(self) -> list:
-        out = []
         if self.generator_a_default or self.generator_b_default:
-            out.append(
+            return [
                 "a heuristic default generator was used; certification assumes "
                 "it generates the derived category"
-            )
-        out.extend(f"condition (i): {c}" for c in self.condition_i.caveats())
-        out.extend(f"condition (ii): {c}" for c in self.condition_ii.caveats())
-        return out
+            ]
+        return []
 
 
 def omega_check(
@@ -258,11 +276,12 @@ def omega_check(
     Condition (i): the word applied to generator A descends.  Condition
     (ii): the inverse word applied to generator B descends.  Both must pass.
     Both generators live on ``action``, and so does every push of the word.
-    The generators themselves must descend to begin with --- a failing
-    generator is rejected as bad input (GeneratorRejectedError), not
-    reported as a disproof.  A complex given as both generators, the default
-    included, is built and descent-checked once.  ``opts`` (``points``,
-    ``samples_per_stratum``, ``seed``) go to every ``check_descent``.
+    The generators themselves must descend to begin with --- a generator
+    whose own check fails or is undecided is rejected as bad input
+    (GeneratorRejectedError), not reported as a disproof.  One that descends
+    by construction (the default, O) is not checked, and a complex given as
+    both is checked once.  ``opts`` (``points``, ``samples_per_stratum``,
+    ``seed``) go to every ``check_descent``.
     """
     a_default = gen_a is None
     b_default = gen_b is None
@@ -273,88 +292,21 @@ def omega_check(
     for which, gen in (("A", gen_a), ("B", gen_b)):
         if gen.action != action:
             raise InputError(f"generator {which} lives on a different action")
-
-    pre_a = check_descent(gen_a, **opts)
-    if not pre_a.passed:
-        raise GeneratorRejectedError("a", pre_a)
-    pre_b = pre_a if gen_b is gen_a else check_descent(gen_b, **opts)
-    if not pre_b.passed:
-        raise GeneratorRejectedError("b", pre_b)
+    for which, gen in (("a", gen_a), ("b", gen_b)):
+        if (which == "b" and gen is gen_a) or _descends_by_construction(gen):
+            continue
+        report = check_descent(gen, **opts)
+        if not report.passed:
+            raise GeneratorRejectedError(which, report)
 
     image_a = word.apply(gen_a)
     image_b = word.inverse().apply(gen_b)
     return OmegaReport(
         condition_i=check_descent(image_a, **opts),
         condition_ii=check_descent(image_b, **opts),
-        image_a=repr(image_a),
-        image_b=repr(image_b),
+        image_a=image_a,
+        image_b=image_b,
         generator_a_default=a_default,
         generator_b_default=b_default,
         word=word.describe(),
     )
-
-
-@dataclass(frozen=True)
-class NecessaryReport:
-    """Kernel-fiber necessary conditions for a shift/twist word.
-
-    The kernel of such a word is the (shifted) diagonal pushforward of its
-    net twist L; restricted to a vertical slice it is a skyscraper with
-    fiber L tensor k(y) in degree minus the net shift, which is the word
-    applied to O in degree 0 (``kernel``).  The conditions ask that
-    stabilizers act trivially on those fibers and on the inverse kernel's,
-    which is exactly the stratum-by-stratum fiber character test ---
-    decidable exactly, with no sampling.  A word holding a push has no such
-    report: ``necessary_check`` refuses it.
-    """
-
-    word: FunctorWord
-    kernel: EquivariantComplex
-    condition_i: DescentReport
-    condition_ii: DescentReport
-
-    @property
-    def passed(self) -> bool:
-        return self.condition_i.passed and self.condition_ii.passed
-
-    @property
-    def net_shift(self) -> int:
-        return -self.kernel.degrees()[0]
-
-    @property
-    def net_twist(self) -> TwistedSummand:
-        return self.kernel.summands(-self.net_shift)[0]
-
-    def to_dict(self) -> dict:
-        return {
-            # Constant members: push words are refused before a report
-            # exists.  They stay so that the digests of earlier shift/twist
-            # reports still hold.
-            "supported": True,
-            "reason": None,
-            "verdict": "pass" if self.passed else "fail",
-            "condition_i": self.condition_i.to_dict(),
-            "condition_ii": self.condition_ii.to_dict(),
-            "kernel": {
-                "net_twist_degree": self.net_twist.degree,
-                "net_twist_character": list(self.net_twist.twist.coords),
-                "net_shift": self.net_shift,
-            },
-            "word": self.word.describe(),
-        }
-
-
-def necessary_check(word: FunctorWord, action: ProjectiveAction) -> NecessaryReport:
-    """Run the exact kernel-fiber necessary conditions for a shift/twist
-    word: ``omega_check``'s two conditions with O as both generators.  A
-    word holding a push raises InputError: its kernel needs a product-group
-    equivariant structure that is not modeled here."""
-    if any(isinstance(g, Push) for g in word.generators):
-        raise InputError(
-            "word contains a pushforward; its kernel needs a product-group "
-            "equivariant structure that is not modeled here"
-        )
-    structure_sheaf = bundle_complex(action, TwistedSummand(0, action.group.trivial_character()))
-    kernel = word.apply(structure_sheaf)
-    inverse_kernel = word.inverse().apply(structure_sheaf)
-    return NecessaryReport(word, kernel, check_descent(kernel), check_descent(inverse_kernel))

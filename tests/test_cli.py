@@ -197,6 +197,66 @@ def test_a_json_integer_over_the_int_digit_limit_exits_2(tmp_path, capsys, where
     assert captured.out == ""
 
 
+@needs_int_limit
+@pytest.mark.parametrize(
+    "where, value, path, digits",
+    [
+        (("points", 0), ["1", "1." + "7" * INT_DIGITS, "1"], "$.points[0]", INT_DIGITS + 1),
+        (("points", 0), ["1/" + "9" * (INT_DIGITS - 300), "7" * (INT_DIGITS - 300), "1"],
+         "$.points[0]", 2 * (INT_DIGITS - 300)),
+        (("words", "swap01", 0, "scalars", 1), "1." + "7" * INT_DIGITS,
+         "$.words.swap01[0].scalars[1]", INT_DIGITS + 1),
+    ],
+    ids=["decimal-numerator", "canonical-form", "push-scalar"],
+)
+def test_a_number_the_report_cannot_write_exits_2(tmp_path, capsys, where, value, path, digits):
+    """Each run of digits is within int()'s limit, but the number a report
+    writes is not: the decimal's numerator, the point rescaled to first
+    coordinate 1, the scalar in the word's description."""
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    obj = data
+    for step in where[:-1]:
+        obj = obj[step]
+    obj[where[-1]] = value
+    problem = tmp_path / "long.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["check-descent", str(problem), "--complex", "O2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    what = "scaled to first nonzero coordinate 1, the point" if where[0] == "points" else "the scalar"
+    assert captured.err == (
+        f"error: {path}: {what} holds an integer of {digits} digits, "
+        f"over the limit of {INT_DIGITS} for writing an int\n"
+    )
+
+
+@needs_int_limit
+def test_a_d_squared_violation_with_a_long_coefficient_is_named(tmp_path, capsys):
+    """O -> O(1) -> O(2) on P^1 under Z/1, both maps c*x0 with c of 3,000
+    nines: d o d = c^2 x0^2 has a 6,000-digit coefficient, which the
+    message gives by its digit count."""
+    entry = [{"source": 0, "target": 0, "entry": [{"coeff": "9" * 3000, "exponents": [1, 0]}]}]
+    problem = {
+        "group": {"orders": [1]},
+        "action": {"dim": 1, "coordinate_characters": [[0], [0]]},
+        "complexes": {"c": {
+            "terms": {str(j): [{"degree": j, "twist": [0]}] for j in range(3)},
+            "differentials": {"0": entry, "1": entry},
+        }},
+    }
+    path = tmp_path / "long_square.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    code = main(["check-descent", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.complexes.c: complex fails validation: [d-squared] degree 0, entry 0 -> 0: "
+        "composition through degree 1 is <6000 digits>*x0^2, not 0\n"
+    )
+
+
 def test_a_repeated_key_keeps_its_error_next_to_a_long_integer(tmp_path, capsys):
     """The second decoding looks for both faults: the first in document
     order is reported."""
@@ -272,8 +332,9 @@ def test_known_non_descending_complexes_never_get_an_exact_pass(
     """Each complex fails to descend on ``open_stratum``: the first six have
     f + x2^2 vanishing there (at rational points or over Q-bar only), and
     K3's maps all vanish at (1:1:1).  A report may call such a complex
-    ``fail``, or leave the stratum sampled and the verdict not exact; it
-    never gives it an exact PASS.  With the user point (1:1:1), K3 fails."""
+    ``fail`` (exit 1), or leave the stratum sampled and the verdict
+    ``undecided`` (exit 4); it never gives it a PASS.  With the user point
+    (1:1:1), K3 fails."""
     data = json.loads(open(FIXTURE, encoding="utf-8").read())
     problem = {
         "group": data["group"],
@@ -285,11 +346,71 @@ def test_known_non_descending_complexes_never_get_an_exact_pass(
     path.write_text(json.dumps(problem), encoding="utf-8")
     code, _, payload = cli("check-descent", str(path))
     report = payload["report"]
-    assert report["verdict"] == "fail" or (
-        report["exact"] is False and open_stratum in report["sampled_strata"]
-    ), report
+    assert (code, report["verdict"]) in ((1, "fail"), (4, "undecided")), report
+    if report["verdict"] == "undecided":
+        assert report["exact"] is False and open_stratum in report["sampled_strata"]
+        assert not report["witnesses"]
     if points:
         assert code == 1 and report["verdict"] == "fail"
+
+
+UNDECIDED_FIXTURE = "tests/fixtures/z2_p2_undecided.json"
+
+
+def test_a_sampled_stratum_without_a_witness_is_undecided(cli):
+    """x0^2 - 2x1^2 + x2^2 vanishes at (sqrt 2:1:0), on stratum {0,1},
+    where no sample point can land: the stratum is only sampled, and the
+    report says so in its verdict and exit code instead of passing."""
+    code, text, payload = cli("check-descent", UNDECIDED_FIXTURE)
+    assert code == 4
+    report = payload["report"]
+    assert report["verdict"] == "undecided"
+    assert report["witnesses"] == []
+    assert report["exact"] is False and report["sampled_strata"] == [[0, 1]]
+    summary = text.split("\n\n", 1)[1]
+    assert summary.startswith("descent of 'quadric': UNDECIDED (strata {0,1} sampled only)\n")
+    assert "note:" not in summary
+
+
+def _undecided_problem(tmp_path):
+    """The undecided quadric twisted back by the sign, which descends (no
+    nontrivial block has an entry on {0,1}), with the sign twist as a word."""
+    data = json.loads(open(UNDECIDED_FIXTURE, encoding="utf-8").read())
+    quadric = data["complexes"]["quadric"]
+    plain = json.loads(json.dumps(quadric))
+    for summands in plain["terms"].values():
+        for summand in summands:
+            summand["twist"] = [0]
+    data["complexes"] = {"quadric": quadric, "plain": plain}
+    data["words"] = {"sign": [{"kind": "twist", "degree": 0, "twist": [1]}]}
+    path = tmp_path / "undecided.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_omega_is_undecided_when_a_condition_is_and_none_fails(tmp_path, cli):
+    path = _undecided_problem(tmp_path)
+    code, text, payload = cli("omega", path, "--word", "sign", "--gen-a", "plain", "--gen-b", "plain")
+    assert code == 4
+    report = payload["report"]
+    assert report["verdict"] == "undecided"
+    assert report["failing_conditions"] == []
+    assert report["condition_i"]["verdict"] == report["condition_ii"]["verdict"] == "undecided"
+    assert "equivalence check for word 'sign': UNDECIDED\n" in text
+
+
+def test_a_generator_left_undecided_is_refused(tmp_path, capsys):
+    """A generator must be proved to descend: one whose own check is only
+    sampled is bad input, as a failing one is."""
+    path = _undecided_problem(tmp_path)
+    code = main(["omega", path, "--word", "sign", "--gen-a", "plain", "--gen-b", "quadric"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator b is undecided by its own descent check; "
+        "strata {0,1} sampled only\n"
+    )
 
 
 # ---------------------------------------------------------------------------

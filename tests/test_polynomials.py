@@ -1,13 +1,14 @@
 """Sparse exact polynomials: arithmetic, evaluation, substitution."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from eqdescent.action import RationalPoint
-from eqdescent.errors import as_rational
+from eqdescent.errors import as_rational, digit_count, number_text
 from eqdescent.groups import InputError
 from eqdescent.polynomials import MAX_TOTAL_DEGREE, Poly
 
@@ -286,3 +287,21 @@ def test_products_over_the_degree_cap_are_refused():
             assert (p * q).terms == _ref_mul(_ref(p.terms), _ref(q.terms))
 
     check()
+
+
+def test_digit_count_is_the_length_of_the_written_number():
+    for k in (1, 2, 15, 16, 17, 300, 1000):
+        for n in (10 ** (k - 1), 10**k - 1, 2 ** (3 * k), 7 * 10 ** (k - 1) + 3):
+            assert digit_count(n) == digit_count(-n) == len(str(n)), n
+
+
+def test_number_text_writes_what_str_writes_and_counts_what_it_cannot():
+    for q in (0, -3, Fraction(-7, 3), Fraction(10**40, 3)):
+        assert number_text(q) == str(q)
+    if sys.get_int_max_str_digits():
+        long = 10 ** sys.get_int_max_str_digits()  # one digit over the limit
+        digits = sys.get_int_max_str_digits() + 1
+        assert number_text(-long) == f"-<{digits} digits>"
+        assert number_text(Fraction(1, long)) == f"<{digits} digits>"
+        poly = Poly(2, {(1, 0): long})
+        assert repr(poly) == f"<{digits} digits>*x0"

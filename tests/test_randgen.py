@@ -66,9 +66,9 @@ def test_random_groups_and_actions_respect_bounds():
         assert -3 <= s.degree <= 3
 
 
-@pytest.mark.parametrize("max_dim", [0, MAX_PROJECTIVE_DIM + 1])
+@pytest.mark.parametrize("max_dim", [0, MAX_PROJECTIVE_DIM + 1, True, 2.5])
 def test_random_action_refuses_a_dimension_bound_it_cannot_draw_up_to(max_dim):
-    with pytest.raises(InputError, match=f"max_dim must be from 1 to {MAX_PROJECTIVE_DIM}"):
+    with pytest.raises(InputError, match=f"max_dim must be an int from 1 to {MAX_PROJECTIVE_DIM}"):
         random_action(Random(1), AbelianGroup((2,)), max_dim=max_dim)
 
 
@@ -258,3 +258,28 @@ def test_selftest_corpus_is_pinned(options, pinned, monkeypatch):
     """The instances the self-test draws are fixed by its seed: a change to
     how they are drawn or built changes this hash."""
     assert _corpus_hash(monkeypatch, **options) == pinned
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"trials": 0}, "trials must be an int at least 1, got 0"),
+        ({"trials": -3}, "trials must be an int at least 1, got -3"),
+        ({"trials": True}, "trials must be an int at least 1, got True"),
+        ({"trials": 2.0}, "trials must be an int at least 1, got 2.0"),
+        ({"max_group_order": 1}, "max_group_order must be an int from 2 to 10000, got 1"),
+        ({"max_group_order": 10001}, "max_group_order must be an int from 2 to 10000, got 10001"),
+        ({"max_group_order": True}, "max_group_order must be an int from 2 to 10000, got True"),
+        ({"seed": "1"}, "seed must be an int, got '1'"),
+        ({"seed": False}, "seed must be an int, got False"),
+    ],
+)
+def test_selftest_refuses_arguments_outside_its_contract(options, message, monkeypatch):
+    """No vacuous pass on zero trials and no IndexError on a group bound of
+    1: each argument is checked before any instance is drawn."""
+    drawn = []
+    monkeypatch.setattr(selftest_module, "random_orders", lambda *a: drawn.append(a))
+    with pytest.raises(InputError) as exc:
+        selftest_module.run_oracle_selftest(**options)
+    assert str(exc.value) == message
+    assert drawn == []

@@ -1,5 +1,6 @@
 """Functor words: algebra of generators, the two-sided equivalence check,
-and the exact kernel-fiber necessary conditions."""
+and the exact kernel-fiber necessary conditions (the check with O as both
+generators)."""
 
 import json
 from fractions import Fraction
@@ -7,11 +8,13 @@ from random import Random
 
 import pytest
 
+import eqdescent.words as words_module
 from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import EquivariantComplex, TwistedSummand, bundle_complex
 from eqdescent.descent import check_descent
 from eqdescent.groups import AbelianGroup, InputError
 from eqdescent.polynomials import Poly
+from eqdescent.problem import problem_to_dict
 from eqdescent.randgen import (
     random_action,
     random_automorphism,
@@ -26,8 +29,8 @@ from eqdescent.words import (
     Push,
     Shift,
     Twist,
+    _descends_by_construction,
     default_generator,
-    necessary_check,
     omega_check,
 )
 
@@ -42,6 +45,21 @@ def O(action, d, coords=None):
     G = action.group
     twist = G.trivial_character() if coords is None else G.character(coords)
     return TwistedSummand(d, twist)
+
+
+def on_structure_sheaf(word, action, **opts):
+    """``omega_check`` with O as both generators: the kernel-fiber
+    conditions that the ``necessary`` command reports."""
+    structure_sheaf = bundle_complex(action, TwistedSummand(0, action.group.trivial_character()))
+    return omega_check(word, action, structure_sheaf, structure_sheaf, **opts)
+
+
+def kernel_of(report):
+    """(net shift, net twist) of a shift/twist word, read off the image of O
+    as the ``necessary`` command reads them."""
+    (degree,) = report.image_a.degrees()
+    (net_twist,) = report.image_a.summands(degree)
+    return -degree, net_twist
 
 
 @pytest.fixture
@@ -201,15 +219,16 @@ def test_double_inverse_is_identity_on_shift_twist_words(z2_p2):
 
 
 def test_net_shift_and_net_twist(z2_p2):
-    """The kernel ``necessary_check`` reports is the word applied to O."""
+    """The kernel ``necessary`` reports is the word applied to O."""
     word = FunctorWord(
         (Twist(O(z2_p2, 1, (1,))), Shift(2), Twist(O(z2_p2, 2, (1,))), Shift(-3))
     )
-    report = necessary_check(word, z2_p2)
-    assert report.net_shift == -1
-    assert report.net_twist.degree == 3
-    assert report.net_twist.twist.is_trivial  # (1,) + (1,) = (0,) in Z/2
-    assert report.kernel == EquivariantComplex(z2_p2, {1: (O(z2_p2, 3),)}, {})
+    report = on_structure_sheaf(word, z2_p2)
+    net_shift, net_twist = kernel_of(report)
+    assert net_shift == -1
+    assert net_twist.degree == 3
+    assert net_twist.twist.is_trivial  # (1,) + (1,) = (0,) in Z/2
+    assert report.image_a == EquivariantComplex(z2_p2, {1: (O(z2_p2, 3),)}, {})
 
 
 def test_word_rejects_unknown_generators():
@@ -260,7 +279,7 @@ def test_omega_odd_twist_fails_with_witness(z2_p2):
     wit = report.condition_i.witnesses[0]
     assert wit.point == "(0:0:1)"
     assert wit.char_values == (0, 1)
-    assert report.image_a == "[0: O(1)]"
+    assert repr(report.image_a) == "[0: O(1)]"
     payload = report.to_dict()
     assert payload["verdict"] == "disproved"
     json.dumps(payload)
@@ -312,9 +331,59 @@ def test_omega_and_necessary_agree_on_twist_words(z2_p2):
     # generator-image conditions see the same parity obstruction.
     for d in range(-3, 4):
         word = FunctorWord((Twist(O(z2_p2, d)),))
-        necessary = necessary_check(word, z2_p2)
+        necessary = on_structure_sheaf(word, z2_p2)
         full = omega_check(word, z2_p2)
-        assert necessary.passed == full.certified == (d % 2 == 0)
+        assert necessary.certified == full.certified == (d % 2 == 0)
+
+
+def test_a_generator_that_descends_by_construction_is_not_checked(z2_p2, koszul, monkeypatch):
+    """The default generator descends by construction, so omega checks only
+    the two images; a Koszul complex given as A and B is checked once."""
+    calls = []
+
+    def counting_check(complex_, **opts):
+        calls.append(complex_)
+        return check_descent(complex_, **opts)
+
+    monkeypatch.setattr(words_module, "check_descent", counting_check)
+    word = FunctorWord((Twist(O(z2_p2, 2)), Shift(1)))
+    assert omega_check(word, z2_p2).certified
+    assert len(calls) == 2
+    calls.clear()
+    gen = koszul(z2_p2, (1, 1, 1))
+    assert omega_check(word, z2_p2, gen_a=gen, gen_b=gen).certified
+    assert calls[0] is gen and len(calls) == 3
+
+
+def test_the_by_construction_rule_accepts_only_complexes_that_descend(two_term):
+    """Every complex the rule accepts (no differentials, summands O(d) with
+    e | d in any degrees) passes ``check_descent`` on a random action; a
+    degree off the exponent, a twist or a map takes a complex out of it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32))
+    def check(seed):
+        rng = Random(seed)
+        group = random_group(rng, max_order=24)
+        action = random_action(rng, group)
+        e, trivial = group.exponent, group.trivial_character()
+        terms = {
+            j: tuple(
+                TwistedSummand(e * rng.randint(-3, 3), trivial) for _ in range(rng.randint(1, 3))
+            )
+            for j in rng.sample(range(-3, 4), rng.randint(1, 3))
+        }
+        complex_ = EquivariantComplex(action, terms, {})
+        assert _descends_by_construction(complex_)
+        assert check_descent(complex_).passed
+        for odd in (TwistedSummand(e + 1, trivial), random_summand(rng, group)):
+            if odd.degree % e or not odd.twist.is_trivial:
+                assert not _descends_by_construction(EquivariantComplex(action, {0: (odd,)}, {}))
+
+    check()
+    assert not _descends_by_construction(two_term)
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +393,40 @@ def test_omega_and_necessary_agree_on_twist_words(z2_p2):
 
 def test_necessary_accumulates_net_twist_and_shift(z2_p2):
     word = FunctorWord((Twist(O(z2_p2, 1)), Shift(2), Twist(O(z2_p2, 1, (1,)))))
-    report = necessary_check(word, z2_p2)
-    assert report.net_twist.degree == 2
-    assert report.net_twist.twist.coords == (1,)
-    assert report.net_shift == 2
+    report = on_structure_sheaf(word, z2_p2)
+    net_shift, net_twist = kernel_of(report)
+    assert net_twist.degree == 2
+    assert net_twist.twist.coords == (1,)
+    assert net_shift == 2
     # Net twist O(2)@(1,) is nontrivial on the strata fixing x0 or x1.
-    assert not report.passed
+    assert not report.certified
     payload = report.to_dict()
-    assert payload["verdict"] == "fail"
-    assert payload["kernel"]["net_shift"] == 2
+    assert payload["verdict"] == "disproved"
+    assert payload["image_a"] == "[-2: O(2)@(1,)]"
     json.dumps(payload)
 
 
 def test_necessary_conditions_run_both_directions(z2_p2):
     word = FunctorWord((Twist(O(z2_p2, 2)), Shift(-1)))
-    report = necessary_check(word, z2_p2)
-    assert report.passed
+    report = on_structure_sheaf(word, z2_p2)
+    assert report.certified
     # Kernel sits in degree -net_shift; inverse kernel in degree +net_shift.
     assert {r[0] for t in report.condition_i.tables for r in t.rows} == {1}
     assert {r[0] for t in report.condition_ii.tables for r in t.rows} == {-1}
     assert report.condition_i.exact and report.condition_ii.exact
 
 
-def test_necessary_rejects_push_words(z2_p2, cli, capsys):
-    """A word holding a push is bad input, not a verdict: the library raises
-    InputError, and the command exits 2 with an error line naming the word
-    and nothing on stdout."""
+def test_necessary_rejects_push_words(z2_p2, cli, capsys, tmp_path):
+    """A word holding a push is bad input, not a verdict: the command exits
+    2 with an error line naming the word and nothing on stdout, wherever the
+    push stands in the word."""
     push = Push(z2_p2, (1, 0, 2), (1, 1, 1))
-    with pytest.raises(InputError, match="^word contains a pushforward"):
-        necessary_check(FunctorWord((push, Shift(1))), z2_p2)
+    path = tmp_path / "push.json"
+    path.write_text(json.dumps(problem_to_dict(z2_p2, words={"w": FunctorWord((push, Shift(1)))})))
+    code, text, _ = cli("necessary", str(path), "--word", "w")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: $.words.w: word contains a pushforward")
     code, text, _ = cli("necessary", "tests/fixtures/z2_p2.json", "--word", "swap01")
     assert code == 2
     assert text == ""
@@ -367,17 +441,18 @@ def test_necessary_failure_implies_omega_failure(z2_p2):
     for d in range(-3, 4):
         for coords in [(0,), (1,)]:
             word = FunctorWord((Twist(O(z2_p2, d, coords)),))
-            necessary = necessary_check(word, z2_p2)
-            if not necessary.passed:
+            necessary = on_structure_sheaf(word, z2_p2)
+            if not necessary.certified:
                 full = omega_check(word, z2_p2, gen_a=gen, gen_b=gen)
                 assert not full.certified
 
 
-def test_necessary_is_omega_with_the_structure_sheaf():
-    """On shift/twist words, the kernel-fiber conditions are omega's two
-    conditions with O as both generators, report for report."""
+def test_necessary_is_omega_with_the_structure_sheaf(cli, tmp_path):
+    """The ``necessary`` command's conditions are omega's two conditions
+    with O as both generators, report for report, and its kernel is the
+    word's net shift and net twist."""
     rng = Random(31)
-    for _ in range(30):
+    for trial in range(30):
         group = random_group(rng)
         action = random_action(rng, group)
         gens = [
@@ -387,9 +462,19 @@ def test_necessary_is_omega_with_the_structure_sheaf():
             for _ in range(rng.randint(1, 5))
         ]
         word = FunctorWord(tuple(gens))
+        path = tmp_path / f"word{trial}.json"
+        path.write_text(json.dumps(problem_to_dict(action, words={"w": word})))
+        code, _, payload = cli("necessary", str(path), "--word", "w")
+        necessary = payload["report"]
         structure_sheaf = bundle_complex(action, TwistedSummand(0, group.trivial_character()))
-        necessary = necessary_check(word, action)
         full = omega_check(word, action, gen_a=structure_sheaf, gen_b=structure_sheaf)
-        assert necessary.condition_i.to_dict() == full.condition_i.to_dict()
-        assert necessary.condition_ii.to_dict() == full.condition_ii.to_dict()
-        assert necessary.passed == full.certified
+        assert necessary["condition_i"] == json.loads(json.dumps(full.condition_i.to_dict()))
+        assert necessary["condition_ii"] == json.loads(json.dumps(full.condition_ii.to_dict()))
+        assert (code == 0) == (necessary["verdict"] == "pass") == full.certified
+        net_shift = sum(g.k for g in gens if isinstance(g, Shift))
+        net_twist = sum((g.summand.twist for g in gens if isinstance(g, Twist)), group.trivial_character())
+        assert necessary["kernel"] == {
+            "net_twist_degree": sum(g.summand.degree for g in gens if isinstance(g, Twist)),
+            "net_twist_character": list(net_twist.coords),
+            "net_shift": net_shift,
+        }
