@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import as_rational
+from .errors import as_rational, number_text
 from .groups import (
     AbelianGroup,
     Character,
@@ -68,7 +68,9 @@ class RationalPoint:
         return point
 
     def display(self) -> str:
-        return "(" + ":".join(str(c) for c in self.canonical().coords) + ")"
+        """The canonical coordinates, each one too long for int() to write
+        given by its digit count (``errors.number_text``)."""
+        return "(" + ":".join(map(number_text, self.canonical().coords)) + ")"
 
     def __repr__(self):
         return self.display()

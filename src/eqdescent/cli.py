@@ -33,8 +33,9 @@ a key repeated in one of its objects, schema violation, invalid complex
 (named by its JSON path, ``$.complexes.<name>``), a generator whose own
 descent check fails or is undecided, ``necessary`` on a word holding a push
 (named ``$.words.<name>``), ``--samples`` or a ``selftest-oracle`` option
-out of range, a problem file that is not UTF-8, nests too deeply or holds a
-number with more digits than int() converts or writes): every exit 2
+out of range, a problem file that is not UTF-8, nests too deeply, holds a
+number with more digits than int() converts or writes, or a degree past
+``MAX_ABS_DEGREE``): every exit 2
 is an ``InputError``, which prints an ``error:`` line to stderr and nothing
 to stdout, 3 an internal error: any other exception, which is a bug in the
 package, not a verdict, 4 undecided: no witness, but a stratum was only
@@ -59,6 +60,7 @@ from operator import itemgetter
 from .action import MAX_PROJECTIVE_DIM, MAX_SAMPLES_PER_STRATUM
 from .complexes import TwistedSummand, bundle_complex
 from .descent import LONG_TABLE, DescentReport, char_str, check_descent, sampled_str, support_str
+from .errors import require_int
 from .groups import MAX_GROUP_ORDER, InputError
 from .problem import Problem, load_problem
 from .selftest import run_oracle_selftest
@@ -145,38 +147,37 @@ def _table_text(table: tuple) -> str:
     return _dumps(table)
 
 
-def _write(value, tables: dict, encode) -> str:
+def _write(value, tables: dict) -> str:
     """Canonical JSON text of ``value``, each table's text taken from (and
     put in) ``tables``, keyed by the table's ``id``, and made the first time
-    by ``encode``: ``_table_text``, which joins the entries' texts from the
-    shared text table, for a ``_Payload``, the C encoder for any other dict.
-    A value holding no table, and a dict with a key that is not a ``str``
-    (json sorts and converts such keys itself), go to the C encoder whole."""
+    by ``_table_text``.  A value holding no table, and a dict with a key
+    that is not a ``str`` (json sorts and converts such keys itself), go to
+    the C encoder whole."""
     kind = type(value)
     if kind is tuple and len(value) > LONG_TABLE:
         text = tables.get(id(value))
         if text is None:
-            text = tables[id(value)] = encode(value)
+            text = tables[id(value)] = _table_text(value)
         return text
     if kind is list and _holds_table(value):
-        return "[" + ",".join([_write(item, tables, encode) for item in value]) + "]"
+        return "[" + ",".join([_write(item, tables) for item in value]) + "]"
     if (
         kind is dict
         and all(type(key) is str for key in value)
         and _holds_table(value.values())
     ):
         return "{" + ",".join(
-            [f"{_dumps(key)}:{_write(value[key], tables, encode)}" for key in sorted(value)]
+            [f"{_dumps(key)}:{_write(value[key], tables)}" for key in sorted(value)]
         ) + "}"
     return _dumps(value)
 
 
-def _canonical(value, tables: dict | None, encode) -> str:
+def _canonical(value, tables: dict | None) -> str:
     """Canonical JSON text (sorted keys, no spaces) of one top-level member,
     by the C encoder alone when ``tables`` is None.  It runs once per
     member, apart from the recursion in ``_write``, so the texts it returns
     add up to the canonical report."""
-    return _dumps(value) if tables is None else _write(value, tables, encode)
+    return _dumps(value) if tables is None else _write(value, tables)
 
 
 class _Payload(dict):
@@ -189,7 +190,7 @@ class _Payload(dict):
     values) or of equal-length tuples of ints (stabilizer elements), so
     ``_table_text`` may read each entry's text from the shared text table
     without checking that it is an int and not a bool or a float equal to
-    one.  A plain dict gets no such trust: its tables go to the C encoder."""
+    one.  A plain dict gets no such trust: it goes to the C encoder whole."""
 
     def __init__(self, group_order: int, members: dict):
         super().__init__(members)
@@ -199,15 +200,13 @@ class _Payload(dict):
 def _members(payload: dict) -> list:
     """(key, canonical value) of each member the digest covers, by key.
 
-    The members share one table memo; ``payload`` keeps every tuple keyed in
-    it alive meanwhile, so no id is reused.  A ``_Payload`` whose group order
-    is at most ``LONG_TABLE`` holds no long table, so it gets no memo; a
-    larger one has its tables written by ``_table_text``."""
-    trusted = isinstance(payload, _Payload)
-    tables = None if trusted and payload.group_order <= LONG_TABLE else {}
-    encode = _table_text if trusted else _dumps
+    Only a ``_Payload`` whose group order is above ``LONG_TABLE`` can hold a
+    long table; its members share one table memo, and ``payload`` keeps
+    every tuple keyed in it alive meanwhile, so no id is reused.  Any other
+    dict goes to the C encoder whole."""
+    tables = {} if isinstance(payload, _Payload) and payload.group_order > LONG_TABLE else None
     return [
-        (key, _canonical(payload[key], tables, encode))
+        (key, _canonical(payload[key], tables))
         for key in sorted(payload)
         if key not in ("report_digest", "timing_seconds")
     ]
@@ -294,15 +293,8 @@ def _descent_human(title: str, report: DescentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check_range(flag, value, low, high=None) -> None:
-    if value < low:
-        raise InputError(f"{flag} must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise InputError(f"{flag} must be at most {high}, got {value}")
-
-
 def _sampling(args, problem: Problem) -> dict:
-    _check_range("--samples", args.samples, 1, MAX_SAMPLES_PER_STRATUM)
+    require_int("--samples", args.samples, 1, MAX_SAMPLES_PER_STRATUM)
     return dict(samples_per_stratum=args.samples, seed=args.seed, points=problem.points)
 
 
@@ -471,9 +463,9 @@ def _cmd_necessary(args) -> tuple:
 def _check_selftest_args(args) -> None:
     """Reject option values outside the ranges random instances are drawn
     from."""
-    _check_range("--trials", args.trials, 1)
-    _check_range("--max-dim", args.max_dim, 1, MAX_PROJECTIVE_DIM)
-    _check_range("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
+    require_int("--trials", args.trials, 1)
+    require_int("--max-dim", args.max_dim, 1, MAX_PROJECTIVE_DIM)
+    require_int("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
 
 
 def _cmd_selftest(args) -> tuple:

@@ -150,8 +150,6 @@ def integer_entries(complex_: EquivariantComplex) -> tuple:
             scale[t] = lcm(scale.get(t, 1), p.denominator)
         out = entries[j] = []
         for (s, t), p in diff.items():
-            if p.is_zero:
-                continue
             factor = scale[t] // p.denominator
             terms = sorted((e, c * factor) for e, c in p.numerators.items())
             sign = 1 if terms[0][1] > 0 else -1

@@ -31,6 +31,11 @@ from operator import add
 from .errors import InputError, as_rational, number_text
 
 MAX_TOTAL_DEGREE = 64
+# The bound on the absolute value of each degree a problem file gives: a
+# summand or twist degree, a shift and a cohomological degree key.  A word
+# of N generators then moves a degree by less than N * 10^9, so every
+# degree a report writes stays far shorter than int() writes.
+MAX_ABS_DEGREE = 10**9
 
 
 def _degree_error(degree: int) -> InputError:
@@ -40,9 +45,8 @@ def _degree_error(degree: int) -> InputError:
 class Poly:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    # _key (the sorted numerator items) and _factors (the evaluation plan)
-    # are built on first use.
-    __slots__ = ("nvars", "numerators", "denominator", "_key", "_factors")
+    # _factors (the evaluation plan) is built on first use.
+    __slots__ = ("nvars", "numerators", "denominator", "_factors")
 
     def __init__(self, nvars: int, terms):
         summed = {}
@@ -122,14 +126,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def _sorted(self) -> tuple:
-        try:
-            return self._key
-        except AttributeError:
-            key = tuple(sorted(self.numerators.items()))
-            object.__setattr__(self, "_key", key)
-            return key
-
     @property
     def terms(self) -> dict:
         """{exponent vector: Fraction coefficient}."""
@@ -139,7 +135,7 @@ class Poly:
     def monomials(self) -> tuple:
         """(exponent_vector, Fraction coefficient) pairs in sorted order."""
         den = self.denominator
-        return tuple((e, Fraction(c, den)) for e, c in self._sorted())
+        return tuple((e, Fraction(c, den)) for e, c in sorted(self.numerators.items()))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -170,17 +166,10 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            f = other if type(other) is int else as_rational(other, "scalar")
+            f = as_rational(other, "scalar")
             if not f:
                 return Poly.zero(self.nvars)
             num, den = f.numerator, f.denominator
-            if den == 1:
-                # Our numerators are coprime to our denominator, so cancelling
-                # gcd(num, denominator) is all the normal form needs.
-                g = gcd(num, self.denominator)
-                return Poly._raw(self.nvars, {
-                    e: c * (num // g) for e, c in self.numerators.items()
-                }, self.denominator // g)
             return Poly._normal(self.nvars, {
                 e: c * num for e, c in self.numerators.items()
             }, self.denominator * den)
@@ -266,7 +255,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.denominator, self._sorted()))
+        return hash((self.nvars, self.denominator, tuple(sorted(self.numerators.items()))))
 
     def __repr__(self):
         if not self.numerators:

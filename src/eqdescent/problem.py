@@ -28,7 +28,9 @@ and small.  Malformed JSON is reported with line and column, a key
 repeated in one object with the path of that object, and schema problems,
 a number with more digits than int() converts among them, with the JSON
 path of the offending value, as is a point (scaled to first coordinate 1)
-or push scalar that int() could not write out.  Each term of a differential
+or push scalar that int() could not write out, and a degree (summand, twist,
+shift or degree key) past ``MAX_ABS_DEGREE``, so that no word sums degrees
+to one that int() could not write.  Each term of a differential
 entry is checked once, by one test of its shape, and the entry's polynomial
 is built from the checked terms with no second check in ``Poly``; JSON
 paths are built only for a value that fails.  Each complex is validated as
@@ -51,7 +53,7 @@ from .action import ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
 from .errors import InputError, as_rational, digit_count
 from .groups import AbelianGroup
-from .polynomials import MAX_TOTAL_DEGREE, Poly, _degree_error
+from .polynomials import MAX_ABS_DEGREE, MAX_TOTAL_DEGREE, Poly, _degree_error
 from .words import FunctorWord, Push, Shift, Twist
 
 
@@ -100,6 +102,20 @@ def _expect_int(data, path):
     return _expect(data, int, path, "an integer")
 
 
+def _refuse_degree(path, what, j):
+    """Refuse the degree ``j`` past ``MAX_ABS_DEGREE``, written out when
+    short and by its digit count otherwise."""
+    shown = j if digit_count(j) <= 20 else f"one of {digit_count(j)} digits"
+    _fail(path, f"expected {what} from {-MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {shown}")
+
+
+def _expect_degree(data, path):
+    j = _expect_int(data, path)
+    if abs(j) > MAX_ABS_DEGREE:
+        _refuse_degree(path, "a degree", j)
+    return j
+
+
 def _expect_list(data, path, what="a list"):
     return _expect(data, list, path, what)
 
@@ -137,15 +153,23 @@ def _degree_items(obj, path):
     """(degree, value, path) for each key of an object keyed by degree.
 
     "1", "01" and " 1" all name degree 1, so a key naming a degree that an
-    earlier key gave is rejected instead of silently replacing it.
+    earlier key gave is rejected instead of silently replacing it.  A key
+    past ``MAX_ABS_DEGREE`` is refused too; one of more than 20 digits is
+    named by its digit count, with the path of ``obj``.
     """
     seen = {}
+    limit = sys.get_int_max_str_digits()
     for key, value in obj.items():
         kpath = path + [key]
+        digits = sum(map(str.isdigit, key))
+        if digits > limit:
+            _fail(path, f"a degree key of {digits} digits, over the limit of {limit} for an int")
         try:
             j = int(key)
         except ValueError:
             _fail(kpath, f"expected an integer key, got {key!r}")
+        if abs(j) > MAX_ABS_DEGREE:
+            _refuse_degree(kpath if digits <= 20 else path, "a degree key", j)
         if j in seen:
             _fail(kpath, f"degree {j} is already given by the key {seen[j]!r}")
         seen[j] = key
@@ -223,7 +247,7 @@ def _parse_action(group, data, path) -> ProjectiveAction:
 def _parse_summand(group, data, path, known=("degree", "twist")) -> TwistedSummand:
     obj = _expect_dict(data, path, "a summand object")
     _refuse_unknown(obj, known, path)
-    degree = _expect_int(obj.get("degree"), path + ["degree"])
+    degree = _expect_degree(obj.get("degree"), path + ["degree"])
     if "twist" not in obj:
         return TwistedSummand(degree, group.trivial_character())
     return TwistedSummand(degree, _parse_character(group, obj["twist"], path + ["twist"]))
@@ -324,7 +348,7 @@ def _parse_word(action, data, path) -> FunctorWord:
         kind = obj.get("kind")
         if kind == "shift":
             _refuse_unknown(obj, ("kind", "k"), gpath)
-            gens.append(Shift(_expect_int(obj.get("k"), gpath + ["k"])))
+            gens.append(Shift(_expect_degree(obj.get("k"), gpath + ["k"])))
         elif kind == "twist":
             gens.append(Twist(_parse_summand(group, obj, gpath, ("kind", "degree", "twist"))))
         elif kind == "push":

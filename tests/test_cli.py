@@ -257,6 +257,75 @@ def test_a_d_squared_violation_with_a_long_coefficient_is_named(tmp_path, capsys
     )
 
 
+# Z/2 acting on P^1 by the characters (0) and (1), and a degree of as many
+# nines as int() writes: a word adding anything to it reaches a degree that
+# no report can write.
+_LONG_DEGREE = int("9" * INT_DIGITS) if INT_DIGITS else 0
+_LINE = {"group": {"orders": [2]}, "action": {"dim": 1, "coordinate_characters": [[0], [1]]}}
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "argv, extras, path, what",
+    [
+        (("omega", "--word", "w"),
+         {"words": {"w": [{"kind": "twist", "degree": _LONG_DEGREE, "twist": [0]}]}},
+         "$.words.w[0].degree", "a degree"),
+        (("necessary", "--word", "w"),
+         {"words": {"w": [{"kind": "shift", "k": _LONG_DEGREE}] * 2}},
+         "$.words.w[0].k", "a degree"),
+        (("omega", "--word", "w", "--gen-a", "c", "--gen-b", "c"),
+         {"complexes": {"c": {"terms": {str(_LONG_DEGREE): [{"degree": 0, "twist": [0]}]}}},
+          "words": {"w": [{"kind": "shift", "k": -1}]}},
+         "$.complexes.c.terms", "a degree key"),
+    ],
+    ids=["default-generator-twist", "necessary-shifts", "degree-key"],
+)
+def test_a_degree_sum_no_report_can_write_is_refused(tmp_path, capsys, argv, extras, path, what):
+    """Twisting the default generator's O(2) by O(D), shifting twice by D,
+    and shifting a complex held at degree D by -1 each reach a degree of
+    more digits than int() writes.  The degree D itself is refused first,
+    with its path, exit 2 and nothing on stdout."""
+    problem = tmp_path / "long_degree.json"
+    problem.write_text(json.dumps(dict(_LINE, **extras)), encoding="utf-8")
+    code = main([argv[0], str(problem), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: expected {what} from -1000000000 to 1000000000, "
+        f"got one of {INT_DIGITS} digits\n"
+    )
+
+
+@needs_int_limit
+def test_a_witness_point_too_long_to_write_is_named_by_its_digit_count(tmp_path, cli):
+    """0 -> O (x) (1) --(x0/N + N x1)--> O(1) (x) (1) -> 0 with N = 10^3000 + 1
+    vanishes at (1 : -1/N^2 : 0), a zero of the linear entry that proves the
+    failure on {0,1}.  Its 6,001-digit denominator is written as its digit
+    count, and the run fails with that witness instead of an internal error."""
+    n = 10**3000 + 1
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    data = {"group": data["group"], "action": data["action"], "complexes": {"c": {
+        "terms": {"0": [{"degree": 0, "twist": [1]}], "1": [{"degree": 1, "twist": [1]}]},
+        "differentials": {"0": [{"source": 0, "target": 0, "entry": [
+            {"coeff": f"1/{n}", "exponents": [1, 0, 0]},
+            {"coeff": str(n), "exponents": [0, 1, 0]},
+        ]}]},
+    }}}
+    problem = tmp_path / "long_witness.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    code, text, payload = cli("check-descent", str(problem))
+    assert code == 1
+    report = payload["report"]
+    assert report["verdict"] == "fail"
+    far = [w for w in report["witnesses"] if w["support"] == [0, 1]]
+    assert far and {w["point"] for w in far} == {"(1:-<6001 digits>:0)"}
+    modes = {tuple(s["support"]): s["mode"] for s in report["coverage"]["strata"]}
+    assert modes[(0, 1)] == "exact-witness"
+    assert "(1:-<6001 digits>:0)" in text.split("\n", 1)[1]
+
+
 def test_a_repeated_key_keeps_its_error_next_to_a_long_integer(tmp_path, capsys):
     """The second decoding looks for both faults: the first in document
     order is reported."""
@@ -1679,8 +1748,11 @@ def test_a_report_of_a_small_group_is_not_walked_for_tables(argv, cli, monkeypat
     assert walks == []
     first = text.split("\n", 1)[0]
     assert json.loads(first) == payload
+    plain = {k: v for k, v in payload.items() if k not in ("report_digest", "timing_seconds")}
+    canonical = json.dumps(plain, sort_keys=True, separators=(",", ":"))
     assert payload["report_digest"] == report_digest(payload)
-    assert walks  # report_digest of a plain dict still walks it
+    assert report_digest(payload) == "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    assert walks == []  # nor is a plain dict
 
 
 def test_a_report_of_a_large_group_still_shares_its_tables(tmp_path, cli, monkeypatch):

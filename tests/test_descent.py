@@ -1091,3 +1091,80 @@ def test_a_degree_64_certificate_does_not_trip_the_degree_cap():
     assert modes[(0, 1)] == "exact-certified"
     # at (1:0) and (0:1) one column vanishes, so the sign survives there
     assert {w.support for w in report.witnesses} == {(0,), (1,)}
+
+
+# ---------------------------------------------------------------------------
+# known answers for whole strata: Koszul complexes of semi-invariant forms
+# ---------------------------------------------------------------------------
+
+
+def test_the_closed_form_imports_nothing_from_the_decision_path():
+    """The closed form decides from characters evaluated on all of G and a
+    nullspace in Fractions: it imports neither the descent module nor
+    linalg, the oracle or the action's strata, and no stabilizer cut, under
+    any module path."""
+    import ast
+    from pathlib import Path
+
+    import koszul_closed_form
+
+    tree = ast.parse(Path(koszul_closed_form.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(tuple(alias.name.split(".")) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported.add(tuple(module))
+            imported.update(tuple(module + [alias.name]) for alias in node.names)
+    assert imported, "no imports parsed"
+    forbidden = {
+        "descent", "linalg", "oracle", "action", "equalizer_subgroup", "Subgroup",
+        "smith_normal_form",
+    }
+    for parts in imported:
+        assert not forbidden.intersection(parts), parts
+
+
+def test_check_descent_never_contradicts_the_koszul_closed_form():
+    """Random Koszul complexes K(f) of up to 3 semi-invariant linear forms,
+    over groups of order at most 12 on P^1 to P^3: where the closed form
+    says K(f) does not descend, ``check_descent`` never says pass, and where
+    it says K(f) descends, never fail; undecided is allowed either way.
+    Both answers are met at least 20 times."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from koszul_closed_form import descends, koszul_problem
+
+    groups = st.sampled_from((
+        (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,),
+        (2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 4), (2, 2, 2), (2, 2, 3),
+    ))
+    coefficients = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+    answers = []
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        orders = data.draw(groups)
+        character = st.tuples(*[st.integers(0, n - 1) for n in orders])
+        pool = data.draw(st.lists(character, min_size=1, max_size=3))
+        chars = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
+        forms, form_chars = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            c = data.draw(st.sampled_from(chars))
+            same = [i for i, chi in enumerate(chars) if chi == c]
+            support = data.draw(st.lists(st.sampled_from(same), min_size=1, unique=True))
+            forms.append({i: data.draw(coefficients) for i in support})
+            form_chars.append(c)
+        psi = data.draw(character)
+        want = descends(orders, chars, forms, form_chars, psi)
+        problem = parse_problem(koszul_problem(orders, chars, forms, form_chars, psi))
+        got = check_descent(problem.complexes["k"]).verdict
+        assert got == "undecided" or (got == "pass") == want, (orders, chars, forms, psi, got)
+        answers.append(want)
+
+    check()
+    assert answers.count(True) >= 20 and answers.count(False) >= 20, (
+        answers.count(True), answers.count(False)
+    )

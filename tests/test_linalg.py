@@ -513,9 +513,9 @@ def test_fraction_contract():
 def test_monomial_pivots_take_only_monomials():
     """Rows of {column: {exponents: int}}: [[x0, x1], [x1, x0]] has a
     monomial first pivot, but the second row becomes x0^2 - x1^2, so only
-    one monomial pivot exists; [[x0, x1], [x0, 2 x1]] leaves x0 x1, divided
-    by its monomial content to 1, so both pivots are found.  The rows are
-    not modified, and a budget too small for one row update runs out."""
+    one monomial pivot exists; [[x0, x1], [x0, 2 x1]] leaves x0 x1, so both
+    pivots are found.  The rows are not modified, and a budget too small
+    for one row update runs out."""
     x0, x1 = {(1, 0): 1}, {(0, 1): 1}
     square = [{0: x0, 1: x1}, {0: x1, 1: x0}]
     before = repr(square)
@@ -526,3 +526,38 @@ def test_monomial_pivots_take_only_monomials():
     assert monomial_pivots(unit, 2, 100) == 100 - 3  # one update: 2 + 1 * 1 terms
     assert monomial_pivots(unit, 2, 1) < 0
     assert monomial_pivots([{}, {1: {(0, 0): 3}}], 1, 0) == 0
+
+
+def test_monomial_pivots_ignore_unit_row_scalings():
+    """Scaling each row by a nonzero constant times a monomial, a unit where
+    the variables are nonzero, leaves what ``monomial_pivots`` returns
+    unchanged, at every budget: term counts, single-term entries and
+    cancellations are all the same, so updated rows need no reduction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        nvars = data.draw(st.integers(1, 3))
+        exps = st.tuples(*[st.integers(0, 2)] * nvars)
+        coeff = st.integers(-3, 3).filter(bool)
+        entry = st.dictionaries(exps, coeff, min_size=1, max_size=3)
+        nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rows = [
+            data.draw(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols))
+            for _ in range(nrows)
+        ]
+        scaled = []
+        for row in rows:
+            c, m = data.draw(st.integers(-5, 5).filter(bool)), data.draw(exps)
+            scaled.append({
+                j: {tuple(a + b for a, b in zip(e, m)): c * x for e, x in f.items()}
+                for j, f in row.items()
+            })
+        target = data.draw(st.integers(1, min(nrows, ncols)))
+        for budget in (5, 20, 100, 10**6):
+            want = monomial_pivots(rows, target, budget)
+            assert monomial_pivots(scaled, target, budget) == want, (rows, scaled, target, budget)
+
+    check()

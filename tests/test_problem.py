@@ -1,6 +1,7 @@
 """The JSON problem format: accepted inputs, anchored errors, round trips."""
 
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 
 from eqdescent.cli import main
 from eqdescent.groups import InputError
-from eqdescent.polynomials import Poly
+from eqdescent.polynomials import MAX_ABS_DEGREE, Poly
 from eqdescent.problem import (
     _parse_poly,
     load_problem,
@@ -452,6 +453,70 @@ def test_point_length_checked():
 def test_zero_point_error_names_its_path():
     with pytest.raises(InputError, match=r"^\$\.points\[1\]: .*nonzero coordinate"):
         parse_problem(with_extras(points=[["1", "0", "0"], ["0", 0, "0/5"]]))
+
+
+def _at_degree(where, d):
+    """MINIMAL with one complex or word that puts ``d`` at ``where``: a
+    summand degree, a twist degree, a shift, or a terms or differentials key."""
+    if where == "summand":
+        return with_extras(complexes={"c": {"terms": {"0": [{"degree": d}]}}})
+    if where == "twist":
+        return with_extras(words={"w": [{"kind": "twist", "degree": d}]})
+    if where == "shift":
+        return with_extras(words={"w": [{"kind": "shift", "k": d}]})
+    if where == "terms-key":
+        return with_extras(complexes={"c": {"terms": {str(d): [{"degree": 0}]}}})
+    return with_extras(complexes={"c": {"terms": {}, "differentials": {str(d): []}}})
+
+
+DEGREE_PLACES = {
+    "summand": "$.complexes.c.terms.0[0].degree",
+    "twist": "$.words.w[0].degree",
+    "shift": "$.words.w[0].k",
+    "terms-key": "$.complexes.c.terms.{d}",
+    "differentials-key": "$.complexes.c.differentials.{d}",
+}
+
+
+@pytest.mark.parametrize("where", DEGREE_PLACES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_degrees_are_bounded_by_max_abs_degree(where, sign):
+    """A degree of absolute value MAX_ABS_DEGREE parses; one more is refused
+    with its path, so no word can sum degrees past what a report writes."""
+    parse_problem(_at_degree(where, sign * MAX_ABS_DEGREE))
+    d = sign * (MAX_ABS_DEGREE + 1)
+    path = DEGREE_PLACES[where].format(d=d)
+    what = "a degree key" if where.endswith("key") else "a degree"
+    message = f"{path}: expected {what} from -{MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {d}"
+    with pytest.raises(InputError) as err:
+        parse_problem(_at_degree(where, d))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("where", DEGREE_PLACES)
+def test_a_long_degree_is_named_by_its_digit_count(where):
+    """A degree of 30 digits is refused by its length, a key with the path
+    of its object."""
+    path = DEGREE_PLACES[where].format(d="")[: -1 if where.endswith("key") else None]
+    what = "a degree key" if where.endswith("key") else "a degree"
+    with pytest.raises(InputError) as err:
+        parse_problem(_at_degree(where, -(10**29)))
+    assert str(err.value) == (
+        f"{path}: expected {what} from -{MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got one of 30 digits"
+    )
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_a_degree_key_too_long_for_int_is_named_by_its_digit_count():
+    """Not echoed whole, as a key int() cannot read used to be."""
+    digits = sys.get_int_max_str_digits() + 1
+    data = with_extras(complexes={"c": {"terms": {"9" * digits: [{"degree": 0}]}}})
+    with pytest.raises(InputError) as err:
+        parse_problem(data)
+    assert str(err.value) == (
+        f"$.complexes.c.terms: a degree key of {digits} digits, "
+        f"over the limit of {digits - 1} for an int"
+    )
 
 
 @pytest.mark.parametrize(
