@@ -10,8 +10,7 @@ row and each updated row divided by its content.  A rational matrix
 (``QMatrix``, dense) first has each row scaled by the lcm of its
 denominators, which does not change the rank, and is ranked by the same
 routine.  ``monomial_pivots`` eliminates a matrix of integer polynomials
-from the sparsest row too, but takes only monomials as pivots and leaves
-each updated row undivided.  Smith normal form is
+the same way, but takes only monomials as pivots.  Smith normal form is
 computed over the integers with the unimodular transforms returned.
 """
 
@@ -222,16 +221,18 @@ def monomial_pivots(rows: list, target: int, budget: int):
     dict in it is modified.  Each step takes the sparsest row with a
     monomial entry as the pivot row and that entry u as the pivot.  Every
     other row with an entry f in the pivot column becomes
-    u*row - f*pivot_row, which clears the column.  The pivot row then leaves
-    the matrix.  Each update multiplies a row by its pivot, so the pivots
-    found index a square submatrix whose determinant times a monomial is
-    the product of the pivots: nonzero wherever the variables are.  The
-    budget counts term products, each row update charged before it is made.
+    u*row - f*pivot_row, which clears the column, and is divided by its
+    monomial content (the gcd of its coefficients times the largest monomial
+    dividing every term), a unit where the variables are nonzero.  The pivot
+    row then leaves the matrix.  So the pivots found index a square
+    submatrix whose determinant is, up to such units, the product of the
+    pivots: a monomial, nonzero wherever the variables are.  The budget
+    counts term products, each row update charged before it is made.
 
-    Scaling a row by a nonzero constant times a monomial (a unit where the
-    variables are nonzero) changes no term count, no single-term entry and
-    no cancellation, so it changes nothing this returns; that is why the
-    updated rows are not divided by their content.
+    A row times a nonzero constant times a monomial has the same term
+    counts, single-term entries and cancellations, so the division changes
+    nothing returned; it keeps an updated row's coefficients from doubling
+    in length at each step, as they do when every earlier pivot is kept.
 
     Returns the budget left once ``target`` pivots are found; None when no
     row has a monomial entry before that; a negative number when a row
@@ -282,9 +283,23 @@ def monomial_pivots(rows: list, target: int, budget: int):
                 if not acc:
                     del new[c]
             if new:
-                rest.append(new)
+                rest.append(_divide_monomial_content(new))
         live = rest
     return budget
+
+
+def _divide_monomial_content(row: dict) -> dict:
+    """The row divided by the gcd of its coefficients and by the largest
+    monomial dividing all its terms."""
+    terms = [t for g in row.values() for t in g.items()]
+    content = gcd(*(a for _, a in terms))
+    low = tuple(map(min, *(e for e, _ in terms))) if len(terms) > 1 else terms[0][0]
+    if content == 1 and not any(low):
+        return row
+    return {
+        c: {tuple(x - y for x, y in zip(e, low)): a // content for e, a in g.items()}
+        for c, g in row.items()
+    }
 
 
 def kernel_dim(m) -> int:

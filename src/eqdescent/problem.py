@@ -102,17 +102,10 @@ def _expect_int(data, path):
     return _expect(data, int, path, "an integer")
 
 
-def _refuse_degree(path, what, j):
-    """Refuse the degree ``j`` past ``MAX_ABS_DEGREE``, written out when
-    short and by its digit count otherwise."""
-    shown = j if digit_count(j) <= 20 else f"one of {digit_count(j)} digits"
-    _fail(path, f"expected {what} from {-MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {shown}")
-
-
-def _expect_degree(data, path):
+def _expect_degree(data, path, what="a degree"):
     j = _expect_int(data, path)
     if abs(j) > MAX_ABS_DEGREE:
-        _refuse_degree(path, "a degree", j)
+        _fail(path, f"expected {what} from {-MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {j}")
     return j
 
 
@@ -154,22 +147,22 @@ def _degree_items(obj, path):
 
     "1", "01" and " 1" all name degree 1, so a key naming a degree that an
     earlier key gave is rejected instead of silently replacing it.  A key
-    past ``MAX_ABS_DEGREE`` is refused too; one of more than 20 digits is
-    named by its digit count, with the path of ``obj``.
+    past ``MAX_ABS_DEGREE`` is refused too, and one longer than int()
+    converts is named by its digit count, with the path of ``obj``.
     """
     seen = {}
-    limit = sys.get_int_max_str_digits()
     for key, value in obj.items():
         kpath = path + [key]
-        digits = sum(map(str.isdigit, key))
-        if digits > limit:
-            _fail(path, f"a degree key of {digits} digits, over the limit of {limit} for an int")
         try:
             j = int(key)
         except ValueError:
+            digits = sum(map(str.isdecimal, key))
+            # 0, or no such function (before Python 3.10.7), is no limit.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or inf
+            if digits > limit:
+                _fail(path, f"a degree key of {digits} digits, over the limit of {limit} for an int")
             _fail(kpath, f"expected an integer key, got {key!r}")
-        if abs(j) > MAX_ABS_DEGREE:
-            _refuse_degree(kpath if digits <= 20 else path, "a degree key", j)
+        _expect_degree(j, kpath, "a degree key")
         if j in seen:
             _fail(kpath, f"degree {j} is already given by the key {seen[j]!r}")
         seen[j] = key

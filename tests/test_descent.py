@@ -1168,3 +1168,35 @@ def test_check_descent_never_contradicts_the_koszul_closed_form():
     assert answers.count(True) >= 20 and answers.count(False) >= 20, (
         answers.count(True), answers.count(False)
     )
+
+
+def test_a_dense_constant_block_is_certified_quickly():
+    """0 -> O^26 (x) sign -> O^26 (x) sign -> 0 under Z/2 acting trivially on
+    P^1, by a dense matrix of small nonzero integers: every entry is a
+    monomial pivot, so the open stratum is certified within the budget.  Each
+    row update doubles the length of coefficients unless the row is divided
+    by its content: undivided, the run took 80 s with Python 3.11 on a
+    2-core VM, and divided, 0.05 s.  The timer stops a run past 10 s."""
+    import signal
+
+    n = 26
+    G = AbelianGroup((2,))
+    action = ProjectiveAction(G, 1, (G.trivial_character(),) * 2)
+    sign = TwistedSummand(0, G.character((1,)))
+    rng = Random(0)
+    d = {(r, c): Poly.constant(2, rng.choice((-3, -2, -1, 1, 2, 3))) for r in range(n) for c in range(n)}
+    complex_ = EquivariantComplex(action, {0: (sign,) * n, 1: (sign,) * n}, {0: d})
+
+    def stop(*_):
+        raise TimeoutError("the dense block took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        report = check_descent(complex_)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report.verdict == "pass"
+    modes = {tuple(s["support"]): s["mode"] for s in report.to_dict()["coverage"]["strata"]}
+    assert modes[(0, 1)] == "exact-certified"

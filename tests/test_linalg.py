@@ -513,9 +513,9 @@ def test_fraction_contract():
 def test_monomial_pivots_take_only_monomials():
     """Rows of {column: {exponents: int}}: [[x0, x1], [x1, x0]] has a
     monomial first pivot, but the second row becomes x0^2 - x1^2, so only
-    one monomial pivot exists; [[x0, x1], [x0, 2 x1]] leaves x0 x1, so both
-    pivots are found.  The rows are not modified, and a budget too small
-    for one row update runs out."""
+    one monomial pivot exists; [[x0, x1], [x0, 2 x1]] leaves x0 x1, divided
+    by its monomial content to 1, so both pivots are found.  The rows are
+    not modified, and a budget too small for one row update runs out."""
     x0, x1 = {(1, 0): 1}, {(0, 1): 1}
     square = [{0: x0, 1: x1}, {0: x1, 1: x0}]
     before = repr(square)
@@ -532,7 +532,8 @@ def test_monomial_pivots_ignore_unit_row_scalings():
     """Scaling each row by a nonzero constant times a monomial, a unit where
     the variables are nonzero, leaves what ``monomial_pivots`` returns
     unchanged, at every budget: term counts, single-term entries and
-    cancellations are all the same, so updated rows need no reduction."""
+    cancellations are all the same, so dividing an updated row by its
+    monomial content changes no pivot and no budget charge."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 

@@ -479,44 +479,54 @@ DEGREE_PLACES = {
 
 
 @pytest.mark.parametrize("where", DEGREE_PLACES)
-@pytest.mark.parametrize("sign", [1, -1])
-def test_degrees_are_bounded_by_max_abs_degree(where, sign):
-    """A degree of absolute value MAX_ABS_DEGREE parses; one more is refused
-    with its path, so no word can sum degrees past what a report writes."""
-    parse_problem(_at_degree(where, sign * MAX_ABS_DEGREE))
-    d = sign * (MAX_ABS_DEGREE + 1)
-    path = DEGREE_PLACES[where].format(d=d)
+@pytest.mark.parametrize("excess", [MAX_ABS_DEGREE + 1, -MAX_ABS_DEGREE - 1, -(10**29)])
+def test_degrees_are_bounded_by_max_abs_degree(where, excess):
+    """A degree of absolute value MAX_ABS_DEGREE parses; a larger one is
+    refused with its path and its value, so no word can sum degrees past
+    what a report writes."""
+    parse_problem(_at_degree(where, MAX_ABS_DEGREE if excess > 0 else -MAX_ABS_DEGREE))
+    path = DEGREE_PLACES[where].format(d=excess)
     what = "a degree key" if where.endswith("key") else "a degree"
-    message = f"{path}: expected {what} from -{MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {d}"
+    message = f"{path}: expected {what} from -{MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {excess}"
     with pytest.raises(InputError) as err:
-        parse_problem(_at_degree(where, d))
+        parse_problem(_at_degree(where, excess))
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("where", DEGREE_PLACES)
-def test_a_long_degree_is_named_by_its_digit_count(where):
-    """A degree of 30 digits is refused by its length, a key with the path
-    of its object."""
-    path = DEGREE_PLACES[where].format(d="")[: -1 if where.endswith("key") else None]
-    what = "a degree key" if where.endswith("key") else "a degree"
-    with pytest.raises(InputError) as err:
-        parse_problem(_at_degree(where, -(10**29)))
-    assert str(err.value) == (
-        f"{path}: expected {what} from -{MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got one of 30 digits"
-    )
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+@pytest.mark.skipif(not INT_DIGITS, reason="int() has no digit limit")
 def test_a_degree_key_too_long_for_int_is_named_by_its_digit_count():
     """Not echoed whole, as a key int() cannot read used to be."""
-    digits = sys.get_int_max_str_digits() + 1
+    digits = INT_DIGITS + 1
     data = with_extras(complexes={"c": {"terms": {"9" * digits: [{"degree": 0}]}}})
     with pytest.raises(InputError) as err:
         parse_problem(data)
     assert str(err.value) == (
         f"$.complexes.c.terms: a degree key of {digits} digits, "
-        f"over the limit of {digits - 1} for an int"
+        f"over the limit of {INT_DIGITS} for an int"
     )
+
+
+@pytest.mark.parametrize("limit", ["zero", "absent"])
+def test_degree_keys_parse_without_an_int_digit_limit(monkeypatch, limit):
+    """A limit of 0 turns int()'s digit limit off, and Python before 3.10.7
+    has no such function: ordinary keys still parse, a malformed one keeps
+    its message, and a long one is refused by its value."""
+    if limit == "zero":
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    data = with_extras(complexes={"c": {
+        "terms": {"-1": [{"degree": 0}], "0": [{"degree": 0}], "1": [{"degree": 0}]},
+        "differentials": {"0": []},
+    }})
+    assert sorted(parse_problem(data).complexes["c"].terms) == [-1, 0, 1]
+    with pytest.raises(InputError, match=r"^\$\.complexes\.c\.terms\.x: expected an integer key, got 'x'$"):
+        parse_problem(with_extras(complexes={"c": {"terms": {"x": [{"degree": 0}]}}}))
+    with pytest.raises(InputError, match=r"^\$\.complexes\.c\.terms\.9+: expected a degree key from"):
+        parse_problem(with_extras(complexes={"c": {"terms": {"9" * 40: [{"degree": 0}]}}}))
 
 
 @pytest.mark.parametrize(
