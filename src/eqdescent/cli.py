@@ -57,7 +57,7 @@ import sys
 import time
 from operator import itemgetter
 
-from .action import MAX_PROJECTIVE_DIM, MAX_SAMPLES_PER_STRATUM
+from .action import MAX_SAMPLES_PER_STRATUM
 from .complexes import TwistedSummand, bundle_complex
 from .descent import LONG_TABLE, DescentReport, char_str, check_descent, sampled_str, support_str
 from .errors import require_int
@@ -460,21 +460,12 @@ def _cmd_necessary(args) -> tuple:
     return payload, "\n".join(lines), _EXIT_CODES[verdict]
 
 
-def _check_selftest_args(args) -> None:
-    """Reject option values outside the ranges random instances are drawn
-    from."""
-    require_int("--trials", args.trials, 1)
-    require_int("--max-dim", args.max_dim, 1, MAX_PROJECTIVE_DIM)
-    require_int("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
-
-
 def _cmd_selftest(args) -> tuple:
-    _check_selftest_args(args)
+    # Refuse option values outside the ranges random instances are drawn from.
+    require_int("--trials", args.trials, 1)
+    require_int("--max-group-order", args.max_group_order, 2, MAX_GROUP_ORDER)
     report = run_oracle_selftest(
-        trials=args.trials,
-        seed=args.seed,
-        max_group_order=args.max_group_order,
-        max_dim=args.max_dim,
+        trials=args.trials, seed=args.seed, max_group_order=args.max_group_order
     )
     # Every random group has order at most --max-group-order.
     payload = _Payload(args.max_group_order, {
@@ -549,9 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-group-order", type=int, default=12, metavar="N",
         help=f"from 2 to {MAX_GROUP_ORDER}",
-    )
-    p.add_argument(
-        "--max-dim", type=int, default=3, metavar="N", help=f"from 1 to {MAX_PROJECTIVE_DIM}"
     )
     p.set_defaults(func=_cmd_selftest)
 

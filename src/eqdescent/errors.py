@@ -3,7 +3,8 @@
 Every layer that takes numbers from a caller (polynomial coefficients,
 point coordinates, matrix entries, substitution scales) coerces them with
 ``as_rational``, so all of them accept the same values and refuse the rest
-with the same ``InputError``.
+with the same ``InputError``.  Text copied from the input into a message
+goes through ``clip``, so a long value cannot make a long message.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from fractions import Fraction
 RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
+CLIP_LENGTH = 40  # the longest input text an error message copies whole
+
+
 class InputError(ValueError):
     """Malformed or out-of-contract input data."""
+
+
+def clip(text: str) -> str:
+    """``text``, or its first ``CLIP_LENGTH`` characters and its length."""
+    return text if len(text) <= CLIP_LENGTH else f"{text[:CLIP_LENGTH]}... ({len(text)} characters)"
 
 
 def as_rational(x, what: str) -> Fraction:
@@ -42,7 +51,7 @@ def as_rational(x, what: str) -> Fraction:
                 f"not an exact rational {what}: a run of {digits} digits, over the limit "
                 f"of {sys.get_int_max_str_digits()} for an int"
             ) from err
-    raise InputError(f"not an exact rational {what}: {x!r}")
+    raise InputError(f"not an exact rational {what}: {clip(repr(x))}")
 
 
 def require_int(name: str, value, low=None, high=None) -> None:

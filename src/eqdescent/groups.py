@@ -14,8 +14,8 @@ on the whole group, tables are built from the factor orders alone, each
 row a rotation of one period of a factor's column (``_product_table``).
 
 Coordinates are checked once, where they enter: ``AbelianGroup.character``,
-``Character(...)``, ``Character.__call__`` and ``Subgroup(parent,
-generators)`` refuse a wrong count or a coordinate that is not an int.
+``Character(...)`` and ``Character.__call__`` refuse a wrong count or a
+coordinate that is not an int.
 Sums, differences, negatives and ``scaled`` multiples of characters are
 built from coordinates already checked, reduced mod the orders in the same
 pass, through the unchecked ``Character._raw``; the tables the package
@@ -24,8 +24,10 @@ computes are built through the unchecked ``CharacterRestriction._raw``.
 A group element is its coordinate tuple (g_1, ..., g_r), and
 ``AbelianGroup.elements`` lists them all in lexicographic order.  A
 ``Subgroup`` is held as its ``order``, ``coords``, the sorted tuple of its
-elements, and ``columns``, the same elements one coordinate at a time.  The
-whole group, ``AbelianGroup.whole_subgroup``, gets its ``coords`` (which are
+elements, and ``columns``, the same elements one coordinate at a time.  It
+is only ever G itself or a cut of one, so ``Subgroup(parent, coords)``
+takes its elements as given, unchecked.  The whole group,
+``AbelianGroup.whole_subgroup``, gets its ``coords`` (which are
 ``elements``) only when something reads them: the ``strata`` report, a cut
 of it, its ``columns``, or a comparison with another subgroup object of the
 same order; no decision does.  A subgroup hashes as (parent, order), in
@@ -35,9 +37,7 @@ turn, through ``Subgroup.cut``: a cut of the whole group is enumerated as a
 kernel on G, one arithmetic progression of last coordinates per prefix,
 with no table over G; a cut of any other subgroup keeps the elements where
 a restriction table reads 0.  Filtering a sorted tuple keeps it sorted, so
-no cut is closed or sorted again.  Only ``Subgroup(parent, generators)``
-closes its generators, by cyclic extension: adjoining g to H adds the
-disjoint cosets H + i*g, 0 < i < (order of g modulo H).
+no cut is closed or sorted again.
 
 Caches, each tied to the object that owns it and living as long as it:
 
@@ -104,7 +104,7 @@ class AbelianGroup:
     def whole_subgroup(self) -> "Subgroup":
         """The group as a subgroup of itself, built once per group object;
         its ``coords`` are ``elements``, listed only when first read."""
-        return Subgroup._raw(self, None)
+        return Subgroup(self)
 
     def character(self, coords) -> "Character":
         return Character(self, tuple(coords))
@@ -234,60 +234,23 @@ class Character:
 class Subgroup:
     """Subgroup of an AbelianGroup, held as its sorted coordinate tuples.
 
-    Equality is by (parent, sorted coordinates), not by the particular
-    generating set, so stabilizers computed through different routes compare
-    equal exactly when they agree element-by-element.  The hash is that of
-    (parent, order), which equal subgroups share.
+    Equality is by (parent, sorted coordinates), not by the sequence of
+    cuts that made it, so stabilizers computed through different routes
+    compare equal exactly when they agree element-by-element.  The hash is
+    that of (parent, order), which equal subgroups share.
     """
 
-    def __init__(self, parent: AbelianGroup, generators):
-        """The subgroup generated by ``generators``, coordinate tuples of
-        elements of ``parent``."""
-        self.parent = parent
-        orders = parent.orders
-        # Closure by cyclic extension: adjoining g to H adds the cosets
-        # H + k*g for 0 < k < (order of g modulo H), which are disjoint.
-        # H is kept as one list per coordinate.
-        columns = [[0] for _ in orders]
-        members = set()  # H as a set of tuples, rebuilt only when H has grown
-        for g in generators:
-            g = _reduced(_checked(g, parent, "generator"), orders)
-            if len(members) < len(columns[0]):
-                members = set(zip(*columns))
-            multiples = []
-            step = g
-            while step not in members:
-                multiples.append(step)
-                step = tuple((x + y) % n for x, y, n in zip(step, g, orders))
-            grown = [
-                [(x + y) % n for y in mcol for x in hcol]
-                for hcol, mcol, n in zip(columns, zip(*multiples), orders)
-            ]
-            for hcol, gcol in zip(columns, grown):
-                hcol += gcol
-        self.coords = tuple(sorted(zip(*columns)))
-        self.order = len(self.coords)
-        self._restrictions = {}  # character coords -> CharacterRestriction
-        self._cuts = {}  # character coords -> Subgroup, see ``cut``
-
-    @classmethod
-    def _raw(cls, parent: AbelianGroup, coords: tuple) -> "Subgroup":
+    def __init__(self, parent: AbelianGroup, coords: tuple | None = None):
         """The subgroup whose sorted elements are ``coords``, unchecked;
         ``coords`` None is the whole of ``parent``, listed when first read."""
-        sub = object.__new__(cls)
-        sub.parent = parent
+        self.parent = parent
         if coords is None:
-            sub.order = parent.order
+            self.order = parent.order
         else:
-            sub.coords = coords
-            sub.order = len(coords)
-        sub._restrictions = {}
-        sub._cuts = {}
-        return sub
-
-    @classmethod
-    def trivial(cls, parent: AbelianGroup) -> "Subgroup":
-        return cls(parent, [])
+            self.coords = coords
+            self.order = len(coords)
+        self._restrictions = {}  # character coords -> CharacterRestriction
+        self._cuts = {}  # character coords -> Subgroup, see ``cut``
 
     @cached_property
     def coords(self) -> tuple:
@@ -335,7 +298,7 @@ class Subgroup:
                 inverse = pow(w // d, -1, p)
                 prefixes = product(*map(range, head))
                 partial = _product_table(chi.coords, head, m)  # zip stops at the head
-                found = Subgroup._raw(group, tuple(
+                found = Subgroup(group, tuple(
                     g + (h,)
                     for g, x in zip(prefixes, partial)
                     if not x % d
@@ -343,7 +306,7 @@ class Subgroup:
                 ))
             else:
                 r = chi.restrict(self)
-                found = self if r.is_trivial else Subgroup._raw(
+                found = self if r.is_trivial else Subgroup(
                     group, tuple(h for h, v in zip(self.coords, r.values) if not v)
                 )
             self._cuts[chi.coords] = found

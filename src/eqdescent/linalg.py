@@ -4,14 +4,16 @@ Everything here is exact; no floating point is used anywhere in this
 package.  An integer matrix (``ZMatrix``, what the fiber blocks of the
 descent decision are) is stored sparsely, as one ``{column: nonzero int}``
 dict per row, because those blocks are mostly zeros: a Koszul block has one
-entry +-x_i per pair of summands it joins.  Rank is exact sparse integer
-elimination on those rows, with the pivot taken from the sparsest remaining
-row and each updated row divided by its content.  A rational matrix
-(``QMatrix``, dense) first has each row scaled by the lcm of its
-denominators, which does not change the rank, and is ranked by the same
-routine.  ``monomial_pivots`` eliminates a matrix of integer polynomials
-the same way, but takes only monomials as pivots.  Smith normal form is
-computed over the integers with the unimodular transforms returned.
+entry +-x_i per pair of summands it joins.  Those rows are all it offers,
+apart from ``to_lists``, the dense copy Smith normal form works on.  Rank
+is exact sparse integer elimination on those rows, with the pivot taken
+from the sparsest remaining row and each updated row divided by its
+content.  A rational matrix (``QMatrix``, dense) first has each row scaled
+by the lcm of its denominators, which does not change the rank, and is
+ranked by the same routine.  ``monomial_pivots`` eliminates a matrix of
+integer polynomials the same way, but takes only monomials as pivots.
+Smith normal form is computed over the integers with the unimodular
+transforms returned.
 """
 
 from __future__ import annotations
@@ -130,30 +132,9 @@ class ZMatrix:
             sparse.append({j: x for j, x in enumerate(r) if x})
         return cls(len(rows_data), ncols, tuple(sparse))
 
-    @property
-    def entries(self) -> tuple:
-        """Every entry, zeros included, row-major (a dense copy)."""
-        return tuple(x for i in range(self.rows) for x in self.row(i))
-
-    def entry(self, i: int, j: int) -> int:
-        self._check_column(j)
-        return self.sparse_rows[i].get(j, 0)
-
-    def row(self, i: int) -> tuple:
-        row = self.sparse_rows[i]
-        return tuple(row.get(j, 0) for j in range(self.cols))
-
-    def column(self, j: int) -> tuple:
-        self._check_column(j)
-        return tuple(row.get(j, 0) for row in self.sparse_rows)
-
-    def _check_column(self, j: int):
-        # a missing key reads as 0, so a column outside the shape must be refused here
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside a matrix with {self.cols} columns")
-
     def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        """Every entry, zeros included, one list per row (a dense copy)."""
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.sparse_rows]
 
 
 def rank(m) -> int:

@@ -51,7 +51,7 @@ from math import inf, lcm
 
 from .action import ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand
-from .errors import InputError, as_rational, digit_count
+from .errors import InputError, as_rational, clip, digit_count
 from .groups import AbelianGroup
 from .polynomials import MAX_ABS_DEGREE, MAX_TOTAL_DEGREE, Poly, _degree_error
 from .words import FunctorWord, Push, Shift, Twist
@@ -60,7 +60,7 @@ from .words import FunctorWord, Push, Shift, Twist
 def _fmt_path(path) -> str:
     out = "$"
     for part in path:
-        out += f"[{part}]" if isinstance(part, int) else f".{part}"
+        out += f"[{part}]" if isinstance(part, int) else f".{clip(part)}"
     return out
 
 
@@ -105,7 +105,9 @@ def _expect_int(data, path):
 def _expect_degree(data, path, what="a degree"):
     j = _expect_int(data, path)
     if abs(j) > MAX_ABS_DEGREE:
-        _fail(path, f"expected {what} from {-MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {j}")
+        _fail(
+            path, f"expected {what} from {-MAX_ABS_DEGREE} to {MAX_ABS_DEGREE}, got {clip(str(j))}"
+        )
     return j
 
 
@@ -128,7 +130,10 @@ def parse_rational(value, path) -> Fraction:
     except InputError as err:
         if err.__cause__ is not None:  # the ValueError of an over-long run of digits
             _fail(path, str(err))
-        _fail(path, f'not a rational number: expected an int, "p", "p/q" or "p.q", got {value!r}')
+        _fail(
+            path,
+            f'not a rational number: expected an int, "p", "p/q" or "p.q", got {clip(repr(value))}',
+        )
 
 
 def _refuse_unwritable(path, what, numbers) -> None:
@@ -161,10 +166,12 @@ def _degree_items(obj, path):
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or inf
             if digits > limit:
                 _fail(path, f"a degree key of {digits} digits, over the limit of {limit} for an int")
-            _fail(kpath, f"expected an integer key, got {key!r}")
+            _fail(kpath, f"expected an integer key, got {clip(repr(key))}")
         _expect_degree(j, kpath, "a degree key")
         if j in seen:
-            _fail(kpath, f"degree {j} is already given by the key {seen[j]!r}")
+            _fail(
+                kpath, f"degree {j} is already given by the key {clip(repr(seen[j]))}"
+            )
         seen[j] = key
         yield j, value, kpath
 
@@ -359,7 +366,7 @@ def _parse_word(action, data, path) -> FunctorWord:
                 _refuse_unwritable(gpath + ["scalars", k], "the scalar", (s,))
             gens.append(_built(gpath, Push, action, perm, scalars))
         else:
-            _fail(gpath + ["kind"], f"unknown generator kind {kind!r}")
+            _fail(gpath + ["kind"], f"unknown generator kind {clip(repr(kind))}")
     return FunctorWord(tuple(gens))
 
 
@@ -442,7 +449,7 @@ def _decode(text: str):
             seen = set()
             for key, _ in value:
                 if key in seen:
-                    _fail(path, f"object repeats the key {key!r}")
+                    _fail(path, f"object repeats the key {clip(repr(key))}")
                 seen.add(key)
         elif isinstance(value, list):
             value = list(enumerate(value))

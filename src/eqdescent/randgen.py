@@ -31,7 +31,6 @@ from random import Random
 
 from .action import _SAMPLER_NUMERATORS, MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
 from .complexes import EquivariantComplex, TwistedSummand, _matrix_compose
-from .errors import require_int
 from .groups import AbelianGroup, Character
 from .polynomials import Poly
 from .words import FunctorWord, Push, Shift, Twist
@@ -74,11 +73,12 @@ def random_character(rng: Random, group: AbelianGroup) -> Character:
     return Character._raw(group, tuple([rng.randrange(n) for n in group.orders]))
 
 
-def random_action(rng: Random, group: AbelianGroup, max_dim: int = 3) -> ProjectiveAction:
-    """A random action on P^n for n from 1 to ``max_dim``, which must itself
-    lie in 1..MAX_PROJECTIVE_DIM."""
-    require_int("max_dim", max_dim, 1, MAX_PROJECTIVE_DIM)
-    dim = rng.randint(1, max_dim)
+RANDOM_MAX_DIM = 3
+
+
+def random_action(rng: Random, group: AbelianGroup) -> ProjectiveAction:
+    """A random action on P^n for n from 1 to ``RANDOM_MAX_DIM``."""
+    dim = rng.randint(1, RANDOM_MAX_DIM)
     chars = tuple(random_character(rng, group) for _ in range(dim + 1))
     return ProjectiveAction(group, dim, chars)
 

@@ -98,10 +98,9 @@ def run_oracle_selftest(
     trials: int = 100,
     seed: int = 0,
     max_group_order: int = 12,
-    max_dim: int = 3,
 ) -> SelftestReport:
     """Compare the two routes on ``trials`` random instances drawn from
-    ``seed``; ``random_action`` checks ``max_dim``."""
+    ``seed``."""
     require_int("trials", trials, 1)
     require_int("max_group_order", max_group_order, 2, MAX_GROUP_ORDER)
     require_int("seed", seed)
@@ -111,7 +110,7 @@ def run_oracle_selftest(
     for trial in range(trials):
         orders = random_orders(rng, max_group_order)
         group = group_of(orders) if prod(orders) <= GROUP_MEMO_MAX_ORDER else AbelianGroup(orders)
-        action = random_action(rng, group, max_dim=max_dim)
+        action = random_action(rng, group)
         complex_ = random_valid_complex(rng, action)
         point = random_point(rng, action.dim + 1)
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import eqdescent.oracle as oracle_module
+from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import EquivariantComplex, TwistedSummand
+from eqdescent.groups import AbelianGroup, Subgroup
 from eqdescent.linalg import QMatrix
 from eqdescent.polynomials import Poly
 
@@ -47,6 +49,63 @@ def cli():
         return code, text, split_report(text)[0]
 
     return runner
+
+
+# ---------------------------------------------------------------------------
+# the Z/2 action on P^2 most tests use, its bundles and its two-term complex
+# ---------------------------------------------------------------------------
+
+def z2_p2_action():
+    """Z/2 on P^2 negating the last coordinate: (x0 : x1 : -x2)."""
+    g = AbelianGroup((2,))
+    return ProjectiveAction(g, 2, (g.character((0,)), g.character((0,)), g.character((1,))))
+
+
+@pytest.fixture
+def z2_p2():
+    return z2_p2_action()
+
+
+def O(action, d, coords=None):
+    """O(d) twisted by the character ``coords``, the trivial one by default."""
+    G = action.group
+    twist = G.trivial_character() if coords is None else G.character(coords)
+    return TwistedSummand(d, twist)
+
+
+@pytest.fixture
+def two_term(z2_p2):
+    """0 -> O@(1,) --x2--> O(1) -> 0, equivariant since x2 transforms by (1,)."""
+    return EquivariantComplex(
+        z2_p2,
+        {0: (O(z2_p2, 0, (1,)),), 1: (O(z2_p2, 1),)},
+        {0: {(0, 0): Poly.variable(3, 2)}},
+    )
+
+
+# ---------------------------------------------------------------------------
+# subgroups generated by elements, which the package itself never builds
+# ---------------------------------------------------------------------------
+
+def add(group, a, b):
+    """The group law on coordinate tuples."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
+def brute_force_closure(group, gens):
+    """Oracle: add generators to everything newly found until nothing new
+    appears; the sorted elements found."""
+    members = {(0,) * group.rank}
+    new = members
+    while new:
+        new = {add(group, h, g) for h in new for g in gens} - members
+        members |= new
+    return sorted(members)
+
+
+def generated_subgroup(group, gens):
+    """The subgroup of ``group`` generated by the elements ``gens``."""
+    return Subgroup(group, tuple(brute_force_closure(group, gens)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import ACCEPTANCE_LINES, inverse, qzeros
+from conftest import ACCEPTANCE_LINES, inverse, qzeros, z2_p2_action
 
-from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import TwistedSummand, bundle_complex
 from eqdescent.descent import (
     GradedSpace,
@@ -61,13 +60,6 @@ def criterion(number, description, limit_seconds):
         )
     _record(
         f"ACCEPTANCE {number}: PASS - {description} ({elapsed:.2f}s < {limit_seconds}s)"
-    )
-
-
-def z2_p2_action():
-    G = AbelianGroup((2,))
-    return ProjectiveAction(
-        G, 2, (G.character((0,)), G.character((0,)), G.character((1,)))
     )
 
 
@@ -155,7 +147,7 @@ def test_04_group_order_tensor_powers_always_descend():
         rng = Random(40425)
         for trial in range(50):
             group = random_group(rng, max_order=12)
-            action = random_action(rng, group, max_dim=3)
+            action = random_action(rng, group)
             summand = random_summand(rng, group)
             power = summand.tensor_power(group.order)
             report = check_bundle_descent(power, action)

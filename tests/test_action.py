@@ -8,11 +8,7 @@ import pytest
 from eqdescent.action import MAX_SAMPLES_PER_STRATUM, ProjectiveAction, RationalPoint
 from eqdescent.groups import AbelianGroup, Character, InputError
 
-
-def z2_p2_action():
-    """Z/2 on P^2 negating the last coordinate: (x0 : x1 : -x2)."""
-    g = AbelianGroup((2,))
-    return ProjectiveAction(g, 2, (g.character((0,)), g.character((0,)), g.character((1,))))
+from conftest import z2_p2_action
 
 
 def random_action(rng, max_dim=3, max_order=12):

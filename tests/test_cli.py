@@ -259,8 +259,9 @@ def test_a_d_squared_violation_with_a_long_coefficient_is_named(tmp_path, capsys
 
 # Z/2 acting on P^1 by the characters (0) and (1), and a degree of as many
 # nines as int() writes: a word adding anything to it reaches a degree that
-# no report can write.
+# no report can write.  A message gives its first 40 digits and its length.
 _LONG_DEGREE = int("9" * INT_DIGITS) if INT_DIGITS else 0
+_LONG_DEGREE_CLIPPED = f"{'9' * 40}... ({INT_DIGITS} characters)"
 _LINE = {"group": {"orders": [2]}, "action": {"dim": 1, "coordinate_characters": [[0], [1]]}}
 
 
@@ -277,7 +278,7 @@ _LINE = {"group": {"orders": [2]}, "action": {"dim": 1, "coordinate_characters":
         (("omega", "--word", "w", "--gen-a", "c", "--gen-b", "c"),
          {"complexes": {"c": {"terms": {str(_LONG_DEGREE): [{"degree": 0, "twist": [0]}]}}},
           "words": {"w": [{"kind": "shift", "k": -1}]}},
-         f"$.complexes.c.terms.{_LONG_DEGREE}", "a degree key"),
+         f"$.complexes.c.terms.{_LONG_DEGREE_CLIPPED}", "a degree key"),
     ],
     ids=["default-generator-twist", "necessary-shifts", "degree-key"],
 )
@@ -285,7 +286,7 @@ def test_a_degree_sum_no_report_can_write_is_refused(tmp_path, capsys, argv, ext
     """Twisting the default generator's O(2) by O(D), shifting twice by D,
     and shifting a complex held at degree D by -1 each reach a degree of
     more digits than int() writes.  The degree D itself is refused first,
-    with its path, exit 2 and nothing on stdout."""
+    with its path, exit 2 and nothing on stdout; the message clips D."""
     problem = tmp_path / "long_degree.json"
     problem.write_text(json.dumps(dict(_LINE, **extras)), encoding="utf-8")
     code = main([argv[0], str(problem), *argv[1:]])
@@ -293,7 +294,8 @@ def test_a_degree_sum_no_report_can_write_is_refused(tmp_path, capsys, argv, ext
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"error: {path}: expected {what} from -1000000000 to 1000000000, got {_LONG_DEGREE}\n"
+        f"error: {path}: expected {what} from -1000000000 to 1000000000, "
+        f"got {_LONG_DEGREE_CLIPPED}\n"
     )
 
 
@@ -338,6 +340,33 @@ def test_a_repeated_key_keeps_its_error_next_to_a_long_integer(tmp_path, capsys)
     assert code == 2
     assert captured.err == "error: $.group: object repeats the key 'orders'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edit, length",
+    [
+        (lambda doc: doc["complexes"]["O"].update(terms={"x" * 3000: []}), 3000),
+        (lambda doc: doc.update({"y" * 3000: 1}), 3000),
+        (lambda doc: doc["words"].update(twist1=[{"kind": "k" * 3000}]), 3002),
+        (lambda doc: doc.update(points=[["1", "z" * 3000, "1"]]), 3002),
+    ],
+    ids=["terms-key", "unknown-key", "generator-kind", "point-coordinate"],
+)
+def test_a_long_input_value_is_clipped_in_its_error(tmp_path, capsys, edit, length):
+    """A 3,000-character key, generator kind or number string is written as
+    its first 40 characters and the length of the text (a quoted value
+    counts its quotes), so the message stays one short line."""
+    data = json.loads(open(FIXTURE, encoding="utf-8").read())
+    edit(data)
+    problem = tmp_path / "long_value.json"
+    problem.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["strata", str(problem)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert f"... ({length} characters)" in captured.err
 
 
 def _entry(*terms):
@@ -631,8 +660,6 @@ def test_selftest_exits_3_when_a_projector_is_not_idempotent(one_fiber_exponent_
     "flag, value",
     [
         ("--trials", "0"),
-        ("--max-dim", "0"),
-        ("--max-dim", "11"),
         ("--max-group-order", "1"),
         ("--max-group-order", "10001"),
     ],
@@ -643,6 +670,16 @@ def test_selftest_rejects_out_of_range_options(flag, value, capsys):
     assert code == 2
     assert captured.err.startswith(f"error: {flag} must be")
     assert captured.out == ""  # no verdict is printed for bad options
+
+
+def test_selftest_has_no_max_dim_option(capsys):
+    """Random actions are drawn on P^1 to P^3; no option sets that bound."""
+    with pytest.raises(SystemExit) as exited:
+        main(["selftest-oracle", "--trials", "2", "--max-dim", "3"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --max-dim 3" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

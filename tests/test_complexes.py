@@ -17,18 +17,7 @@ from eqdescent.complexes import (
 from eqdescent.groups import AbelianGroup, InputError
 from eqdescent.polynomials import Poly
 
-
-@pytest.fixture
-def z2_p2():
-    """Z/2 on P^2 scaling only the last coordinate."""
-    G = AbelianGroup((2,))
-    return ProjectiveAction(G, 2, (G.character((0,)), G.character((0,)), G.character((1,))))
-
-
-def O(action, d, coords=None):
-    G = action.group
-    twist = G.trivial_character() if coords is None else G.character(coords)
-    return TwistedSummand(d, twist)
+from conftest import O
 
 
 def x(i):

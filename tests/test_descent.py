@@ -15,7 +15,7 @@ from math import lcm
 from random import Random
 
 import pytest
-from conftest import koszul_complex, qzeros
+from conftest import O, koszul_complex, qzeros
 
 import eqdescent.action as action_module
 import eqdescent.descent as descent_module
@@ -45,28 +45,6 @@ from eqdescent.randgen import (
     random_valid_complex,
 )
 from eqdescent.words import FunctorWord, Twist, omega_check
-
-
-@pytest.fixture
-def z2_p2():
-    G = AbelianGroup((2,))
-    return ProjectiveAction(G, 2, (G.character((0,)), G.character((0,)), G.character((1,))))
-
-
-def O(action, d, coords=None):
-    G = action.group
-    twist = G.trivial_character() if coords is None else G.character(coords)
-    return TwistedSummand(d, twist)
-
-
-@pytest.fixture
-def two_term(z2_p2):
-    """0 -> O@(1,) --x2--> O(1) -> 0, equivariant since x2 transforms by (1,)."""
-    return EquivariantComplex(
-        z2_p2,
-        {0: (O(z2_p2, 0, (1,)),), 1: (O(z2_p2, 1),)},
-        {0: {(0, 0): Poly.variable(3, 2)}},
-    )
 
 
 def nonzero_dims(table):
@@ -330,7 +308,7 @@ def test_fiber_blocks_are_integer_matrices(koszul, z2_trivial_p3):
         RationalPoint((Fraction(1, 2), Fraction(-3, 7), Fraction(5), Fraction(2, 9))),
     )
     mats = [m for block in fiber.blocks.values() for m in block.mats.values()]
-    assert mats and all(type(e) is int for m in mats for e in m.entries)
+    assert mats and all(type(e) is int for m in mats for row in m.to_lists() for e in row)
 
 
 def test_layout_of_another_stratum_is_rejected(two_term):
@@ -484,13 +462,13 @@ def test_omega_check_computes_each_stratum_once(z2_p2, monkeypatch):
 
 def test_trivial_action_builds_one_subgroup(koszul, z2_trivial_p3, monkeypatch):
     built = []
-    raw = Subgroup._raw
+    init = Subgroup.__init__
 
-    def counting_raw(parent, coords):
+    def counting_init(self, parent, coords=None):
         built.append(parent)
-        return raw(parent, coords)
+        init(self, parent, coords)
 
-    monkeypatch.setattr(Subgroup, "_raw", counting_raw)
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
     report = check_descent(koszul(z2_trivial_p3, (1, 1, 1, 1)))
     assert report.passed and len(report.coverage) == 15
     assert len(built) == 1

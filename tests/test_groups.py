@@ -20,6 +20,8 @@ from eqdescent.groups import (
     equalizer_subgroup,
 )
 
+from conftest import add, brute_force_closure, generated_subgroup
+
 
 def brute_force_equalizer(chars):
     """Oracle: filter all |G| elements by direct character evaluation."""
@@ -51,11 +53,6 @@ def _prod(t):
 
 def random_element(rng, group):
     return tuple(rng.randrange(n) for n in group.orders)
-
-
-def add(group, a, b):
-    """The group law on coordinate tuples."""
-    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +87,6 @@ def test_elements_of_the_wrong_length_are_refused():
     for bad in [(1,), (1, 0, 0)]:
         with pytest.raises(InputError):
             chi(bad)
-        with pytest.raises(InputError):
-            Subgroup(g, [bad])
-    assert Subgroup(g, [(7, 3)]) == Subgroup(g, [(3, 1)])  # reduced modulo the orders
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, False, Fraction(1), Fraction(1, 2)])
@@ -101,9 +95,8 @@ def test_elements_of_the_wrong_length_are_refused():
     [
         lambda g, x: g.character((1, x)),
         lambda g, x: g.character((1, 0))((x, 1)),
-        lambda g, x: Subgroup(g, [(0, 1), (x, 0)]),
     ],
-    ids=["character", "character-value", "subgroup-generator"],
+    ids=["character", "character-value"],
 )
 def test_coordinates_must_be_exact_ints(build, bad):
     """A float, string, bool or Fraction coordinate is refused with an
@@ -242,7 +235,7 @@ def test_characters_of_different_groups_do_not_combine():
 
 def test_subgroup_closure_identity_inverses():
     g = AbelianGroup((4, 2))
-    s = Subgroup(g, [(2, 1)])
+    s = g.whole_subgroup.cut(g.character((1, 1)))  # g_1 + 2 g_2 = 0 mod 4
     assert s.order == 2
     assert (0, 0) in s.coords
     for h in s.coords:
@@ -253,49 +246,36 @@ def test_subgroup_closure_identity_inverses():
 
 def test_subgroup_equality_by_elements():
     g = AbelianGroup((4,))
-    a = Subgroup(g, [(2,)])
-    b = Subgroup(g, [(2,), (0,)])
+    a = g.whole_subgroup.cut(g.character((2,)))
+    b = Subgroup(g, ((0,), (2,)))
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Subgroup.trivial(g)
+    assert a != Subgroup(g, ((0,),))
 
 
 def test_whole_and_trivial():
     g = AbelianGroup((2, 3))
     assert g.whole_subgroup.order == 6
-    assert Subgroup.trivial(g).order == 1
-    assert Subgroup.trivial(g).is_trivial
-
-
-def brute_force_closure(group, gens):
-    """Oracle: add generators to everything found until nothing new appears."""
-    members = {(0,) * group.rank}
-    while True:
-        grown = members | {add(group, h, g) for h in members for g in gens}
-        if grown == members:
-            return sorted(members)
-        members = grown
+    trivial = g.whole_subgroup.cut(g.character((1, 1)))  # 3 g_1 + 2 g_2 = 0 mod 6
+    assert trivial.coords == ((0, 0),)
+    assert trivial.order == 1
+    assert trivial.is_trivial
 
 
 def test_subgroup_coords_are_the_sorted_closure():
+    """Cutting the whole group, or a subgroup generated by random elements,
+    by up to three random characters in turn keeps a subgroup whose
+    ``coords`` are closed under the group law and sorted."""
     rng = random.Random(4242)
     for _ in range(200):
         group = random_group(rng, max_order=64)
-        gens = [
-            random_element(rng, group)
-            for _ in range(rng.randint(0, 3))
-        ]
-        if gens and rng.random() < 0.5:
-            gens.append(rng.choice(gens))  # repeated
-        if rng.random() < 0.3:
-            gens.insert(rng.randrange(len(gens) + 1), (0,) * group.rank)  # zero
-        if len(gens) >= 2 and rng.random() < 0.5:
-            k = rng.randint(2, 5)
-            gens.append(add(group, gens[0], tuple(k * x for x in gens[1])))  # dependent
-        rng.shuffle(gens)
-        s = Subgroup(group, gens)
-        assert list(s.coords) == brute_force_closure(group, gens), (group, gens)
-        assert group.order % s.order == 0
+        s = group.whole_subgroup
+        if rng.random() < 0.5:
+            s = generated_subgroup(group, [random_element(rng, group) for _ in range(2)])
+        for _ in range(rng.randint(1, 3)):
+            s = s.cut(group.character(random_element(rng, group)))
+            assert list(s.coords) == brute_force_closure(group, s.coords), (group, s)
+            assert group.order % s.order == 0
 
 
 def test_whole_group_is_built_once_and_shared():
@@ -440,7 +420,7 @@ def test_first_cut_and_whole_group_tables_match_evaluation():
         ]
         assert cut.cut(delta) is cut
         psi = group.character(psi_coords)
-        sub = Subgroup(group, [generator])
+        sub = generated_subgroup(group, [generator])
         for chi in (delta, psi):
             kept = [h for h in sub.coords if chi(h) == 0]
             assert list(sub.cut(chi).coords) == kept
@@ -487,10 +467,10 @@ def test_equal_subgroups_from_different_routes_compare_and_hash_equal(orders):
     """The whole group as ``whole_subgroup``, as generated by the factors'
     unit vectors and as its cut by the trivial character; a character's
     kernel as a cut of ``whole_subgroup``, as a cut of the group generated
-    by the unit vectors and as generated by its own elements."""
+    by the unit vectors and as built from its own elements."""
     g = AbelianGroup(orders)
     units = [tuple(int(i == k) for i in range(g.rank)) for k in range(g.rank)]
-    generated = Subgroup(g, units)
+    generated = generated_subgroup(g, units)
     wholes = [g.whole_subgroup, generated, generated.cut(g.trivial_character())]
     for chi in g.characters:
         cut = g.whole_subgroup.cut(chi)
@@ -503,7 +483,7 @@ def test_equal_subgroups_from_different_routes_compare_and_hash_equal(orders):
 
 def test_distinct_subgroups_of_one_order_share_a_hash_and_differ():
     g = AbelianGroup((2, 2))
-    lines = [Subgroup(g, [h]) for h in ((1, 0), (0, 1), (1, 1))]
+    lines = [generated_subgroup(g, [h]) for h in ((1, 0), (0, 1), (1, 1))]
     assert len({hash(s) for s in lines}) == 1 and len(set(lines)) == 3
 
 
@@ -514,7 +494,7 @@ def test_distinct_subgroups_of_one_order_share_a_hash_and_differ():
 def test_restrict_z4_frozen_case():
     g = AbelianGroup((4,))
     chi = g.character((2,))
-    s = Subgroup(g, [(2,)])  # elements (0,), (2,)
+    s = Subgroup(g, ((0,), (2,)))
     r = chi.restrict(s)
     # chi((2,)) = 2*2*(4/4) = 4 = 0 mod 4: trivial on the subgroup.
     assert r.values == (0, 0)
@@ -531,7 +511,7 @@ def test_restriction_arithmetic_and_homomorphism():
             random_element(rng, group)
             for _ in range(rng.randint(0, 2))
         ]
-        s = Subgroup(group, gens)
+        s = generated_subgroup(group, gens)
         rc, rp = chi.restrict(s), psi.restrict(s)
         # The table respects the group law.
         m = group.exponent
@@ -554,10 +534,7 @@ def test_group_order_times_character_restricts_trivially():
         group = random_group(rng)
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
         scaled = chi.scaled(group.order)
-        s = Subgroup(
-            group,
-            [random_element(rng, group)],
-        )
+        s = generated_subgroup(group, [random_element(rng, group)])
         assert scaled.restrict(s).is_trivial
         assert all(scaled(g) == 0 for g in group.elements)
 
@@ -566,7 +543,7 @@ def test_restriction_is_computed_once_per_subgroup_and_character():
     rng = random.Random(99)
     for _ in range(50):
         group = random_group(rng)
-        s = Subgroup(group, [random_element(rng, group)])
+        s = generated_subgroup(group, [random_element(rng, group)])
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
         r = chi.restrict(s)
         assert group.character(chi.coords).restrict(s) is r
@@ -587,7 +564,7 @@ def test_restriction_equals_evaluation_on_every_element():
         group = _random_group_of_rank(rng, rng.randint(1, 3))
         chi = group.character(tuple(rng.randrange(n) for n in group.orders))
         several += sum(c != 0 for c in chi.coords) >= 2
-        s = Subgroup(group, [random_element(rng, group) for _ in range(rng.randint(0, 3))])
+        s = generated_subgroup(group, [random_element(rng, group) for _ in range(rng.randint(0, 3))])
         assert s.columns == tuple(zip(*s.coords))
         assert chi.restrict(s).values == tuple(chi(h) for h in s.coords), (group, chi, s)
     assert several >= 50
@@ -595,7 +572,7 @@ def test_restriction_equals_evaluation_on_every_element():
 
 def test_restriction_built_directly_is_reduced_and_length_checked():
     g = AbelianGroup((4, 6))  # exponent 12
-    s = Subgroup(g, [(2, 3)])  # (0, 0), (2, 3)
+    s = Subgroup(g, ((0, 0), (2, 3)))
     assert CharacterRestriction(s, (-1, 25)).values == (11, 1)
     assert CharacterRestriction(s, [12, -12]).values == (0, 0)
     assert CharacterRestriction(s, (3, 11)).values == (3, 11)

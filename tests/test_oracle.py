@@ -4,10 +4,8 @@ Expected values in this file are frozen from hand computation; the oracle is
 the trust anchor that the block-decomposition path is later checked against,
 so nothing here may depend on that path.  The exceptions are the
 cross-check of the oracle's private rank against ``linalg.rank`` (two
-independent eliminations that must agree), random subgroups built by
-``groups.Subgroup`` to feed the oracle's cyclic decomposition, and the
-instances too large for the quadratic reference below, which are checked
-against the block route.
+independent eliminations that must agree) and the instances too large for
+the quadratic reference below, which are checked against the block route.
 
 The quadratic reference averages over all of S without factoring: one
 value table per character of G on all of S, and for every table and summand
@@ -35,7 +33,7 @@ from eqdescent.complexes import (
     bundle_complex,
 )
 from eqdescent.descent import block_cohomology, fiber_restrict
-from eqdescent.groups import AbelianGroup, Subgroup
+from eqdescent.groups import AbelianGroup
 from eqdescent.linalg import QMatrix, rank
 from eqdescent.oracle import (
     _cyclic_decomposition,
@@ -47,10 +45,7 @@ from eqdescent.oracle import (
 from eqdescent.polynomials import Poly
 from eqdescent.randgen import random_action, random_group, random_point, random_valid_complex
 
-
-def z2_p2_action():
-    g = AbelianGroup((2,))
-    return ProjectiveAction(g, 2, (g.character((0,)), g.character((0,)), g.character((1,))))
+from conftest import brute_force_closure, z2_p2_action
 
 
 def two_term_example():
@@ -358,7 +353,7 @@ def test_cyclic_decomposition_of_random_subgroups():
             orders = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
         group = AbelianGroup(orders)
         gens = [rng.choice(group.elements) for _ in range(rng.randint(0, 3))]
-        _check_decomposition(Subgroup(group, gens).coords, orders)
+        _check_decomposition(brute_force_closure(group, gens), orders)
 
 
 # ---------------------------------------------------------------------------

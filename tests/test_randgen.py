@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import eqdescent.selftest as selftest_module
-from eqdescent.action import MAX_PROJECTIVE_DIM, ProjectiveAction, RationalPoint
+from eqdescent.action import ProjectiveAction, RationalPoint
 from eqdescent.complexes import TwistedSummand
 from eqdescent.groups import AbelianGroup, InputError
 from eqdescent.polynomials import Poly
@@ -60,16 +60,10 @@ def test_random_groups_and_actions_respect_bounds():
     for _ in range(50):
         group = random_group(rng, max_order=12)
         assert 2 <= group.order <= 12
-        action = random_action(rng, group, max_dim=3)
+        action = random_action(rng, group)
         assert 1 <= action.dim <= 3
         s = random_summand(rng, group, max_degree=3)
         assert -3 <= s.degree <= 3
-
-
-@pytest.mark.parametrize("max_dim", [0, MAX_PROJECTIVE_DIM + 1, True, 2.5])
-def test_random_action_refuses_a_dimension_bound_it_cannot_draw_up_to(max_dim):
-    with pytest.raises(InputError, match=f"max_dim must be an int from 1 to {MAX_PROJECTIVE_DIM}"):
-        random_action(Random(1), AbelianGroup((2,)), max_dim=max_dim)
 
 
 def test_random_points_have_nonzero_support():
@@ -143,7 +137,7 @@ def test_equivariant_monomials_match_monomial_characters_in_order():
     generators draw from it, so its order fixes their output."""
     rng = Random(11)
     for _ in range(60):
-        action = random_action(rng, random_group(rng, 36), max_dim=3)
+        action = random_action(rng, random_group(rng, 36))
         nvars = action.dim + 1
         for degree in range(4):
             every = []

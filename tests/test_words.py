@@ -34,17 +34,7 @@ from eqdescent.words import (
     omega_check,
 )
 
-
-@pytest.fixture
-def z2_p2():
-    G = AbelianGroup((2,))
-    return ProjectiveAction(G, 2, (G.character((0,)), G.character((0,)), G.character((1,))))
-
-
-def O(action, d, coords=None):
-    G = action.group
-    twist = G.trivial_character() if coords is None else G.character(coords)
-    return TwistedSummand(d, twist)
+from conftest import O
 
 
 def on_structure_sheaf(word, action, **opts):
@@ -60,15 +50,6 @@ def kernel_of(report):
     (degree,) = report.image_a.degrees()
     (net_twist,) = report.image_a.summands(degree)
     return -degree, net_twist
-
-
-@pytest.fixture
-def two_term(z2_p2):
-    return EquivariantComplex(
-        z2_p2,
-        {0: (O(z2_p2, 0, (1,)),), 1: (O(z2_p2, 1),)},
-        {0: {(0, 0): Poly.variable(3, 2)}},
-    )
 
 
 # ---------------------------------------------------------------------------
