@@ -312,26 +312,6 @@ class EquivariantComplex:
     def __hash__(self):
         return hash(self._signature())
 
-    def canonical_form(self) -> "EquivariantComplex":
-        """Sort summands within each degree (stably, by (degree, twist)) and
-        permute differential indices to match; two complexes that differ only
-        by within-degree summand order have equal canonical forms."""
-        perms = {}
-        new_terms = {}
-        for j, summands in self.terms.items():
-            order = sorted(
-                range(len(summands)),
-                key=lambda i: (summands[i].degree, summands[i].twist.coords, i),
-            )
-            perms[j] = {old: new for new, old in enumerate(order)}
-            new_terms[j] = tuple(summands[i] for i in order)
-        new_diffs = {}
-        for j, entries in self.differentials.items():
-            new_diffs[j] = {
-                (perms[j][s], perms[j + 1][t]): p for (s, t), p in entries.items()
-            }
-        return EquivariantComplex(self.action, new_terms, new_diffs)
-
     def __repr__(self):
         bits = []
         for j in self.degrees():

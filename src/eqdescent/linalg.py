@@ -1,16 +1,16 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
 Everything here is exact; no floating point is used anywhere in this
-package.  An integer matrix (``ZMatrix``, what the fiber blocks of the
-descent decision are) is stored sparsely, as one ``{column: nonzero int}``
-dict per row, because those blocks are mostly zeros: a Koszul block has one
-entry +-x_i per pair of summands it joins.  Those rows are all it offers,
-apart from ``to_lists``, the dense copy Smith normal form works on.  Rank
-is exact sparse integer elimination on those rows, with the pivot taken
-from the sparsest remaining row and each updated row divided by its
-content.  A rational matrix (``QMatrix``, dense) first has each row scaled
-by the lcm of its denominators, which does not change the rank, and is
-ranked by the same routine.  ``monomial_pivots`` eliminates a matrix of
+package.  The one matrix type is ``ZMatrix``, an integer matrix, which is
+what the fiber blocks of the descent decision are.  It is stored sparsely,
+as one ``{column: nonzero int}`` dict per row, because those blocks are
+mostly zeros: a Koszul block has one entry +-x_i per pair of summands it
+joins.  Those rows are all it offers, apart from ``to_lists``, the dense
+copy Smith normal form works on.  Rank is exact sparse integer elimination
+on those rows, with the pivot taken from the sparsest remaining row and
+each updated row divided by its content.  A rational matrix has no type
+of its own: scaling each row by the lcm of its denominators makes it an
+integer matrix of the same rank.  ``monomial_pivots`` eliminates a matrix of
 integer polynomials the same way, but takes only monomials as pivots.
 Smith normal form is computed over the integers with the unimodular
 transforms returned.
@@ -19,67 +19,10 @@ transforms returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
-from .errors import InputError, as_rational
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable rational matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple  # tuple[Fraction, ...], length rows * cols
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "QMatrix":
-        rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        ents = []
-        for r in rows_data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            ents.extend(as_rational(x, "matrix entry") for x in r)
-        return cls(nrows, ncols, tuple(ents))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def multiply(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(s)
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -137,11 +80,10 @@ class ZMatrix:
         return [[row.get(j, 0) for j in range(self.cols)] for row in self.sparse_rows]
 
 
-def rank(m) -> int:
-    """Rank of a ZMatrix or a QMatrix by exact sparse integer elimination.
+def rank(m: ZMatrix) -> int:
+    """Rank of a ZMatrix by exact sparse integer elimination.
 
-    A QMatrix has each row scaled by the lcm of its denominators first.  Each
-    step takes the sparsest remaining row as the pivot row and its first
+    Each step takes the sparsest remaining row as the pivot row and its first
     stored entry as the pivot.  Every other row with an entry in the pivot
     column becomes a*row - b*pivot_row, where (a, b) are the pivot and that
     entry divided by their gcd, which clears the entry; the row is then
@@ -151,17 +93,7 @@ def rank(m) -> int:
     the rank of the other rows.  Rows without an entry in the pivot column
     are left as they are, and zero entries are never stored or visited.
     """
-    if isinstance(m, QMatrix):
-        live = []
-        for i in range(m.rows):
-            row = m.row(i)
-            scale = lcm(*(x.denominator for x in row))
-            live.append(
-                {j: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
-            )
-    else:
-        live = m.sparse_rows
-    live = [row for row in live if row]
+    live = [row for row in m.sparse_rows if row]
     r = 0
     while live:
         top = min(live, key=len)
@@ -283,7 +215,7 @@ def _divide_monomial_content(row: dict) -> dict:
     }
 
 
-def kernel_dim(m) -> int:
+def kernel_dim(m: ZMatrix) -> int:
     """Dimension of the right kernel: cols - rank."""
     return m.cols - rank(m)
 

@@ -278,7 +278,8 @@ def omega_check(
     Both generators live on ``action``, and so does every push of the word.
     The generators themselves must descend to begin with --- a generator
     whose own check fails or is undecided is rejected as bad input
-    (GeneratorRejectedError), not reported as a disproof.  One that descends
+    (GeneratorRejectedError), not reported as a disproof, and so is the zero
+    complex, which descends but generates nothing.  One that descends
     by construction (the default, O) is not checked, and a complex given as
     both is checked once.  ``opts`` (``points``, ``samples_per_stratum``,
     ``seed``) go to every ``check_descent``.
@@ -293,6 +294,10 @@ def omega_check(
         if gen.action != action:
             raise InputError(f"generator {which} lives on a different action")
     for which, gen in (("a", gen_a), ("b", gen_b)):
+        if not gen.terms:
+            raise InputError(
+                f"generator {which} has no summands; the zero complex generates nothing"
+            )
         if (which == "b" and gen is gen_a) or _descends_by_construction(gen):
             continue
         report = check_descent(gen, **opts)

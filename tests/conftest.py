@@ -12,7 +12,7 @@ import eqdescent.oracle as oracle_module
 from eqdescent.action import ProjectiveAction
 from eqdescent.complexes import EquivariantComplex, TwistedSummand
 from eqdescent.groups import AbelianGroup, Subgroup
-from eqdescent.linalg import QMatrix
+from eqdescent.linalg import ZMatrix
 from eqdescent.polynomials import Poly
 
 from eqdescent.cli import main
@@ -112,23 +112,43 @@ def generated_subgroup(group, gens):
 # matrix operations that only the tests need
 # ---------------------------------------------------------------------------
 
-def qzeros(rows, cols):
-    """The rows x cols zero QMatrix."""
-    return QMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+def zmatrix(rows, ncols):
+    """The ZMatrix with the given dense integer rows and ``ncols`` columns."""
+    return ZMatrix(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
 
 
-def qidentity(n):
-    """The n x n identity QMatrix."""
-    return QMatrix.from_rows([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+def zeros(rows, cols):
+    """The rows x cols zero ZMatrix."""
+    return ZMatrix(rows, cols, tuple({} for _ in range(rows)))
 
 
-def inverse(m):
-    """Exact inverse of a QMatrix by Gauss-Jordan; ValueError if singular."""
-    if m.rows != m.cols:
+def matmul(x, y):
+    """The product of two dense integer matrices given as lists of rows."""
+    columns = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in x]
+
+
+def random_unimodular(rng, n):
+    """A random n x n integer matrix L U with unit triangular L and U, so of
+    determinant 1 and with an integral inverse."""
+
+    def unit_triangular(lower):
+        return [
+            [1 if i == j else rng.randint(-2, 2) if (j < i) == lower else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    return matmul(unit_triangular(True), unit_triangular(False))
+
+
+def inverse(rows):
+    """The inverse of a square integer matrix (lists of rows) by Gauss-Jordan
+    over Q; ValueError if it is singular or its inverse is not integral."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    a = m.to_lists()
-    inv = qidentity(n).to_lists()
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col] != 0), None)
         if piv is None:
@@ -143,7 +163,9 @@ def inverse(m):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
                 inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return QMatrix.from_rows(inv)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("the inverse is not integral")
+    return [[int(x) for x in row] for row in inv]
 
 
 def koszul_complex(action, coeffs):

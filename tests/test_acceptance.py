@@ -8,11 +8,17 @@ including its measured runtime.
 import contextlib
 import json
 import time
-from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import ACCEPTANCE_LINES, inverse, qzeros, z2_p2_action
+from conftest import (
+    ACCEPTANCE_LINES,
+    inverse,
+    matmul,
+    random_unimodular,
+    z2_p2_action,
+    zmatrix,
+)
 
 from eqdescent.complexes import TwistedSummand, bundle_complex
 from eqdescent.descent import (
@@ -22,7 +28,6 @@ from eqdescent.descent import (
     sandwich_check,
 )
 from eqdescent.groups import AbelianGroup, CharacterRestriction
-from eqdescent.linalg import QMatrix
 from eqdescent.problem import problem_to_dict
 from eqdescent.randgen import (
     random_action,
@@ -171,20 +176,6 @@ def test_05_dual_route_selftest_is_clean(cli):
         assert payload["report"]["mismatch_count"] == 0
 
 
-def _random_invertible(rng, n):
-    if n == 0:
-        return qzeros(0, 0)
-    lower = [
-        [Fraction(1) if i == j else Fraction(rng.randint(-2, 2)) if j < i else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    upper = [
-        [Fraction(1) if i == j else Fraction(rng.randint(-2, 2)) if j > i else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return QMatrix.from_rows(lower).multiply(QMatrix.from_rows(upper))
-
-
 def _block_keys(group):
     whole = group.whole_subgroup
     triv = CharacterRestriction(whole, (0,) * whole.order)
@@ -208,16 +199,12 @@ def _exact_triple(rng, triv, sign):
             blocks.append((sign, 0))  # listed but empty: still a trivial action
         return GradedSpace(tuple(blocks))
 
-    a0 = QMatrix.from_rows(
-        [[Fraction(1) if (i == j and i < r) else Fraction(0) for j in range(n1)] for i in range(n2)]
-    ) if n1 and n2 else qzeros(n2, n1)
-    b0 = QMatrix.from_rows(
-        [[Fraction(1) if j == r + i else Fraction(0) for j in range(n2)] for i in range(n3)]
-    ) if n2 and n3 else qzeros(n3, n2)
-    P = _random_invertible(rng, n2)
-    a = P.multiply(a0).multiply(_random_invertible(rng, n1))
-    b = _random_invertible(rng, n3).multiply(b0).multiply(inverse(P))
-    return space(n1), space(n2), space(n3), a, b
+    a0 = [[int(i == j and i < r) for j in range(n1)] for i in range(n2)]
+    b0 = [[int(j == r + i) for j in range(n2)] for i in range(n3)]
+    P = random_unimodular(rng, n2)
+    a = matmul(matmul(P, a0), random_unimodular(rng, n1))
+    b = matmul(matmul(random_unimodular(rng, n3), b0), inverse(P))
+    return space(n1), space(n2), space(n3), zmatrix(a, n1), zmatrix(b, n2)
 
 
 def _inexact_nontrivial_triple(rng, triv, sign):
@@ -229,22 +216,17 @@ def _inexact_nontrivial_triple(rng, triv, sign):
     v1 = GradedSpace(((triv, n1), (sign, 0)))
     v2 = GradedSpace(((triv, n2), (sign, k)))
     v3 = GradedSpace(((triv, n3), (sign, 0)))
-    a_rows = [
-        [Fraction(1) if (i == j and i < r) else Fraction(0) for j in range(n1)]
-        for i in range(n2 + k)
-    ]
+    a_rows = [[int(i == j and i < r) for j in range(n1)] for i in range(n2 + k)]
     b_break = r >= 1 and rng.random() < 0.5
     b_rows = []
     for i in range(n3):
-        row = [Fraction(0)] * (n2 + k)
+        row = [0] * (n2 + k)
         if b_break and i == 0:
-            row[0] = Fraction(1)  # hits image(a): makes b o a nonzero
+            row[0] = 1  # hits image(a): makes b o a nonzero
         elif r + i < n2:
-            row[r + i] = Fraction(1)
+            row[r + i] = 1
         b_rows.append(row)
-    a = QMatrix.from_rows(a_rows) if a_rows and a_rows[0] else qzeros(n2 + k, n1)
-    b = QMatrix.from_rows(b_rows) if b_rows and b_rows[0] else qzeros(n3, n2 + k)
-    return v1, v2, v3, a, b
+    return v1, v2, v3, zmatrix(a_rows, n1), zmatrix(b_rows, n2 + k)
 
 
 def test_06_exact_triples_pass_and_inexact_nontrivial_middles_never_do():
@@ -275,7 +257,7 @@ def test_07_word_round_trips_restore_complexes_and_reports():
     with criterion(
         7,
         "50 random words (length <= 5): apply then inverse-apply restores "
-        "the complex up to summand order with byte-identical reports",
+        "the complex exactly, with byte-identical reports",
         60.0,
     ):
         rng = Random(70707)
@@ -285,7 +267,7 @@ def test_07_word_round_trips_restore_complexes_and_reports():
             c = random_valid_complex(rng, action)
             word = random_word(rng, action, max_len=5)
             back = word.inverse().apply(word.apply(c))
-            assert back.canonical_form() == c.canonical_form(), f"trial {trial}"
+            assert back == c, f"trial {trial}"
             before = json.dumps(check_descent(c).to_dict(), sort_keys=True)
             after = json.dumps(check_descent(back).to_dict(), sort_keys=True)
             assert before == after, f"trial {trial}: reports differ"

@@ -541,6 +541,19 @@ def test_omega_rejects_failing_generator(capsys):
     assert "fails its own descent check" in capsys.readouterr().err
 
 
+def test_omega_refuses_a_generator_with_no_summands(capsys):
+    """The zero complex as both generators once certified twist by O(1),
+    which O disproves (exit 1)."""
+    path = os.path.join(FIXTURE_DIR, "z2_p2_zero_generator.json")
+    code = main(["omega", path, "--word", "twist1", "--gen-a", "zero", "--gen-b", "zero"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator a has no summands; the zero complex generates nothing\n"
+    )
+
+
 def test_rejected_generator_error_stays_short(tmp_path, capsys):
     """O twisted by (1, 0) under trivial Z/100 x Z/100 on P^2 fails on every
     stratum with a 10,000-value character: the error names the first

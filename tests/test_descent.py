@@ -15,7 +15,7 @@ from math import lcm
 from random import Random
 
 import pytest
-from conftest import O, koszul_complex, qzeros
+from conftest import O, koszul_complex, zeros
 
 import eqdescent.action as action_module
 import eqdescent.descent as descent_module
@@ -33,7 +33,7 @@ from eqdescent.descent import (
     sandwich_check,
 )
 from eqdescent.groups import AbelianGroup, CharacterRestriction, InputError, Subgroup
-from eqdescent.linalg import QMatrix
+from eqdescent.linalg import ZMatrix
 from eqdescent.oracle import isotypic_cohomology
 from eqdescent.polynomials import Poly
 from eqdescent.problem import parse_problem
@@ -749,8 +749,8 @@ def test_sandwich_exact_triple_passes():
     v1 = GradedSpace(((triv, 1),))
     v2 = GradedSpace(((triv, 2),))
     v3 = GradedSpace(((triv, 1),))
-    a = QMatrix.from_rows([[1], [0]])
-    b = QMatrix.from_rows([[0, 1]])
+    a = ZMatrix.from_rows([[1], [0]])
+    b = ZMatrix.from_rows([[0, 1]])
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.passed and result.applicable
 
@@ -761,8 +761,8 @@ def test_sandwich_outer_nontrivial_is_not_applicable():
     v1 = GradedSpace(((sign, 1),))
     v2 = GradedSpace(((sign, 1),))
     v3 = GradedSpace(((triv, 0),))
-    a = QMatrix.from_rows([[1]])
-    b = qzeros(0, 1)
+    a = ZMatrix.from_rows([[1]])
+    b = zeros(0, 1)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.passed and not result.applicable
     assert "outer terms" in result.reason
@@ -774,8 +774,8 @@ def test_sandwich_detects_block_mixing():
     v1 = GradedSpace(((triv, 1),))
     v2 = GradedSpace(((triv, 1), (sign, 1)))
     v3 = GradedSpace(((triv, 0),))
-    a = QMatrix.from_rows([[1], [1]])  # hits the sign block from a trivial source
-    b = qzeros(0, 2)
+    a = ZMatrix.from_rows([[1], [1]])  # hits the sign block from a trivial source
+    b = zeros(0, 2)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.status == "hypothesis-failure"
     assert "mixes character blocks" in result.reason
@@ -785,7 +785,7 @@ def test_sandwich_detects_nonzero_composite():
     G = AbelianGroup((2,))
     triv, _ = _restrictions(G)
     v = GradedSpace(((triv, 1),))
-    one = QMatrix.from_rows([[1]])
+    one = ZMatrix.from_rows([[1]])
     result = sandwich_check(v, v, v, one, one)
     assert result.status == "hypothesis-failure"
     assert "b o a" in result.reason
@@ -797,8 +797,8 @@ def test_sandwich_detects_inexactness_with_nontrivial_middle():
     v1 = GradedSpace(((triv, 0),))
     v2 = GradedSpace(((sign, 2),))
     v3 = GradedSpace(((triv, 0),))
-    a = qzeros(2, 0)
-    b = qzeros(0, 2)
+    a = zeros(2, 0)
+    b = zeros(0, 2)
     result = sandwich_check(v1, v2, v3, a, b)
     assert result.status == "hypothesis-failure"
     assert "not exact" in result.reason
@@ -810,7 +810,18 @@ def test_sandwich_shape_mismatch_is_input_error():
     triv, _ = _restrictions(G)
     v = GradedSpace(((triv, 1),))
     with pytest.raises(InputError):
-        sandwich_check(v, v, v, qzeros(2, 1), qzeros(1, 1))
+        sandwich_check(v, v, v, zeros(2, 1), zeros(1, 1))
+
+
+def test_sandwich_refuses_maps_that_are_not_integer_matrices():
+    G = AbelianGroup((2,))
+    triv, _ = _restrictions(G)
+    v = GradedSpace(((triv, 1),))
+    one = ZMatrix.from_rows([[1]])
+    with pytest.raises(InputError, match="^maps must be ZMatrix, got list and ZMatrix$"):
+        sandwich_check(v, v, v, [[1]], one)
+    with pytest.raises(InputError, match="^maps must be ZMatrix, got ZMatrix and list$"):
+        sandwich_check(v, v, v, one, [[Fraction(1, 2)]])
 
 
 def test_graded_space_accessors():

@@ -8,14 +8,13 @@ import copy
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
-from conftest import inverse, qidentity, qzeros
+from conftest import inverse, matmul, random_unimodular, zeros, zmatrix
 
 from eqdescent.errors import InputError
 from eqdescent.linalg import (
-    QMatrix,
     ZMatrix,
     kernel_dim,
     monomial_pivots,
@@ -112,15 +111,10 @@ def gcd_ladder_oracle(rows, ncols):
 
 
 def bareiss_rank(rows, ncols):
-    """Rank by dense one-step fraction-free (Bareiss) elimination, rows of
-    ints or Fractions each scaled by the lcm of its denominators first.
-    Every intermediate entry is a minor divided by the previous pivot, exact
-    by Sylvester's identity (Bareiss 1968)."""
-    a = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    """Rank over Q of an integer matrix by dense one-step fraction-free
+    (Bareiss) elimination.  Every intermediate entry is a minor divided by
+    the previous pivot, exact by Sylvester's identity (Bareiss 1968)."""
+    a = [list(row) for row in rows]
     nrows = len(a)
     r = 0
     prev = 1
@@ -148,31 +142,20 @@ def bareiss_rank(rows, ncols):
     return r
 
 
-def sparse(rows, ncols):
-    """The ZMatrix with the given dense integer rows and ``ncols`` columns."""
-    return ZMatrix(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
-
-
 def zmultiply(a, b):
     """The product of two ZMatrix."""
     assert a.cols == b.rows
-    columns = list(zip(*b.to_lists()))
-    return sparse(
-        [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a.to_lists()],
-        b.cols,
-    )
-
-
-def to_qmatrix(m):
-    """A ZMatrix as a QMatrix with the same entries."""
-    return QMatrix(m.rows, m.cols, tuple(Fraction(e) for row in m.to_lists() for e in row))
+    return zmatrix(matmul(a.to_lists(), b.to_lists()), b.cols)
 
 
 def transpose(m):
-    """The transpose of a QMatrix."""
-    return QMatrix(
-        m.cols, m.rows, tuple(m.entry(i, j) for j in range(m.cols) for i in range(m.rows))
-    )
+    """The transpose of a ZMatrix."""
+    return zmatrix([[row[j] for row in m.to_lists()] for j in range(m.cols)], m.rows)
+
+
+def identity(n):
+    """The n x n identity ZMatrix."""
+    return zmatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def random_zmatrix(rng, max_dim=4, lo=-9, hi=9):
@@ -186,26 +169,19 @@ def random_zmatrix(rng, max_dim=4, lo=-9, hi=9):
 # ---------------------------------------------------------------------------
 
 def test_rank_identity_and_zero():
-    assert rank(qidentity(2)) == 2
-    assert rank(qzeros(3, 3)) == 0
-    assert kernel_dim(qidentity(3)) == 0
+    assert rank(identity(2)) == 2
+    assert rank(zeros(3, 3)) == 0
+    assert kernel_dim(identity(3)) == 0
 
 
 def test_rank_dependent_rows():
-    m = QMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
+    m = ZMatrix.from_rows([[1, 2], [2, 4], [3, 6]])
     assert rank(m) == 1
     assert minor_rank_oracle(m.to_lists(), 2) == 1
 
 
 def test_kernel_dim_single_zero_row():
-    assert kernel_dim(qzeros(1, 3)) == 3
-
-
-def test_rank_with_fractions():
-    m = QMatrix.from_rows(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    )
-    assert rank(m) == minor_rank_oracle(m.to_lists(), 2)
+    assert kernel_dim(zeros(1, 3)) == 3
 
 
 def test_rank_matches_minor_oracle_randomized():
@@ -213,12 +189,8 @@ def test_rank_matches_minor_oracle_randomized():
     for _ in range(200):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
-        rows = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(c)]
-            for _ in range(r)
-        ]
-        m = QMatrix.from_rows(rows)
-        assert rank(m) == minor_rank_oracle(rows, c)
+        rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+        assert rank(ZMatrix.from_rows(rows)) == minor_rank_oracle(rows, c)
 
 
 def test_rank_equals_transpose_rank():
@@ -226,8 +198,7 @@ def test_rank_equals_transpose_rank():
     for _ in range(100):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(c)] for _ in range(r)]
-        m = QMatrix.from_rows(rows)
+        m = ZMatrix.from_rows([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
         assert rank(m) == rank(transpose(m))
 
 
@@ -236,53 +207,53 @@ def test_rank_low_rank_products():
     rng = random.Random(99)
     for _ in range(50):
         n = rng.randint(1, 5)
-        u = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        m = QMatrix.from_rows([[ui * vj for vj in v] for ui in u])
+        u = [rng.randint(-3, 3) for _ in range(n)]
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        m = ZMatrix.from_rows([[ui * vj for vj in v] for ui in u])
         expected = 1 if any(u) and any(v) else 0
         assert rank(m) == expected
 
 
 def test_integer_rank_equals_rational_rank():
-    # Products of r x k and k x c integer factors have rank at most k, so the
-    # corpus is rich in rank-deficient matrices; up to 20 x 15, the largest
-    # fiber block size the descent decision sees on P^6.
+    # The rank over Q, by the dense Bareiss reference.  Products of r x k and
+    # k x c integer factors have rank at most k, so the corpus is rich in
+    # rank-deficient matrices; up to 20 x 15, the largest fiber block size
+    # the descent decision sees on P^6.
     rng = random.Random(1968)
     for _ in range(150):
         r, c, k = rng.randint(0, 20), rng.randint(0, 15), rng.randint(0, 6)
         left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)]
         right = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)]
-        m = sparse(
-            [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)] for i in range(r)],
-            c,
-        )
-        assert rank(m) == rank(to_qmatrix(m)) <= min(r, c, k)
+        rows = [
+            [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(c)] for i in range(r)
+        ]
+        m = zmatrix(rows, c)
+        assert rank(m) == bareiss_rank(rows, c) <= min(r, c, k)
         if r <= 4 and c <= 4:
-            assert rank(m) == minor_rank_oracle(m.to_lists(), c)
+            assert rank(m) == minor_rank_oracle(rows, c)
 
 
 def test_inverse_round_trip():
     rng = random.Random(3)
-    count = 0
-    while count < 20:
+    for _ in range(20):
         n = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        m = QMatrix.from_rows(rows)
-        if rank(m) < n:
-            continue
-        count += 1
-        assert m.multiply(inverse(m)) == qidentity(n)
+        m = random_unimodular(rng, n)
+        assert rank(zmatrix(m, n)) == n
+        one = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert matmul(m, inverse(m)) == matmul(inverse(m), m) == one
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse(QMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular"):
+        inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="not integral"):
+        inverse([[2, 0], [0, 1]])
 
 
 def test_inexact_matrix_entries_are_refused():
-    with pytest.raises(InputError, match="matrix entry: 0.5"):
-        QMatrix.from_rows([[1, 0.5]])
-    assert QMatrix.from_rows([["1/2", 3]]).entries == (Fraction(1, 2), Fraction(3))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(InputError, match="matrix entry is not an int"):
+            ZMatrix.from_rows([[1, bad]])
 
 
 def test_integer_matrix_entries_that_are_not_ints_are_refused():
@@ -305,7 +276,7 @@ def test_integer_matrix_stores_nonzero_entries_only():
     m = ZMatrix.from_rows([[0, 5, 0], [0, 0, 0], [-2, 0, 1]])
     assert m.sparse_rows == ({1: 5}, {}, {0: -2, 2: 1})
     assert m.to_lists() == [[0, 5, 0], [0, 0, 0], [-2, 0, 1]]
-    assert m == sparse(m.to_lists(), 3)
+    assert m == zmatrix(m.to_lists(), 3)
     assert ZMatrix(0, 4, ()).to_lists() == [] and rank(ZMatrix(0, 4, ())) == 0
     assert ZMatrix(3, 0, ({}, {}, {})).to_lists() == [[], [], []]
 
@@ -313,13 +284,12 @@ def test_integer_matrix_stores_nonzero_entries_only():
 def test_rank_matches_dense_bareiss():
     """Sparse elimination against the dense Bareiss reference: dense random
     matrices and low-rank products with large entries, Koszul-shaped +-1
-    maps, sparse +-1 matrices and rational matrices with denominators, each
-    with zero rows and columns spliced in, empty shapes included."""
+    maps and sparse +-1 matrices, each with zero rows and columns spliced
+    in, empty shapes included."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     large = st.integers(-(10**12), 10**12)
     unit_or_zero = st.sampled_from([0, 0, 0, 1, -1])
-    rational = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 
     def matrix(entry, r, c):
         return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
@@ -340,7 +310,7 @@ def test_rank_matches_dense_bareiss():
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.data())
     def check(data):
-        kind = data.draw(st.sampled_from(["dense", "product", "koszul", "sparse", "rational"]))
+        kind = data.draw(st.sampled_from(["dense", "product", "koszul", "sparse"]))
         nrows, ncols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
         if kind == "dense":
             rows = data.draw(matrix(large, nrows, ncols))
@@ -351,24 +321,18 @@ def test_rank_matches_dense_bareiss():
             rows = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(ncols)] for row in left]
         elif kind == "koszul":
             rows, ncols = koszul_map(data)
-        elif kind == "sparse":
-            rows = data.draw(matrix(unit_or_zero, nrows, ncols))
         else:
-            rows = data.draw(matrix(rational, nrows, ncols))
+            rows = data.draw(matrix(unit_or_zero, nrows, ncols))
         for _ in range(data.draw(st.integers(0, 2))):
             rows.insert(data.draw(st.integers(0, len(rows))), [0] * ncols)
         for _ in range(data.draw(st.integers(0, 2))):
             at = data.draw(st.integers(0, ncols))
             rows = [row[:at] + [0] + row[at:] for row in rows]
             ncols += 1
-        want = bareiss_rank(rows, ncols)
-        q = QMatrix(len(rows), ncols, tuple(Fraction(x) for row in rows for x in row))
-        assert rank(q) == want, (rows, ncols)
-        if kind != "rational":
-            m = sparse(rows, ncols)
-            before = copy.deepcopy(m.sparse_rows)
-            assert rank(m) == want <= min(len(rows), ncols), (rows, ncols)
-            assert m.sparse_rows == before  # rank reads the rows, never writes them
+        m = zmatrix(rows, ncols)
+        before = copy.deepcopy(m.sparse_rows)
+        assert rank(m) == bareiss_rank(rows, ncols) <= min(len(rows), ncols), (rows, ncols)
+        assert m.sparse_rows == before  # rank reads the rows, never writes them
 
     check()
 
@@ -489,7 +453,7 @@ def test_rank_invariant_under_unimodular_transforms():
         m = random_zmatrix(rng, max_dim=4, lo=-5, hi=5)
         _, (u, v) = smith_normal_form(m)
         transformed = zmultiply(zmultiply(u, m), v)
-        assert rank(to_qmatrix(m)) == rank(to_qmatrix(transformed))
+        assert rank(m) == rank(transformed)
 
 
 def test_fraction_contract():

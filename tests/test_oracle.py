@@ -34,7 +34,7 @@ from eqdescent.complexes import (
 )
 from eqdescent.descent import block_cohomology, fiber_restrict
 from eqdescent.groups import AbelianGroup
-from eqdescent.linalg import QMatrix, rank
+from eqdescent.linalg import ZMatrix, rank
 from eqdescent.oracle import (
     _cyclic_decomposition,
     _factor_value,
@@ -485,7 +485,12 @@ def test_rank_over_q_matches_linalg_rank():
             if kind == "zero-rows":
                 for _ in range(data.draw(st.integers(1, 3))):
                     rows.insert(data.draw(st.integers(0, len(rows))), [0] * cols)
-        want = rank(QMatrix(len(rows), cols, tuple(Fraction(x) for row in rows for x in row)))
+        # each row scaled by the lcm of its denominators, which keeps the rank
+        scaled = []
+        for row in rows:
+            scale = lcm(*(Fraction(x).denominator for x in row))
+            scaled.append({j: int(x * scale) for j, x in enumerate(row) if x})
+        want = rank(ZMatrix(len(rows), cols, tuple(scaled)))
         assert _rank(rows) == want, (rows, cols)
 
     check()

@@ -165,7 +165,7 @@ def test_word_round_trip_restores_complex():
         c = random_valid_complex(rng, action)
         word = random_word(rng, action)
         back = word.inverse().apply(word.apply(c))
-        assert back.canonical_form() == c.canonical_form()
+        assert back == c
 
 
 def test_round_trip_reports_are_byte_identical():
@@ -297,6 +297,19 @@ def test_omega_rejects_bad_generators(z2_p2):
     with pytest.raises(GeneratorRejectedError) as exc:
         omega_check(word, z2_p2, gen_b=bad)
     assert exc.value.which == "b"
+
+
+def test_omega_refuses_a_generator_with_no_summands(z2_p2):
+    """The zero complex descends but generates nothing, so it would certify
+    every word: twist by O(1) is disproved on O."""
+    word = FunctorWord((Twist(O(z2_p2, 1)),))
+    zero = EquivariantComplex(z2_p2, {}, {})
+    assert not omega_check(word, z2_p2).certified
+    for gens, which in (({"gen_a": zero}, "a"), ({"gen_b": zero}, "b")):
+        with pytest.raises(InputError, match=f"^generator {which} has no summands"):
+            omega_check(word, z2_p2, **gens)
+    with pytest.raises(InputError, match="^generator a has no summands"):
+        omega_check(word, z2_p2, gen_a=zero, gen_b=zero)
 
 
 def test_omega_rejects_mismatched_generator_actions(z2_p2):
